@@ -63,6 +63,8 @@ from repro.pipeline.stages import AdaptivePolicy
 from repro.seeding.index import KmerIndex
 from repro.seeding.smem import SmemConfig, SmemFinder
 from repro.seeding.smem_oracle import brute_force_exact_match, brute_force_smems
+from repro.sillax.dense import DenseTracebackMachine
+from repro.sillax.traceback_machine import TracebackMachine, TracebackResult
 
 #: JSON-serializable pair output (int, str, None, list, dict).
 Output = Any
@@ -504,6 +506,81 @@ def _oracle_banded_verify(case: DiffCase) -> Output:
     return output
 
 
+# ------------------------------------------------- dense SillaX traceback
+
+#: Edit bounds the dense-traceback pair runs at, indexed by the case's
+#: ``k`` param (0..8): the degenerate K = 0, the small bounds where
+#: broken trails are frequent, and the mapper's K = 40.
+SILLAX_BOUNDS = (0, 1, 2, 3, 4, 6, 8, 12, 40)
+
+
+def _sillax_bound(case: DiffCase) -> int:
+    return SILLAX_BOUNDS[case.param("k") % len(SILLAX_BOUNDS)]
+
+
+def _sillax_lanes(case: DiffCase) -> List[Tuple[str, str]]:
+    """Derive a ragged (window, read) batch from one case, deterministically.
+
+    The shapes the genax engine hands the dense model: the whole window,
+    the mapper's read+K window, a window clamped at the reference end
+    (shorter than read+K), a clipped read, an empty read and an empty
+    window — all in one batch, so lane masking is exercised too.
+    """
+    reference, query = case.reference, case.query
+    k = _sillax_bound(case)
+    return [
+        (reference, query),
+        (reference[: len(query) + k], query),
+        (reference[len(reference) // 2 :], query),
+        (reference, query[: len(query) // 2]),
+        (reference, ""),
+        ("", query),
+    ]
+
+
+def _traceback_fields(result: TracebackResult) -> Output:
+    """Every field of a traceback result, as a JSON value."""
+    alignment = result.alignment
+    return {
+        "score": result.score,
+        "cigar": str(result.cigar) if result.cigar is not None else None,
+        "span": (
+            [
+                alignment.reference_start,
+                alignment.reference_end,
+                alignment.query_start,
+                alignment.query_end,
+            ]
+            if alignment is not None
+            else None
+        ),
+        "cycles": [
+            result.stream_cycles,
+            result.control_cycles,
+            result.collect_cycles,
+        ],
+        "rerun_count": result.rerun_count,
+        "rerun_cycles": result.rerun_cycles,
+    }
+
+
+def _fast_sillax_dense(case: DiffCase) -> Output:
+    lanes = _sillax_lanes(case)
+    machine = DenseTracebackMachine(_sillax_bound(case))
+    results = machine.align_batch(
+        [window for window, _ in lanes], [read for _, read in lanes]
+    )
+    return [_traceback_fields(result) for result in results]
+
+
+def _oracle_sillax_object(case: DiffCase) -> Output:
+    machine = TracebackMachine(_sillax_bound(case))
+    return [
+        _traceback_fields(machine.align(window, read))
+        for window, read in _sillax_lanes(case)
+    ]
+
+
 # ------------------------------------------------- filter cascade
 
 
@@ -787,6 +864,9 @@ _PAIREDEND_SPEC = GenSpec(
 _SV_SPEC = GenSpec(
     ref_len=(48, 192), query_len=(16, 96), families=("sv_chimeric",)
 )
+#: The object traceback machine costs ~(K+1)^2 PE updates per cycle in
+#: Python; these sizes keep six lanes per case at K = 40 affordable.
+_SILLAX_SPEC = GenSpec(ref_len=(0, 64), query_len=(0, 48))
 
 _PAIRS: Dict[str, OraclePair] = {}
 
@@ -959,6 +1039,20 @@ _register(
         fast=_fast_bitvector_verify,
         oracle=_oracle_banded_verify,
         spec=_BITVECTOR_SPEC,
+    )
+)
+_register(
+    OraclePair(
+        name="sillax-dense-vs-traceback",
+        contract=Contract.EXACT_SCORE,
+        description=(
+            "Batched dense SillaX traceback (ragged six-lane batch, K in "
+            "0..40) vs the object-per-PE machine: every TracebackResult "
+            "field, re-run count and cycles included"
+        ),
+        fast=_fast_sillax_dense,
+        oracle=_oracle_sillax_object,
+        spec=_SILLAX_SPEC,
     )
 )
 _register(

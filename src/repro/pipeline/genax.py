@@ -33,7 +33,7 @@ from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.filters import FilterCascade, MyersCandidateFilter, build_cascade
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import Candidate, Extension
-from repro.pipeline.stages import PipelineDriver, StageSet
+from repro.pipeline.stages import ExtensionJob, PipelineDriver, StageSet
 from repro.seeding.accelerator import (
     GlobalSeed,
     SeedingAccelerator,
@@ -42,7 +42,8 @@ from repro.seeding.accelerator import (
 from repro.seeding.cache import IndexCache
 from repro.seeding.index import IndexTables
 from repro.seeding.smem import SmemConfig
-from repro.sillax.lane import LaneStats, SillaXLane
+from repro.sillax.dense import DenseTracebackMachine
+from repro.sillax.lane import ExtensionOutcome, LaneStats, extension_window
 
 
 @dataclass
@@ -101,7 +102,16 @@ class SegmentedSeedProvider:
 
 
 class SillaXExtensionEngine:
-    """:class:`ExtensionEngine` over a round-robin pool of SillaX lanes."""
+    """:class:`BatchExtensionEngine` over a round-robin pool of SillaX lanes.
+
+    Jobs go to the lanes round-robin in job order, so each lane's
+    :class:`LaneStats` (re-run samples included) is the same however the
+    jobs are batched.  The lanes' traceback runs on the batched dense
+    model (:class:`~repro.sillax.dense.DenseTracebackMachine`), which
+    reproduces the cycle-level machine's results and cycle counters
+    exactly; the object machine (:class:`~repro.sillax.lane.SillaXLane`)
+    remains the reference the tests and difftest pair hold it to.
+    """
 
     def __init__(
         self,
@@ -111,34 +121,53 @@ class SillaXExtensionEngine:
         lanes: int,
     ) -> None:
         self.reference = reference
-        self._lanes = [SillaXLane(edit_bound, scheme) for _ in range(lanes)]
+        self.edit_bound = edit_bound
+        self._machine = DenseTracebackMachine(edit_bound, scheme)
+        self._lane_stats = [LaneStats() for _ in range(lanes)]
         self._next_lane = 0
 
     @property
     def lane_stats(self) -> LaneStats:
         """Merged SillaX lane statistics."""
         merged = LaneStats()
-        for lane in self._lanes:
-            merged.merge(lane.stats)
+        for stats in self._lane_stats:
+            merged.merge(stats)
         return merged
 
     def extend(
         self, oriented: str, candidate: Candidate, stats: AlignmentStats
     ) -> Optional[Extension]:
-        lane = self._lanes[self._next_lane]
-        self._next_lane = (self._next_lane + 1) % len(self._lanes)
-        outcome = lane.extend(self.reference, oriented, candidate.window_start)
-        stats.extensions += 1
-        stats.cycles += outcome.result.total_cycles
-        result = outcome.result
-        query_end = result.alignment.query_end if result.alignment else 0
-        return Extension(
-            candidate=candidate,
-            score=outcome.score,
-            position=outcome.position,
-            cigar=result.cigar,
-            query_end=query_end,
+        return self.extend_batch([(oriented, candidate)], stats)[0]
+
+    def extend_batch(
+        self, jobs: Sequence[ExtensionJob], stats: AlignmentStats
+    ) -> List[Optional[Extension]]:
+        windows = [
+            extension_window(
+                self.reference, oriented, candidate.window_start, self.edit_bound
+            )
+            for oriented, candidate in jobs
+        ]
+        results = self._machine.align_batch(
+            windows, [oriented for oriented, __ in jobs]
         )
+        extensions: List[Optional[Extension]] = []
+        for (__, candidate), result in zip(jobs, results):
+            self._lane_stats[self._next_lane].record(result)
+            self._next_lane = (self._next_lane + 1) % len(self._lane_stats)
+            stats.extensions += 1
+            stats.cycles += result.total_cycles
+            outcome = ExtensionOutcome.placed(result, candidate.window_start)
+            extensions.append(
+                Extension(
+                    candidate=candidate,
+                    score=outcome.score,
+                    position=outcome.position,
+                    cigar=result.cigar,
+                    query_end=result.alignment.query_end if result.alignment else 0,
+                )
+            )
+        return extensions
 
 
 class GenAxAligner:

@@ -263,7 +263,9 @@ GENAX_BACKEND = register_backend(
         name="genax",
         summary=(
             "the accelerator (§VI): segmented SMEM seeding + SillaX "
-            "traceback lanes, full cycle/work accounting"
+            "traceback lanes run as one batched dense (NumPy) traceback "
+            "per dispatch, exact against the cycle-level machine, full "
+            "cycle/work accounting"
         ),
         config_type=GenAxConfig,
         default_config=GenAxConfig,

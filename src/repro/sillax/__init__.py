@@ -9,8 +9,10 @@ Three machines of increasing capability, mirroring the paper:
 * :class:`repro.sillax.traceback_machine.TracebackMachine` — adds pointer
   trails, match-count compression, broken-trail detection and re-execution.
 
-Plus :mod:`repro.sillax.composable` (tile composition, §IV-D) and
-:mod:`repro.sillax.lane` (device-level cycle/throughput accounting).
+Plus :mod:`repro.sillax.composable` (tile composition, §IV-D),
+:mod:`repro.sillax.lane` (device-level cycle/throughput accounting) and
+:mod:`repro.sillax.dense` (the batched NumPy scoring and traceback
+models the mapper runs, exact against the machines above).
 """
 
 from repro.sillax.edit_machine import EditMachine, EditMachineResult
@@ -20,7 +22,11 @@ from repro.sillax.traceback_machine import (
     TracebackResult,
 )
 from repro.sillax.composable import ComposableArray, TileConfig
-from repro.sillax.dense import DenseScoringMachine, DenseScoringResult
+from repro.sillax.dense import (
+    DenseScoringMachine,
+    DenseScoringResult,
+    DenseTracebackMachine,
+)
 from repro.sillax.lane import SillaXLane, LaneStats
 
 __all__ = [
@@ -34,6 +40,7 @@ __all__ = [
     "TileConfig",
     "DenseScoringMachine",
     "DenseScoringResult",
+    "DenseTracebackMachine",
     "SillaXLane",
     "LaneStats",
 ]

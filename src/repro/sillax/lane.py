@@ -32,6 +32,16 @@ class LaneStats:
     rerun_cycles: int = 0
     rerun_cycle_samples: List[int] = field(default_factory=list)
 
+    def record(self, result: TracebackResult) -> None:
+        """Charge one extension's cycles (and re-run, if its trail broke)."""
+        self.extensions += 1
+        self.cycles += result.total_cycles
+        self.stream_cycles += result.stream_cycles
+        if result.reran:
+            self.rerun_events += 1
+            self.rerun_cycles += result.rerun_cycles
+            self.rerun_cycle_samples.append(result.rerun_cycles)
+
     def merge(self, other: "LaneStats") -> None:
         self.extensions += other.extensions
         self.cycles += other.cycles
@@ -62,6 +72,26 @@ class ExtensionOutcome:
     position: int  # global reference start of the alignment (-1 if clipped away)
     result: TracebackResult
 
+    @classmethod
+    def placed(cls, result: TracebackResult, window_start: int) -> "ExtensionOutcome":
+        """*result* (window coordinates) placed at the window's genome start."""
+        if result.alignment is None:
+            return cls(score=0, position=-1, result=result)
+        position = max(0, window_start) + result.alignment.reference_start
+        return cls(score=result.score, position=position, result=result)
+
+
+def extension_window(
+    reference: ReferenceGenome, read_sequence: str, window_start: int, k: int
+) -> str:
+    """The reference a lane extends *read_sequence* against.
+
+    The window spans the read length plus K slack (deletions in the read
+    consume extra reference), clamped at the genome ends; clipping inside
+    the machine trims whatever does not belong to the alignment.
+    """
+    return reference.fetch(window_start, window_start + len(read_sequence) + k)
+
 
 @dataclass
 class SillaXLane:
@@ -80,31 +110,14 @@ class SillaXLane:
         read_sequence: str,
         window_start: int,
     ) -> ExtensionOutcome:
-        """Extend a read against the reference window starting at *window_start*.
-
-        The window spans the read length plus K slack (deletions in the read
-        consume extra reference); clipping inside the machine trims whatever
-        does not belong to the alignment.
-        """
-        window = reference.fetch(window_start, window_start + len(read_sequence) + self.k)
+        """Extend a read against the reference window starting at *window_start*."""
+        window = extension_window(reference, read_sequence, window_start, self.k)
         result = self._machine.align(window, read_sequence)
-        self._account(result)
-        if result.alignment is None:
-            return ExtensionOutcome(score=0, position=-1, result=result)
-        position = max(0, window_start) + result.alignment.reference_start
-        return ExtensionOutcome(score=result.score, position=position, result=result)
+        self.stats.record(result)
+        return ExtensionOutcome.placed(result, window_start)
 
     def align_pair(self, reference_window: str, read_sequence: str) -> TracebackResult:
         """Raw pair alignment (used by Fig. 14's hit-throughput benches)."""
         result = self._machine.align(reference_window, read_sequence)
-        self._account(result)
+        self.stats.record(result)
         return result
-
-    def _account(self, result: TracebackResult) -> None:
-        self.stats.extensions += 1
-        self.stats.cycles += result.total_cycles
-        self.stats.stream_cycles += result.stream_cycles
-        if result.reran:
-            self.stats.rerun_events += 1
-            self.stats.rerun_cycles += result.rerun_cycles
-            self.stats.rerun_cycle_samples.append(result.rerun_cycles)

@@ -266,7 +266,6 @@ class TracebackMachine:
     def align(self, reference: str, query: str) -> TracebackResult:
         """Full run: stream, find the winner, walk the trail (with re-runs)."""
         k = self.k
-        n_ref, n_query = len(reference), len(query)
         regs, stream_cycles = self._forward(reference, query)
 
         best_score, winner, winner_cycle = 0, None, 0
@@ -281,61 +280,82 @@ class TracebackMachine:
             if winner is None or key > (best_score, -winner_cycle, tuple(-x for x in winner)):
                 best_score, winner, winner_cycle = reg.best, state, reg.best_cycle
 
-        control_cycles = 3 * (k + 1)  # phases 2-4, ~K cycles each
         if winner is None or best_score <= 0:
-            # Fully-clipped read: empty alignment, nothing to trace.
-            return TracebackResult(
-                score=0,
-                alignment=None,
-                cigar=None,
-                stream_cycles=stream_cycles,
-                control_cycles=control_cycles,
-                collect_cycles=0,
-                rerun_count=0,
-                rerun_cycles=0,
-            )
-
-        walker = _TrailWalker(self, reference, query, regs)
-        ops = walker.walk(winner, winner_cycle)
-        cigar = Cigar.from_ops(reversed(ops))
-        wi, wd, wlayer = winner
-        alignment = Alignment(
-            score=best_score,
-            reference_start=0,
-            reference_end=winner_cycle - wi,
-            query_start=0,
-            query_end=winner_cycle - wd,
-            cigar=cigar,
-        )
-        return TracebackResult(
-            score=best_score,
-            alignment=alignment,
-            cigar=cigar,
-            stream_cycles=stream_cycles,
-            control_cycles=control_cycles,
-            collect_cycles=sum(length for length, _ in cigar.ops),
-            rerun_count=walker.rerun_count,
-            rerun_cycles=walker.rerun_cycles,
+            return clipped_result(k, stream_cycles)
+        walker = _ObjectTrail(self, reference, query, regs)
+        return traced_result(
+            k, best_score, winner, winner_cycle, stream_cycles, walker
         )
 
 
-class _TrailWalker:
-    """Phase-5 collection: walk pointer records backward from the winner."""
+def clipped_result(k: int, stream_cycles: int) -> TracebackResult:
+    """A fully-clipped read: empty alignment, nothing to trace."""
+    return TracebackResult(
+        score=0,
+        alignment=None,
+        cigar=None,
+        stream_cycles=stream_cycles,
+        control_cycles=3 * (k + 1),  # phases 2-4, ~K cycles each
+        collect_cycles=0,
+        rerun_count=0,
+        rerun_cycles=0,
+    )
 
-    def __init__(
-        self,
-        machine: TracebackMachine,
-        reference: str,
-        query: str,
-        final_regs: Dict[State, _TBRegisters],
-    ) -> None:
-        self.machine = machine
-        self.reference = reference
-        self.query = query
-        self.records = final_regs
-        self.snapshot_cycle: Optional[int] = None  # None = final records
+
+def traced_result(
+    k: int,
+    best_score: int,
+    winner: State,
+    winner_cycle: int,
+    stream_cycles: int,
+    walker: "TrailWalker",
+) -> TracebackResult:
+    """Phases 2-5 from the winner: walk the trail and price the result."""
+    ops = walker.walk(winner, winner_cycle)
+    cigar = Cigar.from_ops(reversed(ops))
+    wi, wd, __ = winner
+    alignment = Alignment(
+        score=best_score,
+        reference_start=0,
+        reference_end=winner_cycle - wi,
+        query_start=0,
+        query_end=winner_cycle - wd,
+        cigar=cigar,
+    )
+    return TracebackResult(
+        score=best_score,
+        alignment=alignment,
+        cigar=cigar,
+        stream_cycles=stream_cycles,
+        control_cycles=3 * (k + 1),  # phases 2-4, ~K cycles each
+        collect_cycles=sum(length for length, _ in cigar.ops),
+        rerun_count=walker.rerun_count,
+        rerun_cycles=walker.rerun_cycles,
+    )
+
+
+class TrailWalker:
+    """Phase-5 collection: walk pointer records backward from the winner.
+
+    Where the records live is the subclass's business: ``_lookup`` reads
+    one register's record from the current snapshot (the final registers
+    until the first broken trail) and ``_restore`` replaces the snapshot
+    with the machine's state after *upto_cycle*.  The validity checks,
+    re-run accounting and the walk itself are shared, so every model of
+    the machine breaks and repairs trails at exactly the same hops.
+    """
+
+    def __init__(self, reference_len: int, query_len: int) -> None:
+        self.reference_len = reference_len
+        self.query_len = query_len
         self.rerun_count = 0
         self.rerun_cycles = 0
+
+    def _lookup(self, state: State, register: str) -> _RegisterRecord:
+        raise NotImplementedError
+
+    def _restore(self, upto_cycle: int) -> None:
+        raise NotImplementedError
 
     def _record(self, state: State, register: str, time: int) -> _RegisterRecord:
         """Fetch the provenance record describing *register* at *time*.
@@ -343,13 +363,11 @@ class _TrailWalker:
         If the live records were overwritten after *time* (broken trail),
         re-execute the machine up to *time* and read from the snapshot.
         """
-        reg = self.records[state]
-        rec = getattr(reg, f"{register}_rec")
+        rec = self._lookup(state, register)
         valid = rec.time <= time if register == "h" else rec.time == time
         if not valid:
             self._rerun(time)
-            reg = self.records[state]
-            rec = getattr(reg, f"{register}_rec")
+            rec = self._lookup(state, register)
             valid = rec.time <= time if register == "h" else rec.time == time
             if not valid:
                 raise AssertionError(
@@ -361,10 +379,7 @@ class _TrailWalker:
         """Broken pointer trail: re-stream the strings up to *upto_cycle*."""
         self.rerun_count += 1
         self.rerun_cycles += upto_cycle
-        self.records, _ = self.machine._forward(
-            self.reference, self.query, upto_cycle=upto_cycle
-        )
-        self.snapshot_cycle = upto_cycle
+        self._restore(upto_cycle)
 
     def walk(self, winner: State, winner_cycle: int) -> List[Tuple[int, str]]:
         """Collect the (reversed) trace ops from the winner back to start."""
@@ -374,7 +389,7 @@ class _TrailWalker:
         guard = 0
         while True:
             guard += 1
-            if guard > 10 * (len(self.reference) + len(self.query) + 10):
+            if guard > 10 * (self.reference_len + self.query_len + 10):
                 raise AssertionError("traceback walk failed to terminate")
             i, d, layer = state
             if register == "h":
@@ -415,3 +430,28 @@ class _TrailWalker:
                 state = (i, d - 1, layer)
                 time -= 1
                 register = "h" if rec.source == G_OPEN else "f"
+
+
+class _ObjectTrail(TrailWalker):
+    """The trail over the object machine's register dict; re-runs re-stream."""
+
+    def __init__(
+        self,
+        machine: TracebackMachine,
+        reference: str,
+        query: str,
+        final_regs: Dict[State, _TBRegisters],
+    ) -> None:
+        super().__init__(len(reference), len(query))
+        self.machine = machine
+        self.reference = reference
+        self.query = query
+        self.records = final_regs
+
+    def _lookup(self, state: State, register: str) -> _RegisterRecord:
+        return getattr(self.records[state], f"{register}_rec")
+
+    def _restore(self, upto_cycle: int) -> None:
+        self.records, _ = self.machine._forward(
+            self.reference, self.query, upto_cycle=upto_cycle
+        )

@@ -67,8 +67,8 @@ class TestGenAx:
             read = list(small_reference.sequence[start : start + 101])
             read[13] = "A" if read[13] != "A" else "C"
             aligner.align_read(f"r{start}", "".join(read))
-        lanes = aligner._engine._lanes  # lane pool lives on the extension engine
-        busy_lanes = sum(1 for lane in lanes if lane.stats.extensions)
+        lanes = aligner._engine._lane_stats  # per-lane counters live on the engine
+        busy_lanes = sum(1 for stats in lanes if stats.extensions)
         assert busy_lanes >= 2
 
     def test_seeding_stats_populated(self, aligner, small_reference):
