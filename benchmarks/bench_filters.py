@@ -24,8 +24,8 @@ so the sweep also exercises the driver's cross-read ``filter_batch``
 dispatch).  Results land in ``benchmarks/results/bench/BENCH_filters.json``
 in the unified bench envelope (:mod:`repro.perf.schema`,
 ``schema_version`` 3; the bench-specific body lives under ``payload``)
-so future PRs can regress against them.  Pre-envelope v1 files stay
-readable through :func:`repro.perf.schema.load_bench`.
+so future PRs can regress against them (load them with
+:func:`repro.perf.schema.load_bench`).
 
 Run directly (not via pytest)::
 

@@ -6,8 +6,8 @@ workload (200 kbp genome with planted repeats, 120 x 101 bp reads) it
 measures, end to end:
 
 * **index cache** — cold table build vs. warm :class:`IndexCache` load;
-* **prefilter** — serial throughput with the Myers bit-vector candidate
-  filter off vs. on, plus the reject rate;
+* **prefilter** — serial throughput with the one-stage Myers cascade
+  (``filters=("myers",)``) off vs. on, plus the reject rate;
 * **sharded scaling** — ``ParallelAligner`` reads/s at each worker count,
   with every sharded run checked bit-identical to the serial
   ``GenAxAligner.align_batch`` mappings;
@@ -21,10 +21,10 @@ Results land in ``benchmarks/results/bench/BENCH_parallel.json`` in the
 unified bench envelope (:mod:`repro.perf.schema`, ``schema_version`` 3:
 machine fingerprint, workload fingerprint, content-addressed run id; the
 bench-specific body lives under ``payload``) so future PRs can regress
-against them.  Pre-envelope v2 files stay readable through
-:func:`repro.perf.schema.load_bench`.  Wall-clock numbers are
-machine-dependent — ``machine.cpu_count`` is recorded so a single-core
-CI runner's flat scaling curve is interpretable.
+against them (load them with :func:`repro.perf.schema.load_bench`).
+Wall-clock numbers are machine-dependent — ``machine.cpu_count`` is
+recorded so a single-core CI runner's flat scaling curve is
+interpretable.
 
 Run directly (not via pytest)::
 
@@ -283,7 +283,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
         # Prefilter on, still serial: algorithmic win + reject rate.
         pf_aligner = GenAxAligner(
-            reference, config(prefilter=True, cache_dir=cache_dir)
+            reference, config(filters=("myers",), cache_dir=cache_dir)
         )
         pf_s, pf_mapped = timed_align(pf_aligner, reads)
         checked = (pf_aligner.stats.candidates_filtered
@@ -330,7 +330,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         best_jobs = max(shape["jobs"])
         combined_aligner = ParallelAligner(
             reference,
-            config(prefilter=True, cache_dir=cache_dir),
+            config(filters=("myers",), cache_dir=cache_dir),
             jobs=best_jobs,
         )
         combined_s, _ = timed_align(combined_aligner, reads)

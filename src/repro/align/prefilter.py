@@ -1,59 +1,26 @@
-"""Myers bit-vector candidate prefilter for seed extension.
+"""The lossless edit budget for a pre-alignment filter.
 
 Related accelerators (SneakySnake, Scrooge, GateKeeper) put a cheap
 pre-alignment filter in front of the expensive verification engine: most
 candidate placements produced by seeding are spurious repeat hits, and a
-linear-time bit-parallel scan can prove "this window cannot contain an
-acceptable alignment" far cheaper than the full DP / cycle-accurate lane.
+linear-time scan can prove "this window cannot contain an acceptable
+alignment" far cheaper than the full DP / cycle-accurate lane.  The
+filters themselves live in :mod:`repro.filters`; this module answers how
+tight their edit budget may be.
 
-This module reuses :func:`repro.align.myers.myers_search` (semi-global
-Myers): a candidate window *survives* iff the whole read matches **some**
-substring of the window within ``max_edits`` edits.  The SillaX machine's
-edit budget is the natural threshold — any *whole-read* alignment the
-machine can produce stays within Levenshtein distance ``edit_bound`` (its
-(i, d) grid charges one unit per gap base and two per substitution, which
-upper-bounds unit-cost edits) — so rejected candidates could only ever have
-yielded clipped partial alignments.  For a provably lossless filter use
-:func:`lossless_threshold`, which converts the pipeline's ``min_score``
-into the largest edit distance any above-threshold alignment (clipped or
-not) can exhibit.
-
-Cycle accounting: the hardware analogue streams the window through a
-bit-parallel column at one character per cycle, so each filtered candidate
-is charged ``len(window)`` cycles — recorded in :class:`PrefilterStats` so
-the modelled pipeline cycle totals stay faithful when the filter is on.
+The SillaX machine's edit budget is the natural threshold — any
+*whole-read* alignment the machine can produce stays within Levenshtein
+distance ``edit_bound`` (its (i, d) grid charges one unit per gap base and
+two per substitution, which upper-bounds unit-cost edits) — so candidates
+rejected at that budget could only ever have yielded clipped partial
+alignments.  For a provably lossless filter use :func:`lossless_threshold`,
+which converts the pipeline's ``min_score`` into the largest edit distance
+any above-threshold alignment (clipped or not) can exhibit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.align.myers import myers_search
 from repro.align.scoring import ScoringScheme
-
-
-@dataclass
-class PrefilterStats:
-    """Counters for one prefilter instance (mergeable across shards)."""
-
-    candidates_checked: int = 0
-    candidates_rejected: int = 0
-    cycles: int = 0  # modelled: one cycle per window character streamed
-
-    @property
-    def candidates_survived(self) -> int:
-        return self.candidates_checked - self.candidates_rejected
-
-    @property
-    def reject_fraction(self) -> float:
-        if not self.candidates_checked:
-            return 0.0
-        return self.candidates_rejected / self.candidates_checked
-
-    def merge(self, other: "PrefilterStats") -> None:
-        self.candidates_checked += other.candidates_checked
-        self.candidates_rejected += other.candidates_rejected
-        self.cycles += other.cycles
 
 
 def lossless_threshold(
@@ -73,21 +40,3 @@ def lossless_threshold(
     unit = min(scheme.match, -scheme.gap_extend)
     return (scheme.match * read_length - min_score) // unit
 
-
-class MyersPrefilter:
-    """Bit-vector pre-alignment filter guarding the SillaX lanes."""
-
-    def __init__(self, max_edits: int) -> None:
-        if max_edits < 0:
-            raise ValueError(f"max_edits must be non-negative, got {max_edits}")
-        self.max_edits = max_edits
-        self.stats = PrefilterStats()
-
-    def survives(self, read_sequence: str, window: str) -> bool:
-        """True iff the window could still hold an acceptable alignment."""
-        self.stats.candidates_checked += 1
-        self.stats.cycles += len(window)
-        if myers_search(read_sequence, window, self.max_edits):
-            return True
-        self.stats.candidates_rejected += 1
-        return False

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import warnings
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.align.records import ReadInput
@@ -115,12 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pre-alignment filter cascade: comma-separated registered "
         f"filter names in veto order ({', '.join(filter_names())}) or "
         "'none' to disable; stages share the pipeline's edit budget",
-    )
-    align.add_argument(
-        "--prefilter",
-        action="store_true",
-        help="deprecated: equivalent to '--filters myers' (Myers "
-        "bit-vector pre-alignment filter before SillaX extension)",
     )
     align.add_argument(
         "--kernel",
@@ -248,15 +241,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
             cascade_names = parse_cascade_spec(args.filters)
         except ValueError as exc:
             raise SystemExit(f"--filters: {exc}")
-    if args.prefilter:
-        # Deprecation shim: the old single-filter flag is the one-stage
-        # Myers cascade (GenAxConfig performs the same mapping, so the
-        # output is bit-identical to the pre-cascade pipeline).
-        warnings.warn(
-            "--prefilter is deprecated; use --filters myers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if args.pipeline == "genax":
         config: object = GenAxConfig(
             k=args.kmer,
@@ -264,15 +248,13 @@ def _cmd_align(args: argparse.Namespace) -> int:
             segment_count=args.segments,
             min_score=args.min_score,
             filters=cascade_names,
-            prefilter=args.prefilter,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
         )
     else:
-        if args.prefilter or args.cache_dir:
+        if args.cache_dir:
             print(
-                "warning: --prefilter/--cache-dir only apply to the "
-                "genax pipeline",
+                "warning: --cache-dir only applies to the genax pipeline",
                 file=sys.stderr,
             )
         if args.pipeline == "bitvector":
@@ -327,10 +309,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
             f"rescued, {pair_stats.proper_pairs}/{pair_stats.pairs_total} "
             "pairs proper"
         )
-    if args.pipeline == "genax" and args.prefilter and cascade_names is None:
-        checked = stats.candidates_filtered + stats.candidates_survived
-        suffix += f", prefilter rejected {stats.candidates_filtered}/{checked}"
-    elif cascade_names:
+    if cascade_names:
         checked = stats.candidates_filtered + stats.candidates_survived
         suffix += f", filters rejected {stats.candidates_filtered}/{checked}"
     print(

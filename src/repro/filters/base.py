@@ -20,13 +20,14 @@ composes:
     ``admit_batch`` job lists, for filters whose kernels are vectorized
     across (read, window) lanes.  ``admit_batch`` must be pure batching —
     verdict ``i`` equals ``admit(*jobs[i], stats)`` and the shared stats
-    are charged identically (the dispatch-identity tests enforce both) —
-    mirroring the
+    are charged identically (the stage tests hold each batched stage to
+    its scalar ``admit``) — mirroring the
     :class:`~repro.pipeline.stages.BatchExtensionEngine` contract.
 
-Both protocols are structural: the cascade detects ``admit_batch``
-once at construction, exactly the way the pipeline driver detects
-``extend_batch``.
+Both protocols are structural: the cascade's one entry point,
+:meth:`~repro.filters.cascade.FilterCascade.admit_batch_depths`, calls a
+stage's ``admit_batch`` when it has one (detected once at construction)
+and its ``admit`` once per lane otherwise.
 """
 
 from __future__ import annotations

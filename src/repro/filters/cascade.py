@@ -11,13 +11,12 @@ when it clears the whole cascade.  The cascade also keeps one
 rejected / false-accept / cycle counters), attributing each stage's
 ``prefilter_cycles`` delta to the stage that streamed it.
 
-Dispatch mirrors the driver's ``extend_batch`` handling: each stage's
-``admit_batch`` capability is detected structurally once at
-construction, and :meth:`admit_batch_depths` feeds every stage only the
-lanes still alive — the batch path therefore evaluates exactly the same
-(candidate, stage) pairs as the per-candidate path, so verdicts *and*
-shared-stats charges are bit-identical between the two (the
-dispatch-identity tests assert it for every registered backend).
+The cascade has one entry point, :meth:`admit_batch_depths`, which the
+driver calls once per batch with every gathered candidate.  Evaluation
+is stage-major over the lanes still alive: each stage sees only the
+candidates every earlier stage admitted, through its vectorized
+``admit_batch`` when it has one (detected structurally once, at
+construction) and through one ``admit`` call per lane otherwise.
 
 The *depth* of a candidate is the number of stages it passed: a depth
 equal to ``len(cascade)`` means admitted; anything lower names the
@@ -28,15 +27,10 @@ false accept to every stage before *j*).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.align.records import AlignmentStats
 from repro.filters.base import CandidateFilter, FilterJob, FilterStageStats
-
-if TYPE_CHECKING:
-    # Type-only: repro.pipeline imports this package at module scope, so
-    # a runtime import of repro.pipeline.common here would cycle.
-    from repro.pipeline.common import Candidate
 
 #: Structural type of a stage's optional vectorized hook.
 BatchHook = Callable[[Sequence[FilterJob], AlignmentStats], List[bool]]
@@ -56,15 +50,10 @@ class FilterCascade:
         self.stage_stats: Tuple[FilterStageStats, ...] = tuple(
             FilterStageStats() for _ in self._stages
         )
-        # Batch capability per stage, detected once (the driver does the
-        # same for extend_batch); a cascade is batch-capable when any
-        # stage is — scalar stages fall back to per-lane admit inside
-        # admit_batch_depths, preserving one uniform batch entry point.
+        # Each stage's vectorized hook, detected once; a stage without
+        # one is called lane by lane through ``admit``.
         self._batch_hooks: Tuple[Optional[BatchHook], ...] = tuple(
             getattr(stage, "admit_batch", None) for stage in self._stages
-        )
-        self.batch_capable: bool = any(
-            hook is not None for hook in self._batch_hooks
         )
 
     def __len__(self) -> int:
@@ -74,45 +63,15 @@ class FilterCascade:
     def stages(self) -> Tuple[CandidateFilter, ...]:
         return self._stages
 
-    # ------------------------------------------------------- per-candidate
-
-    def admit_depth(
-        self, oriented: str, candidate: Candidate, stats: AlignmentStats
-    ) -> int:
-        """Stages passed before the verdict; ``len(self)`` means admitted."""
-        depth = 0
-        for index, stage in enumerate(self._stages):
-            stage_stats = self.stage_stats[index]
-            stage_stats.checked += 1
-            before = stats.prefilter_cycles
-            admitted = stage.admit(oriented, candidate, stats)
-            stage_stats.cycles += stats.prefilter_cycles - before
-            if not admitted:
-                stage_stats.rejected += 1
-                for earlier in range(index):
-                    self.stage_stats[earlier].false_accepts += 1
-                stats.candidates_filtered += 1
-                return depth
-            depth += 1
-        stats.candidates_survived += 1
-        return depth
-
-    def admit(
-        self, oriented: str, candidate: Candidate, stats: AlignmentStats
-    ) -> bool:
-        """True iff *candidate* clears every stage (protocol-compatible)."""
-        return self.admit_depth(oriented, candidate, stats) == len(self)
-
-    # ------------------------------------------------------------- batched
-
     def admit_batch_depths(
         self, jobs: Sequence[FilterJob], stats: AlignmentStats
     ) -> List[int]:
         """Depth per job; entry *i* answers ``jobs[i]``.
 
-        Stage-major evaluation over the still-alive lanes: every stage
-        sees exactly the lanes the per-candidate path would have handed
-        it, so the additive counter totals match the scalar path.
+        A depth of ``len(self)`` means admitted; a lower depth names the
+        rejecting stage.  Each candidate is charged to *stats* exactly
+        once (``candidates_filtered`` or ``candidates_survived``), and
+        each stage's ``prefilter_cycles`` delta is attributed to it.
         """
         depths = [0] * len(jobs)
         alive = list(range(len(jobs)))
@@ -154,16 +113,6 @@ class FilterCascade:
             else:
                 stats.candidates_filtered += 1
         return depths
-
-    def admit_batch(
-        self, jobs: Sequence[FilterJob], stats: AlignmentStats
-    ) -> List[bool]:
-        """Verdict per job (True = admitted), batch-dispatched."""
-        admitted_depth = len(self)
-        return [
-            depth == admitted_depth
-            for depth in self.admit_batch_depths(jobs, stats)
-        ]
 
     # ----------------------------------------------------------- reporting
 

@@ -157,7 +157,7 @@ MYERS_FILTER = register_filter(
         name="myers",
         summary=(
             "Myers bit-vector semi-global scan: the exact "
-            "within-budget membership test (the old `--prefilter`)"
+            "within-budget membership test"
         ),
         batched=False,
         build=MyersCandidateFilter,

@@ -15,7 +15,7 @@ Four ``str.count`` passes per side is all it costs — no per-position
 work, no DP, no bit-vectors — which is why the default cascade runs this
 stage first ("shoulder" the obvious junk before anything per-base runs).
 This stage deliberately implements only the scalar ``admit`` path: it
-documents (and the dispatch-identity tests exercise) the cascade's mixed
+documents (and the default cascade exercises) the cascade's mixed
 scalar/batched composition.
 """
 

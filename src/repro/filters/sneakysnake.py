@@ -22,8 +22,8 @@ from :mod:`repro.genome.sequence`:
 Out-of-window and padding lanes compare against a sentinel code (255,
 outside the 2-bit alphabet) so they can never register as covered, which
 keeps lanes independent: verdict ``i`` of :meth:`SneakySnakeFilter.admit_batch`
-is exactly :meth:`SneakySnakeFilter.admit` of job ``i`` (the
-dispatch-identity tests assert it), making the batch path pure batching
+is exactly :meth:`SneakySnakeFilter.admit` of job ``i`` (the stage
+bounds tests assert it), making the batch path pure batching
 the way :class:`~repro.pipeline.stages.BatchExtensionEngine` demands.
 
 Cycle model: like the other stages, each job charges its streamed window

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.prefilter import PrefilterStats
 from repro.align.records import (
     AlignmentStats,
     MappedRead,
@@ -49,7 +48,6 @@ from repro.align.records import (
 )
 from repro.genome.reference import ReferenceGenome
 from repro.parallel.sharding import shard_batch
-from repro.pipeline.genax import GenAxConfig
 from repro.pipeline.registry import (
     BackendConfig,
     BackendRunStats,
@@ -199,32 +197,6 @@ class ParallelAligner:
     def counters(self) -> BackendRunStats:
         """The merged backend counter bundle."""
         return self._counters
-
-    @property
-    def prefilter_stats(self) -> Optional[PrefilterStats]:
-        """Merged prefilter counters (None when the filter is disabled).
-
-        Reconstructed from the merged :class:`AlignmentStats`, which carry
-        the same candidate/cycle counts the per-worker filters recorded.
-        Only the one-stage Myers cascade (the legacy ``prefilter`` flag or
-        its ``filters=("myers",)`` spelling) is reconstructible this way —
-        multi-stage cascades split the counts across stages that die with
-        the worker processes.
-        """
-        if not isinstance(self.config, GenAxConfig):
-            return None
-        if self.config.filters is None:
-            if not self.config.prefilter:
-                return None
-        elif self.config.filters != ("myers",):
-            return None
-        return PrefilterStats(
-            candidates_checked=(
-                self.stats.candidates_filtered + self.stats.candidates_survived
-            ),
-            candidates_rejected=self.stats.candidates_filtered,
-            cycles=self.stats.prefilter_cycles,
-        )
 
     def align_read(self, name: str, sequence: str) -> MappedRead:
         return self.align_batch([(name, sequence)])[0]

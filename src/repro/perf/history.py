@@ -43,8 +43,7 @@ class HistoryStore:
         if result.get("schema_version") != BENCH_SCHEMA_VERSION:
             raise ValueError(
                 "history only stores envelope results (schema_version "
-                f"{BENCH_SCHEMA_VERSION}); load legacy files through "
-                "repro.perf.schema.load_bench first"
+                f"{BENCH_SCHEMA_VERSION})"
             )
         run_id = str(result.get("run_id") or compute_run_id(result))
         path = self.root / f"{run_id}.json"

@@ -21,9 +21,8 @@ envelope fixes that:
 * ``git_sha`` / ``recorded_utc`` — labels, via the same helpers the run
   manifests use (:mod:`repro.telemetry.manifest`).
 
-Old v1/v2 files stay readable: :func:`load_bench` upgrades them into the
-envelope shape in memory (``legacy_schema_version`` records what they
-were), so trajectory tooling never needs a special case per vintage.
+Every committed ``BENCH_*.json`` is an envelope, so :func:`load_bench`
+accepts the envelope version only and names any other version it meets.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.telemetry.manifest import config_fingerprint, git_commit
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "LEGACY_SCHEMA_VERSIONS",
     "bench_envelope",
     "compute_run_id",
     "ensure_bench_out",
@@ -51,12 +49,9 @@ __all__ = [
     "write_bench",
 ]
 
-#: The unified envelope version; v1 (bench_filters) and v2
-#: (bench_parallel_scaling) are the pre-envelope legacy vintages.
+#: The unified envelope version (v1 and v2 were the pre-envelope files of
+#: bench_filters and bench_parallel_scaling; none remains).
 BENCH_SCHEMA_VERSION = 3
-
-#: Legacy top-level schema versions :func:`load_bench` upgrades in memory.
-LEGACY_SCHEMA_VERSIONS = (1, 2)
 
 #: Envelope keys excluded from the content address: labels that may
 #: differ between byte-identical measurements ("when was it recorded"
@@ -150,38 +145,8 @@ def bench_envelope(
     return result
 
 
-def _upgrade_legacy(data: Dict[str, Any], version: int) -> Dict[str, Any]:
-    """Lift a pre-envelope v1/v2 file into the envelope shape in memory."""
-    benchmark = str(data.get("benchmark", f"legacy-v{version}"))
-    quick = bool(data.get("quick", False))
-    machine = dict(data.get("machine", {}))
-    payload = {
-        key: value
-        for key, value in data.items()
-        if key not in ("schema_version", "benchmark", "quick", "machine")
-    }
-    workload = dict(payload.get("workload", {}))
-    result: Dict[str, Any] = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "legacy_schema_version": version,
-        "benchmark": benchmark,
-        "quick": quick,
-        "machine": machine,
-        "git_sha": None,
-        "workload": workload,
-        "payload": payload,
-        "recorded_utc": None,
-        "machine_fingerprint": config_fingerprint(machine),
-        "workload_fingerprint": config_fingerprint(
-            {"benchmark": benchmark, "quick": quick, "workload": workload}
-        ),
-    }
-    result["run_id"] = compute_run_id(result)
-    return result
-
-
 def load_bench(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load any ``BENCH_*.json`` vintage as an envelope-shaped dict."""
+    """Load a ``BENCH_*.json`` envelope; any other version is an error."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -189,11 +154,9 @@ def load_bench(path: Union[str, Path]) -> Dict[str, Any]:
     version = data.get("schema_version")
     if version == BENCH_SCHEMA_VERSION:
         return data
-    if version in LEGACY_SCHEMA_VERSIONS:
-        return _upgrade_legacy(data, int(version))
     raise ValueError(
         f"{path}: unsupported bench schema_version {version!r} "
-        f"(expected {BENCH_SCHEMA_VERSION} or legacy {LEGACY_SCHEMA_VERSIONS})"
+        f"(expected {BENCH_SCHEMA_VERSION})"
     )
 
 

@@ -24,7 +24,7 @@ lanes share one kernel lane and one survivor traceback.
 :class:`BitvectorKernelStats` counts requested vs. fetched windows so the
 dedupe rate is measured, not assumed.  Deduplication never changes
 results or the shared ``AlignmentStats`` — every job is still charged as
-if verified alone (the dispatch-identity tests enforce it).
+if verified alone (the kernel-identity tests enforce it).
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ class ScalarBitvectorEngine(_BitvectorEngineBase):
 class BatchedBitvectorEngine(_BitvectorEngineBase):
     """The vectorized variant: a :class:`BatchExtensionEngine`.
 
-    ``extend`` (the per-candidate fallback) delegates to a one-job batch,
-    so both driver dispatch modes run the same kernel.
+    ``extend`` delegates to a one-job batch, so a single-candidate caller
+    runs the same kernel the driver's ``extend_batch`` dispatch does.
     """
 
     def extend(

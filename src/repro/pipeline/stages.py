@@ -15,11 +15,12 @@ the stages share —
 * the pre-alignment filter cascade (:class:`repro.filters.FilterCascade`),
 * best-hit selection and the mapped/unmapped counters,
 
-in **both** execution orders: per-read (seed one read, extend, next read)
-and segment-major batch (seed the whole batch against each segment in
-turn — the order the hardware runs, §VI).  The two orders are
-functionally identical for any backend; the accounting difference is the
-point.
+in **one** mapping loop.  Only seeding has two orders: per-read (seed
+one read's strands on demand) and segment-major batch (seed the whole
+batch against each segment in turn — the order the hardware runs, §VI).
+Both orders hand their seed hits to the same gather → filter → extend →
+select loop, so they are functionally identical for any backend; the
+seeding-traffic accounting difference is the point.
 
 Stage contracts
 ---------------
@@ -33,9 +34,9 @@ Stage contracts
     stages that vetoes candidate placements before the (expensive)
     extension engine runs, charging work to the shared
     :class:`~repro.align.records.AlignmentStats` and keeping per-stage
-    reject/false-accept counters.  When the cascade is batch-capable
-    (any stage implements ``admit_batch``) the driver defers filtering
-    into one cross-read ``filter_batch`` dispatch, exactly the way it
+    reject/false-accept counters.  The driver filters every gathered
+    candidate of a batch in one cross-read ``filter_batch`` dispatch
+    (:meth:`~repro.filters.FilterCascade.admit_batch_depths`), the way it
     batches extension below.
 :class:`ExtensionEngine`
     ``extend(oriented, candidate, stats)`` verifies one placement and
@@ -48,10 +49,7 @@ Stage contracts
     driver detects the capability structurally and dispatches every
     gathered candidate of a batch in one call — across *all* reads in
     ``align_batch``, so lane counts reach the hundreds the NumPy kernels
-    need — falling back to per-candidate ``extend`` otherwise (or when
-    constructed with ``batch_dispatch=False``).  Both dispatch modes are
-    bit-identical in mappings and counters for a conforming engine; the
-    driver tests assert it for every registered backend.
+    need — and calls ``extend`` once per candidate for any other engine.
 
 Backends compose stages into a :class:`StageSet` and hand it to a
 :class:`PipelineDriver`; the registry (:mod:`repro.pipeline.registry`)
@@ -63,7 +61,7 @@ hard-code a backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -82,7 +80,6 @@ from repro.align.records import (
     ReadInput,
     as_named_read,
 )
-from repro.filters.base import CandidateFilter
 from repro.filters.cascade import FilterCascade
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.pipeline.common import (
@@ -131,8 +128,8 @@ class BatchExtensionEngine(ExtensionEngine, Protocol):
 
     ``extend_batch`` must be pure batching — result ``i`` equals what
     ``extend(*jobs[i], stats)`` would return, and the shared stats must be
-    charged identically (the per-backend dispatch-identity tests enforce
-    both).  Lanes are therefore free to be regrouped, deduplicated or
+    charged identically (the backend tests hold the batched engines to
+    their scalar ``extend``).  Lanes are therefore free to be regrouped, deduplicated or
     reordered internally, as long as outputs come back in job order.
     """
 
@@ -258,13 +255,13 @@ class StageSet:
 class _ReadPlan:
     """One read's gathered state between the filter and extend phases.
 
-    The batched dispatch path splits the per-read loop in two: *gather*
-    (fast path, candidate enumeration, filters) fills a plan per read,
-    then one cross-read ``extend_batch`` call verifies every surviving
-    job, and *finish* runs selection.  ``extensions`` starts with the
-    exact-match fast-path hits and receives the batch results in job
-    order, which reproduces the per-candidate path's extension order
-    exactly (selection is order-independent regardless; see
+    The driver's one mapping loop runs in phases over a batch of plans:
+    *gather* (fast path, candidate enumeration) fills a plan per read,
+    one cross-read cascade dispatch drops the rejected jobs, one
+    cross-read extend dispatch verifies the survivors, and *finish* runs
+    selection.  ``extensions`` starts with the exact-match fast-path hits
+    and receives the extend results in job order (selection is
+    order-independent regardless; see
     :func:`repro.pipeline.common.select_best`).
     """
 
@@ -278,19 +275,21 @@ class _ReadPlan:
 class PipelineDriver:
     """The one seed-and-extend outer loop every backend runs behind.
 
-    Owns the shared :class:`AlignmentStats` and both execution orders;
-    backends differ only in the :class:`StageSet` they compose.  The
-    per-read and segment-major paths are bit-identical in mappings and
-    counters (minus seeding-traffic counters that legitimately depend on
-    the order — the tests assert the rest).
+    Owns the shared :class:`AlignmentStats`; backends differ only in the
+    :class:`StageSet` they compose.  :meth:`align_read` and
+    :meth:`align_batch` differ only in how they seed (per read vs
+    segment-major); both hand the seed hits to the same gather → filter
+    → extend → select loop, so mappings and counters agree (minus
+    seeding-traffic counters that legitimately depend on the order — the
+    tests assert the rest).
 
     Telemetry is opt-in and run-scoped: when a
     :class:`~repro.telemetry.runtime.PipelineTelemetry` bundle is active
     at construction time (or passed explicitly), the driver brackets
-    every seed/filter/extend/select stage instance with tracer spans and
-    feeds the stage histograms.  With no bundle active — the default —
-    every hook site reduces to one ``is None`` check and the mapping
-    loop allocates nothing new (asserted by the tracemalloc guard test).
+    every seed/filter/extend/select dispatch with tracer spans and feeds
+    the stage histograms.  With no bundle active — the default — every
+    hook site reduces to one ``is None`` check and the mapping loop
+    allocates nothing new (asserted by the tracemalloc guard test).
     Telemetry never influences mappings or the shared
     :class:`AlignmentStats`; the bit-identical concordance contract is
     unaffected either way.
@@ -300,71 +299,30 @@ class PipelineDriver:
         self,
         stages: StageSet,
         telemetry: Optional[PipelineTelemetry] = None,
-        batch_dispatch: bool = True,
     ) -> None:
         self.stages = stages
         self.stats = AlignmentStats()
         self.telemetry = (
             telemetry if telemetry is not None else active_telemetry()
         )
-        # Batch capability is detected structurally once, here, so the
-        # per-read hot path never pays a getattr.  ``batch_dispatch=False``
-        # forces the per-candidate fallback even on batch-capable engines
-        # (the dispatch-identity tests diff the two paths).
-        hook: Optional[
-            Callable[
-                [Sequence[ExtensionJob], AlignmentStats],
-                List[Optional[Extension]],
-            ]
-        ] = getattr(stages.extender, "extend_batch", None)
-        self._extend_batch = hook if batch_dispatch else None
-        # Same structural detection for the filter cascade: when any
-        # stage is batch-capable, filtering is deferred out of the
-        # per-read gather into one cross-read ``filter_batch`` dispatch.
-        cascade = stages.cascade
-        self._filter_batch: Optional[
-            Callable[[Sequence[ExtensionJob], AlignmentStats], List[int]]
-        ] = (
-            cascade.admit_batch_depths
-            if batch_dispatch and cascade is not None and cascade.batch_capable
-            else None
-        )
-        # Either batched capability routes reads through the plan-based
-        # gather/filter/dispatch/finish phases; with neither, the classic
-        # per-read loop runs untouched.
-        self._use_plans = (
-            self._extend_batch is not None or self._filter_batch is not None
-        )
 
     # ----------------------------------------------------------------- API
 
     def align_read(self, name: str, sequence: str) -> MappedRead:
         """Map one read, seeding each strand on demand (per-read order)."""
-        stages = self.stages
         tel = self.telemetry
         if tel is not None:
             tel.stage_begin("align_read")
             tel.stage_begin("seed")
         seed_lists = [
-            list(stages.seeder.seed(oriented))
+            list(self.stages.seeder.seed(oriented))
             for oriented, __ in strands(sequence)
         ]
-        if tel is None:
-            if not self._use_plans:
-                return self._map_read(name, sequence, seed_lists)
-            plan = self._gather(name, sequence, seed_lists)
-            self._filter_plans([plan])
-            self._dispatch_batch([plan])
-            return self._finish(plan)
-        tel.stage_end("seed")
-        if not self._use_plans:
-            mapped = self._map_read(name, sequence, seed_lists)
-        else:
-            plan = self._gather(name, sequence, seed_lists)
-            self._filter_plans([plan])
-            self._dispatch_batch([plan])
-            mapped = self._finish(plan)
-        tel.stage_end("align_read")
+        if tel is not None:
+            tel.stage_end("seed")
+        mapped = self._map([(name, sequence)], seed_lists)[0]
+        if tel is not None:
+            tel.stage_end("align_read")
         return mapped
 
     def align_reads(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
@@ -417,8 +375,10 @@ class PipelineDriver:
         All reads (both orientations) are handed to the seed provider at
         once, so a segmented provider streams each segment's tables once
         per batch instead of once per read; the buffered seed hits then
-        flow through the shared filter/extend/select loop.  Functionally
-        identical to :meth:`align_reads` (the tests enforce it).
+        flow through the shared filter/extend/select loop as one batch, so
+        filter and extend lane counts scale with the whole batch.
+        Functionally identical to :meth:`align_reads` (the tests enforce
+        it).
         """
         named: List[NamedRead] = [as_named_read(read) for read in reads]
         oriented: List[str] = []
@@ -432,50 +392,50 @@ class PipelineDriver:
         seed_lists = self.stages.seeder.seed_batch(oriented)
         if tel is not None:
             tel.stage_end("seed")
-        out: List[MappedRead] = []
-        if not self._use_plans:
-            for index, (name, sequence) in enumerate(named):
-                out.append(
-                    self._map_read(
-                        name, sequence, seed_lists[2 * index : 2 * index + 2]
-                    )
-                )
-        else:
-            # Batch-capable cascade and/or engine: gather every read's
-            # candidates first, run one cross-read filter dispatch, then
-            # one vectorized extend dispatch (lane counts scale with the
-            # whole batch, not one read), then select per read.
-            plans = [
-                self._gather(
-                    name, sequence, seed_lists[2 * index : 2 * index + 2]
-                )
-                for index, (name, sequence) in enumerate(named)
-            ]
-            self._filter_plans(plans)
-            self._dispatch_batch(plans)
-            out = [self._finish(plan) for plan in plans]
+        out = self._map(named, seed_lists)
         if tel is not None:
             tel.stage_end("align_batch")
         return out
 
     # ------------------------------------------------------------ internals
 
-    def _map_read(
+    def _map(
+        self,
+        named: Sequence[NamedRead],
+        seed_lists: Sequence[Sequence[GlobalSeed]],
+    ) -> List[MappedRead]:
+        """The one mapping loop: gather, filter, extend, select.
+
+        *seed_lists* holds two entries per read (forward, then reverse
+        complement), in read order.
+        """
+        plans = [
+            self._gather(name, sequence, seed_lists[2 * index : 2 * index + 2])
+            for index, (name, sequence) in enumerate(named)
+        ]
+        self._filter_plans(plans)
+        self._dispatch_batch(plans)
+        return [self._finish(plan) for plan in plans]
+
+    def _gather(
         self,
         name: str,
         sequence: str,
         seed_lists: Sequence[Sequence[GlobalSeed]],
-    ) -> MappedRead:
-        """The shared inner loop: fast path, filter, extend, select."""
+    ) -> _ReadPlan:
+        """Phase 1: exact-match fast path and candidate enumeration.
+
+        Every enumerated candidate becomes a pending job; filtering runs
+        afterwards, in one cross-read dispatch (:meth:`_filter_plans`).
+        """
         stages = self.stages
         stats = self.stats
         tel = self.telemetry
-        cascade = stages.cascade
-        cascade_depth = len(cascade) if cascade is not None else 0
         stats.reads_total += 1
         if tel is not None:
             tel.stage_begin("read")
         extensions: List[Extension] = []
+        jobs: List[ExtensionJob] = []
         exact_seen = False
         candidate_count = 0
         for (oriented, reverse), seeds in zip(strands(sequence), seed_lists):
@@ -496,108 +456,9 @@ class PipelineDriver:
             for candidate in candidates_from_seeds(
                 seeds, reverse, stages.max_candidates
             ):
-                if tel is not None:
-                    candidate_count += 1
-                    tel.observe_candidate()
-                    if cascade is not None:
-                        tel.stage_begin("filter")
-                        depth = cascade.admit_depth(oriented, candidate, stats)
-                        tel.stage_end("filter")
-                        tel.observe_cascade(depth)
-                        if depth != cascade_depth:
-                            continue
-                    tel.stage_begin("extend")
-                    extension = stages.extender.extend(
-                        oriented, candidate, stats
-                    )
-                    tel.stage_end("extend")
-                    if extension is not None:
-                        tel.observe_extension(extension)
-                        extensions.append(extension)
-                    continue
-                if cascade is not None and not cascade.admit(
-                    oriented, candidate, stats
-                ):
-                    continue
-                extension = stages.extender.extend(oriented, candidate, stats)
-                if extension is not None:
-                    extensions.append(extension)
-        if exact_seen:
-            stats.reads_exact += 1
-        if tel is not None:
-            tel.stage_begin("select")
-        mapped = select_best(
-            name, len(sequence), extensions, stages.min_score_for(len(sequence))
-        )
-        if tel is not None:
-            tel.stage_end("select")
-            tel.stage_end("read")
-            tel.read_done(candidate_count)
-        if mapped.is_unmapped:
-            stats.reads_unmapped += 1
-        else:
-            stats.reads_mapped += 1
-        return mapped
-
-    # -------------------------------------------------- batched dispatch
-
-    def _gather(
-        self,
-        name: str,
-        sequence: str,
-        seed_lists: Sequence[Sequence[GlobalSeed]],
-    ) -> _ReadPlan:
-        """Phase 1 of batched dispatch: fast path, candidates, filters.
-
-        With a batch-capable cascade installed, filtering is *deferred*:
-        the plan keeps every enumerated candidate as a pending job and
-        :meth:`_filter_plans` runs one cross-read cascade dispatch over
-        all of them.  Otherwise the cascade runs inline per candidate,
-        exactly like the per-read path.
-        """
-        stages = self.stages
-        stats = self.stats
-        tel = self.telemetry
-        cascade = stages.cascade
-        cascade_depth = len(cascade) if cascade is not None else 0
-        inline_cascade = cascade if self._filter_batch is None else None
-        stats.reads_total += 1
-        if tel is not None:
-            tel.stage_begin("read")
-        extensions: List[Extension] = []
-        jobs: List[ExtensionJob] = []
-        exact_seen = False
-        candidate_count = 0
-        for (oriented, reverse), seeds in zip(strands(sequence), seed_lists):
-            if tel is not None:
-                tel.observe_seeds(seeds)
-            exact = [s for s in seeds if s.exact_whole_read]
-            if exact:
-                exact_seen = True
-                extensions.extend(
-                    exact_match_extensions(
-                        exact, reverse, len(oriented), stages.match_score
-                    )
-                )
-                continue
-            for candidate in candidates_from_seeds(
-                seeds, reverse, stages.max_candidates
-            ):
                 candidate_count += 1
                 if tel is not None:
                     tel.observe_candidate()
-                if inline_cascade is not None:
-                    if tel is not None:
-                        tel.stage_begin("filter")
-                        depth = inline_cascade.admit_depth(
-                            oriented, candidate, stats
-                        )
-                        tel.stage_end("filter")
-                        tel.observe_cascade(depth)
-                        if depth != cascade_depth:
-                            continue
-                    elif not inline_cascade.admit(oriented, candidate, stats):
-                        continue
                 jobs.append((oriented, candidate))
         if exact_seen:
             stats.reads_exact += 1
@@ -606,34 +467,28 @@ class PipelineDriver:
         return _ReadPlan(name, len(sequence), extensions, jobs, candidate_count)
 
     def _filter_plans(self, plans: Sequence[_ReadPlan]) -> None:
-        """Phase 1b: one cross-read cascade dispatch over pending jobs.
+        """Phase 2: one cross-read cascade dispatch over pending jobs.
 
-        No-op unless the cascade is batch-capable (inline filtering
-        already ran inside :meth:`_gather` then).  Rejected jobs are
-        dropped from their plans; the survivors proceed to extension in
-        the same job order the inline path would have produced.
+        No-op without a cascade.  Rejected jobs are dropped from their
+        plans; the survivors keep their job order.
         """
-        filter_batch = self._filter_batch
-        if filter_batch is None:
+        cascade = self.stages.cascade
+        if cascade is None:
             return
-        jobs: List[ExtensionJob] = []
-        for plan in plans:
-            jobs.extend(plan.jobs)
+        jobs = [job for plan in plans for job in plan.jobs]
         if not jobs:
             return
         tel = self.telemetry
         if tel is not None:
             tel.stage_begin("filter_batch")
-        depths = filter_batch(jobs, self.stats)
+        depths = cascade.admit_batch_depths(jobs, self.stats)
         if tel is not None:
             tel.stage_end("filter_batch")
         if len(depths) != len(jobs):
             raise ValueError(
                 f"cascade returned {len(depths)} depths for {len(jobs)} jobs"
             )
-        cascade = self.stages.cascade
-        assert cascade is not None
-        cascade_depth = len(cascade)
+        admitted = len(cascade)
         index = 0
         for plan in plans:
             survivors: List[ExtensionJob] = []
@@ -642,43 +497,39 @@ class PipelineDriver:
                 index += 1
                 if tel is not None:
                     tel.observe_cascade(depth)
-                if depth == cascade_depth:
+                if depth == admitted:
                     survivors.append(job)
             plan.jobs = survivors
 
     def _dispatch_batch(self, plans: Sequence[_ReadPlan]) -> None:
-        """Phase 2: one vectorized extend call over every plan's jobs.
+        """Phase 3: one extend dispatch over every plan's surviving jobs.
 
-        When only the *cascade* is batch-capable (scalar extension
-        engine), the surviving jobs fall back to per-candidate
-        ``extend`` calls in job order — same results, same charges.
+        A :class:`BatchExtensionEngine` gets the whole job list in one
+        ``extend_batch`` call; any other engine gets one ``extend`` call
+        per job, in job order — same results, same charges.
         """
-        extend_batch = self._extend_batch
-        tel = self.telemetry
-        if extend_batch is None:
-            extender = self.stages.extender
-            stats = self.stats
-            for plan in plans:
-                for oriented, candidate in plan.jobs:
-                    if tel is not None:
-                        tel.stage_begin("extend")
-                    extension = extender.extend(oriented, candidate, stats)
-                    if tel is not None:
-                        tel.stage_end("extend")
-                    if extension is not None:
-                        if tel is not None:
-                            tel.observe_extension(extension)
-                        plan.extensions.append(extension)
-            return
-        jobs: List[ExtensionJob] = []
-        for plan in plans:
-            jobs.extend(plan.jobs)
+        jobs = [job for plan in plans for job in plan.jobs]
         if not jobs:
             return
+        extender = self.stages.extender
+        stats = self.stats
+        tel = self.telemetry
         if tel is not None:
             tel.stage_begin("extend_batch")
             tel.observe_batch(len(jobs))
-        results = extend_batch(jobs, self.stats)
+        extend_batch: Optional[
+            Callable[
+                [Sequence[ExtensionJob], AlignmentStats],
+                List[Optional[Extension]],
+            ]
+        ] = getattr(extender, "extend_batch", None)
+        if extend_batch is not None:
+            results = extend_batch(jobs, stats)
+        else:
+            results = [
+                extender.extend(oriented, candidate, stats)
+                for oriented, candidate in jobs
+            ]
         if tel is not None:
             tel.stage_end("extend_batch")
         if len(results) != len(jobs):
@@ -697,7 +548,7 @@ class PipelineDriver:
                     plan.extensions.append(extension)
 
     def _finish(self, plan: _ReadPlan) -> MappedRead:
-        """Phase 3: selection and the mapped/unmapped counters."""
+        """Phase 4: selection and the mapped/unmapped counters."""
         stats = self.stats
         tel = self.telemetry
         if tel is not None:

@@ -234,7 +234,7 @@ def write_chrome_trace(path: Union[str, Path], tracer: Tracer) -> None:
 #: with :class:`repro.telemetry.runtime.PipelineTelemetry`, which
 #: registers one ``pipeline_stage_seconds_<stage>`` histogram per entry.
 PROFILE_STAGES = (
-    "seed", "filter", "filter_batch", "extend", "extend_batch", "select",
+    "seed", "filter_batch", "extend_batch", "select",
 )
 
 #: Work counters rendered under the stage table: metric name -> label.

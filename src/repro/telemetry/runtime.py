@@ -62,7 +62,7 @@ LENGTH_BUCKETS: Tuple[float, ...] = (
 #: Edit-distance buckets for accepted extensions.
 EDIT_BUCKETS: Tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0)
 
-#: Lanes-per-dispatch buckets for the batched extension stage (cross-read
+#: Lanes-per-dispatch buckets for the extension stage (cross-read
 #: batches reach hundreds to thousands of lanes).
 BATCH_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0,
@@ -77,7 +77,7 @@ CASCADE_BUCKETS: Tuple[float, ...] = (
 #: Stages the driver brackets (kept in sync with exporters.PROFILE_STAGES
 #: by a test); each gets a pipeline_stage_seconds_<stage> histogram.
 STAGES: Tuple[str, ...] = (
-    "seed", "filter", "filter_batch", "extend", "extend_batch", "select",
+    "seed", "filter_batch", "extend_batch", "select",
 )
 
 TelemetrySnapshot = Dict[str, Any]
@@ -145,7 +145,7 @@ class PipelineTelemetry:
         self._batch_lanes = self.metrics.histogram(
             "pipeline_batch_lanes",
             BATCH_BUCKETS,
-            "candidate lanes per batched extension dispatch",
+            "candidate lanes per extension dispatch",
         )
         self._cascade_depths = self.metrics.histogram(
             "pipeline_cascade_depth",
@@ -185,7 +185,7 @@ class PipelineTelemetry:
             self._edit_distances.observe(cigar.edit_count())
 
     def observe_batch(self, lane_count: int) -> None:
-        """Record one batched extension dispatch (its lane count)."""
+        """Record one extension dispatch (its lane count)."""
         self._batch_lanes.observe(float(lane_count))
 
     def observe_cascade(self, depth: int) -> None:

@@ -2,7 +2,8 @@
 
 These tests use stub stages so every property of the cascade itself —
 ordering, short-circuiting, once-per-candidate charging, false-accept
-attribution, scalar/batched equivalence — is pinned independently of any
+attribution, scalar/batched stage dispatch — is pinned through the
+cascade's one entry point, ``admit_batch_depths``, independently of any
 concrete filter kernel (those get their own admissibility tests in
 test_stage_bounds.py).
 """
@@ -36,7 +37,12 @@ class ScalarStub:
 class BatchStub(ScalarStub):
     """Batch-capable stage whose admit_batch is pure batching."""
 
+    def __init__(self, name, verdict, cycles=3):
+        super().__init__(name, verdict, cycles)
+        self.batch_calls = 0
+
     def admit_batch(self, jobs, stats):
+        self.batch_calls += 1
         return [self.admit(oriented, candidate, stats)
                 for oriented, candidate in jobs]
 
@@ -65,10 +71,15 @@ class TestConstruction:
         assert len(cascade) == 2
 
     def test_batch_capability_detected_structurally(self):
-        scalar_only = FilterCascade([ScalarStub("a", bool)])
-        mixed = FilterCascade([ScalarStub("a", bool), BatchStub("b", bool)])
-        assert not scalar_only.batch_capable
-        assert mixed.batch_capable
+        # A stage with admit_batch gets one call per dispatch; a scalar
+        # stage gets one admit call per live lane.
+        scalar = ScalarStub("a", bool)
+        batched = BatchStub("b", bool)
+        cascade = FilterCascade([scalar, batched])
+        cascade.admit_batch_depths(jobs_for(["AC", "GT"]), AlignmentStats())
+        assert scalar.calls == ["AC", "GT"]
+        assert batched.batch_calls == 1
+        assert batched.calls == ["AC", "GT"]
 
     def test_report_pairs_names_with_counters(self):
         cascade = FilterCascade([ScalarStub("only", bool)])
@@ -78,23 +89,29 @@ class TestConstruction:
 
 
 class TestScalarPath:
-    def test_admit_depth_counts_stages_passed(self):
+    """Scalar-only stages through the one entry point."""
+
+    def test_depth_counts_stages_passed(self):
         cascade = FilterCascade(
             [ScalarStub("a", lambda r: True),
              ScalarStub("b", lambda r: r != "TT"),
              ScalarStub("c", lambda r: True)]
         )
-        stats = AlignmentStats()
-        assert cascade.admit_depth("AA", CANDIDATE, stats) == 3
-        assert cascade.admit_depth("TT", CANDIDATE, stats) == 1
+        depths = cascade.admit_batch_depths(
+            jobs_for(["AA", "TT"]), AlignmentStats()
+        )
+        assert depths == [3, 1]
 
     def test_rejection_short_circuits_later_stages(self):
-        first = ScalarStub("a", lambda r: False)
+        first = ScalarStub("a", lambda r: r != "AC")
         second = ScalarStub("b", lambda r: True)
         cascade = FilterCascade([first, second])
-        assert not cascade.admit("AC", CANDIDATE, AlignmentStats())
-        assert first.calls == ["AC"]
-        assert second.calls == []
+        depths = cascade.admit_batch_depths(
+            jobs_for(["AC", "GT"]), AlignmentStats()
+        )
+        assert depths == [0, 2]
+        assert first.calls == ["AC", "GT"]
+        assert second.calls == ["GT"]
 
     def test_shared_stats_charged_exactly_once_per_candidate(self):
         cascade = FilterCascade(
@@ -102,8 +119,7 @@ class TestScalarPath:
              ScalarStub("b", lambda r: r != "TT")]
         )
         stats = AlignmentStats()
-        cascade.admit("AA", CANDIDATE, stats)
-        cascade.admit("TT", CANDIDATE, stats)
+        cascade.admit_batch_depths(jobs_for(["AA", "TT"]), stats)
         assert stats.candidates_survived == 1
         assert stats.candidates_filtered == 1
 
@@ -113,7 +129,7 @@ class TestScalarPath:
              ScalarStub("b", lambda r: True),
              ScalarStub("c", lambda r: False)]
         )
-        cascade.admit("AC", CANDIDATE, AlignmentStats())
+        cascade.admit_batch_depths(jobs_for(["AC"]), AlignmentStats())
         by_name = dict(cascade.report())
         assert by_name["a"].false_accepts == 1
         assert by_name["b"].false_accepts == 1
@@ -123,14 +139,14 @@ class TestScalarPath:
     def test_cycles_attributed_to_the_charging_stage(self):
         cascade = FilterCascade(
             [ScalarStub("cheap", lambda r: True, cycles=2),
-             ScalarStub("dear", lambda r: False, cycles=11)]
+             ScalarStub("dear", lambda r: r != "AC", cycles=11)]
         )
         stats = AlignmentStats()
-        cascade.admit("AC", CANDIDATE, stats)
+        cascade.admit_batch_depths(jobs_for(["AC", "GT"]), stats)
         by_name = dict(cascade.report())
-        assert by_name["cheap"].cycles == 2
-        assert by_name["dear"].cycles == 11
-        assert stats.prefilter_cycles == 13
+        assert by_name["cheap"].cycles == 4
+        assert by_name["dear"].cycles == 22
+        assert stats.prefilter_cycles == 26
 
     def test_stage_stats_derived_fractions(self):
         stage = FilterStageStats(checked=10, rejected=6, false_accepts=1)
@@ -159,34 +175,22 @@ class TestBatchPath:
         (BatchStub, ScalarStub, BatchStub),
     ])
     def test_batch_depths_match_scalar_path(self, shapes):
-        batch_cascade = self.build(*shapes)
-        scalar_cascade = self.build(ScalarStub, ScalarStub, ScalarStub)
-        batch_stats = AlignmentStats()
-        scalar_stats = AlignmentStats()
-        depths = batch_cascade.admit_batch_depths(
-            jobs_for(self.READS), batch_stats
-        )
-        expected = [
-            scalar_cascade.admit_depth(read, CANDIDATE, scalar_stats)
-            for read in self.READS
-        ]
-        assert depths == expected
-        assert dataclasses.asdict(batch_stats) == dataclasses.asdict(
-            scalar_stats
-        )
-        for (_, got), (_, want) in zip(
-            batch_cascade.report(), scalar_cascade.report()
-        ):
-            assert dataclasses.asdict(got) == dataclasses.asdict(want)
-
-    def test_admit_batch_is_depth_equals_length(self):
-        cascade = self.build(BatchStub, ScalarStub, BatchStub)
-        verdicts = cascade.admit_batch(jobs_for(self.READS), AlignmentStats())
-        assert verdicts == [
-            self.build(ScalarStub, ScalarStub, ScalarStub).admit(
-                read, CANDIDATE, AlignmentStats()
-            )
-            for read in self.READS
+        # Hand-evaluated per candidate, stage by stage, for READS:
+        #   AAAA passes a, b, c -> 3     TTTT passes a, fails b -> 1
+        #   ACGT, GGGG fail a -> 0       TTAA passes a, b, fails c -> 2
+        # Stage a sees 5 lanes, b sees 3, c sees 2; each call costs 3.
+        cascade = self.build(*shapes)
+        stats = AlignmentStats()
+        depths = cascade.admit_batch_depths(jobs_for(self.READS), stats)
+        assert depths == [3, 1, 0, 0, 2]
+        assert stats.candidates_survived == 1
+        assert stats.candidates_filtered == 4
+        assert stats.prefilter_cycles == 30
+        assert [dataclasses.astuple(row) for _, row in cascade.report()] == [
+            # (checked, rejected, false_accepts, cycles)
+            (5, 2, 2, 15),
+            (3, 1, 1, 9),
+            (2, 1, 0, 6),
         ]
 
     def test_later_stage_sees_only_survivors(self):
@@ -206,4 +210,4 @@ class TestBatchPath:
     def test_wrong_verdict_count_raises(self):
         cascade = FilterCascade([BrokenBatchStub("broken", bool)])
         with pytest.raises(ValueError, match="broken"):
-            cascade.admit_batch(jobs_for(self.READS), AlignmentStats())
+            cascade.admit_batch_depths(jobs_for(self.READS), AlignmentStats())

@@ -82,7 +82,8 @@ class TestBuildCascade:
         cascade = build_cascade(DEFAULT_CASCADE, tiny_reference(), 2, 4)
         assert isinstance(cascade, FilterCascade)
         assert cascade.stage_names == DEFAULT_CASCADE
-        assert cascade.batch_capable  # sneakysnake brings the batch path
+        # sneakysnake brings a vectorized admit_batch hook.
+        assert any(hasattr(stage, "admit_batch") for stage in cascade.stages)
 
     def test_stages_share_budget_and_slack(self):
         cascade = build_cascade(DEFAULT_CASCADE, tiny_reference(), 3, 7)

@@ -140,23 +140,29 @@ class TestConcordance:
 
 
 class TestPrefilterMerging:
-    def test_merged_prefilter_stats_match_serial(
+    def test_merged_filter_counters_match_serial(
         self, small_reference, batch
     ):
-        config = GenAxConfig(prefilter=True, **CONFIG)
+        config = GenAxConfig(filters=("myers",), **CONFIG)
         serial = GenAxAligner(small_reference, config)
         serial.align_batch(batch)
         parallel = ParallelAligner(small_reference, config, jobs=2)
         parallel.align_batch(batch)
-        assert parallel.prefilter_stats == serial.prefilter_stats
-        assert parallel.prefilter_stats.candidates_checked > 0
+        (__, myers), = serial.cascade.report()
+        for stats in (serial.stats, parallel.stats):
+            assert stats.candidates_filtered == myers.rejected
+            assert stats.candidates_survived == myers.survived
+            assert stats.prefilter_cycles == myers.cycles
+        assert myers.checked > 0
 
-    def test_prefilter_stats_none_when_disabled(self, small_reference, batch):
+    def test_filter_counters_zero_when_disabled(self, small_reference, batch):
         parallel = ParallelAligner(
             small_reference, GenAxConfig(**CONFIG), jobs=2
         )
         parallel.align_batch(batch)
-        assert parallel.prefilter_stats is None
+        assert parallel.stats.candidates_filtered == 0
+        assert parallel.stats.candidates_survived == 0
+        assert parallel.stats.prefilter_cycles == 0
 
 
 class TestDriverSurface:

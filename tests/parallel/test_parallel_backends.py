@@ -69,7 +69,6 @@ class TestBwaMemSharding:
         parallel.align_batch(batch)
         assert parallel.lane_stats.extensions == 0
         assert parallel.seeding_stats.reads_processed == 0
-        assert parallel.prefilter_stats is None
 
 
 class TestBackendResolution:

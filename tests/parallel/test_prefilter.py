@@ -1,14 +1,14 @@
-"""Tests for the Myers pre-alignment filter and its pipeline integration."""
+"""Tests for the lossless filter budget and the Myers cascade in genax."""
+
+import dataclasses
 
 import pytest
 
-from repro.align.prefilter import (
-    MyersPrefilter,
-    PrefilterStats,
-    lossless_threshold,
-)
+from repro.align.prefilter import lossless_threshold
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
+from repro.filters import build_cascade
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
+from repro.pipeline.stages import PipelineDriver
 
 CONFIG = dict(edit_bound=12, segment_count=4)
 
@@ -19,49 +19,6 @@ def mapping_key(mapped):
          m.mapping_quality, m.secondary_count)
         for m in mapped
     ]
-
-
-class TestMyersPrefilter:
-    def test_exact_window_survives(self):
-        prefilter = MyersPrefilter(max_edits=0)
-        assert prefilter.survives("ACGTACGT", "TTACGTACGTTT")
-        assert prefilter.stats.candidates_checked == 1
-        assert prefilter.stats.candidates_rejected == 0
-        assert prefilter.stats.candidates_survived == 1
-
-    def test_hopeless_window_rejected(self):
-        prefilter = MyersPrefilter(max_edits=1)
-        window = "T" * 20
-        assert not prefilter.survives("ACAGACAG", window)
-        assert prefilter.stats.candidates_rejected == 1
-        assert prefilter.stats.cycles == len(window)
-
-    def test_edit_budget_boundary(self):
-        read = "AAAACCCC"
-        window = "GGAAAACTCCGG"  # one substitution inside the best placement
-        assert not MyersPrefilter(max_edits=0).survives(read, window)
-        assert MyersPrefilter(max_edits=1).survives(read, window)
-
-    def test_reject_fraction(self):
-        prefilter = MyersPrefilter(max_edits=0)
-        prefilter.survives("ACGT", "ACGT")
-        prefilter.survives("ACGT", "TTTT")
-        assert prefilter.stats.reject_fraction == pytest.approx(0.5)
-        assert PrefilterStats().reject_fraction == 0.0
-
-    def test_stats_merge(self):
-        left = PrefilterStats(candidates_checked=4, candidates_rejected=1,
-                              cycles=100)
-        right = PrefilterStats(candidates_checked=2, candidates_rejected=2,
-                               cycles=40)
-        left.merge(right)
-        assert left == PrefilterStats(candidates_checked=6,
-                                      candidates_rejected=3, cycles=140)
-        assert left.candidates_survived == 3
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            MyersPrefilter(max_edits=-1)
 
 
 class TestLosslessThreshold:
@@ -95,17 +52,15 @@ class TestPipelineIntegration:
     ):
         batch, __, plain = baseline
         aligner = GenAxAligner(
-            small_reference, GenAxConfig(prefilter=True, **CONFIG)
+            small_reference, GenAxConfig(filters=("myers",), **CONFIG)
         )
         aligner.align_batch(batch)
         stats = aligner.stats
+        (__, myers), = aligner.cascade.report()
         assert stats.candidates_filtered + stats.candidates_survived > 0
-        assert stats.candidates_filtered == (
-            aligner.prefilter_stats.candidates_rejected
-        )
-        assert stats.candidates_survived == (
-            aligner.prefilter_stats.candidates_survived
-        )
+        assert stats.candidates_filtered == myers.rejected
+        assert stats.candidates_survived == myers.survived
+        assert stats.prefilter_cycles == myers.cycles
         # Only survivors reach the SillaX lanes.
         assert aligner.lane_stats.extensions == stats.candidates_survived
         assert plain.lane_stats.extensions == (
@@ -121,11 +76,16 @@ class TestPipelineIntegration:
         threshold = lossless_threshold(
             len(batch[0][1]), plain.config.scheme, plain.config.min_score
         )
-        aligner = GenAxAligner(
-            small_reference,
-            GenAxConfig(prefilter=True, prefilter_k=threshold, **CONFIG),
+        # The cascade budget is the SillaX edit bound; install a Myers
+        # stage at the (looser) lossless budget behind the same stages.
+        stages = GenAxAligner(
+            small_reference, GenAxConfig(**CONFIG)
+        )._driver.stages
+        cascade = build_cascade(
+            ("myers",), small_reference, threshold, CONFIG["edit_bound"]
         )
-        assert mapping_key(aligner.align_batch(batch)) == mapping_key(
+        driver = PipelineDriver(dataclasses.replace(stages, cascade=cascade))
+        assert mapping_key(driver.align_batch(batch)) == mapping_key(
             plain_mapped
         )
 
@@ -135,12 +95,12 @@ class TestPipelineIntegration:
         """Simulated reads stay within the edit bound, so defaults agree too."""
         batch, plain_mapped, __ = baseline
         aligner = GenAxAligner(
-            small_reference, GenAxConfig(prefilter=True, **CONFIG)
+            small_reference, GenAxConfig(filters=("myers",), **CONFIG)
         )
         assert mapping_key(aligner.align_batch(batch)) == mapping_key(
             plain_mapped
         )
 
-    def test_prefilter_stats_none_when_disabled(self, small_reference):
+    def test_cascade_none_when_disabled(self, small_reference):
         aligner = GenAxAligner(small_reference, GenAxConfig(**CONFIG))
-        assert aligner.prefilter_stats is None
+        assert aligner.cascade is None

@@ -1,9 +1,25 @@
 """Tests for GenAx segment-major batch alignment."""
 
+import dataclasses
+
 import pytest
 
+from repro.filters import DEFAULT_CASCADE
 from repro.model.power import GenAxPowerModel
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
+from repro.pipeline.registry import backend_names, get_backend
+
+
+def default_cascade_config(backend):
+    """*backend*'s default config at this file's operating point, running
+    the default filter cascade wherever the backend takes one."""
+    config = get_backend(backend).default_config()
+    overrides = {"edit_bound": 12, "band": 12, "segment_count": 4,
+                 "filters": DEFAULT_CASCADE}
+    names = {field.name for field in dataclasses.fields(config)}
+    return dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if k in names}
+    )
 
 
 @pytest.fixture(scope="module")
@@ -41,20 +57,24 @@ class TestAlignBatch:
             == len(read_batch)
         )
 
+    @pytest.mark.parametrize("backend", backend_names())
     def test_alignment_stats_identical_to_per_read_mode(
-        self, small_reference, read_batch
+        self, backend, small_reference, read_batch
     ):
-        """Per-read and batch modes count the same events — including
-        ``reads_exact``, which once diverged because per-read mode counted
-        a read twice when both strands matched exactly."""
-        per_read = GenAxAligner(
-            small_reference, GenAxConfig(edit_bound=12, segment_count=4)
+        """Per-read and batch modes map identically and count the same
+        events — including ``reads_exact``, which once diverged because
+        per-read mode counted a read twice when both strands matched
+        exactly."""
+        spec = get_backend(backend)
+        per_read = spec.build(
+            small_reference, default_cascade_config(backend), None
         )
-        batch = GenAxAligner(
-            small_reference, GenAxConfig(edit_bound=12, segment_count=4)
+        batch = spec.build(
+            small_reference, default_cascade_config(backend), None
         )
-        per_read.align_reads(read_batch)
-        batch.align_batch(read_batch)
+        assert per_read.align_reads(read_batch) == batch.align_batch(
+            read_batch
+        )
         assert per_read.stats == batch.stats
         assert per_read.stats.reads_exact == batch.stats.reads_exact
 

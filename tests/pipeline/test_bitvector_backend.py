@@ -1,14 +1,11 @@
 """Tests for the bitvector backend and the driver's batch dispatch path.
 
-Three contracts:
+Two contracts:
 
 * the batched NumPy kernel and the scalar reference kernel produce
   bit-identical mappings *and* bit-identical ``AlignmentStats`` (the
   dedupe/lane bookkeeping lives in the engine-level
   ``BitvectorKernelStats``, never in the shared counter surface);
-* for every registered backend, the driver's batch dispatch order and
-  the per-candidate fallback order produce bit-identical
-  ``MappedRead``s — batching is a scheduling choice, not a semantic one;
 * the window/lane dedupe counters prove their rates on a crafted
   duplicate-heavy batch.
 """
@@ -25,16 +22,9 @@ from repro.pipeline.bitvector import (
     ScalarBitvectorEngine,
 )
 from repro.pipeline.common import Candidate
-from repro.pipeline.registry import backend_names, get_backend
-from repro.pipeline.stages import PipelineDriver
 from repro.telemetry import telemetry_session
 
-from tests.pipeline.golden_fixtures import (
-    EDIT_BOUND,
-    SEGMENT_COUNT,
-    mapping_rows,
-)
-from tests.pipeline.test_backend_goldens import CONFIGS
+from tests.pipeline.golden_fixtures import EDIT_BOUND, mapping_rows
 
 
 def stats_dict(stats: AlignmentStats):
@@ -84,35 +74,6 @@ class TestKernelIdentity:
     def test_kernel_stats_never_leak_into_alignment_stats(self):
         field_names = {f.name for f in dataclasses.fields(AlignmentStats)}
         assert not field_names & {"batches", "lanes", "windows_requested"}
-
-
-@pytest.mark.parametrize("backend", backend_names())
-class TestBatchDispatchIdentity:
-    """Batch dispatch vs per-candidate fallback, every registered backend."""
-
-    def _drivers(self, backend, reference):
-        config = CONFIGS[backend]()
-        batched = get_backend(backend).build(reference, config, None)._driver
-        fallback_stages = (
-            get_backend(backend).build(reference, config, None)._driver.stages
-        )
-        fallback = PipelineDriver(fallback_stages, batch_dispatch=False)
-        return batched, fallback
-
-    def test_align_batch_identical(self, backend, small_reference, batch):
-        batched, fallback = self._drivers(backend, small_reference)
-        assert mapping_rows(batched.align_batch(batch)) == mapping_rows(
-            fallback.align_batch(batch)
-        )
-        assert stats_dict(batched.stats) == stats_dict(fallback.stats)
-
-    def test_align_read_identical(self, backend, small_reference, batch):
-        batched, fallback = self._drivers(backend, small_reference)
-        for name, sequence in batch[:8]:
-            assert batched.align_read(name, sequence) == fallback.align_read(
-                name, sequence
-            )
-        assert stats_dict(batched.stats) == stats_dict(fallback.stats)
 
 
 class TestWindowDedupe:

@@ -1,21 +1,14 @@
 """Pipeline-level cascade contracts, every registered backend.
 
-Three promises the filter-cascade refactor makes at the driver level:
+Two promises the filter cascade makes at the driver level:
 
 * **losslessness** — running the full default cascade changes no mapping
   relative to the no-filter pipeline (the stages are lower bounds on the
   edit distance the extension engine enforces);
-* **dispatch identity** — batch-dispatched cascade filtering and the
-  per-candidate fallback produce bit-identical mappings *and* identical
-  shared/per-stage counters (batching is a scheduling choice);
 * **order invariance** — stage order changes cost, never verdicts, so
   any permutation of the cascade maps identically.
-
-Plus the legacy bridge: ``GenAxConfig(prefilter=True)`` is exactly the
-one-stage ``("myers",)`` cascade.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -25,7 +18,6 @@ from repro.pipeline.bitvector import BitvectorAligner, BitvectorConfig
 from repro.pipeline.bwamem import BwaMemConfig
 from repro.pipeline.genax import GenAxConfig
 from repro.pipeline.registry import backend_names, get_backend
-from repro.pipeline.stages import PipelineDriver
 from repro.telemetry import telemetry_session
 
 from tests.pipeline.golden_fixtures import (
@@ -47,20 +39,6 @@ CASCADE_CONFIGS = {
         edit_bound=EDIT_BOUND, filters=filters
     ),
 }
-
-
-def stats_dict(stats):
-    return dataclasses.asdict(stats)
-
-
-def stage_reports(aligner):
-    """Per-stage counters as comparable dicts (None-safe)."""
-    cascade = aligner.cascade
-    if cascade is None:
-        return None
-    return [
-        (name, dataclasses.asdict(stage)) for name, stage in cascade.report()
-    ]
 
 
 def build_aligner(backend, reference, filters):
@@ -110,32 +88,6 @@ class TestCascadeLossless:
         assert cascade_rejects <= filtered.stats.candidates_filtered
 
 
-@pytest.mark.parametrize("backend", CASCADE_BACKENDS)
-class TestCascadeDispatchIdentity:
-    """Batched cascade dispatch vs per-candidate fallback, per backend."""
-
-    def _drivers(self, backend, reference):
-        batched_aligner = build_aligner(backend, reference, DEFAULT_CASCADE)
-        fallback_aligner = build_aligner(backend, reference, DEFAULT_CASCADE)
-        fallback = PipelineDriver(
-            fallback_aligner._driver.stages, batch_dispatch=False
-        )
-        return batched_aligner, fallback_aligner, fallback
-
-    def test_align_batch_identical(self, backend, small_reference, batch):
-        batched_aligner, fallback_aligner, fallback = self._drivers(
-            backend, small_reference
-        )
-        batched = batched_aligner._driver
-        assert mapping_rows(batched.align_batch(batch)) == mapping_rows(
-            fallback.align_batch(batch)
-        )
-        assert stats_dict(batched.stats) == stats_dict(fallback.stats)
-        assert stage_reports(batched_aligner) == stage_reports(
-            fallback_aligner
-        )
-
-
 class TestOrderInvariance:
     """Stage order changes cost, never the surviving mapping set."""
 
@@ -150,37 +102,6 @@ class TestOrderInvariance:
                 BitvectorConfig(edit_bound=EDIT_BOUND, filters=order),
             )
             assert mapping_rows(aligner.align_batch(batch)) == expected, order
-
-
-class TestLegacyPrefilterBridge:
-    """GenAxConfig(prefilter=True) is the one-stage myers cascade."""
-
-    def test_prefilter_flag_equals_myers_cascade(self, small_reference, batch):
-        subset = batch[:8]
-        legacy = get_backend("genax").build(
-            small_reference,
-            GenAxConfig(
-                edit_bound=EDIT_BOUND,
-                segment_count=SEGMENT_COUNT,
-                prefilter=True,
-            ),
-            None,
-        )
-        modern = get_backend("genax").build(
-            small_reference,
-            GenAxConfig(
-                edit_bound=EDIT_BOUND,
-                segment_count=SEGMENT_COUNT,
-                filters=("myers",),
-            ),
-            None,
-        )
-        assert mapping_rows(legacy.align_batch(subset)) == mapping_rows(
-            modern.align_batch(subset)
-        )
-        assert stats_dict(legacy.stats) == stats_dict(modern.stats)
-        assert legacy.cascade is not None
-        assert legacy.cascade.stage_names == ("myers",)
 
 
 class TestCascadeTelemetry:

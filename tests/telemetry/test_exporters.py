@@ -264,12 +264,12 @@ class TestRenderProfile:
     def test_totals_and_work_counters_rendered(self):
         telemetry = PipelineTelemetry(clock=ManualClock())
         registry = telemetry.metrics
-        registry.get("pipeline_stage_seconds_extend").observe(0.25)
-        registry.get("pipeline_stage_seconds_extend").observe(0.75)
+        registry.get("pipeline_stage_seconds_extend_batch").observe(0.25)
+        registry.get("pipeline_stage_seconds_extend_batch").observe(0.75)
         registry.get("pipeline_reads_total").inc(5)
         table = render_profile(registry, 2.0)
         lines = table.splitlines()
-        extend_row = next(l for l in lines if l.startswith("extend"))
+        extend_row = next(l for l in lines if l.startswith("extend_batch"))
         assert "2" in extend_row.split()  # calls
         assert "1.000" in extend_row  # total seconds
         assert "work: reads=5" in table

@@ -82,10 +82,10 @@ class TestPipelineTelemetry:
     def test_stage_end_feeds_stage_histogram(self):
         clock = ManualClock()
         telemetry = PipelineTelemetry(clock=clock)
-        telemetry.stage_begin("extend")
+        telemetry.stage_begin("extend_batch")
         clock.advance(0.5)
-        assert telemetry.stage_end("extend") == 0.5
-        hist = telemetry.metrics.get("pipeline_stage_seconds_extend")
+        assert telemetry.stage_end("extend_batch") == 0.5
+        hist = telemetry.metrics.get("pipeline_stage_seconds_extend_batch")
         assert hist.count == 1
         assert hist.total == 0.5
 

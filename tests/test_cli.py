@@ -76,7 +76,7 @@ class TestAlign:
 
 class TestAlignParallel:
     def test_jobs_prefilter_cache_matches_serial(self, simulated, tmp_path, capsys):
-        """`--jobs/--prefilter/--cache-dir` produce the same SAM as serial."""
+        """`--jobs/--filters myers/--cache-dir` produce the same SAM as serial."""
         ref, reads = simulated
         serial_out = tmp_path / "serial.sam"
         parallel_out = tmp_path / "parallel.sam"
@@ -85,13 +85,13 @@ class TestAlignParallel:
         assert main(base + [str(serial_out)]) == 0
         code = main(
             base
-            + [str(parallel_out), "--jobs", "2", "--prefilter",
+            + [str(parallel_out), "--jobs", "2", "--filters", "myers",
                "--cache-dir", str(tmp_path / "cache")]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "jobs" in out
-        assert "prefilter" in out
+        assert "filters rejected" in out
         serial_body = [l for l in serial_out.read_text().splitlines()
                        if not l.startswith("@")]
         parallel_body = [l for l in parallel_out.read_text().splitlines()
@@ -116,13 +116,13 @@ class TestAlignParallel:
         assert "4 job(s)" in captured.out
         assert parallel_out.read_text() == serial_out.read_text()
 
-    def test_bwamem_prefilter_flag_warns(self, simulated, tmp_path, capsys):
+    def test_bwamem_cache_dir_flag_warns(self, simulated, tmp_path, capsys):
         ref, reads = simulated
         out = tmp_path / "warn.sam"
         assert main(["align", str(ref), str(reads), str(out),
                      "--pipeline", "bwamem", "--edit-bound", "10",
-                     "--prefilter"]) == 0
-        assert "only apply to the genax pipeline" in capsys.readouterr().err
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert "only applies to the genax pipeline" in capsys.readouterr().err
 
     def test_invalid_jobs_rejected(self, simulated, tmp_path):
         ref, reads = simulated
@@ -149,7 +149,7 @@ class TestAlignTelemetry:
                      "--profile"]) == 0
         err = capsys.readouterr().err
         assert "pipeline profile" in err
-        for stage in ("seed", "filter", "extend", "select"):
+        for stage in ("seed", "filter_batch", "extend_batch", "select"):
             assert stage in err
         assert "wall time:" in err
         assert "work: reads=8" in err
@@ -235,10 +235,11 @@ class TestAlignTelemetry:
         assert f"work: reads={reads_total}" in err
         # The printed stage calls agree with the merged stage histograms.
         extend_calls = parallel["histograms"][
-            "pipeline_stage_seconds_extend"
+            "pipeline_stage_seconds_extend_batch"
         ]["count"]
         extend_row = next(
-            line for line in err.splitlines() if line.startswith("extend")
+            line for line in err.splitlines()
+            if line.startswith("extend_batch")
         )
         assert str(extend_calls) in extend_row.split()
         # SAM output is still bit-identical to the serial run.
@@ -307,30 +308,28 @@ class TestSeeds:
 
 
 class TestFilterCascadeCli:
-    """The --filters cascade spec and the deprecated --prefilter bridge."""
+    """The --filters cascade spec."""
 
     BASE = ["--edit-bound", "10", "--segments", "2"]
 
-    def test_prefilter_warns_and_matches_filters_myers(
+    def test_filters_myers_matches_unfiltered(
         self, simulated, tmp_path, capsys
     ):
         ref, reads = simulated
-        legacy_out = tmp_path / "legacy.sam"
-        modern_out = tmp_path / "modern.sam"
-        with pytest.warns(DeprecationWarning, match="--filters myers"):
-            assert main(["align", str(ref), str(reads), str(legacy_out),
-                         *self.BASE, "--prefilter"]) == 0
-        legacy_summary = capsys.readouterr().out
-        assert "prefilter rejected" in legacy_summary
-        assert main(["align", str(ref), str(reads), str(modern_out),
+        plain_out = tmp_path / "plain.sam"
+        myers_out = tmp_path / "myers.sam"
+        assert main(["align", str(ref), str(reads), str(plain_out),
+                     *self.BASE]) == 0
+        assert "filters rejected" not in capsys.readouterr().out
+        assert main(["align", str(ref), str(reads), str(myers_out),
                      *self.BASE, "--filters", "myers"]) == 0
-        modern_summary = capsys.readouterr().out
-        assert "filters rejected" in modern_summary
-        assert legacy_out.read_text() == modern_out.read_text()
-        # Same rejection tally, different spelling of the same cascade.
-        assert legacy_summary.rsplit("rejected", 1)[1].split()[0] == (
-            modern_summary.rsplit("rejected", 1)[1].split()[0]
+        summary = capsys.readouterr().out
+        rejected, checked = (
+            summary.rsplit("rejected", 1)[1].split()[0].split("/")
         )
+        assert 0 <= int(rejected) <= int(checked)
+        assert int(checked) > 0
+        assert myers_out.read_text() == plain_out.read_text()
 
     @pytest.mark.parametrize("pipeline", ["genax", "bwamem", "bitvector"])
     def test_full_cascade_matches_unfiltered(
