@@ -155,20 +155,25 @@ class TestSneakySnake:
 
 
 class TestMyers:
-    # One substitution inside the best placement: rejected at budget 0,
-    # admitted from budget 1 on.
-    BOUNDARY = ("AAAACCCC", "GGAAAACTCCGG")
-
     @pytest.mark.parametrize("max_edits", [0, 1, 3])
     def test_exactly_the_budget_membership_test(self, max_edits):
-        cases = [self.BOUNDARY, *random_cases(seed=105, count=40)]
-        for query, text in cases:
+        for query, text in random_cases(seed=105, count=40):
             stage, candidate = build_stage(
                 MyersCandidateFilter, text, query, max_edits
             )
             admitted = stage.admit(query, candidate, AlignmentStats())
             within = semiglobal_distance(query, text) <= max_edits
             assert admitted == within, (query, text, max_edits)
+
+    def test_edit_budget_boundary(self):
+        # One substitution inside the best placement: rejected at budget 0,
+        # admitted from budget 1 on.
+        query, text = "AAAACCCC", "GGAAAACTCCGG"
+        for max_edits, expected in ((0, False), (1, True)):
+            stage, candidate = build_stage(
+                MyersCandidateFilter, text, query, max_edits
+            )
+            assert stage.admit(query, candidate, AlignmentStats()) is expected
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
