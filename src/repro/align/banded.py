@@ -7,11 +7,21 @@ comparator used in Fig. 14 (SeqAn's banded implementation) and §VIII-C.
 
 Time and space are ``O(K*N)``.  Like the full DP, every function counts the
 cells it computes so benchmarks can report machine-independent work.
+
+:func:`banded_extension_align` computes one cell per Python step and is
+the oracle.  :func:`batch_banded_extension_align` is the same DP for many
+(window, read) *lanes* at once, a whole band row of every lane per NumPy
+step — the "many cells per step" shape of §IV — and equals the scalar
+function field by field (``banded-batch-vs-scalar`` in
+:mod:`repro.difftest.oracles`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.align.cigar import Cigar
 from repro.align.records import Alignment
@@ -173,6 +183,257 @@ def _banded_traceback(
             extend = ptr_f[i][b]
             i -= 1
             state = "F" if extend else "H"
+    ops.reverse()
+    return Cigar.from_ops(ops), i, j
+
+
+#: Packed pointer byte of the batched kernel: bit 0 = H came from F (up),
+#: bit 1 = H came from E (left; wins over bit 0), bit 2 = E extends, bit
+#: 3 = F extends.  A byte with neither direction bit is a diagonal step.
+_BIT_UP, _BIT_LEFT, _BIT_E_EXT, _BIT_F_EXT = 1, 2, 4, 8
+
+#: The batched kernel's "no score" value.  Cells outside a lane's DP hold
+#: it, and values derived only from it stay far below any real score
+#: (they move by one penalty or match per cell), so they lose every
+#: comparison against a real value exactly as the scalar ``NEG_INF``
+#: clamps do.  Such cells are never on a traceback path.
+_FLOOR = -(1 << 40)
+
+#: Code outside a string; never a Unicode code point.
+_PAD = 0xFFFFFFFF
+
+
+def _code_points(text: str) -> NDArray[np.uint32]:
+    """Exact per-character codes, so any letter compares like ``str ==``."""
+    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+
+
+def batch_banded_extension_align(
+    references: Sequence[str],
+    queries: Sequence[str],
+    bands: Sequence[int],
+    scheme: ScoringScheme = BWA_MEM_SCHEME,
+) -> List[DPResult]:
+    """:func:`banded_extension_align` over many lanes, one band row per step.
+
+    Lane *l* aligns ``queries[l]`` against ``references[l]`` with band
+    ``bands[l]``; windows, reads and bands may all differ.  Every lane
+    shares one diagonal frame ``d = j - i`` in ``[-B, B]`` for the
+    largest band ``B``, and each row of all live lanes is updated by
+    whole-array operations: ``F`` and the diagonal from the previous row,
+    then the in-row ``E`` chain as a prefix maximum.  That prefix maximum
+    is exact because ``gap_open <= 0``: opening a gap from a cell whose
+    best came from ``E`` never beats extending that ``E``.  Ties break as
+    in the scalar code (diagonal, then ``F``, then ``E``; open before
+    extend), the best cell is the first strict row-major maximum, and
+    result *l* equals ``banded_extension_align(references[l],
+    queries[l], bands[l], scheme)`` in every field.
+
+    Scores live for two rows only; traceback keeps one packed pointer
+    byte per frame cell per lane, ``(longest window + 1) * lanes *
+    (2B + 1)`` bytes, which the per-lane walk reads back.
+    """
+    lanes = len(references)
+    if len(queries) != lanes or len(bands) != lanes:
+        raise ValueError(
+            f"got {lanes} references, {len(queries)} queries and "
+            f"{len(bands)} bands; need one of each per lane"
+        )
+    for band in bands:
+        if band < 0:
+            raise ValueError(f"band must be non-negative, got {band}")
+    if not lanes:
+        return []
+    # Longest window first: the lanes still streaming rows at row i are
+    # then always a prefix, so finished lanes drop out by slicing.
+    order = sorted(range(lanes), key=lambda lane: -len(references[lane]))
+    ref_lens = [len(references[lane]) for lane in order]
+    lane_bands = np.array([bands[lane] for lane in order], dtype=np.int64)
+    top = int(lane_bands.max())
+    width = 2 * top + 1
+    rows = ref_lens[0]
+    match, sub = scheme.match, scheme.substitution
+    gap_open, gap_extend = scheme.gap_open, scheme.gap_extend
+
+    # Query codes padded so row i reads frame column c = j - i + top at
+    # qcodes[:, i - 1 + c]; ``qdead`` marks the positions off the query.
+    ref_codes = np.full((lanes, rows), _PAD, dtype=np.uint32)
+    qcodes = np.full((lanes, rows + 2 * top), _PAD, dtype=np.uint32)
+    qdead = np.ones((lanes, rows + 2 * top), dtype=np.bool_)
+    row0_run = np.zeros(lanes, dtype=np.int64)  # row-0 gap run: min(m, band)
+    for slot, lane in enumerate(order):
+        reference, query = references[lane], queries[lane]
+        ref_codes[slot, : len(reference)] = _code_points(reference)
+        reach = min(len(query), rows + top)
+        qcodes[slot, top : top + reach] = _code_points(query[:reach])
+        qdead[slot, top : top + reach] = False
+        row0_run[slot] = min(len(query), bands[lane])
+    columns = np.arange(width, dtype=np.int64)
+    off_band = np.abs(columns - top)[None, :] > lane_bands[:, None]
+
+    # H and F rows carry one padding column each side (always _FLOOR), so
+    # the up-neighbour of frame column c is padded column c + 2.
+    h_prev = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
+    f_prev = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
+    h_cur = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
+    f_cur = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
+    e_row = np.empty((lanes, width), dtype=np.int64)
+    pointers = np.zeros((rows + 1, lanes, width), dtype=np.uint8)
+
+    # Row 0: the origin, then a leading insertion run along the band.
+    run = np.arange(1, top + 1, dtype=np.int64)
+    on_run = run[None, :] <= row0_run[:, None]
+    h_prev[:, top + 1] = 0
+    h_prev[:, top + 2 : width + 1] = np.where(
+        on_run, gap_open + gap_extend * run, _FLOOR
+    )
+    pointers[0, :, top + 1 :] = np.where(
+        on_run, _BIT_LEFT | np.where(run > 1, _BIT_E_EXT, 0), 0
+    )
+
+    # E at column c opened from G at c' < c scores
+    # (gap_open + gap_extend * c) + (-gap_extend * c').
+    e_ramp = gap_open + gap_extend * columns
+    g_ramp = -gap_extend * columns
+    # Each row's first maximum; row 0 stands for the origin (0, 0).
+    row_best = np.full((rows + 1, lanes), _FLOOR, dtype=np.int64)
+    row_best[0] = 0
+    row_arg = np.full((rows + 1, lanes), top, dtype=np.intp)
+    live = lanes
+    for i in range(1, rows + 1):
+        while ref_lens[live - 1] < i:
+            live -= 1
+        hp, fp = h_prev[:live], f_prev[:live]
+        h_row, f_row = h_cur[:live, 1:-1], f_cur[:live, 1:-1]
+        window = slice(i - 1, i - 1 + width)
+        invalid = qdead[:live, window] | off_band[:live]
+
+        same = qcodes[:live, window] == ref_codes[:live, i - 1 : i]
+        diag = hp[:, 1:-1] + np.where(same, match, sub)
+        f_open = hp[:, 2:] + (gap_open + gap_extend)
+        f_extend = fp[:, 2:] + gap_extend
+        f_ext = f_extend > f_open
+        f_val = np.maximum(f_open, f_extend)
+        up = f_val > diag
+        g_val = np.maximum(diag, f_val)
+        np.putmask(g_val, invalid, _FLOOR)
+        # Column-0 seed (i, 0), a leading deletion run of length i, sits
+        # at frame column top - i of the lanes whose band reaches it.
+        seed_col = top - i
+        seeded = lane_bands[:live] >= i if seed_col >= 0 else None
+        seed = gap_open + gap_extend * i
+        if seeded is not None:
+            g_val[:, seed_col] = np.where(seeded, seed, g_val[:, seed_col])
+
+        e_val = e_row[:live]
+        e_val[:, 0] = _FLOOR
+        np.add(
+            np.maximum.accumulate(g_val + g_ramp, axis=1)[:, :-1],
+            e_ramp[1:],
+            out=e_val[:, 1:],
+        )
+        left = e_val > g_val
+        np.maximum(g_val, e_val, out=h_row)
+        np.putmask(h_row, invalid, _FLOOR)
+        np.copyto(f_row, f_val)
+        np.putmask(f_row, invalid, _FLOOR)
+        if seeded is not None:
+            h_row[:, seed_col] = np.where(seeded, seed, h_row[:, seed_col])
+            f_row[:, seed_col] = np.where(seeded, seed, f_row[:, seed_col])
+
+        ptr = pointers[i, :live]
+        np.copyto(ptr, f_ext)
+        ptr <<= 1
+        # E at c extends E at c - 1 only if that strictly beats opening
+        # from H at c - 1 (both pay gap_extend for the new base).
+        ptr[:, 1:] |= e_val[:, :-1] > h_row[:, :-1] + gap_open
+        ptr <<= 1
+        ptr |= left
+        ptr <<= 1
+        ptr |= up
+        if seeded is not None:
+            seed_ptr = _BIT_UP | (_BIT_F_EXT if i > 1 else 0)
+            ptr[:, seed_col] = np.where(seeded, seed_ptr, ptr[:, seed_col])
+
+        np.max(h_row, axis=1, out=row_best[i, :live])
+        np.argmax(h_row, axis=1, out=row_arg[i, :live])
+        h_prev, h_cur = h_cur, h_prev
+        f_prev, f_cur = f_cur, f_prev
+
+    # The scalar row-major scan keeps a new best only if strictly greater:
+    # the first row holding the overall maximum, at its first maximum.
+    best_rows = np.argmax(row_best, axis=0)
+    slot_of = [0] * lanes
+    for slot, lane in enumerate(order):
+        slot_of[lane] = slot
+    results: List[DPResult] = []
+    for lane, slot in enumerate(slot_of):
+        reference, query = references[lane], queries[lane]
+        end_i = int(best_rows[slot])
+        end_j = end_i + int(row_arg[end_i, slot]) - top
+        trail = pointers[: end_i + 1, slot].tobytes()
+        cigar, ref_start, query_start = _packed_traceback(
+            trail, width, top, reference, query, end_i, end_j
+        )
+        alignment = Alignment(
+            score=int(row_best[end_i, slot]),
+            reference_start=ref_start,
+            reference_end=end_i,
+            query_start=query_start,
+            query_end=end_j,
+            cigar=cigar,
+        )
+        cells = _band_cells(len(reference), len(query), bands[lane])
+        results.append(DPResult(alignment=alignment, cells_computed=cells))
+    return results
+
+
+def _band_cells(rows: int, cols: int, band: int) -> int:
+    """Cells the banded DP computes: ``1 <= i <= rows``, ``1 <= j <= cols``,
+    ``|i - j| <= band``."""
+    i = np.arange(1, rows + 1, dtype=np.int64)
+    spans = np.minimum(cols, i + band) - np.maximum(1, i - band) + 1
+    return int(np.maximum(spans, 0).sum())
+
+
+def _packed_traceback(
+    trail: bytes,
+    width: int,
+    top: int,
+    reference: str,
+    query: str,
+    end_i: int,
+    end_j: int,
+) -> Tuple[Cigar, int, int]:
+    """Walk one lane's packed pointers (row-major, ``width`` per row).
+
+    The walk leaves a non-negative best cell and steps only through cells
+    with real scores, each of which points somewhere, so it always ends at
+    the origin and needs no stop code (the stop in
+    :func:`_banded_traceback` never fires either).
+    """
+    ops: List[Tuple[int, str]] = []
+    i, j = end_i, end_j
+    state = "H"
+    while i > 0 or j > 0:
+        byte = trail[i * width + j - i + top]
+        if state == "H":
+            if byte & _BIT_LEFT:
+                state = "E"
+            elif byte & _BIT_UP:
+                state = "F"
+            else:
+                ops.append((1, "=" if reference[i - 1] == query[j - 1] else "X"))
+                i -= 1
+                j -= 1
+        elif state == "E":
+            ops.append((1, "I"))
+            j -= 1
+            state = "E" if byte & _BIT_E_EXT else "H"
+        else:
+            ops.append((1, "D"))
+            i -= 1
+            state = "F" if byte & _BIT_F_EXT else "H"
     ops.reverse()
     return Cigar.from_ops(ops), i, j
 

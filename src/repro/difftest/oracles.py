@@ -35,7 +35,11 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.align.banded import banded_extension_align, banded_extension_score
+from repro.align.banded import (
+    banded_extension_align,
+    banded_extension_score,
+    batch_banded_extension_align,
+)
 from repro.align.edit_distance import levenshtein
 from repro.align.hirschberg import (
     HirschbergResult,
@@ -44,9 +48,18 @@ from repro.align.hirschberg import (
     nw_global_align,
 )
 from repro.align.bitvector import batch_myers_bounded, batch_semiglobal_min
-from repro.align.myers import myers_bounded, myers_distance, myers_search
+from repro.align.myers import (
+    myers_bounded,
+    myers_distance,
+    myers_search,
+    myers_semiglobal_min,
+)
 from repro.align.records import Alignment, AlignmentStats
-from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
+from repro.align.scoring import (
+    BWA_MEM_SCHEME,
+    EDIT_DISTANCE_SCHEME,
+    ScoringScheme,
+)
 from repro.align.smith_waterman import DPResult, extension_align, local_align
 from repro.align.striped_sw import striped_local_score
 from repro.align.systolic_sw import SystolicBandedSW
@@ -581,6 +594,81 @@ def _oracle_sillax_object(case: DiffCase) -> Output:
     ]
 
 
+# ------------------------------------------------- batched banded DP
+
+#: Per-lane bands the batched banded pair draws from: the degenerate 0,
+#: small bands where the band edge cuts most alignments, and the
+#: bitvector backend's 40.
+BANDED_BATCH_BANDS = (0, 1, 2, 3, 5, 8, 13, 21, 40)
+
+
+def _banded_batch_lanes(
+    case: DiffCase,
+) -> Tuple[List[Tuple[str, str, int]], ScoringScheme]:
+    """Derive a ragged (window, read, band) batch and a scheme from one case.
+
+    The shapes the long-read and bitvector engines hand the kernel: the
+    whole window, a window clamped shorter than the read, half the read,
+    an empty read, an empty window and a read with ``N`` bases — each
+    lane with its own band, all in one call.  The scheme alternates
+    between BWA-MEM's and the unit-cost one (``gap_open = 0``).
+    """
+    reference, query = case.reference, case.query
+    shapes = [
+        (reference, query),
+        (reference[: len(query) // 2], query),
+        (reference, query[: len(query) // 2]),
+        (reference, ""),
+        ("", query),
+        (reference, query[::2].replace("A", "N")),
+    ]
+    start = case.param("k") + case.param("band")
+    bands = [
+        BANDED_BATCH_BANDS[(start + 4 * lane) % len(BANDED_BATCH_BANDS)]
+        for lane in range(len(shapes))
+    ]
+    lanes = [
+        (window, read, band) for (window, read), band in zip(shapes, bands)
+    ]
+    scheme = EDIT_DISTANCE_SCHEME if case.param("band") % 2 else BWA_MEM_SCHEME
+    return lanes, scheme
+
+
+def _dp_fields(result: DPResult) -> Output:
+    """Every field of a banded DP result, as a JSON value."""
+    alignment = result.alignment
+    return {
+        "score": alignment.score,
+        "span": [
+            alignment.reference_start,
+            alignment.reference_end,
+            alignment.query_start,
+            alignment.query_end,
+        ],
+        "cigar": str(alignment.cigar) if alignment.cigar is not None else None,
+        "cells": result.cells_computed,
+    }
+
+
+def _fast_banded_batch(case: DiffCase) -> Output:
+    lanes, scheme = _banded_batch_lanes(case)
+    results = batch_banded_extension_align(
+        [window for window, _, _ in lanes],
+        [read for _, read, _ in lanes],
+        [band for _, _, band in lanes],
+        scheme,
+    )
+    return [_dp_fields(result) for result in results]
+
+
+def _oracle_banded_per_lane(case: DiffCase) -> Output:
+    lanes, scheme = _banded_batch_lanes(case)
+    return [
+        _dp_fields(banded_extension_align(window, read, band, scheme))
+        for window, read, band in lanes
+    ]
+
+
 # ------------------------------------------------- filter cascade
 
 
@@ -692,16 +780,15 @@ def _longread_verify(case: DiffCase, exact: bool) -> Output:
     Mirrors :class:`repro.pipeline.longread.AdaptiveBandedEngine`: a
     semi-global edit-distance gate at the policy's ``gate_edits``, then a
     banded affine-gap score at the policy's per-read band.  ``exact``
-    selects the oracle kernels (full-DP gate, traceback-DP score) over
-    the fast ones (batched bit-parallel gate, score-only banded DP).
+    selects the oracle kernels (full-DP gate, scalar traceback-DP score)
+    over the ones the engine's ``extend_batch`` runs (bit-parallel Myers
+    gate, lane-batched banded DP).
     """
     params = _LONGREAD_POLICY.params_for(len(case.query))
     if exact:
         distance = _semiglobal_min_dp(case.query, case.reference)
     else:
-        distance = int(
-            batch_semiglobal_min([case.query], [case.reference])[0]
-        )
+        distance = myers_semiglobal_min(case.query, case.reference)
     output: Dict[str, Output] = {
         "admitted": distance <= params.gate_edits,
         "distance": distance,
@@ -710,13 +797,14 @@ def _longread_verify(case: DiffCase, exact: bool) -> Output:
     }
     if distance <= params.gate_edits:
         if exact:
-            score = banded_extension_align(
-                case.reference, case.query, params.band
-            ).alignment.score
-        else:
-            score, _cells = banded_extension_score(
+            result = banded_extension_align(
                 case.reference, case.query, params.band
             )
+        else:
+            result = batch_banded_extension_align(
+                [case.reference], [case.query], [params.band]
+            )[0]
+        score = result.alignment.score
         output["score"] = score
         output["reported"] = score >= params.min_score
     return output
@@ -867,6 +955,9 @@ _SV_SPEC = GenSpec(
 #: The object traceback machine costs ~(K+1)^2 PE updates per cycle in
 #: Python; these sizes keep six lanes per case at K = 40 affordable.
 _SILLAX_SPEC = GenSpec(ref_len=(0, 64), query_len=(0, 48))
+#: Long enough that band 40 is narrower than the grid, small enough that
+#: six scalar lanes per case stay fast at 500 cases.
+_BANDED_BATCH_SPEC = GenSpec(ref_len=(0, 96), query_len=(0, 80))
 
 _PAIRS: Dict[str, OraclePair] = {}
 
@@ -1053,6 +1144,20 @@ _register(
         fast=_fast_sillax_dense,
         oracle=_oracle_sillax_object,
         spec=_SILLAX_SPEC,
+    )
+)
+_register(
+    OraclePair(
+        name="banded-batch-vs-scalar",
+        contract=Contract.EXACT_SCORE,
+        description=(
+            "Lane-batched NumPy banded DP (ragged six-lane batch, per-lane "
+            "bands in 0..40) vs the scalar banded DP per lane: every "
+            "DPResult field, CIGAR and cell count included"
+        ),
+        fast=_fast_banded_batch,
+        oracle=_oracle_banded_per_lane,
+        spec=_BANDED_BATCH_SPEC,
     )
 )
 _register(

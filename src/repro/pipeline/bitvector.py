@@ -1,21 +1,25 @@
-"""Bitvector backend: batched bit-parallel verification, banded traceback.
+"""Bitvector backend: batched bit-parallel verification and banded traceback.
 
 The software rendition of GenAx's "many cells per step" thesis (§IV) at
 the pipeline level: candidate placements are *verified* by the vectorized
 semi-global Myers kernel (:mod:`repro.align.bitvector`) — whole batches
-of (read, window) lanes per NumPy call — and only the few survivors
-(distance ≤ the edit bound) pay for the per-cell banded traceback that
-produces scores and CIGARs.  Seeding reuses the whole-genome SMEM
-provider the software gold standard uses; the interesting delta is the
-extension stage.
+of (read, window) lanes per NumPy call — and the survivors (distance ≤
+the edit bound) get the banded traceback that produces scores and CIGARs
+from one lane-batched call
+(:func:`repro.align.banded.batch_banded_extension_align`), a band row of
+every surviving lane per NumPy step.  Seeding reuses the whole-genome
+SMEM provider the software gold standard uses; the interesting delta is
+the extension stage.
 
 Two kernel variants share one config (``kernel="batched"`` /
 ``"scalar"``) and are bit-identical in mappings and
 :class:`~repro.align.records.AlignmentStats` — the scalar variant runs
 the same gate through the pure-Python
-:func:`repro.align.myers.myers_semiglobal_min`, one candidate at a time,
-and exists as the in-pipeline cross-check (the benchmark's ``kernels``
-sweep diffs the two and reports ``mappings_changed``).
+:func:`repro.align.myers.myers_semiglobal_min` and the traceback through
+the scalar :func:`repro.align.banded.banded_extension_align`, one
+candidate at a time, and exists as the in-pipeline cross-check (the
+benchmark's ``kernels`` sweep diffs the two and reports
+``mappings_changed``).
 
 The batched engine also deduplicates lanes before dispatch: within one
 ``extend_batch`` call, candidate windows requested at the same reference
@@ -32,7 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.banded import DPResult, banded_extension_align
+from repro.align.banded import (
+    DPResult,
+    banded_extension_align,
+    batch_banded_extension_align,
+)
 from repro.align.bitvector import batch_semiglobal_min
 from repro.align.myers import myers_semiglobal_min
 from repro.align.records import AlignmentStats, MappedRead, ReadInput
@@ -216,24 +224,26 @@ class BatchedBitvectorEngine(_BitvectorEngineBase):
             job_lane.append(lane_id)
         kernel.kernel_lanes += len(lane_patterns)
         distances = batch_semiglobal_min(lane_patterns, lane_windows)
-        tracebacks: Dict[int, DPResult] = {}
+        surviving = [
+            lane_id
+            for lane_id in range(len(lane_patterns))
+            if int(distances[lane_id]) <= self.edit_bound
+        ]
+        aligned = batch_banded_extension_align(
+            [lane_windows[lane_id] for lane_id in surviving],
+            [lane_patterns[lane_id] for lane_id in surviving],
+            [self.edit_bound] * len(surviving),
+            self.scheme,
+        )
+        tracebacks: Dict[int, DPResult] = dict(zip(surviving, aligned))
         results: List[Optional[Extension]] = []
         for job_index, (oriented, candidate) in enumerate(jobs):
             stats.extensions += 1
-            lane_id = job_lane[job_index]
-            if int(distances[lane_id]) > self.edit_bound:
+            result = tracebacks.get(job_lane[job_index])
+            if result is None:
                 stats.candidates_filtered += 1
                 results.append(None)
                 continue
-            result = tracebacks.get(lane_id)
-            if result is None:
-                result = banded_extension_align(
-                    lane_windows[lane_id],
-                    oriented,
-                    self.edit_bound,
-                    self.scheme,
-                )
-                tracebacks[lane_id] = result
             # Shared tracebacks still charge every job's dp_cells, so the
             # counter surface is dedupe-invariant (and kernel-invariant).
             results.append(

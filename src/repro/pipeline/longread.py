@@ -13,24 +13,40 @@ short-read backends, and nothing else — the shared
   resolved *per read* from its length by the
   :class:`~repro.pipeline.stages.AdaptivePolicy`, because no fixed K fits
   both a 101 bp and a 30 kbp read (§VIII-A sizes K for exactly one
-  length).
+  length).  The banded DP is where a kilobase read's time goes, so the
+  engine is batch-capable: every candidate of a driver dispatch that
+  passes the Myers gate is aligned in one
+  :func:`~repro.align.banded.batch_banded_extension_align` call — a band
+  row of every lane per NumPy step, each lane at its own band — exact
+  against the scalar DP in score, span, CIGAR and cell count.
 
 The ``long_read_indel`` difftest family pins this fast path against the
-full-DP oracle; the ``nanopore-small`` perf profile pins its work counts.
+full-DP oracle (``longread-adaptive-vs-dp``), ``banded-batch-vs-scalar``
+pins the batched DP against the scalar one, and the ``nanopore-small``
+perf profile pins its work counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.banded import banded_extension_align
+from repro.align.banded import (
+    DPResult,
+    banded_extension_align,
+    batch_banded_extension_align,
+)
 from repro.align.myers import myers_semiglobal_min
 from repro.align.records import AlignmentStats, MappedRead, ReadInput
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import Candidate, Extension, fetch_window
-from repro.pipeline.stages import AdaptivePolicy, PipelineDriver, StageSet
+from repro.pipeline.stages import (
+    AdaptivePolicy,
+    ExtensionJob,
+    PipelineDriver,
+    StageSet,
+)
 from repro.seeding.chain import ChainConfig, ChainStats, ChainedSeedProvider
 from repro.seeding.index import KmerIndex
 
@@ -69,7 +85,7 @@ class LongReadConfig:
 
 
 class AdaptiveBandedEngine:
-    """:class:`ExtensionEngine` whose band tracks each read's length.
+    """:class:`BatchExtensionEngine` whose band tracks each read's length.
 
     Identical DP to :class:`~repro.pipeline.bwamem.BandedExtensionEngine`
     except the band is ``policy.params_for(len(oriented)).band`` instead
@@ -84,6 +100,12 @@ class AdaptiveBandedEngine:
     dropped at O(L^2/w) word cost, so only plausible placements reach
     the DP.  Gate rejections are charged to the shared
     ``candidates_filtered`` counter like any pre-alignment filter.
+
+    ``extend_batch`` gates every job, then aligns all survivors — each
+    with its own read-length band — in one
+    :func:`~repro.align.banded.batch_banded_extension_align` call.
+    ``extend`` runs the scalar DP for one job; both return the same
+    extensions and charge the same counters.
     """
 
     def __init__(
@@ -99,6 +121,40 @@ class AdaptiveBandedEngine:
     def extend(
         self, oriented: str, candidate: Candidate, stats: AlignmentStats
     ) -> Optional[Extension]:
+        gated = self._gate(oriented, candidate, stats)
+        if gated is None:
+            return None
+        window, band = gated
+        result = banded_extension_align(window, oriented, band, self.scheme)
+        return self._extension(candidate, result, stats)
+
+    def extend_batch(
+        self, jobs: Sequence[ExtensionJob], stats: AlignmentStats
+    ) -> List[Optional[Extension]]:
+        results: List[Optional[Extension]] = [None] * len(jobs)
+        survivors: List[int] = []
+        windows: List[str] = []
+        reads: List[str] = []
+        bands: List[int] = []
+        for index, (oriented, candidate) in enumerate(jobs):
+            gated = self._gate(oriented, candidate, stats)
+            if gated is None:
+                continue
+            survivors.append(index)
+            windows.append(gated[0])
+            reads.append(oriented)
+            bands.append(gated[1])
+        aligned = batch_banded_extension_align(
+            windows, reads, bands, self.scheme
+        )
+        for index, result in zip(survivors, aligned):
+            results[index] = self._extension(jobs[index][1], result, stats)
+        return results
+
+    def _gate(
+        self, oriented: str, candidate: Candidate, stats: AlignmentStats
+    ) -> Optional[Tuple[str, int]]:
+        """The candidate's ``(window, band)``, or None if the gate drops it."""
         params = self.policy.params_for(len(oriented))
         band = params.band
         window = fetch_window(self.reference, candidate, len(oriented), band)
@@ -106,7 +162,12 @@ class AdaptiveBandedEngine:
             stats.candidates_filtered += 1
             return None
         stats.candidates_survived += 1
-        result = banded_extension_align(window, oriented, band, self.scheme)
+        return window, band
+
+    @staticmethod
+    def _extension(
+        candidate: Candidate, result: DPResult, stats: AlignmentStats
+    ) -> Extension:
         stats.extensions += 1
         stats.dp_cells += result.cells_computed
         alignment = result.alignment
@@ -176,5 +237,7 @@ class LongReadAligner:
         return self._driver.align_reads(reads)
 
     def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Batch mapping; identical to :meth:`align_reads` for this backend."""
+        """Batch mapping: the gated candidates of *all* reads share one
+        batched banded-DP call (the throughput path), with the same
+        mappings as :meth:`align_reads`."""
         return self._driver.align_batch(reads)

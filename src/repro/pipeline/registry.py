@@ -295,8 +295,8 @@ BITVECTOR_BACKEND = register_backend(
         name="bitvector",
         summary=(
             "the vectorized software pipeline: batched bit-parallel Myers "
-            "verification (NumPy, cross-read lanes) gating banded "
-            "traceback for the few survivors"
+            "verification (NumPy, cross-read lanes) gating a lane-batched "
+            "NumPy banded traceback over the survivors"
         ),
         config_type=BitvectorConfig,
         default_config=BitvectorConfig,
@@ -312,7 +312,8 @@ LONGREAD_BACKEND = register_backend(
         summary=(
             "the long-read pipeline: diagonal anchor chaining over the "
             "k-mer index + per-read adaptive banded extension (band and "
-            "threshold derived from read length)"
+            "threshold derived from read length), every gated survivor of "
+            "a batch aligned in one lane-batched NumPy banded DP call"
         ),
         config_type=LongReadConfig,
         default_config=LongReadConfig,

@@ -1,5 +1,6 @@
 """Tests for the long-read backend (repro.pipeline.longread)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -120,6 +121,42 @@ class TestAdaptiveBandedEngine:
         assert extension.score == 400
         assert stats.candidates_survived == 1
         assert stats.extensions == 1
+
+    def test_extend_batch_equals_per_job_extend(self, reference):
+        engine = AdaptiveBandedEngine(
+            reference, AdaptivePolicy(), LongReadConfig().scheme
+        )
+        text = reference.sequence
+        jobs = [
+            # Three read lengths, so three per-lane bands in one call.
+            (mutate_indels(text[100:250], edits=8, seed=1), 100),
+            (mutate_indels(text[700:1_100], edits=25, seed=2), 700),
+            (mutate_indels(text[1_500:2_400], edits=60, seed=3), 1_500),
+            # Wrong locus and unrelated read: both fail the gate.
+            (text[2_600:3_000], 400),
+            (random_dna(300, random.Random(31)), 3_000),
+            # Near the genome end, the window is clamped short of the read.
+            (text[3_700:4_000], 3_700),
+        ]
+        jobs = [
+            (read, Candidate(window_start=start, reverse=False, seed_length=20))
+            for read, start in jobs
+        ]
+        per_job_stats = AlignmentStats()
+        per_job = [
+            engine.extend(read, candidate, per_job_stats)
+            for read, candidate in jobs
+        ]
+        batch_stats = AlignmentStats()
+        batched = engine.extend_batch(jobs, batch_stats)
+        assert batched == per_job
+        assert [extension is None for extension in batched] == [
+            False, False, False, True, True, False
+        ]
+        assert dataclasses.asdict(batch_stats) == dataclasses.asdict(
+            per_job_stats
+        )
+        assert engine.extend_batch([], AlignmentStats()) == []
 
 
 class TestConfig:
