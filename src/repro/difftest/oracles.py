@@ -68,12 +68,14 @@ from repro.align.xdrop import xdrop_extension_score
 from repro.core.silla import Silla
 from repro.difftest.grammar import DiffCase, GenSpec
 from repro.filters import DEFAULT_CASCADE, get_filter
-from repro.genome.reference import ReferenceGenome
+from repro.genome.reference import ReferenceGenome, SegmentView
+from repro.genome.sequence import reverse_complement
 from repro.pipeline.common import Candidate
 from repro.pipeline.pairs import rescue_search
 from repro.pipeline.registry import build_aligner, get_backend
 from repro.pipeline.stages import AdaptivePolicy
-from repro.seeding.index import KmerIndex
+from repro.seeding.accelerator import SeedingAccelerator
+from repro.seeding.index import KmerIndex, build_segment_tables
 from repro.seeding.smem import SmemConfig, SmemFinder
 from repro.seeding.smem_oracle import brute_force_exact_match, brute_force_smems
 from repro.sillax.dense import DenseTracebackMachine
@@ -428,6 +430,70 @@ def _oracle_exact_match(case: DiffCase) -> Output:
     if len(case.reference) < k or len(case.query) < k:
         return []
     return sorted(brute_force_exact_match(case.reference, case.query))
+
+
+def _smem_batch_setup(
+    case: DiffCase,
+) -> Tuple[ReferenceGenome, List[str], List[SegmentView]]:
+    """The batch and segmentation the batched-seeding pair runs on.
+
+    The batch is the query, its reverse complement and a copy with one
+    base set to ``N``; the reference is cut into two or three segments
+    overlapping by ``smem_k`` bases, so the segment-major pass sees
+    genuinely different tables.
+    """
+    query = case.query
+    middle = len(query) // 2
+    with_n = query[:middle] + "N" + query[middle + 1 :] if query else "N"
+    reads = [query, reverse_complement(query), with_n]
+    reference = ReferenceGenome(case.reference)
+    views = reference.segments(
+        2 + len(case.reference) % 2, overlap=case.param("smem_k")
+    )
+    return reference, reads, views
+
+
+def _merged_seed_lists(per_segment: List[List[Tuple[int, int, int]]]) -> Output:
+    """Union per-read (offset, length, global position) triples into seeds."""
+    out = []
+    for triples in per_segment:
+        grouped: Dict[Tuple[int, int], List[int]] = {}
+        for offset, length, position in sorted(set(triples)):
+            grouped.setdefault((offset, length), []).append(position)
+        out.append(
+            [[offset, length, sorted(positions)]
+             for (offset, length), positions in sorted(grouped.items())]
+        )
+    return out
+
+
+def _fast_smem_batch(case: DiffCase) -> Output:
+    k = case.param("smem_k")
+    reference, reads, views = _smem_batch_setup(case)
+    accelerator = SeedingAccelerator(
+        reference,
+        SmemConfig(k=k),
+        segment_count=len(views),
+        tables=build_segment_tables(views, k),
+    )
+    return [
+        [[seed.read_offset, seed.length, list(seed.positions)] for seed in seeds]
+        for seeds in accelerator.seed_reads(reads)
+    ]
+
+
+def _oracle_smem_batch(case: DiffCase) -> Output:
+    k = case.param("smem_k")
+    __, reads, views = _smem_batch_setup(case)
+    triples: List[List[Tuple[int, int, int]]] = [[] for __ in reads]
+    for view in views:
+        for read_id, read in enumerate(reads):
+            for seed in brute_force_smems(view.sequence, read, k):
+                triples[read_id].extend(
+                    (seed.read_offset, seed.length, view.start + hit)
+                    for hit in seed.hits
+                )
+    return _merged_seed_lists(triples)
 
 
 # ------------------------------------------------- batched bit-parallel
@@ -1103,6 +1169,20 @@ _register(
         description="Spanning-k-mer exact-match fast path vs brute-force scanner",
         fast=_fast_exact_match,
         oracle=_oracle_exact_match,
+        spec=_SEEDING_SPEC,
+    )
+)
+_register(
+    OraclePair(
+        name="smem-batch-vs-brute",
+        contract=Contract.HIT_SET,
+        description=(
+            "Segment-major batched seeding (query, reverse complement and "
+            "an N-bearing copy over 2-3 segments) vs brute-force SMEMs per "
+            "segment, merged"
+        ),
+        fast=_fast_smem_batch,
+        oracle=_oracle_smem_batch,
         spec=_SEEDING_SPEC,
     )
 )

@@ -30,7 +30,7 @@ from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import Candidate, Extension, fetch_window
 from repro.pipeline.stages import PipelineDriver, StageSet
-from repro.seeding.accelerator import GlobalSeed, SeedingLane
+from repro.seeding.accelerator import GlobalSeed, ReadBatch, SeedingLane
 from repro.seeding.index import IndexTables, KmerIndex
 from repro.seeding.smem import SmemConfig
 
@@ -63,10 +63,9 @@ class WholeGenomeSeedProvider:
         return self.lane.seed_read(oriented)
 
     def seed_batch(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
-        # One segment covering the genome: batch seeding is just the
-        # per-read loop (no table locality to exploit), so both driver
-        # execution orders are trivially bit-identical.
-        return [self.lane.seed_read(sequence) for sequence in oriented]
+        # One segment covering the genome: the batch is encoded once and
+        # its dead pivots found in one pass over the single table.
+        return self.lane.seed_batch(ReadBatch(oriented, self.lane.config.k))
 
 
 class BandedExtensionEngine:

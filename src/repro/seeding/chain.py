@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.seeding.accelerator import GlobalSeed
-from repro.seeding.index import KmerIndex
+from repro.seeding.index import KmerIndex, kmer_codes
 
 
 @dataclass
@@ -147,10 +147,10 @@ class ChainedSeedProvider:
         config = self.config
         index = self.index
         anchors: List[Tuple[int, int]] = []
-        last_start = len(oriented) - config.k
-        for offset in range(0, last_start + 1, config.stride):
+        codes = kmer_codes(oriented, config.k)
+        for offset in range(0, len(codes), config.stride):
             self.stats.anchors_sampled += 1
-            hits = index.hits(oriented[offset : offset + config.k])
+            hits = index.hits_code(codes[offset])
             if not hits:
                 continue
             if len(hits) > config.max_hits_per_kmer:

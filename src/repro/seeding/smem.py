@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.seeding.cam import IntersectionEngine
-from repro.seeding.index import KmerIndex
+from repro.seeding.index import KmerIndex, kmer_codes
 
 
 class SeedingMode(enum.Enum):
@@ -118,19 +118,32 @@ class SmemFinder:
 
     # ----------------------------------------------------------- public API
 
-    def find_seeds(self, read: str) -> List[Seed]:
-        """Return the seeds for *read* under the configured mode."""
+    def find_seeds(
+        self,
+        read: str,
+        codes: Optional[Sequence[int]] = None,
+        live_pivots: Optional[Sequence[int]] = None,
+    ) -> List[Seed]:
+        """Return the seeds for *read* under the configured mode.
+
+        *codes* are the read's :func:`~repro.seeding.index.kmer_codes`
+        (computed here when not given).  *live_pivots*, when given, are the
+        pivots whose first k-mer is known to be in the index; every other
+        pivot is skipped without a lookup (see :meth:`_smem_seeds`).
+        """
+        if codes is None:
+            codes = kmer_codes(read, self.config.k)
         if self.config.exact_match_fast_path:
-            exact = self.exact_match_hits(read)
+            exact = self._exact_match_hits(codes)
             if exact is not None:
                 self.stats.exact_match_reads += 1
                 seed = Seed(read_offset=0, length=len(read), hits=exact)
                 self._report([seed])
                 return [seed]
         if self.config.mode is SeedingMode.NAIVE:
-            seeds = self._naive_seeds(read)
+            seeds = self._naive_seeds(codes)
         else:
-            seeds = self._smem_seeds(read)
+            seeds = self._smem_seeds(codes, live_pivots)
         self._report(seeds)
         return seeds
 
@@ -140,16 +153,26 @@ class SmemFinder:
         Looks up spanning k-mers, then intersects in ascending hit-count
         order so the candidate set shrinks as fast as possible (§V, item 4).
         """
-        k = self.config.k
-        length = len(read)
-        if length < k:
-            return None
-        offsets = list(range(0, length - k + 1, k))
-        if offsets[-1] != length - k:
-            offsets.append(length - k)
+        return self._exact_match_hits(kmer_codes(read, self.config.k))
+
+    def rmem(self, read: str, pivot: int) -> Optional[Seed]:
+        """Right-maximal exact match starting at *pivot* (length >= k)."""
+        if pivot < 0:
+            raise ValueError(f"pivot must be non-negative, got {pivot}")
+        return self._rmem(kmer_codes(read, self.config.k), pivot)
+
+    # ------------------------------------------------------------ internals
+
+    def _exact_match_hits(self, codes: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        if not codes:
+            return None  # read shorter than k
+        last = len(codes) - 1  # offset of the read's final k-mer
+        offsets = list(range(0, last + 1, self.config.k))
+        if offsets[-1] != last:
+            offsets.append(last)
         lists = []
         for offset in offsets:
-            hits = self.index.hits(read[offset : offset + k])
+            hits = self.index.hits_code(codes[offset])
             self.stats.index_lookups += 1
             if not hits:
                 return None
@@ -163,13 +186,18 @@ class SmemFinder:
                 return None
         return tuple(candidates)
 
-    def rmem(self, read: str, pivot: int) -> Optional[Seed]:
-        """Right-maximal exact match starting at *pivot* (length >= k)."""
+    def _rmem(self, codes: Sequence[int], pivot: int) -> Optional[Seed]:
+        """:meth:`rmem` over the read's k-mer codes.
+
+        ``codes[i]`` is the k-mer at read offset ``i``, so a k-mer at
+        offset ``o`` exists exactly when ``o < len(codes)``.
+        """
         k = self.config.k
-        if pivot + k > len(read):
+        last = len(codes)  # one past the last k-mer offset
+        if pivot >= last:
             return None
         self.stats.rmems_computed += 1
-        first_hits = self.index.hits(read[pivot : pivot + k])
+        first_hits = self.index.hits_code(codes[pivot])
         self.stats.index_lookups += 1
         if not first_hits:
             return None
@@ -180,16 +208,16 @@ class SmemFinder:
 
         if self.config.probe:
             candidates, length = self._probe_first_extension(
-                read, pivot, candidates, length
+                codes, pivot, candidates, length
             )
 
         stride = k
         while stride >= 1:
-            if pivot + length + stride > len(read):
+            offset = length + stride - k
+            if pivot + offset >= last:
                 stride //= 2
                 continue
-            offset = length + stride - k
-            hits = self.index.hits(read[pivot + offset : pivot + offset + k])
+            hits = self.index.hits_code(codes[pivot + offset])
             self.stats.index_lookups += 1
             survivors = self.engine.intersect(candidates, hits, incoming_offset=offset)
             if survivors:
@@ -203,10 +231,8 @@ class SmemFinder:
                 stride //= 2
         return Seed(read_offset=pivot, length=length, hits=tuple(candidates))
 
-    # ------------------------------------------------------------ internals
-
     def _probe_first_extension(
-        self, read: str, pivot: int, candidates: List[int], length: int
+        self, codes: Sequence[int], pivot: int, candidates: List[int], length: int
     ) -> Tuple[List[int], int]:
         """Probing optimization: pick the cheapest second k-mer (§V item 3)."""
         k = self.config.k
@@ -214,9 +240,9 @@ class SmemFinder:
         for divisor in self.config.probe_divisors:
             stride = max(1, k // divisor)
             offset = length + stride - k
-            if pivot + offset + k > len(read):
+            if pivot + offset >= len(codes):
                 continue
-            hits = self.index.hits(read[pivot + offset : pivot + offset + k])
+            hits = self.index.hits_code(codes[pivot + offset])
             self.stats.index_lookups += 1
             if not hits:
                 continue
@@ -231,12 +257,26 @@ class SmemFinder:
             return survivors, length + stride
         return candidates, length
 
-    def _smem_seeds(self, read: str) -> List[Seed]:
-        """RMEM per pivot, filtered to super-maximal matches."""
+    def _smem_seeds(
+        self, codes: Sequence[int], live_pivots: Optional[Sequence[int]]
+    ) -> List[Seed]:
+        """RMEM per pivot, filtered to super-maximal matches.
+
+        A pivot whose first k-mer is not in the index ends its RMEM at that
+        first lookup.  When the caller already knows the live pivots (one
+        batched pass per segment, :meth:`IndexTables.live`), the dead ones
+        are charged that one RMEM and one lookup without running it.
+        """
+        if live_pivots is None:
+            live_pivots = range(len(codes))
+        else:
+            dead = len(codes) - len(live_pivots)
+            self.stats.rmems_computed += dead
+            self.stats.index_lookups += dead
         seeds: List[Seed] = []
         max_end = 0
-        for pivot in range(0, len(read) - self.config.k + 1):
-            seed = self.rmem(read, pivot)
+        for pivot in live_pivots:
+            seed = self._rmem(codes, pivot)
             if seed is None:
                 continue
             if seed.end > max_end:
@@ -244,12 +284,12 @@ class SmemFinder:
                 max_end = seed.end
         return seeds
 
-    def _naive_seeds(self, read: str) -> List[Seed]:
+    def _naive_seeds(self, codes: Sequence[int]) -> List[Seed]:
         """Every k-mer's raw hits — the naive hash-table baseline."""
         k = self.config.k
         seeds: List[Seed] = []
-        for pivot in range(0, len(read) - k + 1):
-            hits = self.index.hits(read[pivot : pivot + k])
+        for pivot, code in enumerate(codes):
+            hits = self.index.hits_code(code)
             self.stats.index_lookups += 1
             if hits:
                 seeds.append(Seed(read_offset=pivot, length=k, hits=tuple(hits)))

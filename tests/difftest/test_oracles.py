@@ -94,6 +94,7 @@ class TestEvaluation:
         "hirschberg-vs-nw",
         "myers-search-vs-dp",
         "smem-vs-brute",
+        "smem-batch-vs-brute",
         "exact-match-vs-brute",
     ])
     def test_cheap_pairs_agree_on_short_budget(self, name):

@@ -6,6 +6,7 @@ from repro.pipeline.bwamem import BwaMemAligner, BwaMemConfig
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
 from repro.seeding.fmindex import FmIndexSeeder
 from repro.seeding.index import KmerIndex
+from repro.seeding.smem import SmemConfig, SmemFinder
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,16 @@ class TestAmbiguousBases:
         assert bwa.align_read("n", read).score == genax.align_read("n", read).score
 
     def test_fmindex_seeder_tolerates_n(self):
-        seeder = FmIndexSeeder("ACGTACGTACGTACGT", 4)
-        assert seeder.find_seeds("ACGTN" * 3) == [] or True  # must not raise
+        # The FM-index never sees k-mer codes, so it independently checks
+        # that an N ends every exact match, as kmer_codes' -1 entries do.
+        segment = "ACGTACGTACGTACGT"
+        read = "ACGTN" * 3 + "TACGTA"
+        fm_seeds = FmIndexSeeder(segment, 4).find_seeds(read)
+        table_seeds = SmemFinder(
+            KmerIndex.build(segment, 4), SmemConfig(k=4)
+        ).find_seeds(read)
+        assert fm_seeds == table_seeds
+        assert fm_seeds  # the clean k-mers still seed
 
 
 class TestDegenerateReads:

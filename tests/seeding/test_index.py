@@ -3,7 +3,13 @@
 import pytest
 
 from repro.genome.reference import make_reference
-from repro.seeding.index import IndexTables, KmerIndex, build_segment_tables, kmer_code
+from repro.seeding.index import (
+    IndexTables,
+    KmerIndex,
+    PackedKmerIndex,
+    build_segment_tables,
+    kmer_code,
+)
 
 
 class TestKmerCode:
@@ -58,6 +64,18 @@ class TestKmerIndex:
         index = KmerIndex.build("ACGT", k=2)
         assert index.contains("CG")
         assert not index.contains("GA")
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["dict", "packed"])
+    def test_non_acgt_kmers_are_absent_not_errors(self, packed):
+        index = KmerIndex.build("ACGTACGT", k=4)
+        if packed:
+            index = PackedKmerIndex.pack(index)
+        assert index.contains("ACGT")
+        for kmer in ("ACGN", "acgt", "RCGT"):
+            assert not index.contains(kmer)
+            assert index.hit_count(kmer) == 0
+            assert list(index.hits(kmer)) == []
+        assert index.hits_code(-1) == ()
 
     def test_hit_histogram(self):
         index = KmerIndex.build("AAAAA", k=2)  # "AA" occurs 4 times
