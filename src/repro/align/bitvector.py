@@ -20,8 +20,21 @@ Sequences arrive as strings and are packed by
 (``peq[lane, symbol, word]``: bit ``j`` set iff pattern base ``64*word+j``
 equals ``symbol``), the classic blocked-Myers equality masks.  Lanes may
 have different pattern/text lengths: each lane reads its score at its own
-high bit (pattern length − 1) and stops updating once its text is
-exhausted, so one kernel call handles a ragged batch.
+high bit (pattern length − 1), through a flat index computed once per
+call, and stops updating once its text is exhausted, so one kernel call
+handles a ragged batch.
+
+Liveness is a sorted prefix, not a mask: the kernel orders lanes by text
+length, longest first, so the lanes still reading text at column ``c``
+are the first ``live[c]`` rows of every state array.  Each column then
+costs a fixed count of whole-array NumPy operations on ``[:live]`` slices
+(``hp`` and ``hn`` stacked, so their high-bit reads and their cross-word
+shift are one operation each), with no ``np.where`` over dead lanes.
+That fixed count is what the lane count amortises: on 101 bp patterns the
+batched kernel beats the scalar bigint scan from a few dozen lanes per
+call, which is why the cascade's ``myers`` stage
+(:class:`repro.filters.myers.MyersCandidateFilter`) answers a whole
+dispatch in one call.
 
 Bits above a lane's pattern length are garbage by construction and
 provably harmless: the recurrence only moves information upward (adds
@@ -68,7 +81,7 @@ def _unpack_codes(
     """2-bit codes back out of packed words, as an (n, columns) matrix.
 
     Padding positions come back as code 0; callers mask them with the
-    lengths array (the kernel via its active-lane mask, the PEQ builder
+    lengths array (the kernel via its live-lane prefix, the PEQ builder
     via its validity mask).
     """
     count, words = packed.shape
@@ -83,24 +96,23 @@ def _build_peq(
     """Per-symbol equality bit-planes: ``peq[lane, symbol, word]``.
 
     Bits at or above each lane's pattern length are zero in every plane,
-    so padding never matches any text symbol.
+    so padding never matches any text symbol.  Bit ``j`` of a word is
+    pattern base ``64*word+j``: the match masks are packed little-endian,
+    eight bases to a byte, eight bytes to a word.
     """
     count = packed.shape[0]
     max_len = int(lengths.max()) if count else 0
     words = max(1, -(-max_len // BITS_PER_WORD))
-    capacity = words * BITS_PER_WORD
-    codes = np.zeros((count, capacity), dtype=np.uint8)
+    # Code 4 is no base: padding matches none of the four planes.
+    codes = np.full((count, words * BITS_PER_WORD), 4, dtype=np.uint8)
     if max_len:
-        codes[:, :max_len] = _unpack_codes(packed, max_len)
-    valid = np.arange(capacity, dtype=np.int64) < lengths[:, None]
-    bit_shifts = np.arange(BITS_PER_WORD, dtype=np.uint64)
-    peq = np.zeros((count, 4, words), dtype=np.uint64)
-    for symbol in range(4):
-        bits = ((codes == symbol) & valid).astype(np.uint64)
-        peq[:, symbol, :] = np.bitwise_or.reduce(
-            bits.reshape(count, words, BITS_PER_WORD) << bit_shifts, axis=2
+        valid = np.arange(max_len, dtype=np.int64) < lengths[:, None]
+        codes[:, :max_len] = np.where(
+            valid, _unpack_codes(packed, max_len), 4
         )
-    return peq
+    match = codes[:, None, :] == np.arange(4, dtype=np.uint8)[:, None]
+    planes = np.packbits(match, axis=2, bitorder="little")
+    return planes.view(np.dtype("<u8"))
 
 
 def _ripple_add(
@@ -109,25 +121,28 @@ def _ripple_add(
     """Blocked addition ``X = ((eq & vp) + vp) ^ vp | eq``, per lane.
 
     The Myers recurrence's carry chain: the addition must wrap modulo
-    2**64 so ``partial < addend`` / ``total < partial`` recover each
-    word's carry-out bit, which ripples into the next word (Hyyro's
-    blocked formulation).  This is the one place in the kernel where
+    2**64 so ``total < addend`` recovers each word's carry-out bit,
+    which ripples into the next word (Hyyro's blocked formulation).  Every
+    word's sum is one whole-array add; only the carry chain walks the
+    words, as carry-lookahead on bool masks: a word passes a carry on if
+    its own add overflowed (*generate*) or if it is all ones and a carry
+    came in (*propagate*).  This is the one place in the kernel where
     uint64 overflow is the *algorithm*, not a bug — it is sanctioned in
     ``repro.analysis.config.DTYPE_ALLOWLIST`` and cross-checked against
     arbitrary-precision Python ints by the carry-ripple property test.
     """
-    count, words = vp.shape
-    xh = np.empty_like(vp)
-    carry = np.zeros(count, dtype=np.uint64)
-    for word in range(words):
-        addend = eq[:, word] & vp[:, word]
-        partial = addend + vp[:, word]
-        overflow_a = partial < addend
-        total = partial + carry
-        overflow_b = total < partial
-        xh[:, word] = (total ^ vp[:, word]) | eq[:, word]
-        carry = (overflow_a | overflow_b).astype(np.uint64)
-    return xh
+    addend = eq & vp
+    total = addend + vp
+    words = vp.shape[1]
+    if words > 1:
+        # carry[:, w]: the carry into word w + 1.
+        carry = total[:, :-1] < addend[:, :-1]
+        for word in range(1, words - 1):
+            carry[:, word] |= (total[:, word] == _ALL_ONES) & carry[:, word - 1]
+        total[:, 1:] += carry
+    total ^= vp
+    total |= eq
+    return total
 
 
 def _run_kernel(
@@ -139,52 +154,72 @@ def _run_kernel(
 ) -> NDArray[np.int64]:
     """Advance every lane over its text; one iteration per text column.
 
-    Returns the per-lane global distance, or the per-lane minimum column
-    score when *semiglobal* (lanes with empty patterns are the caller's
-    job — their high-bit index would be meaningless here).
+    Lanes run sorted by text length, longest first, so the lanes still
+    reading text at any column are a prefix of the state arrays: each
+    column updates ``[:live]`` slices and never masks.  Returns the
+    per-lane global distance, or the per-lane minimum column score when
+    *semiglobal*, in the caller's lane order (lanes with empty patterns
+    are the caller's job — their high-bit index would be meaningless
+    here).
     """
     count, _, words = peq.shape
-    lanes = np.arange(count)
+    order = np.argsort(-text_lengths, kind="stable")
+    sorted_lengths = text_lengths[order]
+    columns = int(sorted_lengths[0]) if count else 0
+    # live[c]: how many sorted lanes still have a text base at column c.
+    live = np.searchsorted(
+        -sorted_lengths, -np.arange(columns, dtype=np.int64), side="left"
+    )
+    # Row of the flattened (lane, symbol) equality planes each sorted lane
+    # reads at each column, column-major so a column's rows are contiguous.
+    planes = peq.reshape(count * 4, words)
+    plane_rows = np.ascontiguousarray(
+        (order * 4)[None, :] + text_codes[order, :columns].T
+    )
     vp: NDArray[np.uint64] = np.full((count, words), _ALL_ONES, dtype=np.uint64)
     vn: NDArray[np.uint64] = np.zeros((count, words), dtype=np.uint64)
-    score = pattern_lengths.astype(np.int64)
+    sorted_patterns = pattern_lengths[order]
+    score = sorted_patterns.astype(np.int64)
     best = score.copy()
-    high_word = ((pattern_lengths - 1) // BITS_PER_WORD).astype(np.intp)
-    high_bit = ((pattern_lengths - 1) % BITS_PER_WORD).astype(np.uint64)
-    carry_in = np.uint64(0) if semiglobal else np.uint64(1)
-    columns = text_codes.shape[1]
+    high = np.maximum(sorted_patterns - 1, 0)
+    # Flat index of each sorted lane's high word in a (lanes, words) array.
+    high_word = np.arange(count) * words + high // BITS_PER_WORD
+    high_bit = (high % BITS_PER_WORD).astype(np.uint64)
     for column in range(columns):
-        active = column < text_lengths
-        if not active.any():
-            break
-        eq = peq[lanes, text_codes[:, column]]
-        xv = eq | vn
-        xh = _ripple_add(eq, vp)
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        hp_high = (hp[lanes, high_word] >> high_bit) & _ONE
-        hn_high = (hn[lanes, high_word] >> high_bit) & _ONE
-        delta = hp_high.astype(np.int64) - hn_high.astype(np.int64)
-        score = np.where(active, score + delta, score)
+        n = int(live[column])
+        eq = planes.take(plane_rows[column, :n], axis=0)
+        lane_vp = vp[:n]
+        lane_vn = vn[:n]
+        xv = eq | lane_vn
+        xh = _ripple_add(eq, lane_vp)
+        # hp and hn stacked, so each step below is one array operation.
+        h = np.empty((2, n, words), dtype=np.uint64)
+        hp, hn = h
+        np.bitwise_or(xh, lane_vp, out=hp)
+        np.invert(hp, out=hp)
+        hp |= lane_vn
+        np.bitwise_and(lane_vp, xh, out=hn)
+        high_bits = h.reshape(2, n * words)[:, high_word[:n]]
+        high_bits >>= high_bit[:n]
+        high_bits &= _ONE
+        lane_score = score[:n]
+        lane_score += high_bits[0].view(np.int64)
+        lane_score -= high_bits[1].view(np.int64)
         # Shift hp/hn one bit up across word boundaries; the bit entering
-        # hp's bit 0 is the mode's horizontal carry.
-        hp_shifted = np.empty_like(hp)
-        hn_shifted = np.empty_like(hn)
-        hp_shifted[:, 0] = (hp[:, 0] << _SHIFT_ONE) | carry_in
-        hn_shifted[:, 0] = hn[:, 0] << _SHIFT_ONE
-        for word in range(1, words):
-            hp_shifted[:, word] = (hp[:, word] << _SHIFT_ONE) | (
-                hp[:, word - 1] >> _SHIFT_TOP
-            )
-            hn_shifted[:, word] = (hn[:, word] << _SHIFT_ONE) | (
-                hn[:, word - 1] >> _SHIFT_TOP
-            )
-        lane_mask = active[:, None]
-        vp = np.where(lane_mask, hn_shifted | ~(xv | hp_shifted), vp)
-        vn = np.where(lane_mask, hp_shifted & xv, vn)
+        # hp's bit 0 is the mode's horizontal carry (1 in global mode).
+        shifted = h << _SHIFT_ONE
+        shifted[:, :, 1:] |= h[:, :, :-1] >> _SHIFT_TOP
+        hp, hn = shifted
+        if not semiglobal:
+            hp[:, 0] |= _ONE
+        np.bitwise_and(hp, xv, out=lane_vn)
+        xv |= hp
+        np.invert(xv, out=xv)
+        np.bitwise_or(hn, xv, out=lane_vp)
         if semiglobal:
-            best = np.where(active & (score < best), score, best)
-    result: NDArray[np.int64] = best if semiglobal else score
+            np.minimum(best[:n], lane_score, out=best[:n])
+    result = np.empty(count, dtype=np.int64)
+    result[order] = best if semiglobal else score
     return result
 
 

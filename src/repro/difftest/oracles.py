@@ -47,7 +47,11 @@ from repro.align.hirschberg import (
     hirschberg_align,
     nw_global_align,
 )
-from repro.align.bitvector import batch_myers_bounded, batch_semiglobal_min
+from repro.align.bitvector import (
+    BITS_PER_WORD,
+    batch_myers_bounded,
+    batch_semiglobal_min,
+)
 from repro.align.myers import (
     myers_bounded,
     myers_distance,
@@ -532,6 +536,41 @@ def _oracle_myers_per_lane(case: DiffCase) -> Output:
     return [
         myers_bounded(pattern, text, k)
         for pattern, text in _bitvector_lanes(case)
+    ]
+
+
+def _semiglobal_lanes(case: DiffCase) -> List[Tuple[str, str]]:
+    """Derive a ragged many-lane semi-global batch from one case.
+
+    The bounded pair's lanes (empty pattern and empty text included) plus
+    more cuts of the text, so lanes leave the kernel's sorted live prefix
+    at many different columns, and patterns wider than 64 and 128 bits,
+    so the word-carry chain and high bits past word 0 are hit on every
+    case whatever its drawn lengths.
+    """
+    query, reference = case.query, case.reference
+    pool = query + reference
+    wide = pool * (-(-3 * BITS_PER_WORD // len(pool))) if pool else ""
+    return _bitvector_lanes(case) + [
+        (query, reference[: 3 * len(reference) // 4]),
+        (query[len(query) // 2 :], reference[len(reference) // 3 :]),
+        (wide[: BITS_PER_WORD + 1 + len(query) % BITS_PER_WORD], reference),
+        (wide[: 2 * BITS_PER_WORD + 1], wide[3 : 3 * BITS_PER_WORD]),
+        (wide[5 : 5 + BITS_PER_WORD + len(reference) % BITS_PER_WORD], pool),
+    ]
+
+
+def _fast_bitvector_semiglobal(case: DiffCase) -> Output:
+    lanes = _semiglobal_lanes(case)
+    return batch_semiglobal_min(
+        [pattern for pattern, _ in lanes], [text for _, text in lanes]
+    ).tolist()
+
+
+def _oracle_semiglobal_per_lane(case: DiffCase) -> Output:
+    return [
+        myers_semiglobal_min(pattern, text)
+        for pattern, text in _semiglobal_lanes(case)
     ]
 
 
@@ -1196,6 +1235,20 @@ _register(
         ),
         fast=_fast_bitvector_batch,
         oracle=_oracle_myers_per_lane,
+        spec=_BITVECTOR_SPEC,
+    )
+)
+_register(
+    OraclePair(
+        name="bitvector-semiglobal-vs-myers",
+        contract=Contract.EXACT_SCORE,
+        description=(
+            "Batched NumPy Myers semi-global minimum (ragged many-lane "
+            "batch per case, patterns past 64 and 128 bits) vs scalar "
+            "semi-global Myers per lane"
+        ),
+        fast=_fast_bitvector_semiglobal,
+        oracle=_oracle_semiglobal_per_lane,
         spec=_BITVECTOR_SPEC,
     )
 )

@@ -159,7 +159,7 @@ MYERS_FILTER = register_filter(
             "Myers bit-vector semi-global scan: the exact "
             "within-budget membership test"
         ),
-        batched=False,
+        batched=True,
         build=MyersCandidateFilter,
     )
 )

@@ -26,6 +26,7 @@ BASES_PER_WORD = 32
 _BASE_TO_CODE = {base: code for code, base in enumerate(ALPHABET)}
 _CODE_TO_BASE = dict(enumerate(ALPHABET))
 _COMPLEMENT = str.maketrans("ACGTacgt", "TGCAtgca")
+_DELETE_BASES = str.maketrans("", "", ALPHABET)
 
 # ASCII byte -> 2-bit code lookup for the vectorized batch encoder; 255
 # marks every byte that is not an upper-case A/C/G/T.
@@ -37,7 +38,7 @@ for _base, _code in _BASE_TO_CODE.items():
 
 def is_dna(sequence: str) -> bool:
     """Return True if *sequence* contains only upper-case ``A/C/G/T``."""
-    return all(base in _BASE_TO_CODE for base in sequence)
+    return not sequence.translate(_DELETE_BASES)
 
 
 def validate_dna(sequence: str, name: str = "sequence") -> str:
@@ -97,29 +98,29 @@ def encode_batch(
     packed = np.zeros((count, words), dtype=np.uint64)
     if count == 0 or max_len == 0:
         return packed, lengths
-    raw = np.zeros((count, max_len), dtype=np.uint8)
-    for row, sequence in enumerate(sequences):
-        if not sequence:
-            continue
-        try:
-            raw[row, : len(sequence)] = np.frombuffer(
-                sequence.encode("ascii"), dtype=np.uint8
-            )
-        except UnicodeEncodeError:
-            raise ValueError(
-                f"sequence {row} contains a non-ASCII character"
-            ) from None
-    codes = _CODE_LUT[raw]
-    valid = np.arange(max_len, dtype=np.int64) < lengths[:, None]
-    bad = (codes == _INVALID_CODE) & valid
+    ends = np.cumsum(lengths)
+    # One encode over the concatenation: a per-sequence frombuffer loop
+    # costs more than the packing itself at kernel batch sizes.
+    try:
+        raw = np.frombuffer("".join(sequences).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as error:
+        row = int(np.searchsorted(ends, error.start, side="right"))
+        raise ValueError(
+            f"sequence {row} contains a non-ASCII character"
+        ) from None
+    flat_codes = _CODE_LUT[raw]
+    bad = flat_codes == _INVALID_CODE
     if bad.any():
-        row, column = (int(v) for v in np.argwhere(bad)[0])
+        position = int(np.argmax(bad))
+        row = int(np.searchsorted(ends, position, side="right"))
+        column = position - int(ends[row] - lengths[row])
         raise ValueError(
             f"non-ACGT base {sequences[row][column]!r} in sequence {row} "
             f"at position {column}"
         )
+    valid = np.arange(max_len, dtype=np.int64) < lengths[:, None]
     padded = np.zeros((count, words * BASES_PER_WORD), dtype=np.uint64)
-    padded[:, :max_len] = np.where(valid, codes, 0)
+    padded[:, :max_len][valid] = flat_codes
     shifts = np.arange(BASES_PER_WORD, dtype=np.uint64) * np.uint64(2)
     packed = np.bitwise_or.reduce(
         padded.reshape(count, words, BASES_PER_WORD) << shifts, axis=2

@@ -175,6 +175,35 @@ class TestMyers:
             )
             assert stage.admit(query, candidate, AlignmentStats()) is expected
 
+    def test_batch_verdicts_match_scalar(self):
+        # Heterogeneous lengths in one kernel call, plus lanes the packed
+        # kernel cannot take (an N, lower case), which keep the scalar
+        # verdict instead of raising.
+        cases = list(random_cases(seed=106, count=24))
+        texts = [text for _, text in cases]
+        reference = ReferenceGenome("".join(texts), name="batch-test")
+        jobs, offset = [], 0
+        for index, (query, text) in enumerate(cases):
+            if index % 6 == 1:
+                query = query[:-1] + "N"
+            elif index % 6 == 4:
+                query = query.lower()
+            jobs.append(
+                (query, Candidate(offset, reverse=False, seed_length=len(query)))
+            )
+            offset += len(text)
+        for max_edits in (0, 1, 3):
+            stage = MyersCandidateFilter(reference, max_edits, 5)
+            batch_stats, scalar_stats = AlignmentStats(), AlignmentStats()
+            batched = stage.admit_batch(jobs, batch_stats)
+            scalar = [
+                stage.admit(query, candidate, scalar_stats)
+                for query, candidate in jobs
+            ]
+            assert batched == scalar, max_edits
+            assert any(batched) and not all(batched), max_edits
+            assert batch_stats.prefilter_cycles == scalar_stats.prefilter_cycles
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             MyersCandidateFilter(ReferenceGenome("ACGT", name="t"), -1, 0)
@@ -191,3 +220,14 @@ class TestCycleCharging:
         stats = AlignmentStats()
         stage.admit(query, candidate, stats)
         assert stats.prefilter_cycles == len(text)
+
+    @pytest.mark.parametrize(
+        "stage_class", [SneakySnakeFilter, MyersCandidateFilter]
+    )
+    def test_admit_batch_charges_each_streamed_window(self, stage_class):
+        text = "ACGTACGTACGTACGT"
+        query = "ACGTACGT"
+        stage, candidate = build_stage(stage_class, text, query, 2)
+        stats = AlignmentStats()
+        stage.admit_batch([(query, candidate)] * 3, stats)
+        assert stats.prefilter_cycles == 3 * len(text)

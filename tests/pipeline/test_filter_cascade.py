@@ -121,3 +121,18 @@ class TestCascadeTelemetry:
         assert depths.count == checked
         stage_names = {name for __, name, __ts, __pid in telemetry.tracer.events}
         assert "filter_batch" in stage_names
+
+
+class TestMyersStageDirtyReads:
+    """The batched ``myers`` stage keeps today's answer on dirty input."""
+
+    def test_read_with_an_n_maps_as_without_the_cascade(
+        self, small_reference
+    ):
+        read = small_reference.sequence[1000:1101]
+        batch = [("dirty", read[:50] + "N" + read[51:]), ("clean", read)]
+        filtered = build_aligner("genax", small_reference, ("myers",))
+        plain = build_aligner("genax", small_reference, None)
+        records = filtered.align_batch(batch)
+        assert [record.position for record in records] == [1000, 1000]
+        assert mapping_rows(records) == mapping_rows(plain.align_batch(batch))
