@@ -148,24 +148,15 @@ DTYPE_ALLOWLIST: Tuple[SanctionedSite, ...] = (
         ),
     ),
     SanctionedSite(
-        site="repro.align.bitvector._ripple_add",
-        rule="hidden-copy",
-        reason=(
-            "The carry-out bit is recovered as a bool mask and must rejoin "
-            "uint64 word arithmetic: one (lanes,) astype per word per "
-            "column, O(lanes) working set, amortized across every lane in "
-            "the batch — the cost the batched design already accounts for."
-        ),
-    ),
-    SanctionedSite(
         site="repro.align.bitvector._run_kernel",
         rule="hidden-copy",
         reason=(
-            "Per-lane gathers (`peq[lanes, text_codes[:, column]]`, the "
-            "high-bit extraction) and the int64 score-delta casts are the "
-            "kernel's designed data movement: each is O(lanes) per column "
-            "and replaces a Python-level per-lane loop — exactly the copies "
-            "the batching exists to amortize."
+            "Two casts run once per batch, before the column loop: the "
+            "lanes' starting scores to int64 and their high-bit shifts to "
+            "uint64 (NumPy shifts need matching kinds).  Inside the loop, "
+            "one gather per column reads every live lane's high hp/hn bits "
+            "through one flat index: O(lanes) per column, replacing a "
+            "Python-level per-lane loop."
         ),
     ),
     SanctionedSite(

@@ -31,9 +31,11 @@ a theorem, while positions are allowed to differ on equal-score ties.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.align.banded import (
     banded_extension_align,
@@ -80,8 +82,12 @@ from repro.pipeline.registry import build_aligner, get_backend
 from repro.pipeline.stages import AdaptivePolicy
 from repro.seeding.accelerator import SeedingAccelerator
 from repro.seeding.index import KmerIndex, build_segment_tables
-from repro.seeding.smem import SmemConfig, SmemFinder
-from repro.seeding.smem_oracle import brute_force_exact_match, brute_force_smems
+from repro.seeding.smem import ReadBatch, SeedingMode, SmemConfig, SmemFinder
+from repro.seeding.smem_oracle import (
+    CamWalkFinder,
+    brute_force_exact_match,
+    brute_force_smems,
+)
 from repro.sillax.dense import DenseTracebackMachine
 from repro.sillax.traceback_machine import TracebackMachine, TracebackResult
 
@@ -498,6 +504,87 @@ def _oracle_smem_batch(case: DiffCase) -> Output:
                     for hit in seed.hits
                 )
     return _merged_seed_lists(triples)
+
+
+#: CAM sizes the ``rmem-batch-vs-cam`` pair runs every case at: 1, 2 and
+#: 4 overflow on its repeat-rich segments, 512 is the paper's.
+_RMEM_CAM_SIZES = (1, 2, 4, 512)
+
+
+def _rmem_setup(case: DiffCase) -> Tuple[str, List[str], List[SmemConfig]]:
+    """Segment, read batch and configs of one ``rmem-batch-vs-cam`` case.
+
+    The segment is the reference, three copies of its first half and the
+    reference again, so hit lists hold several entries and overflow the
+    small CAMs.  The batch is the query, its reverse complement, copies
+    with an ``N`` and with a lower-case half, the segment's tail followed
+    by the query (a match running off the segment end) and a segment
+    substring (the exact-match fast path).  Each CAM size runs once, with
+    the binary fallback, probing, ``SMEM_FIXED`` and the fast path set
+    from the bits of a checksum of the case.
+    """
+    k = case.param("smem_k")
+    reference, query = case.reference, case.query
+    half = len(reference) // 2
+    segment = reference + reference[:half] * 3 + reference
+    middle = len(query) // 2
+    reads = [
+        query,
+        reverse_complement(query),
+        query[:middle] + "N" + query[middle + 1 :],
+        query[:middle] + query[middle:].lower(),
+        segment[-(k + len(query) % 7 + 1) :] + query,
+        segment[half : half + len(query) + k],
+    ]
+    salt = zlib.crc32(f"{reference}|{query}|{k}".encode())
+    configs = []
+    for slot, cam_size in enumerate(_RMEM_CAM_SIZES):
+        bits = salt >> (4 * slot)
+        configs.append(
+            SmemConfig(
+                k=k,
+                cam_size=cam_size,
+                use_binary_fallback=bool(bits & 1),
+                probe=bool(bits & 2),
+                mode=SeedingMode.SMEM_FIXED if bits & 4 else SeedingMode.SMEM,
+                exact_match_fast_path=bool(bits & 8),
+            )
+        )
+    return segment, reads, configs
+
+
+def _rmem_run(case: DiffCase, finder_type: Type[SmemFinder]) -> Output:
+    """Seeds, two single-pivot RMEMs and every counter, per config."""
+    segment, reads, configs = _rmem_setup(case)
+    index = KmerIndex.build(segment, case.param("smem_k"))
+    out = []
+    for config in configs:
+        finder = finder_type(index, config)
+        seeds = finder.seed_batch(ReadBatch(reads, config.k))
+        rmems = [finder.rmem(reads[0], pivot) for pivot in (0, len(reads[0]) // 2)]
+        out.append(
+            {
+                "seeds": [
+                    [[seed.read_offset, seed.length, list(seed.hits)] for seed in row]
+                    for row in seeds
+                ],
+                "rmems": [
+                    None if seed is None else [seed.length, list(seed.hits)]
+                    for seed in rmems
+                ],
+                "finder": dataclasses.asdict(finder.stats),
+                "intersections": dataclasses.asdict(finder.engine.stats),
+            }
+        )
+    return out
+
+
+def _fast_rmem_batch(case: DiffCase) -> Output:
+    return _rmem_run(case, SmemFinder)
+
+
+def _oracle_rmem_cam_walk(case: DiffCase) -> Output:
+    return _rmem_run(case, CamWalkFinder)
 
 
 # ------------------------------------------------- batched bit-parallel
@@ -1222,6 +1309,21 @@ _register(
         ),
         fast=_fast_smem_batch,
         oracle=_oracle_smem_batch,
+        spec=_SEEDING_SPEC,
+    )
+)
+_register(
+    OraclePair(
+        name="rmem-batch-vs-cam",
+        contract=Contract.EXACT_SCORE,
+        description=(
+            "Batched RMEM search replayed from match lengths vs the "
+            "per-pivot CAM walk, on a repeat-rich segment with dirty and "
+            "overhanging reads: seeds and every FinderStats and "
+            "IntersectionStats field, CAM sizes 1/2/4/512"
+        ),
+        fast=_fast_rmem_batch,
+        oracle=_oracle_rmem_cam_walk,
         spec=_SEEDING_SPEC,
     )
 )

@@ -30,9 +30,9 @@ from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import Candidate, Extension, fetch_window
 from repro.pipeline.stages import PipelineDriver, StageSet
-from repro.seeding.accelerator import GlobalSeed, ReadBatch, SeedingLane
+from repro.seeding.accelerator import GlobalSeed, SeedingLane
 from repro.seeding.index import IndexTables, KmerIndex
-from repro.seeding.smem import SmemConfig
+from repro.seeding.smem import ReadBatch, SmemConfig
 
 
 @dataclass

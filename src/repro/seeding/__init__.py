@@ -2,10 +2,12 @@
 
 * :mod:`repro.seeding.index` — index table + position table (per segment).
 * :mod:`repro.seeding.cam` — the 512-entry CAM intersection engine with
-  binary-search fallback and lookup accounting.
+  binary-search fallback, as a cost model over list lengths.
 * :mod:`repro.seeding.smem` — the RMEM/SMEM algorithm with the paper's
-  optimizations (stride halving, probing, exact-match fast path).
-* :mod:`repro.seeding.smem_oracle` — brute-force ground truth.
+  optimizations (stride halving, probing, exact-match fast path), run as
+  one batched search per segment and read batch.
+* :mod:`repro.seeding.smem_oracle` — brute-force ground truth and the
+  per-pivot CAM walk the batched search is checked against.
 * :mod:`repro.seeding.accelerator` — seeding lanes and the segmented
   accelerator front-end.
 """

@@ -10,25 +10,21 @@ This model keeps the same structure so hit counts, CAM lookups and table
 traffic are measurable; lane-level parallelism is accounted (not threaded).
 Every index access is by integer k-mer code, as in the hardware's
 direct-mapped fetch: a batch's reads are encoded once
-(:class:`ReadBatch`), and per segment one batched pass over the sorted
-key array (:meth:`IndexTables.live`) finds the pivots whose first k-mer
-occurs there.  Only those run the RMEM search; the rest are charged the
-single failed lookup they would have made.
+(:class:`~repro.seeding.smem.ReadBatch`), and per segment one RMEM search
+pass (:meth:`~repro.seeding.smem.SmemFinder.seed_batch`) answers every
+pivot of the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy
 
 from repro.genome.reference import ReferenceGenome, SegmentView
 from repro.seeding.cache import IndexCache
 from repro.seeding.cam import IntersectionEngine, IntersectionStats
-from repro.seeding.index import IndexTables, KmerIndex, kmer_codes
-from repro.seeding.smem import FinderStats, Seed, SmemConfig, SmemFinder
+from repro.seeding.index import IndexTables, KmerIndex
+from repro.seeding.smem import FinderStats, ReadBatch, SmemConfig, SmemFinder
 
 
 @dataclass
@@ -92,36 +88,6 @@ class GlobalSeed:
     exact_whole_read: bool = False
 
 
-class ReadBatch:
-    """A batch of reads encoded once for every segment it is seeded against.
-
-    Holds each read's :func:`~repro.seeding.index.kmer_codes` and their
-    concatenation, so one :meth:`IndexTables.live` pass per segment finds
-    every read's live pivots.
-    """
-
-    def __init__(self, reads: Sequence[str], k: int) -> None:
-        self.reads = reads
-        self.codes = [kmer_codes(read, k) for read in reads]
-        counts = [len(codes) for codes in self.codes]
-        bounds = numpy.zeros(len(reads) + 1, dtype=numpy.int64)
-        numpy.cumsum(counts, out=bounds[1:])
-        total = int(bounds[-1])
-        self._bounds = bounds
-        self._flat = numpy.fromiter(
-            chain.from_iterable(self.codes), dtype=numpy.int64, count=total
-        )
-        # Read-local pivot of every entry of the concatenation.
-        self._pivots = numpy.arange(total) - numpy.repeat(bounds[:-1], counts)
-
-    def live_pivots(self, tables: IndexTables) -> List[List[int]]:
-        """Per read, the pivots whose first k-mer occurs in *tables*."""
-        live = tables.live(self._flat)
-        pivots = self._pivots[live].tolist()
-        cuts = numpy.concatenate(([0], numpy.cumsum(live)))[self._bounds].tolist()
-        return [pivots[begin:end] for begin, end in zip(cuts, cuts[1:])]
-
-
 class SeedingLane:
     """One seeding lane: a finder + CAM engine bound to a segment's tables."""
 
@@ -136,29 +102,9 @@ class SeedingLane:
 
     def seed_batch(self, batch: ReadBatch) -> List[List[GlobalSeed]]:
         """Seed every read of *batch* against this lane's segment."""
-        return [
-            self.seed_read(read, codes, live_pivots)
-            for read, codes, live_pivots in zip(
-                batch.reads, batch.codes, batch.live_pivots(self.tables)
-            )
-        ]
-
-    def seed_read(
-        self,
-        read: str,
-        codes: Optional[Sequence[int]] = None,
-        live_pivots: Optional[Sequence[int]] = None,
-    ) -> List[GlobalSeed]:
-        """Seed one read against this lane's segment, in global coordinates.
-
-        *codes* and *live_pivots* are passed through to
-        :meth:`SmemFinder.find_seeds`.
-        """
-        seeds = self.finder.find_seeds(read, codes, live_pivots)
         start = self.tables.segment_start
-        out: List[GlobalSeed] = []
-        for seed in seeds:
-            out.append(
+        return [
+            [
                 GlobalSeed(
                     read_offset=seed.read_offset,
                     length=seed.length,
@@ -167,8 +113,14 @@ class SeedingLane:
                         seed.read_offset == 0 and seed.length == len(read)
                     ),
                 )
-            )
-        return out
+                for seed in seeds
+            ]
+            for read, seeds in zip(batch.reads, self.finder.seed_batch(batch))
+        ]
+
+    def seed_read(self, read: str) -> List[GlobalSeed]:
+        """Seed one read against this lane's segment, in global coordinates."""
+        return self.seed_batch(ReadBatch([read], self.config.k))[0]
 
 
 class SeedingAccelerator:

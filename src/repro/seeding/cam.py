@@ -17,14 +17,25 @@ intersection:
   overflow the CAM or when it is outright cheaper, which is exactly the
   paper's ">512 hits" regime for pathological k-mers.
 
-All work is counted: ``cam_lookups`` and ``search_probes`` feed Fig. 16b.
+This module is the *cost model*: every counter an intersection charges
+(``cam_loads``, ``cam_lookups``, ``search_probes``, Fig. 16b's y-axis)
+follows from the two list lengths alone, so :meth:`IntersectionEngine.charge`
+computes them without walking a list, for one intersection or for arrays
+of them.  The element-by-element walk the hardware performs is the oracle
+(:class:`repro.seeding.smem_oracle.CamWalkEngine`), and the
+``rmem-batch-vs-cam`` difftest pair holds the two equal counter by counter.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Union
+
+import numpy
+from numpy.typing import NDArray
+
+#: A list length, or an array of them (one per intersection).
+Count = Union[int, NDArray[numpy.int64]]
 
 
 @dataclass
@@ -62,6 +73,29 @@ class IntersectionEngine:
         if self.cam_size <= 0:
             raise ValueError(f"cam_size must be positive, got {self.cam_size}")
 
+    def charge(self, candidates: Count, incoming: Count) -> Count:
+        """Charge intersecting lists of *candidates* and *incoming* elements.
+
+        Takes two ints, or two equal-length int arrays for one intersection
+        per entry; returns whether each took the binary-search path.  An
+        intersection with an empty list is counted and costs nothing else.
+        """
+        smaller = candidates + (incoming - candidates) * (incoming < candidates)
+        larger = candidates + incoming - smaller
+        # CAM-sized passes over the smaller set, each streaming the larger.
+        cam_cost = -(-smaller // self.cam_size) * larger
+        binary_cost = smaller * _bit_length(larger)
+        use_binary = (binary_cost < cam_cost) & self.use_binary_fallback
+        stats = self.stats
+        stats.intersections += (
+            candidates.size if isinstance(candidates, numpy.ndarray) else 1
+        )
+        stats.overflow_fallbacks += _total(use_binary)
+        stats.search_probes += _total(binary_cost * use_binary)
+        stats.cam_loads += _total(smaller - smaller * use_binary)
+        stats.cam_lookups += _total(cam_cost - cam_cost * use_binary)
+        return use_binary
+
     def intersect(
         self,
         candidates: Sequence[int],
@@ -70,98 +104,21 @@ class IntersectionEngine:
     ) -> List[int]:
         """Return candidates also present in ``incoming - incoming_offset``.
 
-        *candidates* is the running (normalized, sorted) hit set;
-        *incoming_sorted* is a position-table list (sorted offline);
-        *incoming_offset* normalizes incoming hits to the pivot coordinate
-        system by subtraction, as §V describes.
+        *candidates* is the running (normalized) hit set; *incoming_sorted*
+        is a position-table list (sorted offline); *incoming_offset*
+        normalizes incoming hits to the pivot coordinate system by
+        subtraction, as §V describes.  The survivors come back sorted.
         """
-        self.stats.intersections += 1
-        if not candidates or not incoming_sorted:
-            return []
+        self.charge(len(candidates), len(incoming_sorted))
+        incoming = set(incoming_sorted)
+        return sorted(hit for hit in candidates if hit + incoming_offset in incoming)
 
-        n_cand, n_in = len(candidates), len(incoming_sorted)
-        smaller, larger = min(n_cand, n_in), max(n_cand, n_in)
-        cam_cost = larger if smaller <= self.cam_size else (
-            -(-smaller // self.cam_size) * larger  # batched passes
-        )
-        binary_cost = smaller * max(1, larger).bit_length()
-        use_binary = self.use_binary_fallback and binary_cost < cam_cost
 
-        if use_binary:
-            self.stats.overflow_fallbacks += 1
-            if n_cand <= n_in:
-                return self._binary_probe_incoming(
-                    candidates, incoming_sorted, incoming_offset
-                )
-            return self._binary_probe_candidates(
-                candidates, incoming_sorted, incoming_offset
-            )
-        if n_cand <= n_in:
-            return self._cam_stream(
-                loaded=list(candidates),
-                streamed=incoming_sorted,
-                streamed_delta=-incoming_offset,
-            )
-        normalized = [hit - incoming_offset for hit in incoming_sorted]
-        return self._cam_stream(
-            loaded=normalized, streamed=candidates, streamed_delta=0
-        )
+def _bit_length(value: Count) -> Count:
+    if isinstance(value, int):
+        return value.bit_length()
+    return numpy.frexp(value)[1]
 
-    # ------------------------------------------------------------ strategies
 
-    def _binary_probe_incoming(
-        self,
-        candidates: Sequence[int],
-        incoming_sorted: Sequence[int],
-        incoming_offset: int,
-    ) -> List[int]:
-        """Probe the sorted incoming list once per candidate."""
-        probes_each = max(1, len(incoming_sorted)).bit_length()
-        survivors: List[int] = []
-        for candidate in candidates:
-            target = candidate + incoming_offset
-            self.stats.search_probes += probes_each
-            position = bisect_left(incoming_sorted, target)
-            if position < len(incoming_sorted) and incoming_sorted[position] == target:
-                survivors.append(candidate)
-        return survivors
-
-    def _binary_probe_candidates(
-        self,
-        candidates: Sequence[int],
-        incoming_sorted: Sequence[int],
-        incoming_offset: int,
-    ) -> List[int]:
-        """Probe the sorted candidate set once per incoming hit."""
-        ordered = sorted(candidates)
-        probes_each = max(1, len(ordered)).bit_length()
-        survivors: List[int] = []
-        for hit in incoming_sorted:
-            target = hit - incoming_offset
-            self.stats.search_probes += probes_each
-            position = bisect_left(ordered, target)
-            if position < len(ordered) and ordered[position] == target:
-                survivors.append(target)
-        survivors.sort()
-        return survivors
-
-    def _cam_stream(
-        self, loaded: List[int], streamed: Sequence[int], streamed_delta: int
-    ) -> List[int]:
-        """Load one set into the CAM, probe once per streamed element.
-
-        Sets larger than the CAM are processed in CAM-sized batches (the
-        hardware would spill; the lookup count reflects the extra passes).
-        """
-        survivors: List[int] = []
-        for batch_start in range(0, len(loaded), self.cam_size):
-            batch = loaded[batch_start : batch_start + self.cam_size]
-            self.stats.cam_loads += len(batch)
-            batch_set = set(batch)
-            for element in streamed:
-                self.stats.cam_lookups += 1
-                normalized = element + streamed_delta
-                if normalized in batch_set:
-                    survivors.append(normalized)
-        survivors.sort()
-        return survivors
+def _total(value: Count) -> int:
+    return int(value.sum()) if isinstance(value, numpy.ndarray) else int(value)

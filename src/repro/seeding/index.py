@@ -20,17 +20,74 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy
 from numpy.typing import NDArray
 
-from repro.genome.sequence import ALPHABET, encode
+from repro.genome.sequence import ALPHABET, BASES_PER_WORD, encode
 
 if TYPE_CHECKING:
     from repro.genome.reference import SegmentView
 
 _BASE_CODES = {base: code for code, base in enumerate(ALPHABET)}
+
+#: Largest k whose 2-bit k-mer codes fit a signed 64-bit integer.
+MAX_K = 31
+
+#: ASCII byte -> 2-bit base code; every byte outside upper-case ``ACGT``
+#: maps to ``DIRTY_BASE``.
+DIRTY_BASE = 4
+_ASCII_TO_BASE = numpy.full(256, DIRTY_BASE, dtype=numpy.uint8)
+for _base, _code in _BASE_CODES.items():
+    _ASCII_TO_BASE[ord(_base)] = _code
+
+# Per phase s (a position's offset inside its word) of base_words_at:
+# the low word shifts right by 2s bases' bits; the next word keeps only
+# its low 2s bits, which then shift left by 64 - 2s and so never overflow.
+_LOW_SHIFTS = numpy.array([2 * s for s in range(32)], dtype=numpy.uint64)
+_HIGH_MASKS = numpy.array(
+    [(1 << 2 * s) - 1 for s in range(32)], dtype=numpy.uint64
+)
+_HIGH_SHIFTS = numpy.array(
+    [(64 - 2 * s) % 64 for s in range(32)], dtype=numpy.uint64
+)
+
+
+def pack_bases(bases: NDArray[numpy.uint8]) -> NDArray[numpy.uint64]:
+    """Pack 2-bit base codes 32 to a ``uint64`` word, ``encode_batch``'s layout.
+
+    Base ``j`` sits in bits ``2*(j % 32)`` and ``2*(j % 32) + 1`` of word
+    ``j // 32``.  The array ends with at least one zero word, so every
+    position before the end has the successor word :func:`base_words_at`
+    reads.  Bytes are packed four bases at a time, so no temporary is
+    wider than one byte per base.
+    """
+    words = len(bases) // BASES_PER_WORD + 2
+    padded = numpy.zeros(words * BASES_PER_WORD, dtype=numpy.uint8)
+    padded[: len(bases)] = bases
+    quads = padded.reshape(-1, 4)
+    packed = (
+        quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
+    )
+    return packed.view(numpy.dtype("<u8")).astype(numpy.uint64, copy=False)
+
+
+def base_words_at(
+    words: NDArray[numpy.uint64], positions: NDArray[numpy.int64]
+) -> NDArray[numpy.uint64]:
+    """The 32 bases starting at each of *positions*, one word each.
+
+    *words* is a :func:`pack_bases` array; base ``j`` of a result word is
+    the base at ``position + j``.  Only shifts and masks: no bit is
+    shifted out, so nothing wraps.
+    """
+    index = positions >> 5
+    phase = positions & 31
+    low = words[index] >> _LOW_SHIFTS[phase]
+    high = (words[index + 1] & _HIGH_MASKS[phase]) << _HIGH_SHIFTS[phase]
+    return low | high
 
 
 def kmer_code(kmer: str) -> int:
@@ -50,32 +107,94 @@ def kmer_codes(read: str, k: int) -> List[int]:
     codes, lower case).  No table has a ``-1`` key, so such k-mers get no
     hits.  Reads shorter than *k* have no k-mers: ``[]``.
     """
-    mask = (1 << (2 * k)) - 1
-    codes: List[int] = []
-    code = 0
-    clean = 0  # length of the ACGT run ending at the current base
-    for base in read:
-        base_code = _BASE_CODES.get(base)
-        if base_code is None:
-            clean = 0
-        else:
-            code = ((code << 2) | base_code) & mask
-            clean += 1
-        codes.append(code if clean >= k else -1)
-    return codes[k - 1 :]
+    starts = numpy.arange(max(0, len(read) - k + 1))
+    return kmer_codes_at(encode_bases(read), starts, k).tolist()
+
+
+def encode_bases(text: str) -> NDArray[numpy.uint8]:
+    """The 2-bit code of every character of *text*, ``DIRTY_BASE`` where
+    it is not an upper-case ``ACGT``."""
+    raw = numpy.frombuffer(text.encode("ascii", "replace"), dtype=numpy.uint8)
+    return _ASCII_TO_BASE[raw]
+
+
+def kmer_codes_at(
+    bases: NDArray[numpy.uint8], starts: NDArray[numpy.int64], k: int
+) -> NDArray[numpy.int64]:
+    """The code of the k-mer at each of *starts* in :func:`encode_bases`
+    output, ``-1`` where it holds a dirty base (:func:`kmer_codes`).
+
+    One rolling pass over all of *bases*, so a batch of reads encodes as
+    one concatenation.  Codes are int64: *k* is at most ``MAX_K``.
+    """
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K} (int64 k-mer codes), got {k}")
+    windows = max(0, len(bases) - k + 1)
+    rolling = numpy.zeros(windows, dtype=numpy.int64)
+    for offset in range(k):
+        rolling <<= 2
+        rolling |= bases[offset : offset + windows] & 3
+    dirty = numpy.zeros(len(bases) + 1, dtype=numpy.int64)
+    numpy.cumsum(bases == DIRTY_BASE, out=dirty[1:])
+    codes = rolling[starts]
+    codes[dirty[starts + k] > dirty[starts]] = -1
+    return codes
 
 
 class _KmerLookup:
-    """String-keyed lookups shared by both index types, over ``hits_code``.
+    """Lookups shared by both index types.
 
-    The seeding hot path works on integer codes (:func:`kmer_codes`);
-    these adapters serve tests, tools and analyses that hold k-mer strings.
+    The seeding hot path works on integer codes: ``hits_code`` for one,
+    and for the RMEM search's batches ``hit_counts``, ``gather_hits`` and
+    ``base_words``.  The string-keyed adapters over ``hits_code`` serve
+    tests, tools and analyses that hold k-mer strings.
     """
 
     k: int
+    sequence_length: int
 
     def hits_code(self, code: int) -> Sequence[int]:
         raise NotImplementedError
+
+    def sorted_codes(self) -> NDArray[numpy.int64]:
+        raise NotImplementedError
+
+    def _row_counts(self, rows: NDArray[numpy.intp]) -> NDArray[numpy.signedinteger]:
+        """Hit-list length of each row of :meth:`sorted_codes`."""
+        raise NotImplementedError
+
+    def gather_hits(
+        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
+    ) -> NDArray[numpy.int64]:
+        """The hit lists of *codes* (all present; *counts* long), concatenated."""
+        raise NotImplementedError
+
+    def hit_counts(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int64]:
+        """Hit-list length of every code in *codes*, 0 where it has no entry.
+
+        One batched ``searchsorted`` over the sorted key array answers a
+        whole read batch at once; ``-1`` (ambiguous) codes never match.
+        """
+        keys = self.sorted_codes()
+        if not len(keys):
+            return numpy.zeros(len(codes), dtype=numpy.int64)
+        rows = numpy.searchsorted(keys, codes)
+        rows[rows == len(keys)] = 0
+        counts = numpy.where(keys[rows] == codes, self._row_counts(rows), 0)
+        return counts.astype(numpy.int64, copy=False)
+
+    def _base_codes(self) -> NDArray[numpy.uint8]:
+        """The segment's 2-bit base codes, one byte per base."""
+        raise NotImplementedError
+
+    @cached_property
+    def base_words(self) -> NDArray[numpy.uint64]:
+        """The segment's bases packed 2 bits each (:func:`pack_bases`).
+
+        Built on first use, so a run that never searches RMEMs against
+        this index never pays for it; a quarter byte per base.
+        """
+        return pack_bases(self._base_codes())
 
     def _code(self, kmer: str) -> int:
         if len(kmer) != self.k:
@@ -124,6 +243,9 @@ class KmerIndex(_KmerLookup):
     # Position-table entry count; ``build`` knows it, other callers may
     # leave it to be summed on first use.
     _total_positions: Optional[int] = field(default=None, repr=False)
+    # The sequence the tables were built from (a reference, not a copy):
+    # the RMEM search reads its bases.
+    _sequence: str = field(default="", repr=False, compare=False)
 
     @classmethod
     def build(cls, sequence: str, k: int) -> "KmerIndex":
@@ -145,19 +267,44 @@ class KmerIndex(_KmerLookup):
             sequence_length=len(sequence),
             _positions=positions,
             _total_positions=max(0, len(sequence) - k + 1),
+            _sequence=sequence,
         )
 
     def hits_code(self, code: int) -> Sequence[int]:
         """Sorted reference positions of the k-mer with index key *code*."""
         return self._positions.get(code, ())
 
+    @cached_property
+    def _sorted_keys(self) -> Tuple[NDArray[numpy.int64], NDArray[numpy.int32]]:
+        # Built on first use, not at set-up: a run that never seeds
+        # against this index never pays for the sort.
+        count = len(self._positions)
+        keys = numpy.fromiter(self._positions, dtype=numpy.int64, count=count)
+        sizes = numpy.fromiter(
+            map(len, self._positions.values()), dtype=numpy.int32, count=count
+        )
+        order = numpy.argsort(keys)
+        return keys[order], sizes[order]
+
     def sorted_codes(self) -> NDArray[numpy.int64]:
         """Every key present in the index, ascending."""
-        keys = numpy.fromiter(
-            self._positions, dtype=numpy.int64, count=len(self._positions)
+        return self._sorted_keys[0]
+
+    def _row_counts(self, rows: NDArray[numpy.intp]) -> NDArray[numpy.signedinteger]:
+        return self._sorted_keys[1][rows]
+
+    def gather_hits(
+        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
+    ) -> NDArray[numpy.int64]:
+        lists = map(self._positions.__getitem__, codes.tolist())
+        return numpy.fromiter(
+            chain.from_iterable(lists), dtype=numpy.int64, count=int(counts.sum())
         )
-        keys.sort()
-        return keys
+
+    def _base_codes(self) -> NDArray[numpy.uint8]:
+        if len(self._sequence) != self.sequence_length:
+            raise ValueError("this index was not built from a sequence")
+        return encode_bases(self._sequence)
 
     @property
     def distinct_kmers(self) -> int:
@@ -250,6 +397,37 @@ class PackedKmerIndex(_KmerLookup):
         """Every key present in the index, ascending (the key array itself)."""
         return self._keys
 
+    def _row_counts(self, rows: NDArray[numpy.intp]) -> NDArray[numpy.signedinteger]:
+        return self._offsets[rows + 1] - self._offsets[rows]
+
+    def gather_hits(
+        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
+    ) -> NDArray[numpy.int64]:
+        starts = self._offsets[numpy.searchsorted(self._keys, codes)]
+        firsts = numpy.cumsum(counts) - counts  # each list's slot in the result
+        total = int(counts.sum())
+        return self._flat[numpy.repeat(starts - firsts, counts) + numpy.arange(total)]
+
+    def _base_codes(self) -> NDArray[numpy.uint8]:
+        """Bases read back from the position table.
+
+        Every position holds the first base of the k-mer it is listed
+        under; the last k - 1 bases are the tail of the final k-mer's code.
+        A segment's sequence is all ``ACGT``, so every position is listed.
+        """
+        k, length = self.k, self.sequence_length
+        bases = numpy.zeros(length, dtype=numpy.uint8)
+        if length < k:
+            return bases
+        firsts = ((self._keys >> (2 * (k - 1))) & 3).astype(numpy.uint8)
+        bases[self._flat] = numpy.repeat(firsts, numpy.diff(self._offsets))
+        slot = int(numpy.flatnonzero(self._flat == length - k)[0])
+        row = numpy.searchsorted(self._offsets, slot, side="right") - 1
+        last = int(self._keys[row])
+        for j in range(1, k):
+            bases[length - k + j] = (last >> (2 * (k - 1 - j))) & 3
+        return bases
+
     @property
     def distinct_kmers(self) -> int:
         return len(self._keys)
@@ -277,26 +455,6 @@ class IndexTables:
     @cached_property
     def sram_bytes(self) -> int:
         return self.index.position_table_bytes() + self.index.index_table_bytes()
-
-    @cached_property
-    def _sorted_codes(self) -> NDArray[numpy.int64]:
-        # Built on first use, not at set-up: a run that never seeds
-        # against these tables never pays for the sort.
-        return self.index.sorted_codes()
-
-    def live(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.bool_]:
-        """Which of *codes* have an entry in this segment's index.
-
-        One batched ``searchsorted`` over the sorted key array answers
-        every lookup of a batch at once; ``-1`` (ambiguous) codes are never
-        live.
-        """
-        keys = self._sorted_codes
-        if not len(keys):
-            return numpy.zeros(len(codes), dtype=bool)
-        rows = numpy.searchsorted(keys, codes)
-        rows[rows == len(keys)] = 0
-        return keys[rows] == codes
 
 
 def build_segment_tables(segments: Iterable["SegmentView"], k: int) -> List[IndexTables]:

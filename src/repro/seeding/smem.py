@@ -19,16 +19,64 @@ Optimizations, each independently switchable for the Fig. 16 ablations:
    ascending hit-count order; a non-empty result means the whole read
    matches exactly and seeding can stop (75% of real reads, §V).
 4. Fixed-stride mode (no halving) is retained as the Fig. 16a middle bar.
+
+How the model runs the search.  The hardware walks one pivot's hit lists
+through its CAM; here the intersection engine is the *cost model*
+(:meth:`~repro.seeding.cam.IntersectionEngine.charge`) and the RMEM search
+runs batched, one pass per segment and read batch
+(:meth:`SmemFinder.seed_batch`).  Let ``l(pivot, p)`` be the length of the
+exact match between ``read[pivot:]`` and ``segment[p:]``, stopped by the
+read end, the segment end and the read's first base outside upper-case
+``ACGT``.  Every intersection tests the k-mer at read offset
+``o = length + stride - k`` (``1 <= o <= length``) against candidates that
+already match on ``[0, length)``, so a candidate survives iff
+``l >= length + stride``; the candidate list holds the first hits with
+``l >= length``, and the incoming list is the index's hit list of the
+read's k-mer at ``pivot + o``.  The pass therefore computes ``l`` for every
+(live pivot, first hit) pair from 2-bit words, then replays the stride
+schedule for all pivots at once, charging each step from those two counts.
+Seeds and every counter equal the element-by-element walk, which lives in
+:mod:`repro.seeding.smem_oracle` as the reference (the
+``rmem-batch-vs-cam`` difftest pair).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
+import numpy
+from numpy.typing import NDArray
+
 from repro.seeding.cam import IntersectionEngine
-from repro.seeding.index import KmerIndex, kmer_codes
+from repro.seeding.index import (
+    DIRTY_BASE,
+    MAX_K,
+    KmerIndex,
+    base_words_at,
+    encode_bases,
+    kmer_codes,
+    kmer_codes_at,
+    pack_bases,
+)
+
+#: Bytes of per-pair arrays one chunk of the RMEM search may hold.  A
+#: (pivot, first hit) pair costs about ``_PAIR_BYTES`` across its int64
+#: working arrays, so a chunk holds ~20k pairs; live pivots are cut into
+#: chunks at pivot boundaries.
+PAIR_BUDGET = 2 << 20
+_PAIR_BYTES = 96
+
+#: An int64 array: codes, pivots, positions, lengths and counts.
+Ints = NDArray[numpy.int64]
+
+# Index of the first non-zero 2-bit base in each byte value.
+_FIRST_BASE = numpy.array(
+    [0] + [((value & -value).bit_length() - 1) // 2 for value in range(1, 256)],
+    dtype=numpy.int64,
+)
 
 
 class SeedingMode(enum.Enum):
@@ -75,6 +123,14 @@ class SmemConfig:
     def __post_init__(self) -> None:
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
+        if self.k > MAX_K:
+            raise ValueError(
+                f"k must be at most {MAX_K} (int64 k-mer codes), got {self.k}"
+            )
+        if any(divisor <= 0 for divisor in self.probe_divisors):
+            raise ValueError(
+                f"probe divisors must be positive, got {self.probe_divisors}"
+            )
 
 
 @dataclass
@@ -93,6 +149,60 @@ class FinderStats:
         self.seeds_reported += other.seeds_reported
         self.hits_reported += other.hits_reported
         self.exact_match_reads += other.exact_match_reads
+
+
+class ReadBatch:
+    """A batch of reads encoded once for every segment it is seeded against.
+
+    ``codes[i]`` is read ``i``'s :func:`~repro.seeding.index.kmer_codes`;
+    ``flat_codes`` is their concatenation, read ``i``'s codes filling
+    ``flat_codes[bounds[i]:bounds[i + 1]]``, so an entry's flat index
+    names a (read, pivot) pair.  The whole batch is encoded in one NumPy
+    pass over the reads' concatenation, whose 2-bit bases the RMEM search
+    also compares (:attr:`words`, :attr:`clean`).
+    """
+
+    def __init__(self, reads: Sequence[str], k: int) -> None:
+        self.reads = reads
+        lengths = numpy.fromiter(map(len, reads), dtype=numpy.int64, count=len(reads))
+        read_starts = numpy.zeros(len(reads) + 1, dtype=numpy.int64)
+        numpy.cumsum(lengths, out=read_starts[1:])
+        self._bases = encode_bases("".join(reads))
+        self._read_ends = read_starts[1:]
+        counts = numpy.maximum(lengths - k + 1, 0)
+        bounds = numpy.zeros(len(reads) + 1, dtype=numpy.int64)
+        numpy.cumsum(counts, out=bounds[1:])
+        self.bounds = bounds
+        # The read each flat entry belongs to, and its pivot's position in
+        # the concatenation.
+        self.read_of = numpy.repeat(numpy.arange(len(reads)), counts)
+        self.starts = read_starts[self.read_of] + (
+            numpy.arange(int(bounds[-1])) - bounds[self.read_of]
+        )
+        self.flat_codes = kmer_codes_at(self._bases, self.starts, k)
+        flat = self.flat_codes.tolist()
+        self.codes = [flat[begin:end] for begin, end in zip(bounds[:-1], bounds[1:])]
+
+    @cached_property
+    def words(self) -> NDArray[numpy.uint64]:
+        """The concatenated reads, 2 bits per base (:func:`pack_bases`).
+
+        A base outside upper-case ``ACGT`` packs as ``A``; :attr:`clean`
+        keeps every match short of it.
+        """
+        return pack_bases(self._bases & 3)
+
+    @cached_property
+    def clean(self) -> Ints:
+        """Per flat entry, the ``ACGT`` bases from its pivot to the first
+        other base or the read's end, whichever comes first."""
+        stops = numpy.union1d(
+            numpy.flatnonzero(self._bases == DIRTY_BASE), self._read_ends
+        )
+        # The first stop past the pivot: the stop at a pivot is the end of
+        # the read before it (a live pivot never sits on a dirty base).
+        following = numpy.searchsorted(stops, self.starts, side="right")
+        return stops[following] - self.starts
 
 
 class SmemFinder:
@@ -118,34 +228,31 @@ class SmemFinder:
 
     # ----------------------------------------------------------- public API
 
-    def find_seeds(
-        self,
-        read: str,
-        codes: Optional[Sequence[int]] = None,
-        live_pivots: Optional[Sequence[int]] = None,
-    ) -> List[Seed]:
-        """Return the seeds for *read* under the configured mode.
+    def find_seeds(self, read: str) -> List[Seed]:
+        """Return the seeds for *read* under the configured mode."""
+        return self.seed_batch(ReadBatch([read], self.config.k))[0]
 
-        *codes* are the read's :func:`~repro.seeding.index.kmer_codes`
-        (computed here when not given).  *live_pivots*, when given, are the
-        pivots whose first k-mer is known to be in the index; every other
-        pivot is skipped without a lookup (see :meth:`_smem_seeds`).
-        """
-        if codes is None:
-            codes = kmer_codes(read, self.config.k)
-        if self.config.exact_match_fast_path:
-            exact = self._exact_match_hits(codes)
-            if exact is not None:
-                self.stats.exact_match_reads += 1
-                seed = Seed(read_offset=0, length=len(read), hits=exact)
-                self._report([seed])
-                return [seed]
-        if self.config.mode is SeedingMode.NAIVE:
-            seeds = self._naive_seeds(codes)
-        else:
-            seeds = self._smem_seeds(codes, live_pivots)
-        self._report(seeds)
-        return seeds
+    def seed_batch(self, batch: ReadBatch) -> List[List[Seed]]:
+        """Seeds of every read of *batch*, one RMEM search pass for all."""
+        out: List[List[Seed]] = [[] for __ in batch.reads]
+        searched: List[int] = []
+        for read_id, codes in enumerate(batch.codes):
+            if self.config.exact_match_fast_path:
+                exact = self._exact_match_hits(codes)
+                if exact is not None:
+                    self.stats.exact_match_reads += 1
+                    read = batch.reads[read_id]
+                    out[read_id] = [Seed(read_offset=0, length=len(read), hits=exact)]
+                    continue
+            if self.config.mode is SeedingMode.NAIVE:
+                out[read_id] = self._naive_seeds(codes)
+            else:
+                searched.append(read_id)
+        if searched:
+            self._smem_seeds(batch, searched, out)
+        for seeds in out:
+            self._report(seeds)
+        return out
 
     def exact_match_hits(self, read: str) -> Optional[Tuple[int, ...]]:
         """Fast path: hits where the *entire read* matches exactly, or None.
@@ -159,7 +266,19 @@ class SmemFinder:
         """Right-maximal exact match starting at *pivot* (length >= k)."""
         if pivot < 0:
             raise ValueError(f"pivot must be non-negative, got {pivot}")
-        return self._rmem(kmer_codes(read, self.config.k), pivot)
+        batch = ReadBatch([read], self.config.k)
+        if pivot >= len(batch.flat_codes):
+            return None
+        self.stats.rmems_computed += 1
+        self.stats.index_lookups += 1
+        counts = self.index.hit_counts(batch.flat_codes)
+        if not counts[pivot]:
+            return None
+        lengths, __, positions, match = self._search(
+            batch, numpy.array([pivot]), counts
+        )
+        hits = positions[match >= lengths[0]].tolist()
+        return Seed(read_offset=pivot, length=int(lengths[0]), hits=tuple(hits))
 
     # ------------------------------------------------------------ internals
 
@@ -186,103 +305,174 @@ class SmemFinder:
                 return None
         return tuple(candidates)
 
-    def _rmem(self, codes: Sequence[int], pivot: int) -> Optional[Seed]:
-        """:meth:`rmem` over the read's k-mer codes.
-
-        ``codes[i]`` is the k-mer at read offset ``i``, so a k-mer at
-        offset ``o`` exists exactly when ``o < len(codes)``.
-        """
-        k = self.config.k
-        last = len(codes)  # one past the last k-mer offset
-        if pivot >= last:
-            return None
-        self.stats.rmems_computed += 1
-        first_hits = self.index.hits_code(codes[pivot])
-        self.stats.index_lookups += 1
-        if not first_hits:
-            return None
-        # Candidates are segment positions of the *seed start* (= positions
-        # of the first k-mer); extension hits are normalized against these.
-        candidates = list(first_hits)
-        length = k
-
-        if self.config.probe:
-            candidates, length = self._probe_first_extension(
-                codes, pivot, candidates, length
-            )
-
-        stride = k
-        while stride >= 1:
-            offset = length + stride - k
-            if pivot + offset >= last:
-                stride //= 2
-                continue
-            hits = self.index.hits_code(codes[pivot + offset])
-            self.stats.index_lookups += 1
-            survivors = self.engine.intersect(candidates, hits, incoming_offset=offset)
-            if survivors:
-                candidates = survivors
-                length += stride
-                if self.config.mode is SeedingMode.SMEM_FIXED:
-                    continue
-            else:
-                if self.config.mode is SeedingMode.SMEM_FIXED:
-                    break
-                stride //= 2
-        return Seed(read_offset=pivot, length=length, hits=tuple(candidates))
-
-    def _probe_first_extension(
-        self, codes: Sequence[int], pivot: int, candidates: List[int], length: int
-    ) -> Tuple[List[int], int]:
-        """Probing optimization: pick the cheapest second k-mer (§V item 3)."""
-        k = self.config.k
-        best: Optional[Tuple[int, int, Sequence[int]]] = None
-        for divisor in self.config.probe_divisors:
-            stride = max(1, k // divisor)
-            offset = length + stride - k
-            if pivot + offset >= len(codes):
-                continue
-            hits = self.index.hits_code(codes[pivot + offset])
-            self.stats.index_lookups += 1
-            if not hits:
-                continue
-            if best is None or len(hits) < best[0]:
-                best = (len(hits), stride, hits)
-        if best is None:
-            return candidates, length
-        __, stride, hits = best
-        offset = length + stride - k
-        survivors = self.engine.intersect(candidates, hits, incoming_offset=offset)
-        if survivors:
-            return survivors, length + stride
-        return candidates, length
-
     def _smem_seeds(
-        self, codes: Sequence[int], live_pivots: Optional[Sequence[int]]
-    ) -> List[Seed]:
-        """RMEM per pivot, filtered to super-maximal matches.
+        self, batch: ReadBatch, read_ids: List[int], out: List[List[Seed]]
+    ) -> None:
+        """RMEM of every pivot of *read_ids*, filtered to super-maximal matches.
 
-        A pivot whose first k-mer is not in the index ends its RMEM at that
-        first lookup.  When the caller already knows the live pivots (one
-        batched pass per segment, :meth:`IndexTables.live`), the dead ones
-        are charged that one RMEM and one lookup without running it.
+        Every pivot is charged its RMEM and its first lookup; the pivots
+        whose first k-mer has no hit end there.  The live ones are searched
+        in chunks of at most ``PAIR_BUDGET`` bytes of pair arrays, in flat
+        (read, pivot) order, so each read's running maximum seed end carries
+        from chunk to chunk.
         """
-        if live_pivots is None:
-            live_pivots = range(len(codes))
-        else:
-            dead = len(codes) - len(live_pivots)
-            self.stats.rmems_computed += dead
-            self.stats.index_lookups += dead
-        seeds: List[Seed] = []
-        max_end = 0
-        for pivot in live_pivots:
-            seed = self._rmem(codes, pivot)
-            if seed is None:
-                continue
-            if seed.end > max_end:
-                seeds.append(seed)
-                max_end = seed.end
-        return seeds
+        counts = self.index.hit_counts(batch.flat_codes)
+        wanted = numpy.zeros(len(batch.reads), dtype=bool)
+        wanted[read_ids] = True
+        pivots = wanted[batch.read_of]
+        searched = int(numpy.count_nonzero(pivots))
+        self.stats.rmems_computed += searched
+        self.stats.index_lookups += searched
+        live = numpy.flatnonzero(pivots & (counts > 0))
+        if not live.size:
+            return
+        per_chunk = max(1, PAIR_BUDGET // _PAIR_BYTES)
+        chunk_of = (numpy.cumsum(counts[live]) - 1) // per_chunk
+        max_end = numpy.zeros(len(batch.reads), dtype=numpy.int64)
+        for chunk in numpy.split(live, numpy.flatnonzero(numpy.diff(chunk_of)) + 1):
+            lengths, pair_pivot, positions, match = self._search(batch, chunk, counts)
+            reads = batch.read_of[chunk]
+            offsets = chunk - batch.bounds[reads]
+            ends = offsets + lengths
+            # A seed is reported iff it ends past every earlier seed of its
+            # read: a running maximum per read, keyed so reads never mix.
+            span = int(ends.max()) + 1
+            keys = reads * span + ends
+            before = numpy.concatenate(([-1], numpy.maximum.accumulate(keys)[:-1]))
+            earlier = numpy.where(before >= reads * span, before - reads * span, 0)
+            keep = ends > numpy.maximum(earlier, max_end[reads])
+            numpy.maximum.at(max_end, reads, ends)
+            take = keep[pair_pivot] & (match >= lengths[pair_pivot])
+            hits = positions[take].tolist()
+            sizes = numpy.bincount(pair_pivot[take], minlength=len(chunk))[keep]
+            cuts = numpy.concatenate(([0], numpy.cumsum(sizes))).tolist()
+            for read, offset, length, begin, end in zip(
+                reads[keep].tolist(),
+                offsets[keep].tolist(),
+                lengths[keep].tolist(),
+                cuts,
+                cuts[1:],
+            ):
+                out[read].append(
+                    Seed(read_offset=offset, length=length, hits=tuple(hits[begin:end]))
+                )
+
+    def _search(
+        self, batch: ReadBatch, pivots: Ints, counts: Ints
+    ) -> Tuple[Ints, Ints, Ints, Ints]:
+        """RMEM lengths of live *pivots* (flat indices into *batch*).
+
+        Returns ``(lengths, pair_pivot, positions, match)``: per pivot its
+        RMEM length, and per (pivot, first hit) pair the pivot's row, the
+        hit and the pair's match length, pivot-major with each pivot's hits
+        ascending.  The pivot's RMEM hits are its pairs with
+        ``match >= length``.  Charges every lookup and intersection after
+        the first lookup.
+        """
+        first = counts[pivots]
+        positions = self.index.gather_hits(batch.flat_codes[pivots], first)
+        pair_pivot = numpy.repeat(numpy.arange(len(pivots)), first)
+        match = self._match_lengths(batch, pivots, pair_pivot, positions)
+        lengths = self._replay(batch, pivots, counts, pair_pivot, match)
+        return lengths, pair_pivot, positions, match
+
+    def _match_lengths(
+        self, batch: ReadBatch, pivots: Ints, pair_pivot: Ints, positions: Ints
+    ) -> Ints:
+        """Exact-match length of each (pivot, segment position) pair.
+
+        Compares 32 bases per step: XOR the read's and the segment's 2-bit
+        words and take the first non-zero base.  A pair leaves the loop at
+        its first mismatch or once its cap (read end, first non-``ACGT``
+        read base, segment end) is covered.
+        """
+        starts, clean = batch.starts[pivots], batch.clean[pivots]
+        cap = numpy.minimum(clean[pair_pivot], self.index.sequence_length - positions)
+        match = cap.copy()
+        todo = numpy.arange(len(positions))
+        covered = 0
+        while todo.size:
+            todo = todo[cap[todo] > covered]
+            # A pivot whose read part is covered has no pair left; it reads
+            # its first word again rather than past its read.
+            shift = numpy.where(clean > covered, covered, 0)
+            mismatch = base_words_at(batch.words, starts + shift)[pair_pivot[todo]]
+            mismatch ^= base_words_at(self.index.base_words, positions[todo] + covered)
+            differs = mismatch != 0
+            done = todo[differs]
+            first = covered + _first_base(mismatch[differs])
+            match[done] = numpy.minimum(cap[done], first)
+            todo = todo[~differs]
+            covered += 32
+        return match
+
+    def _replay(
+        self,
+        batch: ReadBatch,
+        pivots: Ints,
+        counts: Ints,
+        pair_pivot: Ints,
+        match: Ints,
+    ) -> Ints:
+        """Run the stride schedule for every pivot at once; return the lengths.
+
+        Each round takes one step of every unfinished pivot: the lookup and
+        intersection of the k-mer at ``length + stride - k``, then the same
+        grow / halve / stop rule as the walk.  Candidate counts come from
+        the pairs' match lengths sorted per pivot.
+        """
+        k = self.config.k
+        count = len(pivots)
+        rows = numpy.arange(count)
+        # Codes from each pivot to its read's end: offset o exists iff o < left.
+        left = batch.bounds[batch.read_of[pivots] + 1] - pivots
+        first = counts[pivots]
+        span = int(match.max()) + 1
+        ordered = numpy.sort(pair_pivot * span + match)
+        pair_end = numpy.cumsum(first)
+        longest = ordered[pair_end - 1] - rows * span
+        length = numpy.full(count, k, dtype=numpy.int64)
+        if self.config.probe:
+            best = numpy.zeros(count, dtype=numpy.int64)
+            best_stride = numpy.zeros(count, dtype=numpy.int64)
+            for divisor in self.config.probe_divisors:
+                stride = max(1, k // divisor)
+                reach = numpy.flatnonzero(stride < left)
+                self.stats.index_lookups += len(reach)
+                incoming = numpy.zeros(count, dtype=numpy.int64)
+                incoming[reach] = counts[pivots[reach] + stride]
+                better = (incoming > 0) & ((best == 0) | (incoming < best))
+                best[better] = incoming[better]
+                best_stride[better] = stride
+            probed = numpy.flatnonzero(best)
+            self.engine.charge(first[probed], best[probed])
+            grown = probed[longest[probed] >= k + best_stride[probed]]
+            length[grown] += best_stride[grown]
+
+        stride = numpy.full(count, k, dtype=numpy.int64)
+        fixed = self.config.mode is SeedingMode.SMEM_FIXED
+        active = rows
+        while active.size:
+            offset = length[active] + stride[active] - k
+            reach = offset < left[active]
+            tested = active[reach]
+            self.stats.index_lookups += len(tested)
+            step = stride[tested]
+            # The candidates are the first hits matching the whole length.
+            matching = pair_end[tested] - numpy.searchsorted(
+                ordered, tested * span + length[tested]
+            )
+            self.engine.charge(matching, counts[pivots[tested] + offset[reach]])
+            grows = longest[tested] >= length[tested] + step
+            length[tested[grows]] += step[grows]
+            failed = tested[~grows]
+            if fixed:
+                stride[failed] = 0
+            else:
+                stride[failed] //= 2
+            stride[active[~reach]] //= 2
+            active = active[stride[active] > 0]
+        return length
 
     def _naive_seeds(self, codes: Sequence[int]) -> List[Seed]:
         """Every k-mer's raw hits — the naive hash-table baseline."""
@@ -298,3 +488,10 @@ class SmemFinder:
     def _report(self, seeds: List[Seed]) -> None:
         self.stats.seeds_reported += len(seeds)
         self.stats.hits_reported += sum(len(seed.hits) for seed in seeds)
+
+
+def _first_base(words: NDArray[numpy.uint64]) -> Ints:
+    """Index of the first non-zero 2-bit base of each non-zero word."""
+    octets = words.astype("<u8", copy=False).view(numpy.uint8).reshape(-1, 8)
+    byte = numpy.argmax(octets != 0, axis=1)
+    return 4 * byte + _FIRST_BASE[octets[numpy.arange(len(octets)), byte]]

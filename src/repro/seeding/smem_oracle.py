@@ -1,6 +1,9 @@
-"""Brute-force SMEM ground truth for verifying the seeding accelerator.
+"""Reference implementations for verifying the seeding accelerator.
 
-Definitions follow §V exactly:
+Two references live here.  The **brute-force scanner** checks *what* the
+seeds are; the **CAM walk** checks *what they cost*.
+
+The brute-force definitions follow §V exactly:
 
 * an **RMEM** at pivot p is the longest substring ``read[p : p + L]``
   (L >= k) occurring exactly somewhere in the segment;
@@ -8,15 +11,27 @@ Definitions follow §V exactly:
   substring (positional containment in the read) of a previously
   discovered SMEM.
 
-This implementation scans the segment directly (no index), so it is
-independent of every data structure the accelerated path uses.
+The scanner reads the segment directly (no index), so it is independent
+of every data structure the accelerated path uses.
+
+The CAM walk (:class:`CamWalkFinder` over :class:`CamWalkEngine`) is the
+hardware's own procedure, one pivot and one list element at a time: the
+stride schedule intersects real hit lists, and every CAM load, CAM lookup
+and binary-search probe is counted as the walk makes it.  The production
+finder replays the same schedule from match lengths and charges the
+counters from list lengths (:mod:`repro.seeding.smem`); the
+``rmem-batch-vs-cam`` difftest pair holds the two equal in seeds and in
+every counter.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from bisect import bisect_left
+from typing import List, Optional, Sequence, Tuple
 
-from repro.seeding.smem import Seed
+from repro.seeding.cam import IntersectionEngine
+from repro.seeding.index import KmerIndex, kmer_codes
+from repro.seeding.smem import ReadBatch, Seed, SeedingMode, SmemConfig, SmemFinder
 
 
 def brute_force_rmem(segment: str, read: str, pivot: int, k: int) -> Optional[Seed]:
@@ -68,3 +83,216 @@ def brute_force_exact_match(segment: str, read: str) -> Tuple[int, ...]:
         for position in range(len(segment) - len(read) + 1)
         if segment[position : position + len(read)] == read
     )
+
+
+class CamWalkEngine(IntersectionEngine):
+    """The intersection datapath walked element by element.
+
+    Same strategy choice as :meth:`IntersectionEngine.charge`, but each
+    strategy runs over the lists and counts every CAM load, CAM lookup and
+    binary-search probe as it happens.
+    """
+
+    def intersect(
+        self,
+        candidates: Sequence[int],
+        incoming_sorted: Sequence[int],
+        incoming_offset: int = 0,
+    ) -> List[int]:
+        self.stats.intersections += 1
+        if not candidates or not incoming_sorted:
+            return []
+
+        n_cand, n_in = len(candidates), len(incoming_sorted)
+        smaller, larger = min(n_cand, n_in), max(n_cand, n_in)
+        cam_cost = larger if smaller <= self.cam_size else (
+            -(-smaller // self.cam_size) * larger  # batched passes
+        )
+        binary_cost = smaller * max(1, larger).bit_length()
+        use_binary = self.use_binary_fallback and binary_cost < cam_cost
+
+        if use_binary:
+            self.stats.overflow_fallbacks += 1
+            if n_cand <= n_in:
+                return self._binary_probe_incoming(
+                    candidates, incoming_sorted, incoming_offset
+                )
+            return self._binary_probe_candidates(
+                candidates, incoming_sorted, incoming_offset
+            )
+        if n_cand <= n_in:
+            return self._cam_stream(
+                loaded=list(candidates),
+                streamed=incoming_sorted,
+                streamed_delta=-incoming_offset,
+            )
+        normalized = [hit - incoming_offset for hit in incoming_sorted]
+        return self._cam_stream(
+            loaded=normalized, streamed=candidates, streamed_delta=0
+        )
+
+    def _binary_probe_incoming(
+        self,
+        candidates: Sequence[int],
+        incoming_sorted: Sequence[int],
+        incoming_offset: int,
+    ) -> List[int]:
+        """Probe the sorted incoming list once per candidate."""
+        probes_each = max(1, len(incoming_sorted)).bit_length()
+        survivors: List[int] = []
+        for candidate in candidates:
+            target = candidate + incoming_offset
+            self.stats.search_probes += probes_each
+            position = bisect_left(incoming_sorted, target)
+            if position < len(incoming_sorted) and incoming_sorted[position] == target:
+                survivors.append(candidate)
+        return survivors
+
+    def _binary_probe_candidates(
+        self,
+        candidates: Sequence[int],
+        incoming_sorted: Sequence[int],
+        incoming_offset: int,
+    ) -> List[int]:
+        """Probe the sorted candidate set once per incoming hit."""
+        ordered = sorted(candidates)
+        probes_each = max(1, len(ordered)).bit_length()
+        survivors: List[int] = []
+        for hit in incoming_sorted:
+            target = hit - incoming_offset
+            self.stats.search_probes += probes_each
+            position = bisect_left(ordered, target)
+            if position < len(ordered) and ordered[position] == target:
+                survivors.append(target)
+        survivors.sort()
+        return survivors
+
+    def _cam_stream(
+        self, loaded: List[int], streamed: Sequence[int], streamed_delta: int
+    ) -> List[int]:
+        """Load one set into the CAM, probe once per streamed element.
+
+        Sets larger than the CAM are processed in CAM-sized batches (the
+        hardware would spill; the lookup count reflects the extra passes).
+        """
+        survivors: List[int] = []
+        for batch_start in range(0, len(loaded), self.cam_size):
+            batch = loaded[batch_start : batch_start + self.cam_size]
+            self.stats.cam_loads += len(batch)
+            batch_set = set(batch)
+            for element in streamed:
+                self.stats.cam_lookups += 1
+                normalized = element + streamed_delta
+                if normalized in batch_set:
+                    survivors.append(normalized)
+        survivors.sort()
+        return survivors
+
+
+class CamWalkFinder(SmemFinder):
+    """:class:`SmemFinder` running the RMEM search one pivot at a time.
+
+    Each pivot's stride schedule intersects real hit lists on a
+    :class:`CamWalkEngine`, exactly as a seeding lane's control FSM does;
+    the exact-match fast path and ``NAIVE`` mode are the finder's own.
+    """
+
+    def __init__(self, index: KmerIndex, config: Optional[SmemConfig] = None) -> None:
+        config = config or SmemConfig()
+        super().__init__(
+            index,
+            config,
+            CamWalkEngine(
+                cam_size=config.cam_size,
+                use_binary_fallback=config.use_binary_fallback,
+            ),
+        )
+
+    def rmem(self, read: str, pivot: int) -> Optional[Seed]:
+        if pivot < 0:
+            raise ValueError(f"pivot must be non-negative, got {pivot}")
+        return self._rmem(kmer_codes(read, self.config.k), pivot)
+
+    def _smem_seeds(
+        self, batch: ReadBatch, read_ids: List[int], out: List[List[Seed]]
+    ) -> None:
+        """RMEM per pivot, filtered to super-maximal matches."""
+        for read_id in read_ids:
+            max_end = 0
+            codes = batch.codes[read_id]
+            for pivot in range(len(codes)):
+                seed = self._rmem(codes, pivot)
+                if seed is not None and seed.end > max_end:
+                    out[read_id].append(seed)
+                    max_end = seed.end
+
+    def _rmem(self, codes: Sequence[int], pivot: int) -> Optional[Seed]:
+        """:meth:`rmem` over the read's k-mer codes.
+
+        ``codes[i]`` is the k-mer at read offset ``i``, so a k-mer at
+        offset ``o`` exists exactly when ``o < len(codes)``.
+        """
+        k = self.config.k
+        last = len(codes)  # one past the last k-mer offset
+        if pivot >= last:
+            return None
+        self.stats.rmems_computed += 1
+        first_hits = self.index.hits_code(codes[pivot])
+        self.stats.index_lookups += 1
+        if not first_hits:
+            return None
+        # Candidates are segment positions of the *seed start* (= positions
+        # of the first k-mer); extension hits are normalized against these.
+        candidates = list(first_hits)
+        length = k
+
+        if self.config.probe:
+            candidates, length = self._probe_first_extension(
+                codes, pivot, candidates, length
+            )
+
+        stride = k
+        while stride >= 1:
+            offset = length + stride - k
+            if pivot + offset >= last:
+                stride //= 2
+                continue
+            hits = self.index.hits_code(codes[pivot + offset])
+            self.stats.index_lookups += 1
+            survivors = self.engine.intersect(candidates, hits, incoming_offset=offset)
+            if survivors:
+                candidates = survivors
+                length += stride
+                if self.config.mode is SeedingMode.SMEM_FIXED:
+                    continue
+            else:
+                if self.config.mode is SeedingMode.SMEM_FIXED:
+                    break
+                stride //= 2
+        return Seed(read_offset=pivot, length=length, hits=tuple(candidates))
+
+    def _probe_first_extension(
+        self, codes: Sequence[int], pivot: int, candidates: List[int], length: int
+    ) -> Tuple[List[int], int]:
+        """Probing optimization: pick the cheapest second k-mer (§V item 3)."""
+        k = self.config.k
+        best: Optional[Tuple[int, int, Sequence[int]]] = None
+        for divisor in self.config.probe_divisors:
+            stride = max(1, k // divisor)
+            offset = length + stride - k
+            if pivot + offset >= len(codes):
+                continue
+            hits = self.index.hits_code(codes[pivot + offset])
+            self.stats.index_lookups += 1
+            if not hits:
+                continue
+            if best is None or len(hits) < best[0]:
+                best = (len(hits), stride, hits)
+        if best is None:
+            return candidates, length
+        __, stride, hits = best
+        offset = length + stride - k
+        survivors = self.engine.intersect(candidates, hits, incoming_offset=offset)
+        if survivors:
+            return survivors, length + stride
+        return candidates, length

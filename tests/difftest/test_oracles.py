@@ -96,6 +96,7 @@ class TestEvaluation:
         "smem-vs-brute",
         "smem-batch-vs-brute",
         "exact-match-vs-brute",
+        "rmem-batch-vs-cam",
         "bitvector-semiglobal-vs-myers",
     ])
     def test_cheap_pairs_agree_on_short_budget(self, name):

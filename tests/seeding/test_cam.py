@@ -1,8 +1,12 @@
 """Tests for repro.seeding.cam."""
 
+import dataclasses
+
+import numpy
 import pytest
 
 from repro.seeding.cam import IntersectionEngine, IntersectionStats
+from repro.seeding.smem_oracle import CamWalkEngine
 
 
 class TestIntersection:
@@ -98,3 +102,22 @@ class TestAccounting:
         assert a.cam_lookups == 8
         assert a.total_lookups == 10
         assert a.overflow_fallbacks == 1
+
+
+class TestChargeCostModel:
+    """``charge`` counts what the element walk counts, one list pair or many."""
+
+    SIZES = [(0, 5), (5, 0), (1, 1), (3, 700), (700, 3), (600, 900), (9, 9), (4, 17)]
+
+    @pytest.mark.parametrize("cam_size", [1, 4, 512])
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_array_charge_equals_the_walk(self, cam_size, fallback):
+        walk = CamWalkEngine(cam_size=cam_size, use_binary_fallback=fallback)
+        for candidates, incoming in self.SIZES:
+            walk.intersect(list(range(candidates)), list(range(incoming)))
+        model = IntersectionEngine(cam_size=cam_size, use_binary_fallback=fallback)
+        model.charge(
+            numpy.array([c for c, __ in self.SIZES]),
+            numpy.array([i for __, i in self.SIZES]),
+        )
+        assert dataclasses.asdict(model.stats) == dataclasses.asdict(walk.stats)

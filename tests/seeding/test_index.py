@@ -1,5 +1,6 @@
 """Tests for repro.seeding.index."""
 
+import numpy
 import pytest
 
 from repro.genome.reference import make_reference
@@ -7,8 +8,10 @@ from repro.seeding.index import (
     IndexTables,
     KmerIndex,
     PackedKmerIndex,
+    base_words_at,
     build_segment_tables,
     kmer_code,
+    pack_bases,
 )
 
 
@@ -110,3 +113,83 @@ class TestSegmentTables:
         for view, table in zip(views, tables):
             kmer = view.sequence[:8]
             assert 0 in table.index.hits(kmer)
+
+
+class TestSearchTables:
+    """The RMEM search's lookups: batched hit counts, gathers, 2-bit bases."""
+
+    @pytest.fixture(params=["dict", "packed"])
+    def index(self, request):
+        index = KmerIndex.build(make_reference(1_500, seed=4).sequence, k=5)
+        return PackedKmerIndex.pack(index) if request.param == "packed" else index
+
+    def test_hit_counts_match_scalar_lookups(self, index):
+        codes = numpy.array(
+            [kmer_code("ACGTA"), kmer_code("TTTTT"), -1, kmer_code("GATTA")] * 2
+        )
+        want = [len(index.hits_code(int(code))) for code in codes]
+        assert index.hit_counts(codes).tolist() == want
+
+    def test_gather_hits_concatenates_hit_lists(self, index):
+        codes = numpy.array([kmer_code("ACGTA"), kmer_code("CAGTC")])
+        counts = index.hit_counts(codes)
+        want = [hit for code in codes for hit in index.hits_code(int(code))]
+        assert index.gather_hits(codes[counts > 0], counts[counts > 0]).tolist() == want
+
+    def test_base_words_pack_the_sequence(self, index):
+        sequence = make_reference(1_500, seed=4).sequence
+        positions = numpy.arange(len(sequence))
+        words = base_words_at(index.base_words, positions)
+        firsts = (words & numpy.uint64(3)).tolist()
+        assert "".join("ACGT"[base] for base in firsts) == sequence
+
+    def test_base_words_at_every_phase(self):
+        bases = numpy.array([(7 * i) % 4 for i in range(200)], dtype=numpy.uint8)
+        words = pack_bases(bases)
+        for position in range(0, 150):
+            word = int(base_words_at(words, numpy.array([position]))[0])
+            got = [(word >> (2 * j)) & 3 for j in range(32)]
+            assert got == bases[position : position + 32].tolist()
+
+
+class TestDerivedSeedingState:
+    """The search's derived tables are built on first use, once per index."""
+
+    @staticmethod
+    def _state(tables):
+        return [
+            {name: entry.index.__dict__.get(name) for name in _DERIVED}
+            for entry in tables
+        ]
+
+    @pytest.mark.parametrize("backend", ["bitvector", "genax"])
+    def test_built_on_first_seed_and_shared(self, backend):
+        from repro.perf.matrix import _backend_config
+        from repro.pipeline.registry import get_backend
+
+        reference = make_reference(20_000, seed=5)
+        spec = get_backend(backend)
+        config = _backend_config(backend, "illumina-small", jobs=1)
+        shared = spec.prepare(reference, config)
+        tables = shared if isinstance(shared, list) else [shared]
+        first = spec.build(reference, config, shared)
+        assert all(
+            value is None for state in self._state(tables) for value in state.values()
+        )
+        # One substitution, so the read misses the exact-match fast path.
+        window = reference.sequence[1_000:1_101]
+        read = window[:50] + "ACGT"[("ACGT".index(window[50]) + 1) % 4] + window[51:]
+        first.align_batch([("r", read)])
+        built = self._state(tables)
+        assert all(
+            value is not None for state in built for value in state.values()
+        )
+        second = spec.build(reference, config, shared)
+        second.align_batch([("r", read)])
+        again = self._state(tables)
+        for before, after in zip(built, again):
+            for name in _DERIVED:
+                assert after[name] is before[name]
+
+
+_DERIVED = ("_sorted_keys", "base_words")

@@ -10,13 +10,14 @@ from repro.pipeline.bwamem import WholeGenomeSeedProvider
 from repro.seeding.accelerator import SeedingAccelerator, SeedingLane
 from repro.seeding.cache import IndexCache
 from repro.seeding.index import (
+    MAX_K,
     IndexTables,
     KmerIndex,
     PackedKmerIndex,
     kmer_code,
     kmer_codes,
 )
-from repro.seeding.smem import SmemConfig
+from repro.seeding.smem import ReadBatch, SmemConfig
 
 # Clean bases plus N, IUPAC ambiguity codes and lower case.
 reads = st.text(alphabet="ACGTNRYKMacgtn", max_size=40)
@@ -44,6 +45,23 @@ class TestKmerCodes:
 
     def test_lower_case_is_not_acgt(self):
         assert kmer_codes("ACgT", 2) == [1, -1, -1]
+
+    @given(
+        st.lists(st.text(alphabet="ACGTNRacgt\u00e9", max_size=40), max_size=6),
+        st.integers(1, MAX_K),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_encoding_matches_per_read_codes(self, batch, k):
+        encoded = ReadBatch(batch, k)
+        want = [kmer_codes(read, k) for read in batch]
+        assert encoded.codes == want
+        assert encoded.flat_codes.tolist() == [code for codes in want for code in codes]
+
+    def test_codes_must_fit_int64(self):
+        with pytest.raises(ValueError, match="at most"):
+            SmemConfig(k=MAX_K + 1)
+        with pytest.raises(ValueError, match="at most"):
+            kmer_codes("A" * 40, MAX_K + 1)
 
 
 def _counters(stats):

@@ -1,14 +1,17 @@
 """Tests for repro.seeding.smem against the brute-force oracle."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.seeding import smem
 from repro.seeding.cam import IntersectionEngine
-from repro.seeding.index import KmerIndex
-from repro.seeding.smem import Seed, SeedingMode, SmemConfig, SmemFinder
+from repro.seeding.index import KmerIndex, PackedKmerIndex
+from repro.seeding.smem import ReadBatch, Seed, SeedingMode, SmemConfig, SmemFinder
 from repro.seeding.smem_oracle import (
+    CamWalkFinder,
     brute_force_exact_match,
     brute_force_rmem,
     brute_force_smems,
@@ -70,6 +73,11 @@ class TestRmem:
                     want.length,
                     want.hits,
                 )
+
+    @pytest.mark.parametrize("divisors", [(0,), (1, -2)])
+    def test_probe_divisors_must_be_positive(self, divisors):
+        with pytest.raises(ValueError, match="probe divisors"):
+            SmemConfig(k=4, probe=True, probe_divisors=divisors)
 
     def test_config_k_must_match_index(self):
         index = KmerIndex.build("ACGTACGT", 4)
@@ -234,3 +242,86 @@ class TestExactMatchFastPath:
     def test_read_shorter_than_k(self):
         finder = make_finder("ACGTACGT", 4, exact_match_fast_path=True)
         assert finder.exact_match_hits("AC") is None
+
+
+def _repeat_segment(seed: int) -> str:
+    """Diverged copies of one unit between random flanks: long hit lists."""
+    rng = random.Random(seed)
+    unit = "".join(rng.choice("ACGT") for _ in range(60))
+    parts = []
+    for _ in range(12):
+        parts.append(
+            "".join(b if rng.random() > 0.05 else rng.choice("ACGT") for b in unit)
+        )
+        parts.append("".join(rng.choice("ACGT") for _ in range(rng.randrange(5, 20))))
+    return "".join(parts)
+
+
+def _repeat_reads(segment: str, seed: int) -> list:
+    rng = random.Random(seed)
+    reads = []
+    for _ in range(12):
+        start = rng.randrange(len(segment) - 50)
+        read = list(segment[start : start + 50])
+        for _ in range(rng.randrange(0, 4)):
+            read[rng.randrange(50)] = rng.choice("ACGTNacgt")
+        reads.append("".join(read))
+    reads.append(segment[-20:] + "ACGTACGT")  # runs off the segment end
+    reads.append(segment[100:150])  # exact
+    reads.extend(["", "ACG", "N" * 20])
+    return reads
+
+
+def _run(finder, reads):
+    seeds = finder.seed_batch(ReadBatch(reads, finder.config.k))
+    rmems = [finder.rmem(reads[0], pivot) for pivot in range(0, 45, 7)]
+    return (
+        seeds,
+        rmems,
+        dataclasses.asdict(finder.stats),
+        dataclasses.asdict(finder.engine.stats),
+    )
+
+
+class TestBatchedSearchMatchesCamWalk:
+    """Seeds and every counter of the batched search equal the CAM walk."""
+
+    @pytest.mark.parametrize("cam_size", [1, 4, 512])
+    @pytest.mark.parametrize("fallback", [True, False])
+    @pytest.mark.parametrize("probe", [False, True])
+    @pytest.mark.parametrize("mode", [SeedingMode.SMEM, SeedingMode.SMEM_FIXED])
+    def test_configs(self, cam_size, fallback, probe, mode):
+        segment = _repeat_segment(cam_size + 7 * probe)
+        reads = _repeat_reads(segment, 3)
+        config = SmemConfig(
+            k=5,
+            cam_size=cam_size,
+            use_binary_fallback=fallback,
+            probe=probe,
+            mode=mode,
+            exact_match_fast_path=probe,
+        )
+        index = KmerIndex.build(segment, 5)
+        got = _run(SmemFinder(index, config), reads)
+        assert got == _run(CamWalkFinder(index, config), reads)
+        assert got[3]["overflow_fallbacks"] or not fallback or cam_size == 512
+
+    @pytest.mark.parametrize("budget", [1, 600, 6_000])
+    def test_chunked_search_is_the_same_search(self, monkeypatch, budget):
+        segment = _repeat_segment(11)
+        reads = _repeat_reads(segment, 5)
+        config = SmemConfig(k=4, cam_size=2, probe=True)
+        index = KmerIndex.build(segment, 4)
+        want = _run(CamWalkFinder(index, config), reads)
+        monkeypatch.setattr(smem, "PAIR_BUDGET", budget)
+        assert _run(SmemFinder(index, config), reads) == want
+
+    def test_packed_index_searches_alike(self):
+        segment = _repeat_segment(2)
+        reads = _repeat_reads(segment, 8)
+        index = KmerIndex.build(segment, 6)
+        config = SmemConfig(k=6, cam_size=4, probe=True)
+        packed = PackedKmerIndex.pack(index)
+        assert _run(SmemFinder(packed, config), reads) == _run(
+            CamWalkFinder(index, config), reads
+        )
