@@ -33,8 +33,9 @@ shift are one operation each), with no ``np.where`` over dead lanes.
 That fixed count is what the lane count amortises: on 101 bp patterns the
 batched kernel beats the scalar bigint scan from a few dozen lanes per
 call, which is why the cascade's ``myers`` stage
-(:class:`repro.filters.myers.MyersCandidateFilter`) answers a whole
-dispatch in one call.
+(:class:`repro.filters.myers.MyersCandidateFilter`) and the bitvector
+backend's gate answer a whole dispatch in one
+:func:`semiglobal_min_lanes` call.
 
 Bits above a lane's pattern length are garbage by construction and
 provably harmless: the recurrence only moves information upward (adds
@@ -58,12 +59,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.genome.sequence import BASES_PER_WORD, encode_batch
+from repro.align.myers import myers_semiglobal_min
+from repro.genome.sequence import BASES_PER_WORD, encode_batch, is_dna
 
 __all__ = [
     "batch_myers_bounded",
     "batch_myers_distance",
     "batch_semiglobal_min",
+    "semiglobal_min_lanes",
 ]
 
 #: DP-column bits per machine word (the blocked-Myers block size).
@@ -285,3 +288,36 @@ def batch_semiglobal_min(
     to banded traceback).
     """
     return _batch_scores(patterns, texts, semiglobal=True)
+
+
+def semiglobal_min_lanes(
+    patterns: Sequence[str], texts: Sequence[str]
+) -> List[int]:
+    """:func:`batch_semiglobal_min` for lanes of any alphabet.
+
+    The packed kernel takes upper-case ACGT only.  A lane whose pattern
+    or text holds anything else (an ``N``, an IUPAC code) runs the scalar
+    :func:`repro.align.myers.myers_semiglobal_min`, which compares raw
+    characters, so such a base costs one edit instead of aborting the
+    whole batch; every clean lane shares one kernel call.  This is the
+    one dirty-lane rule behind both the ``myers`` filter stage and the
+    bitvector backend's extension gate.
+    """
+    if len(patterns) != len(texts):
+        raise ValueError(
+            f"pattern/text batch size mismatch: {len(patterns)} vs {len(texts)}"
+        )
+    clean = [
+        is_dna(pattern) and is_dna(text)
+        for pattern, text in zip(patterns, texts)
+    ]
+    kernel = iter(
+        batch_semiglobal_min(
+            [pattern for pattern, ok in zip(patterns, clean) if ok],
+            [text for text, ok in zip(texts, clean) if ok],
+        ).tolist()
+    )
+    return [
+        next(kernel) if ok else myers_semiglobal_min(pattern, text)
+        for pattern, text, ok in zip(patterns, texts, clean)
+    ]

@@ -111,9 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--filters",
         default=None,
         metavar="SPEC",
-        help="pre-alignment filter cascade: comma-separated registered "
-        f"filter names in veto order ({', '.join(filter_names())}) or "
-        "'none' to disable; stages share the pipeline's edit budget",
+        help="pre-alignment filter cascade: registered filter names, "
+        f"comma-separated ({', '.join(filter_names())}), or 'none' "
+        "(the default); the filter shares the pipeline's edit budget",
     )
     align.add_argument(
         "--kernel",

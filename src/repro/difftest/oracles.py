@@ -73,7 +73,7 @@ from repro.align.ula import UniversalLevenshteinAutomaton
 from repro.align.xdrop import xdrop_extension_score
 from repro.core.silla import Silla
 from repro.difftest.grammar import DiffCase, GenSpec
-from repro.filters import DEFAULT_CASCADE, get_filter
+from repro.filters import filter_names, get_filter
 from repro.genome.reference import ReferenceGenome, SegmentView
 from repro.genome.sequence import reverse_complement
 from repro.pipeline.common import Candidate
@@ -865,7 +865,7 @@ def _oracle_banded_per_lane(case: DiffCase) -> Output:
 
 
 def _fast_cascade_verdicts(case: DiffCase) -> Output:
-    """Every registered default-cascade stage's verdict on one window.
+    """Every registered filter stage's ``admit_batch`` verdict on one window.
 
     The whole reference is presented as the candidate window (slack padded
     so the fetch covers it end to end), so each stage answers the same
@@ -879,10 +879,10 @@ def _fast_cascade_verdicts(case: DiffCase) -> Output:
         window_start=0, reverse=False, seed_length=len(case.query)
     )
     verdicts: Dict[str, bool] = {}
-    for name in DEFAULT_CASCADE:
+    for name in filter_names():
         stage = get_filter(name).build(reference, k, slack)
         verdicts[name] = bool(
-            stage.admit(case.query, candidate, AlignmentStats())
+            stage.admit_batch([(case.query, candidate)], AlignmentStats())[0]
         )
     return {"k": k, "verdicts": verdicts}
 
@@ -911,7 +911,7 @@ def _map_genax(case: DiffCase, filters: Optional[Tuple[str, ...]]) -> Output:
 
 
 def _fast_genax_cascade_mapping(case: DiffCase) -> Output:
-    return _map_genax(case, DEFAULT_CASCADE)
+    return _map_genax(case, ("myers",))
 
 
 def _oracle_genax_nofilter_mapping(case: DiffCase) -> Output:
@@ -1400,7 +1400,7 @@ _register(
         name="filters-vs-distance",
         contract=Contract.NO_FALSE_REJECT,
         description=(
-            "Every default-cascade filter stage's verdict vs full-DP "
+            "Every registered filter stage's verdict vs full-DP "
             "semi-global distance: no stage may veto a within-budget window"
         ),
         fast=_fast_cascade_verdicts,
@@ -1413,7 +1413,7 @@ _register(
         name="cascade-vs-nofilter",
         contract=Contract.EXACT_SCORE,
         description=(
-            "genax with the full shouldered+sneakysnake+myers cascade vs "
+            "genax with the myers filter cascade vs "
             "genax with no filters: bit-identical mapping records"
         ),
         fast=_fast_genax_cascade_mapping,

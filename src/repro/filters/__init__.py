@@ -1,28 +1,21 @@
-"""Composable pre-alignment filters and the cascade that runs them.
+"""Pre-alignment filters and the cascade that runs them.
 
-The package splits the old single-filter slot into three layers:
-
-* :mod:`repro.filters.base` — the :class:`CandidateFilter` /
-  :class:`BatchCandidateFilter` stage protocols and per-stage counters;
-* :mod:`repro.filters.cascade` — :class:`FilterCascade`, the ordered,
-  batch-capable composition the pipeline driver dispatches;
-* concrete stages (:mod:`~repro.filters.shouldered`,
-  :mod:`~repro.filters.sneakysnake`, :mod:`~repro.filters.myers`) wired
-  up by name through :mod:`repro.filters.registry`.
+* :mod:`repro.filters.base` — the :class:`CandidateFilter` stage
+  protocol (one ``admit_batch`` call per dispatch) and per-stage
+  counters;
+* :mod:`repro.filters.cascade` — :class:`FilterCascade`, the ordered
+  composition the pipeline driver dispatches;
+* :mod:`repro.filters.myers` — the one registered stage, an exact Myers
+  bit-vector within-budget test, wired up by name through
+  :mod:`repro.filters.registry`.
 
 ``python -m repro.filters`` prints the registry's README table.
 """
 
-from repro.filters.base import (
-    BatchCandidateFilter,
-    CandidateFilter,
-    FilterJob,
-    FilterStageStats,
-)
+from repro.filters.base import CandidateFilter, FilterJob, FilterStageStats
 from repro.filters.cascade import FilterCascade
 from repro.filters.myers import MyersCandidateFilter
 from repro.filters.registry import (
-    DEFAULT_CASCADE,
     FilterSpec,
     build_cascade,
     filter_names,
@@ -31,20 +24,14 @@ from repro.filters.registry import (
     register_filter,
     render_filter_table,
 )
-from repro.filters.shouldered import ShoulderedFilter
-from repro.filters.sneakysnake import SneakySnakeFilter
 
 __all__ = [
-    "BatchCandidateFilter",
     "CandidateFilter",
-    "DEFAULT_CASCADE",
     "FilterCascade",
     "FilterJob",
     "FilterSpec",
     "FilterStageStats",
     "MyersCandidateFilter",
-    "ShoulderedFilter",
-    "SneakySnakeFilter",
     "build_cascade",
     "filter_names",
     "get_filter",

@@ -1,33 +1,23 @@
-"""Filter-stage contracts: the protocols every cascade stage satisfies.
+"""The filter-stage contract every cascade stage satisfies.
 
 A *pre-alignment filter* vetoes candidate placements before the
-(expensive) extension engine runs.  Related accelerators stack several of
-them — GateKeeper/Shouldered base-count vetoes, SneakySnake's universal
-filter, a Myers bit-vector scan — ordered cheapest first, so most
-spurious seed hits die before anything quadratic executes.  This module
-defines the contracts the :class:`~repro.filters.cascade.FilterCascade`
-composes:
+(expensive) extension engine runs.  GenAx itself has none — every seed
+candidate goes to a SillaX lane — but on repeat-rich input most
+candidates are decoys, and one exact within-budget test answered for a
+whole dispatch at once costs less than extending them.
 
 :class:`CandidateFilter`
-    ``admit(oriented, candidate, stats)`` answers one placement, charging
-    its streaming work to the shared
+    ``admit_batch(jobs, stats)`` answers every (oriented read, candidate)
+    job of one dispatch, charging its streaming work to the shared
     :class:`~repro.align.records.AlignmentStats` (``prefilter_cycles``).
     A filter must never bump ``candidates_filtered`` /
     ``candidates_survived`` itself — the cascade charges those exactly
     once per candidate, whatever the stage count.
-:class:`BatchCandidateFilter`
-    A :class:`CandidateFilter` that additionally accepts whole
-    ``admit_batch`` job lists, for filters whose kernels are vectorized
-    across (read, window) lanes.  ``admit_batch`` must be pure batching —
-    verdict ``i`` equals ``admit(*jobs[i], stats)`` and the shared stats
-    are charged identically (the stage tests hold each batched stage to
-    its scalar ``admit``) — mirroring the
-    :class:`~repro.pipeline.stages.BatchExtensionEngine` contract.
 
-Both protocols are structural: the cascade's one entry point,
-:meth:`~repro.filters.cascade.FilterCascade.admit_batch_depths`, calls a
-stage's ``admit_batch`` when it has one (detected once at construction)
-and its ``admit`` once per lane otherwise.
+The protocol is structural; :class:`~repro.filters.cascade.FilterCascade`
+checks it once, at construction, and calls ``admit_batch`` once per
+stage per dispatch — the same one-call-per-dispatch shape as
+:class:`~repro.pipeline.stages.BatchExtensionEngine`.
 """
 
 from __future__ import annotations
@@ -60,21 +50,10 @@ class CandidateFilter(Protocol):
     #: Stable stage name (registry key, telemetry label, bench column).
     name: str
 
-    def admit(
-        self, oriented: str, candidate: Candidate, stats: AlignmentStats
-    ) -> bool:
-        """True iff *candidate* may proceed to the next stage."""
-        ...
-
-
-@runtime_checkable
-class BatchCandidateFilter(CandidateFilter, Protocol):
-    """A cascade stage with a vectorized multi-lane path."""
-
     def admit_batch(
         self, jobs: Sequence[FilterJob], stats: AlignmentStats
     ) -> List[bool]:
-        """Answer every job; entry *i* is the verdict for ``jobs[i]``."""
+        """Answer every job; entry *i* is True iff ``jobs[i]`` may proceed."""
         ...
 
 

@@ -1,4 +1,4 @@
-"""The ordered, batch-capable composition of pre-alignment filters.
+"""The ordered composition of pre-alignment filters.
 
 A :class:`FilterCascade` owns the veto pipeline between candidate
 enumeration and seed extension: stages run in order (cheapest first by
@@ -13,10 +13,9 @@ rejected / false-accept / cycle counters), attributing each stage's
 
 The cascade has one entry point, :meth:`admit_batch_depths`, which the
 driver calls once per batch with every gathered candidate.  Evaluation
-is stage-major over the lanes still alive: each stage sees only the
-candidates every earlier stage admitted, through its vectorized
-``admit_batch`` when it has one (detected structurally once, at
-construction) and through one ``admit`` call per lane otherwise.
+is stage-major over the lanes still alive: each stage answers, in one
+``admit_batch`` call, only the candidates every earlier stage admitted.
+A stage without ``admit_batch`` is rejected at construction.
 
 The *depth* of a candidate is the number of stages it passed: a depth
 equal to ``len(cascade)`` means admitted; anything lower names the
@@ -27,13 +26,10 @@ false accept to every stage before *j*).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.align.records import AlignmentStats
 from repro.filters.base import CandidateFilter, FilterJob, FilterStageStats
-
-#: Structural type of a stage's optional vectorized hook.
-BatchHook = Callable[[Sequence[FilterJob], AlignmentStats], List[bool]]
 
 
 class FilterCascade:
@@ -47,13 +43,11 @@ class FilterCascade:
             getattr(stage, "name", type(stage).__name__.lower())
             for stage in self._stages
         )
+        for name, stage in zip(self.stage_names, self._stages):
+            if not callable(getattr(stage, "admit_batch", None)):
+                raise TypeError(f"filter {name!r} has no admit_batch")
         self.stage_stats: Tuple[FilterStageStats, ...] = tuple(
             FilterStageStats() for _ in self._stages
-        )
-        # Each stage's vectorized hook, detected once; a stage without
-        # one is called lane by lane through ``admit``.
-        self._batch_hooks: Tuple[Optional[BatchHook], ...] = tuple(
-            getattr(stage, "admit_batch", None) for stage in self._stages
         )
 
     def __len__(self) -> int:
@@ -82,19 +76,12 @@ class FilterCascade:
             stage_stats = self.stage_stats[index]
             stage_stats.checked += len(subset)
             before = stats.prefilter_cycles
-            hook = self._batch_hooks[index]
-            if hook is not None:
-                verdicts = hook(subset, stats)
-                if len(verdicts) != len(subset):
-                    raise ValueError(
-                        f"filter {self.stage_names[index]!r} returned "
-                        f"{len(verdicts)} verdicts for {len(subset)} jobs"
-                    )
-            else:
-                verdicts = [
-                    stage.admit(oriented, candidate, stats)
-                    for oriented, candidate in subset
-                ]
+            verdicts = stage.admit_batch(subset, stats)
+            if len(verdicts) != len(subset):
+                raise ValueError(
+                    f"filter {self.stage_names[index]!r} returned "
+                    f"{len(verdicts)} verdicts for {len(subset)} jobs"
+                )
             stage_stats.cycles += stats.prefilter_cycles - before
             survivors: List[int] = []
             for job_index, admitted in zip(alive, verdicts):

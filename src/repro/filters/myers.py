@@ -3,23 +3,23 @@
 Runs Myers' semi-global recurrence over the same reference window the
 extension engine would fetch (read length + ``window_slack``), so a
 candidate survives iff the whole read matches *some* substring of that
-window within ``max_edits`` edits.  This is the most precise — and most
-expensive — stage the default cascade runs, which is why the registry
-orders it last: the shouldered and SneakySnake stages are strictly
-cheaper over-approximations of the same semi-global distance bound, so
-anything they veto this stage would have vetoed too.
+window within ``max_edits`` edits.  It is the only registered stage:
+cheaper over-approximations of the same bound (GateKeeper-style base
+counts, SneakySnake-style diagonal coverage) were measured and removed,
+because every candidate they vetoed this stage vetoed too and they
+rejected almost nothing on their own.
 
 The cascade calls :meth:`MyersCandidateFilter.admit_batch`: every lane
 of a dispatch is answered by one
-:func:`~repro.align.bitvector.batch_semiglobal_min` call, and a lane is
+:func:`~repro.align.bitvector.semiglobal_min_lanes` call, and a lane is
 admitted iff its minimum distance is ``<= max_edits``.  That is exactly
 ``bool(myers_search(...))``, the scalar :meth:`~MyersCandidateFilter.admit`
-verdict, because both recurrences start the score at the pattern length
-and :func:`~repro.align.myers.myers_search` reports a hit wherever the
-running score is within budget.  The packed kernel takes upper-case ACGT
-only, while the scalar scan compares any characters; a lane whose read or
-window holds anything else keeps the scalar verdict, so dirty input maps
-exactly as it does without batching.
+verdict the tests and the ``filters-vs-distance`` difftest pair hold it
+to, because both recurrences start the score at the pattern length and
+:func:`~repro.align.myers.myers_search` reports a hit wherever the
+running score is within budget.  Lanes outside upper-case ACGT take the
+scalar recurrence inside ``semiglobal_min_lanes``, so an ``N`` costs an
+edit instead of aborting the dispatch.
 
 Counter discipline (see :mod:`repro.filters.base`): the stage charges its
 streamed window to ``stats.prefilter_cycles`` (the hardware analogue
@@ -32,12 +32,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence
 
-from repro.align.bitvector import batch_semiglobal_min
+from repro.align.bitvector import semiglobal_min_lanes
 from repro.align.myers import myers_search
 from repro.align.records import AlignmentStats
 from repro.filters.base import FilterJob
 from repro.genome.reference import ReferenceGenome
-from repro.genome.sequence import is_dna
 
 if TYPE_CHECKING:
     from repro.pipeline.common import Candidate
@@ -75,26 +74,18 @@ class MyersCandidateFilter:
     def admit(
         self, oriented: str, candidate: "Candidate", stats: AlignmentStats
     ) -> bool:
+        """The scalar reference verdict for one job (not on the cascade path)."""
         window = self._window(oriented, candidate, stats)
         return bool(myers_search(oriented, window, self.max_edits))
 
     def admit_batch(
         self, jobs: Sequence[FilterJob], stats: AlignmentStats
     ) -> List[bool]:
-        lanes = [
-            (oriented, self._window(oriented, candidate, stats))
+        windows = [
+            self._window(oriented, candidate, stats)
             for oriented, candidate in jobs
         ]
-        clean = [is_dna(read) and is_dna(window) for read, window in lanes]
-        distances = iter(
-            batch_semiglobal_min(
-                [read for (read, _), ok in zip(lanes, clean) if ok],
-                [window for (_, window), ok in zip(lanes, clean) if ok],
-            ).tolist()
+        distances = semiglobal_min_lanes(
+            [oriented for oriented, __ in jobs], windows
         )
-        return [
-            next(distances) <= self.max_edits
-            if ok
-            else bool(myers_search(read, window, self.max_edits))
-            for (read, window), ok in zip(lanes, clean)
-        ]
+        return [distance <= self.max_edits for distance in distances]

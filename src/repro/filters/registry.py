@@ -1,20 +1,19 @@
 """Filter registry: name -> cascade-stage factory.
 
 The cascade a backend runs is declared as an ordered tuple of registered
-filter names (the CLI's ``--filters shouldered,sneakysnake,myers`` spec
-is exactly such a tuple), and every consumer — backend configs, the CLI,
-the filter bench — resolves stages by name here instead of importing
+filter names (the CLI's ``--filters myers`` spec is exactly such a
+tuple), and every consumer — backend configs, the CLI, the filter bench,
+the difftest pairs — resolves stages by name here instead of importing
 concrete filter classes.  Adding a filter is one :class:`FilterSpec`
 registration, the same move :mod:`repro.pipeline.registry` makes for
-backends.
+backends; the stage it builds must answer through ``admit_batch``
+(:class:`~repro.filters.base.CandidateFilter`).
 
-Stage order in a spec is the cascade's execution order.  The registered
-default, :data:`DEFAULT_CASCADE`, runs cheapest-first: the base-count
-``shouldered`` veto, then the vectorized ``sneakysnake`` coverage bound,
-then the exact ``myers`` bit-vector scan — each stage a tighter (and
-costlier) lower bound on the same semi-global edit distance, so the
-composition is lossless whenever its shared edit budget is
-(:func:`repro.align.prefilter.lossless_threshold`).
+One stage is registered: ``myers``, the exact bit-vector scan.  It is
+lossless whenever its edit budget is
+(:func:`repro.align.prefilter.lossless_threshold`).  No backend installs
+it by default; the perf matrix and the repo benchmark run it so the
+candidate counts and its rejects are part of the measured surface.
 
 Run ``python -m repro.filters`` to print the README filter table;
 ``tests/analysis/test_docs_sync.py`` asserts the README copy matches.
@@ -28,8 +27,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.filters.base import CandidateFilter
 from repro.filters.cascade import FilterCascade
 from repro.filters.myers import MyersCandidateFilter
-from repro.filters.shouldered import ShoulderedFilter
-from repro.filters.sneakysnake import SneakySnakeFilter
 from repro.genome.reference import ReferenceGenome
 
 #: A stage factory: ``(reference, max_edits, window_slack) -> stage``.
@@ -42,7 +39,6 @@ class FilterSpec:
 
     name: str
     summary: str  # one line; rendered into the README filter table
-    batched: bool  # whether the stage implements admit_batch
     build: FilterBuilder
 
 
@@ -100,9 +96,9 @@ def build_cascade(
 ) -> Optional[FilterCascade]:
     """Build the cascade *names* describe (``None`` for the empty spec).
 
-    All stages share one edit budget and window slack — the cascade is a
-    chain of progressively tighter bounds on the same question, so a
-    per-stage budget would only ever make an earlier stage lossy.
+    All stages share one edit budget and window slack: each answers the
+    same within-budget question, so a per-stage budget could only make
+    one of them lossy.
     """
     if not names:
         return None
@@ -116,41 +112,14 @@ def build_cascade(
 
 def render_filter_table() -> str:
     """The markdown filter table the README embeds (kept in sync by test)."""
-    lines = ["| filter | batched | what it vetoes |", "|---|---|---|"]
+    lines = ["| filter | what it vetoes |", "|---|---|"]
     for spec in _REGISTRY.values():
-        batched = "yes" if spec.batched else "no"
-        lines.append(f"| `{spec.name}` | {batched} | {spec.summary} |")
+        lines.append(f"| `{spec.name}` | {spec.summary} |")
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------- filters
 
-
-SHOULDERED_FILTER = register_filter(
-    FilterSpec(
-        name="shouldered",
-        summary=(
-            "base-count lower bound: read letters the window cannot "
-            "supply each cost an edit (four `str.count` passes, no "
-            "per-base work)"
-        ),
-        batched=False,
-        build=ShoulderedFilter,
-    )
-)
-
-SNEAKYSNAKE_FILTER = register_filter(
-    FilterSpec(
-        name="sneakysnake",
-        summary=(
-            "SneakySnake-style diagonal coverage over the packed 2-bit "
-            "codecs: read bases matchable on no nearby diagonal each "
-            "cost an edit (vectorized across lanes)"
-        ),
-        batched=True,
-        build=SneakySnakeFilter,
-    )
-)
 
 MYERS_FILTER = register_filter(
     FilterSpec(
@@ -159,11 +128,6 @@ MYERS_FILTER = register_filter(
             "Myers bit-vector semi-global scan: the exact "
             "within-budget membership test"
         ),
-        batched=True,
         build=MyersCandidateFilter,
     )
 )
-
-
-DEFAULT_CASCADE: Tuple[str, ...] = ("shouldered", "sneakysnake", "myers")
-"""The cheapest-first full cascade the bench and docs showcase."""

@@ -134,11 +134,10 @@ def unpack_batch(
     """Unpack :func:`encode_batch` words into a ``(n, capacity)`` code matrix.
 
     The array-facing inverse of :func:`encode_batch` for kernels that want
-    to compare bases lane-wise (e.g. the SneakySnake-style pre-alignment
-    filter) without materialising strings: entry ``[i, j]`` is the 2-bit
-    code of base ``j`` of sequence ``i``.  Positions at or beyond a row's
-    true length hold the packer's zero padding — mask with *lengths*
-    before trusting them.  :func:`decode_batch` goes all the way back to
+    to compare bases lane-wise without materialising strings: entry
+    ``[i, j]`` is the 2-bit code of base ``j`` of sequence ``i``.
+    Positions at or beyond a row's true length hold the packer's zero
+    padding — mask with *lengths* before trusting them.  :func:`decode_batch` goes all the way back to
     DNA strings.
     """
     packed = np.asarray(packed, dtype=np.uint64)

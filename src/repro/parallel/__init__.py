@@ -12,7 +12,6 @@ The subsystem has two load-bearing pieces, each usable on its own:
   skip the O(genome) rebuild.
 """
 
-from repro.align.prefilter import lossless_threshold
 from repro.parallel.engine import ParallelAligner, ShardResult
 from repro.parallel.sharding import chunk_bounds, shard_batch
 from repro.seeding.cache import IndexCache, IndexCacheStats, index_fingerprint
@@ -20,7 +19,6 @@ from repro.seeding.cache import IndexCache, IndexCacheStats, index_fingerprint
 __all__ = [
     "ParallelAligner",
     "ShardResult",
-    "lossless_threshold",
     "IndexCache",
     "IndexCacheStats",
     "index_fingerprint",

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.filters import DEFAULT_CASCADE
 from repro.genome.reference import ReferenceGenome
 from repro.perf.schema import bench_envelope, ensure_bench_out, write_bench
 from repro.perf.workloads import Workload, get_workload, workload_names
@@ -84,9 +83,12 @@ def _backend_config(backend: str, profile_name: str, jobs: int) -> Any:
 
     Field names differ per backend (``edit_bound`` vs ``band``,
     ``segment_count`` only on genax); overrides apply only where the
-    config dataclass has the field.  Every backend runs with the default
-    filter cascade so candidate counts and per-stage cascade rejects are
-    part of the gated metric surface.
+    config dataclass has the field.  Every backend with a ``filters``
+    field runs the one-stage ``("myers",)`` cascade, so candidate counts
+    and the stage's rejects are part of the gated metric surface.  Myers
+    is the only stage that pays: on repeat-rich input it rejects almost
+    every decoy candidate for less than their extension costs, and the
+    cheaper stages it replaced rejected nothing it did not.
     """
     profile = get_workload(profile_name)
     config = get_backend(backend).default_config()
@@ -96,7 +98,7 @@ def _backend_config(backend: str, profile_name: str, jobs: int) -> Any:
         "band": profile.edit_bound,
         "segment_count": profile.segment_count,
         "jobs": jobs,
-        "filters": DEFAULT_CASCADE,
+        "filters": ("myers",),
     }
     names = {field.name for field in dataclasses.fields(config)}
     applicable = {

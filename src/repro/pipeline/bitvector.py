@@ -41,7 +41,7 @@ from repro.align.banded import (
     banded_extension_align,
     batch_banded_extension_align,
 )
-from repro.align.bitvector import batch_semiglobal_min
+from repro.align.bitvector import semiglobal_min_lanes
 from repro.align.myers import myers_semiglobal_min
 from repro.align.records import AlignmentStats, MappedRead, ReadInput
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
@@ -223,11 +223,11 @@ class BatchedBitvectorEngine(_BitvectorEngineBase):
                 lane_windows.append(windows[window_id])
             job_lane.append(lane_id)
         kernel.kernel_lanes += len(lane_patterns)
-        distances = batch_semiglobal_min(lane_patterns, lane_windows)
+        distances = semiglobal_min_lanes(lane_patterns, lane_windows)
         surviving = [
             lane_id
-            for lane_id in range(len(lane_patterns))
-            if int(distances[lane_id]) <= self.edit_bound
+            for lane_id, distance in enumerate(distances)
+            if distance <= self.edit_bound
         ]
         aligned = batch_banded_extension_align(
             [lane_windows[lane_id] for lane_id in surviving],

@@ -8,6 +8,7 @@ algorithm retargeted at CPUs/GPUs/ASICs): a backend is a composition of
 three typed stages, and a single :class:`PipelineDriver` owns everything
 the stages share —
 
+* the input contract (bases folded to upper case before seeding),
 * strand enumeration (forward + reverse complement),
 * the exact-match fast path (§V optimization 3) and its once-per-read
   ``reads_exact`` accounting,
@@ -272,6 +273,18 @@ class _ReadPlan:
     candidate_count: int
 
 
+def _folded(read: ReadInput) -> NamedRead:
+    """The driver's input contract: bases are case-insensitive.
+
+    Every entry point folds a read to upper case once, before seeding,
+    so a soft-masked or lower-case read maps exactly like its upper-case
+    copy on every backend (the seeders and kernels match upper-case ACGT
+    only).
+    """
+    name, sequence = as_named_read(read)
+    return name, sequence.upper()
+
+
 class PipelineDriver:
     """The one seed-and-extend outer loop every backend runs behind.
 
@@ -310,6 +323,7 @@ class PipelineDriver:
 
     def align_read(self, name: str, sequence: str) -> MappedRead:
         """Map one read, seeding each strand on demand (per-read order)."""
+        sequence = sequence.upper()
         tel = self.telemetry
         if tel is not None:
             tel.stage_begin("align_read")
@@ -353,8 +367,8 @@ class PipelineDriver:
 
         out: List["PairMapping"] = []
         for first, second in pairs:
-            first_name, first_seq = as_named_read(first)
-            second_name, second_seq = as_named_read(second)
+            first_name, first_seq = _folded(first)
+            second_name, second_seq = _folded(second)
             mapped_first = self.align_read(first_name, first_seq)
             mapped_second = self.align_read(second_name, second_seq)
             out.append(
@@ -380,7 +394,7 @@ class PipelineDriver:
         Functionally identical to :meth:`align_reads` (the tests enforce
         it).
         """
-        named: List[NamedRead] = [as_named_read(read) for read in reads]
+        named: List[NamedRead] = [_folded(read) for read in reads]
         oriented: List[str] = []
         for __, sequence in named:
             for variant, __reverse in strands(sequence):

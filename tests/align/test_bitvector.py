@@ -17,6 +17,7 @@ from repro.align.bitvector import (
     batch_myers_bounded,
     batch_myers_distance,
     batch_semiglobal_min,
+    semiglobal_min_lanes,
 )
 from repro.align.myers import myers_bounded, myers_distance, myers_semiglobal_min
 from repro.genome.sequence import random_dna
@@ -114,3 +115,19 @@ class TestBatchSemiglobal:
         window = reference[100:180]
         scores = batch_semiglobal_min([window], [reference])
         assert int(scores[0]) == 0
+
+    def test_dirty_lanes_take_the_scalar_recurrence(self):
+        # N, IUPAC and lower-case lanes cannot be packed; they get the
+        # scalar answer in place while clean lanes share the kernel call.
+        pairs = ragged_batch(seed=8, count=12, max_len=60)
+        pairs[2] = ("ACGNACGT", pairs[2][1])
+        pairs[5] = (pairs[5][0], "TTRACGTACGTT")
+        pairs[9] = ("acgtacgt", "TTACGTACGTT")
+        scores = semiglobal_min_lanes(
+            [p for p, _ in pairs], [t for _, t in pairs]
+        )
+        assert scores == [myers_semiglobal_min(p, t) for p, t in pairs]
+
+    def test_lane_helper_rejects_ragged_arguments(self):
+        with pytest.raises(ValueError):
+            semiglobal_min_lanes(["ACGT"], [])

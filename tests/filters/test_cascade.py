@@ -2,10 +2,10 @@
 
 These tests use stub stages so every property of the cascade itself —
 ordering, short-circuiting, once-per-candidate charging, false-accept
-attribution, scalar/batched stage dispatch — is pinned through the
-cascade's one entry point, ``admit_batch_depths``, independently of any
-concrete filter kernel (those get their own admissibility tests in
-test_stage_bounds.py).
+attribution, the one-``admit_batch``-per-stage dispatch — is pinned
+through the cascade's one entry point, ``admit_batch_depths``,
+independently of any concrete filter kernel (the ``myers`` stage gets
+its own admissibility tests in test_stage_bounds.py).
 """
 
 import dataclasses
@@ -19,39 +19,40 @@ from repro.pipeline.common import Candidate
 CANDIDATE = Candidate(window_start=0, reverse=False, seed_length=7)
 
 
-class ScalarStub:
-    """Scalar-only stage: admits iff the verdict function says so."""
+class Stub:
+    """A stage that admits a read iff the verdict function says so."""
 
     def __init__(self, name, verdict, cycles=3):
         self.name = name
         self._verdict = verdict
         self._cycles = cycles
         self.calls = []
-
-    def admit(self, oriented, candidate, stats):
-        self.calls.append(oriented)
-        stats.prefilter_cycles += self._cycles
-        return self._verdict(oriented)
-
-
-class BatchStub(ScalarStub):
-    """Batch-capable stage whose admit_batch is pure batching."""
-
-    def __init__(self, name, verdict, cycles=3):
-        super().__init__(name, verdict, cycles)
         self.batch_calls = 0
 
     def admit_batch(self, jobs, stats):
         self.batch_calls += 1
-        return [self.admit(oriented, candidate, stats)
-                for oriented, candidate in jobs]
+        verdicts = []
+        for oriented, __ in jobs:
+            self.calls.append(oriented)
+            stats.prefilter_cycles += self._cycles
+            verdicts.append(self._verdict(oriented))
+        return verdicts
 
 
-class BrokenBatchStub(ScalarStub):
-    """Batch stage violating the one-verdict-per-job contract."""
+class BrokenStub(Stub):
+    """A stage violating the one-verdict-per-job contract."""
 
     def admit_batch(self, jobs, stats):
         return []
+
+
+class ScalarOnlyStub:
+    """A stage with only the removed per-candidate ``admit`` hook."""
+
+    name = "scalar-only"
+
+    def admit(self, oriented, candidate, stats):
+        return True
 
 
 def jobs_for(reads):
@@ -65,37 +66,37 @@ class TestConstruction:
 
     def test_stage_names_follow_stage_order(self):
         cascade = FilterCascade(
-            [ScalarStub("first", bool), ScalarStub("second", bool)]
+            [Stub("first", bool), Stub("second", bool)]
         )
         assert cascade.stage_names == ("first", "second")
         assert len(cascade) == 2
 
-    def test_batch_capability_detected_structurally(self):
-        # A stage with admit_batch gets one call per dispatch; a scalar
-        # stage gets one admit call per live lane.
-        scalar = ScalarStub("a", bool)
-        batched = BatchStub("b", bool)
-        cascade = FilterCascade([scalar, batched])
+    def test_stage_without_admit_batch_rejected_at_construction(self):
+        with pytest.raises(TypeError, match="scalar-only"):
+            FilterCascade([Stub("fine", bool), ScalarOnlyStub()])
+
+    def test_one_admit_batch_call_per_stage_per_dispatch(self):
+        first, second = Stub("a", bool), Stub("b", bool)
+        cascade = FilterCascade([first, second])
         cascade.admit_batch_depths(jobs_for(["AC", "GT"]), AlignmentStats())
-        assert scalar.calls == ["AC", "GT"]
-        assert batched.batch_calls == 1
-        assert batched.calls == ["AC", "GT"]
+        assert (first.batch_calls, second.batch_calls) == (1, 1)
+        assert first.calls == second.calls == ["AC", "GT"]
 
     def test_report_pairs_names_with_counters(self):
-        cascade = FilterCascade([ScalarStub("only", bool)])
+        cascade = FilterCascade([Stub("only", bool)])
         rows = cascade.report()
         assert [name for name, _ in rows] == ["only"]
         assert all(isinstance(s, FilterStageStats) for _, s in rows)
 
 
 class TestScalarPath:
-    """Scalar-only stages through the one entry point."""
+    """Per-candidate cascade semantics through the one entry point."""
 
     def test_depth_counts_stages_passed(self):
         cascade = FilterCascade(
-            [ScalarStub("a", lambda r: True),
-             ScalarStub("b", lambda r: r != "TT"),
-             ScalarStub("c", lambda r: True)]
+            [Stub("a", lambda r: True),
+             Stub("b", lambda r: r != "TT"),
+             Stub("c", lambda r: True)]
         )
         depths = cascade.admit_batch_depths(
             jobs_for(["AA", "TT"]), AlignmentStats()
@@ -103,8 +104,8 @@ class TestScalarPath:
         assert depths == [3, 1]
 
     def test_rejection_short_circuits_later_stages(self):
-        first = ScalarStub("a", lambda r: r != "AC")
-        second = ScalarStub("b", lambda r: True)
+        first = Stub("a", lambda r: r != "AC")
+        second = Stub("b", lambda r: True)
         cascade = FilterCascade([first, second])
         depths = cascade.admit_batch_depths(
             jobs_for(["AC", "GT"]), AlignmentStats()
@@ -115,8 +116,8 @@ class TestScalarPath:
 
     def test_shared_stats_charged_exactly_once_per_candidate(self):
         cascade = FilterCascade(
-            [ScalarStub("a", lambda r: True),
-             ScalarStub("b", lambda r: r != "TT")]
+            [Stub("a", lambda r: True),
+             Stub("b", lambda r: r != "TT")]
         )
         stats = AlignmentStats()
         cascade.admit_batch_depths(jobs_for(["AA", "TT"]), stats)
@@ -125,9 +126,9 @@ class TestScalarPath:
 
     def test_false_accept_charged_to_every_earlier_stage(self):
         cascade = FilterCascade(
-            [ScalarStub("a", lambda r: True),
-             ScalarStub("b", lambda r: True),
-             ScalarStub("c", lambda r: False)]
+            [Stub("a", lambda r: True),
+             Stub("b", lambda r: True),
+             Stub("c", lambda r: False)]
         )
         cascade.admit_batch_depths(jobs_for(["AC"]), AlignmentStats())
         by_name = dict(cascade.report())
@@ -138,8 +139,8 @@ class TestScalarPath:
 
     def test_cycles_attributed_to_the_charging_stage(self):
         cascade = FilterCascade(
-            [ScalarStub("cheap", lambda r: True, cycles=2),
-             ScalarStub("dear", lambda r: r != "AC", cycles=11)]
+            [Stub("cheap", lambda r: True, cycles=2),
+             Stub("dear", lambda r: r != "AC", cycles=11)]
         )
         stats = AlignmentStats()
         cascade.admit_batch_depths(jobs_for(["AC", "GT"]), stats)
@@ -161,25 +162,19 @@ class TestBatchPath:
     READS = ["AAAA", "TTTT", "ACGT", "GGGG", "TTAA"]
 
     @staticmethod
-    def build(cls_a, cls_b, cls_c):
+    def build():
         return FilterCascade(
-            [cls_a("a", lambda r: "G" not in r),
-             cls_b("b", lambda r: r != "TTTT"),
-             cls_c("c", lambda r: r[0] != "T")]
+            [Stub("a", lambda r: "G" not in r),
+             Stub("b", lambda r: r != "TTTT"),
+             Stub("c", lambda r: r[0] != "T")]
         )
 
-    @pytest.mark.parametrize("shapes", [
-        (ScalarStub, ScalarStub, ScalarStub),
-        (BatchStub, BatchStub, BatchStub),
-        (ScalarStub, BatchStub, ScalarStub),
-        (BatchStub, ScalarStub, BatchStub),
-    ])
-    def test_batch_depths_match_scalar_path(self, shapes):
+    def test_batch_depths_match_scalar_path(self):
         # Hand-evaluated per candidate, stage by stage, for READS:
         #   AAAA passes a, b, c -> 3     TTTT passes a, fails b -> 1
         #   ACGT, GGGG fail a -> 0       TTAA passes a, b, fails c -> 2
         # Stage a sees 5 lanes, b sees 3, c sees 2; each call costs 3.
-        cascade = self.build(*shapes)
+        cascade = self.build()
         stats = AlignmentStats()
         depths = cascade.admit_batch_depths(jobs_for(self.READS), stats)
         assert depths == [3, 1, 0, 0, 2]
@@ -194,20 +189,20 @@ class TestBatchPath:
         ]
 
     def test_later_stage_sees_only_survivors(self):
-        first = BatchStub("a", lambda r: "G" not in r)
-        second = ScalarStub("b", bool)
+        first = Stub("a", lambda r: "G" not in r)
+        second = Stub("b", bool)
         cascade = FilterCascade([first, second])
         cascade.admit_batch_depths(jobs_for(self.READS), AlignmentStats())
         assert second.calls == [r for r in self.READS if "G" not in r]
 
     def test_empty_batch_is_a_no_op(self):
-        cascade = self.build(BatchStub, BatchStub, BatchStub)
+        cascade = self.build()
         stats = AlignmentStats()
         assert cascade.admit_batch_depths([], stats) == []
         assert stats.candidates_filtered == 0
         assert stats.candidates_survived == 0
 
     def test_wrong_verdict_count_raises(self):
-        cascade = FilterCascade([BrokenBatchStub("broken", bool)])
+        cascade = FilterCascade([BrokenStub("broken", bool)])
         with pytest.raises(ValueError, match="broken"):
             cascade.admit_batch_depths(jobs_for(self.READS), AlignmentStats())

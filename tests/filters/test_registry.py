@@ -3,7 +3,6 @@
 import pytest
 
 from repro.filters import (
-    DEFAULT_CASCADE,
     FilterCascade,
     FilterSpec,
     build_cascade,
@@ -21,36 +20,25 @@ def tiny_reference():
 
 
 class TestRegistry:
-    def test_builtin_filters_registered_cheapest_first(self):
-        assert filter_names() == ("shouldered", "sneakysnake", "myers")
-
-    def test_default_cascade_names_registered_filters(self):
-        assert DEFAULT_CASCADE == ("shouldered", "sneakysnake", "myers")
-        for name in DEFAULT_CASCADE:
-            assert get_filter(name).name == name
+    def test_builtin_filters_registered(self):
+        assert filter_names() == ("myers",)
 
     def test_get_filter_unknown_lists_known_names(self):
-        with pytest.raises(ValueError, match="sneakysnake"):
+        with pytest.raises(ValueError, match="myers"):
             get_filter("no-such-filter")
 
     def test_duplicate_registration_rejected(self):
         spec = get_filter("myers")
         with pytest.raises(ValueError, match="already registered"):
             register_filter(
-                FilterSpec(
-                    name=spec.name,
-                    summary="duplicate",
-                    batched=spec.batched,
-                    build=spec.build,
-                )
+                FilterSpec(name=spec.name, summary="duplicate", build=spec.build)
             )
 
-    def test_batched_flag_matches_structural_capability(self):
+    def test_every_registered_stage_answers_through_admit_batch(self):
         reference = tiny_reference()
         for name in filter_names():
-            spec = get_filter(name)
-            stage = spec.build(reference, 2, 4)
-            assert hasattr(stage, "admit_batch") == spec.batched, name
+            stage = get_filter(name).build(reference, 2, 4)
+            assert callable(getattr(stage, "admit_batch", None)), name
             assert stage.name == name
 
 
@@ -60,14 +48,11 @@ class TestCascadeSpec:
         assert parse_cascade_spec(spec) == ()
 
     def test_order_and_whitespace(self):
-        assert parse_cascade_spec(" myers , shouldered ") == (
-            "myers",
-            "shouldered",
-        )
+        assert parse_cascade_spec(" myers ") == ("myers",)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown filter"):
-            parse_cascade_spec("shouldered,bogus")
+            parse_cascade_spec("myers,bogus")
 
     def test_repeated_name_rejected(self):
         with pytest.raises(ValueError, match="repeated"):
@@ -78,15 +63,13 @@ class TestBuildCascade:
     def test_empty_names_build_no_cascade(self):
         assert build_cascade((), tiny_reference(), 2, 4) is None
 
-    def test_default_cascade_builds_in_order(self):
-        cascade = build_cascade(DEFAULT_CASCADE, tiny_reference(), 2, 4)
+    def test_registered_filters_build_in_order(self):
+        cascade = build_cascade(filter_names(), tiny_reference(), 2, 4)
         assert isinstance(cascade, FilterCascade)
-        assert cascade.stage_names == DEFAULT_CASCADE
-        # sneakysnake brings a vectorized admit_batch hook.
-        assert any(hasattr(stage, "admit_batch") for stage in cascade.stages)
+        assert cascade.stage_names == filter_names()
 
     def test_stages_share_budget_and_slack(self):
-        cascade = build_cascade(DEFAULT_CASCADE, tiny_reference(), 3, 7)
+        cascade = build_cascade(filter_names(), tiny_reference(), 3, 7)
         for stage in cascade.stages:
             assert stage.max_edits == 3
             assert stage.window_slack == 7
@@ -97,9 +80,3 @@ class TestFilterTable:
         table = render_filter_table()
         for name in filter_names():
             assert f"| `{name}` |" in table
-
-    def test_table_batched_column_matches_specs(self):
-        rows = render_filter_table().splitlines()[2:]
-        for name, row in zip(filter_names(), rows):
-            expected = "yes" if get_filter(name).batched else "no"
-            assert f"| {expected} |" in row, name

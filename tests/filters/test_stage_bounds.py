@@ -1,15 +1,8 @@
-"""Admissibility tests for the concrete cascade stages.
+"""Admissibility tests for the ``myers`` cascade stage.
 
 The cascade is lossless only if no stage ever vetoes a candidate the
-extension engine would have accepted.  For each stage the guarantee has
-a precise shape:
-
-* ``shouldered``: its base-count bound never exceeds the true semi-global
-  edit distance (a universal lower bound);
-* ``sneakysnake``: whenever the true distance fits the budget, the stage
-  admits (the one-sided no-false-reject guarantee — its bound may
-  overshoot on candidates that are already over budget, which is fine);
-* ``myers``: exact — admits *iff* the true distance fits the budget.
+extension engine would have accepted.  ``myers`` is exact: it admits
+*iff* the true semi-global edit distance fits the budget.
 
 Every property is checked against a reference full-DP semi-global
 distance over seeded-random workloads (explicit ``random.Random`` per
@@ -21,11 +14,7 @@ import random
 import pytest
 
 from repro.align.records import AlignmentStats
-from repro.filters import (
-    MyersCandidateFilter,
-    ShoulderedFilter,
-    SneakySnakeFilter,
-)
+from repro.filters import MyersCandidateFilter
 from repro.genome.reference import ReferenceGenome
 from repro.genome.sequence import ALPHABET
 from repro.pipeline.common import Candidate, fetch_window
@@ -78,80 +67,6 @@ def build_stage(stage_class, text, query, max_edits):
     candidate = Candidate(window_start=0, reverse=False, seed_length=len(query))
     assert fetch_window(reference, candidate, len(query), slack) == text
     return stage, candidate
-
-
-class TestShouldered:
-    def test_bound_never_exceeds_true_distance(self):
-        stage = ShoulderedFilter(ReferenceGenome("ACGT", name="t"), 2, 0)
-        for query, text in random_cases(seed=101, count=60):
-            bound = stage.distance_bound(query, text)
-            assert bound <= semiglobal_distance(query, text), (query, text)
-
-    def test_counts_excess_bases(self):
-        stage = ShoulderedFilter(ReferenceGenome("ACGT", name="t"), 2, 0)
-        assert stage.distance_bound("AAAA", "AATT") == 2
-        assert stage.distance_bound("ACGT", "ACGT") == 0
-        assert stage.distance_bound("GGGG", "AAAA") == 4
-
-    @pytest.mark.parametrize("max_edits", [0, 1, 3])
-    def test_never_falsely_rejects(self, max_edits):
-        for query, text in random_cases(seed=102, count=40):
-            stage, candidate = build_stage(
-                ShoulderedFilter, text, query, max_edits
-            )
-            if semiglobal_distance(query, text) <= max_edits:
-                assert stage.admit(query, candidate, AlignmentStats())
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            ShoulderedFilter(ReferenceGenome("ACGT", name="t"), -1, 0)
-
-
-class TestSneakySnake:
-    @pytest.mark.parametrize("max_edits", [0, 1, 3])
-    def test_never_falsely_rejects(self, max_edits):
-        for query, text in random_cases(seed=103, count=40):
-            stage, candidate = build_stage(
-                SneakySnakeFilter, text, query, max_edits
-            )
-            if semiglobal_distance(query, text) <= max_edits:
-                assert stage.admit(query, candidate, AlignmentStats())
-
-    def test_batch_verdicts_match_scalar(self):
-        # Heterogeneous lengths in one batch: lane independence through
-        # the sentinel padding.
-        cases = list(random_cases(seed=104, count=16))
-        texts = [text for _, text in cases]
-        reference = ReferenceGenome("".join(texts), name="batch-test")
-        stage = SneakySnakeFilter(reference, 2, 5)
-        jobs, offset = [], 0
-        for query, text in cases:
-            jobs.append(
-                (query, Candidate(offset, reverse=False, seed_length=len(query)))
-            )
-            offset += len(text)
-        batched = stage.admit_batch(jobs, AlignmentStats())
-        scalar = [
-            stage.admit(query, candidate, AlignmentStats())
-            for query, candidate in jobs
-        ]
-        assert batched == scalar
-
-    def test_distance_bounds_edge_shapes(self):
-        stage = SneakySnakeFilter(ReferenceGenome("ACGT", name="t"), 1, 0)
-        assert stage.distance_bounds([], []).tolist() == []
-        assert stage.distance_bounds(["ACGT"], ["ACGT"]).tolist() == [0]
-        with pytest.raises(ValueError):
-            stage.distance_bounds(["A", "C"], ["A"])
-
-    def test_detects_hopeless_windows(self):
-        stage = SneakySnakeFilter(ReferenceGenome("ACGT", name="t"), 1, 0)
-        bounds = stage.distance_bounds(["AAAAAAAA"], ["TTTTTTTT"])
-        assert bounds[0] > 1
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            SneakySnakeFilter(ReferenceGenome("ACGT", name="t"), -1, 0)
 
 
 class TestMyers:
@@ -210,9 +125,7 @@ class TestMyers:
 
 
 class TestCycleCharging:
-    @pytest.mark.parametrize(
-        "stage_class", [ShoulderedFilter, SneakySnakeFilter, MyersCandidateFilter]
-    )
+    @pytest.mark.parametrize("stage_class", [MyersCandidateFilter])
     def test_each_admit_charges_the_streamed_window(self, stage_class):
         text = "ACGTACGTACGTACGT"
         query = "ACGTACGT"
@@ -221,9 +134,7 @@ class TestCycleCharging:
         stage.admit(query, candidate, stats)
         assert stats.prefilter_cycles == len(text)
 
-    @pytest.mark.parametrize(
-        "stage_class", [SneakySnakeFilter, MyersCandidateFilter]
-    )
+    @pytest.mark.parametrize("stage_class", [MyersCandidateFilter])
     def test_admit_batch_charges_each_streamed_window(self, stage_class):
         text = "ACGTACGTACGTACGT"
         query = "ACGTACGT"

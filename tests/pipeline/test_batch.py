@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.filters import DEFAULT_CASCADE
 from repro.model.power import GenAxPowerModel
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
 from repro.pipeline.registry import backend_names, get_backend
@@ -12,10 +11,10 @@ from repro.pipeline.registry import backend_names, get_backend
 
 def default_cascade_config(backend):
     """*backend*'s default config at this file's operating point, running
-    the default filter cascade wherever the backend takes one."""
+    the ``myers`` filter cascade wherever the backend takes one."""
     config = get_backend(backend).default_config()
     overrides = {"edit_bound": 12, "band": 12, "segment_count": 4,
-                 "filters": DEFAULT_CASCADE}
+                 "filters": ("myers",)}
     names = {field.name for field in dataclasses.fields(config)}
     return dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if k in names}

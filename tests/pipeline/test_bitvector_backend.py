@@ -53,6 +53,27 @@ class TestKernelIdentity:
         assert mapping_rows(batched_mapped) == mapping_rows(scalar_mapped)
         assert stats_dict(batched.stats) == stats_dict(scalar.stats)
 
+    def test_n_read_in_a_batch_matches_scalar(self, small_reference, batch):
+        # The packed kernel takes ACGT only; an N lane takes the scalar
+        # gate instead of aborting the batch, and scores as a mismatch.
+        read = small_reference.sequence[5000:5101]
+        mixed = batch[:6] + [("n_read", read[:50] + "N" + read[51:])] + batch[6:]
+        scalar = BitvectorAligner(
+            small_reference,
+            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="scalar"),
+        )
+        batched = BitvectorAligner(
+            small_reference,
+            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="batched"),
+        )
+        batched_mapped = batched.align_batch(mixed)
+        assert mapping_rows(batched_mapped) == mapping_rows(
+            scalar.align_batch(mixed)
+        )
+        assert stats_dict(batched.stats) == stats_dict(scalar.stats)
+        n_record = batched_mapped[6]
+        assert (n_record.position, str(n_record.cigar)) == (5000, "50=1X50=")
+
     def test_unknown_kernel_rejected(self, small_reference):
         with pytest.raises(ValueError, match="unknown bitvector kernel"):
             BitvectorAligner(

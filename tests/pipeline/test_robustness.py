@@ -4,6 +4,7 @@ import pytest
 
 from repro.pipeline.bwamem import BwaMemAligner, BwaMemConfig
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
+from repro.pipeline.registry import backend_names, get_backend
 from repro.seeding.fmindex import FmIndexSeeder
 from repro.seeding.index import KmerIndex
 from repro.seeding.smem import SmemConfig, SmemFinder
@@ -48,6 +49,32 @@ class TestAmbiguousBases:
         ).find_seeds(read)
         assert fm_seeds == table_seeds
         assert fm_seeds  # the clean k-mers still seed
+
+
+class TestLowerCase:
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_lower_case_copy_maps_like_upper_case(
+        self, small_reference, backend
+    ):
+        # The driver folds case once, before seeding, so every backend
+        # maps a soft-masked read like its upper-case copy.
+        read = list(small_reference.sequence[3000:3101])
+        read[40] = "A" if read[40] != "A" else "C"
+        read = "".join(read)
+        spec = get_backend(backend)
+        aligner = spec.build(small_reference, spec.default_config(), None)
+        upper, lower, mixed = aligner.align_batch(
+            [("upper", read), ("lower", read.lower()),
+             ("mixed", read[:60].lower() + read[60:])]
+        )
+        assert (upper.position, upper.reverse) == (3000, False)
+        for record in (lower, mixed):
+            assert (record.position, record.reverse, record.score) == (
+                upper.position, upper.reverse, upper.score
+            )
+            assert str(record.cigar) == str(upper.cigar)
+        single = aligner.align_read("lower", read.lower())
+        assert (single.position, str(single.cigar)) == (3000, str(upper.cigar))
 
 
 class TestDegenerateReads:

@@ -76,9 +76,9 @@ class FlagFilter:
         self.verdict = verdict
         self.calls = 0
 
-    def admit(self, oriented, candidate, stats: AlignmentStats) -> bool:
-        self.calls += 1
-        return self.verdict
+    def admit_batch(self, jobs, stats: AlignmentStats):
+        self.calls += len(jobs)
+        return [self.verdict] * len(jobs)
 
 
 def make_driver(seeder, extender, filters=(), min_score=5, max_candidates=64):

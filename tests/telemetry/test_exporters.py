@@ -277,12 +277,12 @@ class TestRenderProfile:
     def test_filter_stage_rows_rendered_from_published_cascade(self):
         # publish_cascade names: <backend>_filter_<stage>_<field>.
         registry = MetricRegistry()
-        registry.counter("bitvector_filter_shouldered_checked").inc(31)
-        registry.counter("bitvector_filter_shouldered_rejected").inc(0)
-        registry.counter("bitvector_filter_shouldered_false_accepts").inc(12)
-        registry.counter("bitvector_filter_shouldered_cycles").inc(62)
+        registry.counter("bitvector_filter_gate_checked").inc(31)
+        registry.counter("bitvector_filter_gate_rejected").inc(0)
+        registry.counter("bitvector_filter_gate_false_accepts").inc(12)
+        registry.counter("bitvector_filter_gate_cycles").inc(62)
         registry.gauge(
-            "bitvector_filter_shouldered_reject_fraction"
+            "bitvector_filter_gate_reject_fraction"
         ).set_max(0.0)
         registry.counter("bitvector_filter_myers_checked").inc(31)
         registry.counter("bitvector_filter_myers_rejected").inc(12)
@@ -290,11 +290,11 @@ class TestRenderProfile:
             12 / 31
         )
         table = render_profile(registry, 1.0)
-        shouldered_row = next(
+        gate_row = next(
             l for l in table.splitlines()
-            if l.startswith("bitvector/shouldered")
+            if l.startswith("bitvector/gate")
         )
-        fields = shouldered_row.split()
+        fields = gate_row.split()
         assert fields[1:] == ["31", "0", "12", "0.0%"]
         myers_row = next(
             l for l in table.splitlines() if l.startswith("bitvector/myers")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.filters import filter_names
 from repro.genome.fasta import read_fasta, read_fastq
 
 
@@ -343,7 +344,7 @@ class TestFilterCascadeCli:
         capsys.readouterr()
         assert main(["align", str(ref), str(reads), str(cascade_out),
                      "--pipeline", pipeline, *self.BASE,
-                     "--filters", "shouldered,sneakysnake,myers"]) == 0
+                     "--filters", ",".join(filter_names())]) == 0
         assert "filters rejected" in capsys.readouterr().out
         assert cascade_out.read_text() == plain_out.read_text()
 
@@ -361,7 +362,7 @@ class TestFilterCascadeCli:
         out = tmp_path / "bad.sam"
         with pytest.raises(SystemExit, match="--filters"):
             main(["align", str(ref), str(reads), str(out),
-                  *self.BASE, "--filters", "shouldered,bogus"])
+                  *self.BASE, "--filters", "myers,bogus"])
 
     def test_repeated_filter_name_rejected(self, simulated, tmp_path):
         ref, reads = simulated
