@@ -15,7 +15,7 @@ unfiltered baseline and measures:
   ``full_cascade_*`` acceptance keys of the envelope schema);
 * **mappings_changed** — rows differing from the unfiltered baseline
   (the cascade is lossless; the acceptance bar is 0);
-* **per-stage** checked / rejected / false-accept / cycle counters
+* **per-stage** checked / rejected / cycle counters
   straight from :meth:`FilterCascade.report`;
 * **wall-clock** — elapsed seconds and reads/s against the baseline.
 
@@ -195,7 +195,6 @@ def measure_cascade(
                 "checked": stage.checked,
                 "rejected": stage.rejected,
                 "reject_fraction": stage.reject_fraction,
-                "false_accepts": stage.false_accepts,
                 "cycles": stage.cycles,
             }
             for name, stage in report

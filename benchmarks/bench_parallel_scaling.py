@@ -11,11 +11,16 @@ measures, end to end:
 * **sharded scaling** — ``ParallelAligner`` reads/s at each worker count,
   with every sharded run checked bit-identical to the serial
   ``GenAxAligner.align_batch`` mappings;
-* **kernels** — the bitvector backend's scalar reference kernel vs. the
-  batched NumPy lanes, with the batched run checked bit-identical to the
-  scalar one (``mappings_changed`` must be 0) and the window-dedupe
+* **dispatch** — the bitvector backend with one read per extension
+  dispatch (``align_reads``) vs. one cross-read dispatch per batch
+  (``align_batch``), with the cross-read run checked bit-identical to the
+  per-read one (``mappings_changed`` must be 0) and the window-dedupe
   counters recorded;
 * **combined** — best configuration (max jobs + prefilter + warm cache).
+
+The ``acceptance`` block enforces the concordance bar: every sharded run
+identical to serial, and 0 mappings changed by the prefilter and by
+cross-read dispatch.  The exit status is non-zero when it fails.
 
 Results land in ``benchmarks/results/bench/BENCH_parallel.json`` in the
 unified bench envelope (:mod:`repro.perf.schema`, ``schema_version`` 3:
@@ -45,7 +50,7 @@ from repro.genome.reference import ReferenceGenome
 from repro.parallel import IndexCache, ParallelAligner
 from repro.perf.schema import BENCH_SCHEMA_VERSION, bench_envelope, write_bench
 from repro.perf.workloads import build_illumina_workload
-from repro.pipeline.bitvector import KERNELS, BitvectorAligner, BitvectorConfig
+from repro.pipeline.bitvector import BitvectorAligner, BitvectorConfig
 from repro.pipeline.genax import GenAxAligner, GenAxConfig
 from repro.seeding.accelerator import SeedingAccelerator
 from repro.telemetry import (
@@ -84,11 +89,13 @@ RESULT_SCHEMA: Dict[str, Optional[Sequence[str]]] = {
                   "serial_off_s", "serial_on_s", "speedup"),
     "serial": ("elapsed_s", "reads_per_s"),
     "scaling": ("jobs", "elapsed_s", "reads_per_s", "identical_to_serial"),
-    "kernels": ("kernel", "elapsed_s", "reads_per_s", "speedup_vs_serial",
-                "mappings_changed"),
+    "dispatch": ("dispatch", "elapsed_s", "reads_per_s", "speedup_vs_serial",
+                 "mappings_changed"),
     "speedup_max_jobs_vs_1": None,
     "combined": ("jobs", "prefilter", "elapsed_s", "reads_per_s",
                  "speedup_vs_serial"),
+    "acceptance": ("scaling_identical", "prefilter_mappings_changed",
+                   "dispatch_mappings_changed", "passed"),
 }
 
 
@@ -169,34 +176,37 @@ def measure_index_cache(
     }
 
 
-def timed_align(aligner, reads) -> Tuple[float, list]:
+def timed_align(aligner, reads, per_read: bool = False) -> Tuple[float, list]:
+    align = aligner.align_reads if per_read else aligner.align_batch
     started = monotonic_s()
-    mapped = aligner.align_batch(reads)
+    mapped = align(reads)
     elapsed = monotonic_s() - started
     return elapsed, mapped
 
 
-def measure_kernels(
+def measure_dispatch(
     reference: ReferenceGenome, reads, serial_s: float
 ) -> List[dict]:
-    """Sweep the bitvector backend's kernels (scalar reference vs. batched
-    NumPy lanes).  The scalar run is the concordance baseline: the batched
-    kernel must reproduce its mappings bit-for-bit (``mappings_changed``
-    is the count of rows that differ, and the acceptance bar is 0)."""
+    """Sweep the bitvector backend's extension dispatch: one read per
+    ``extend_batch`` call (``align_reads``) vs. every read's candidates
+    in one call (``align_batch``).  The per-read run is the concordance
+    baseline: cross-read dispatch must reproduce its mappings
+    bit-for-bit (``mappings_changed`` is the count of rows that differ,
+    and the acceptance bar is 0)."""
     results: List[dict] = []
     baseline_key: Optional[list] = None
-    for kernel in ("scalar", "batched"):
-        assert kernel in KERNELS, kernel
+    for dispatch in ("per_read", "cross_read"):
         aligner = BitvectorAligner(
-            reference,
-            BitvectorConfig(k=KMER, edit_bound=EDIT_BOUND, kernel=kernel),
+            reference, BitvectorConfig(k=KMER, edit_bound=EDIT_BOUND)
         )
-        elapsed, mapped = timed_align(aligner, reads)
+        elapsed, mapped = timed_align(
+            aligner, reads, per_read=dispatch == "per_read"
+        )
         key = mapping_key(mapped)
         if baseline_key is None:
             baseline_key = key
         entry = {
-            "kernel": kernel,
+            "dispatch": dispatch,
             "elapsed_s": elapsed,
             "reads_per_s": len(reads) / elapsed,
             "speedup_vs_serial": serial_s / elapsed if elapsed > 0 else
@@ -215,7 +225,7 @@ def measure_kernels(
             "max_batch_lanes": kstats.max_batch_lanes,
         }
         results.append(entry)
-        print(f"kernel={kernel}: {elapsed:.2f}s "
+        print(f"dispatch={dispatch}: {elapsed:.2f}s "
               f"({entry['reads_per_s']:.1f} reads/s, "
               f"{entry['speedup_vs_serial']:.2f}x serial), "
               f"{entry['mappings_changed']} mappings changed, "
@@ -323,8 +333,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                   f"({scaling[-1]['reads_per_s']:.1f} reads/s), "
                   f"identical={identical}")
 
-        # Kernel sweep: scalar reference vs batched NumPy bitvector lanes.
-        kernels = measure_kernels(reference, reads, serial_s)
+        # Dispatch sweep: one read vs every read per bitvector dispatch.
+        dispatch = measure_dispatch(reference, reads, serial_s)
 
         # Best configuration: max jobs + prefilter + warm cache.
         best_jobs = max(shape["jobs"])
@@ -351,6 +361,25 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"telemetry: {telemetry_paths['trace']}, "
               f"{telemetry_paths['metrics']}")
 
+    acceptance = {
+        "scaling_identical": all(
+            entry["identical_to_serial"] for entry in scaling
+        ),
+        "prefilter_mappings_changed": prefilter["mappings_changed"],
+        "dispatch_mappings_changed": sum(
+            entry["mappings_changed"] for entry in dispatch
+        ),
+    }
+    acceptance["passed"] = (
+        acceptance["scaling_identical"]
+        and acceptance["prefilter_mappings_changed"] == 0
+        and acceptance["dispatch_mappings_changed"] == 0
+    )
+    print(f"acceptance: sharded identical={acceptance['scaling_identical']}, "
+          f"{acceptance['prefilter_mappings_changed']} prefilter and "
+          f"{acceptance['dispatch_mappings_changed']} dispatch mappings "
+          f"changed -> {'PASS' if acceptance['passed'] else 'FAIL'}")
+
     result = bench_envelope(
         BENCHMARK,
         quick=args.quick,
@@ -367,11 +396,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             "prefilter": prefilter,
             "serial": serial,
             "scaling": scaling,
-            "kernels": kernels,
+            "dispatch": dispatch,
             "speedup_max_jobs_vs_1": (
                 scaling[-1]["reads_per_s"] / scaling[0]["reads_per_s"]
             ),
             "combined": combined,
+            "acceptance": acceptance,
             # Optional key (not in RESULT_SCHEMA): older files stay valid.
             "telemetry": telemetry_paths,
         },
@@ -383,7 +413,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     write_bench(args.out, result)
     print(f"wrote {args.out} (run {result['run_id']})")
-    return 0
+    return 0 if acceptance["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -208,6 +208,13 @@ def _code_points(text: str) -> NDArray[np.uint32]:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
+#: Traceback-pointer bytes one pass of :func:`batch_banded_extension_align`
+#: may hold.  A lane needs ``(longest window + 1) * (2B + 1)`` bytes: a
+#: 101 bp read at band 40 takes ~11 kB (a pass holds ~2,900 lanes), a
+#: 2 kbp read at band 125 ~0.5 MB (~60 lanes).
+POINTER_BUDGET = 32 << 20
+
+
 def batch_banded_extension_align(
     references: Sequence[str],
     queries: Sequence[str],
@@ -231,7 +238,10 @@ def batch_banded_extension_align(
 
     Scores live for two rows only; traceback keeps one packed pointer
     byte per frame cell per lane, ``(longest window + 1) * lanes *
-    (2B + 1)`` bytes, which the per-lane walk reads back.
+    (2B + 1)`` bytes, which the per-lane walk reads back.  Lanes run in
+    even chunks, in lane order, whose pointer array fits
+    ``POINTER_BUDGET``; a lane's result never depends on the chunk it
+    lands in.
     """
     lanes = len(references)
     if len(queries) != lanes or len(bands) != lanes:
@@ -244,6 +254,31 @@ def batch_banded_extension_align(
             raise ValueError(f"band must be non-negative, got {band}")
     if not lanes:
         return []
+    lane_bytes = (max(len(r) for r in references) + 1) * (2 * max(bands) + 1)
+    chunks = -(-lanes // max(1, POINTER_BUDGET // lane_bytes))
+    size = -(-lanes // chunks)
+    results: List[DPResult] = []
+    for start in range(0, lanes, size):
+        stop = start + size
+        results.extend(
+            _banded_pass(
+                references[start:stop],
+                queries[start:stop],
+                bands[start:stop],
+                scheme,
+            )
+        )
+    return results
+
+
+def _banded_pass(
+    references: Sequence[str],
+    queries: Sequence[str],
+    bands: Sequence[int],
+    scheme: ScoringScheme,
+) -> List[DPResult]:
+    """One vectorised pass of :func:`batch_banded_extension_align`."""
+    lanes = len(references)
     # Longest window first: the lanes still streaming rows at row i are
     # then always a prefix, so finished lanes drop out by slicing.
     order = sorted(range(lanes), key=lambda lane: -len(references[lane]))

@@ -24,7 +24,7 @@ from repro.genome.fasta import read_fasta, read_fastq, write_fasta, write_fastq
 from repro.genome.reads import ReadSimulator, build_profile_reads, profile_names
 from repro.genome.reference import ReferenceGenome, make_reference
 from repro.genome.variants import simulate_variants
-from repro.pipeline.bitvector import KERNELS, BitvectorConfig
+from repro.pipeline.bitvector import BitvectorConfig
 from repro.pipeline.bwamem import BwaMemConfig
 from repro.pipeline.genax import GenAxConfig
 from repro.pipeline.longread import LongReadConfig
@@ -114,13 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pre-alignment filter cascade: registered filter names, "
         f"comma-separated ({', '.join(filter_names())}), or 'none' "
         "(the default); the filter shares the pipeline's edit budget",
-    )
-    align.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="batched",
-        help="extension kernel for --pipeline bitvector "
-        "(batched NumPy lanes vs. the scalar reference)",
     )
     align.add_argument(
         "--cache-dir",
@@ -262,7 +255,6 @@ def _cmd_align(args: argparse.Namespace) -> int:
                 k=args.kmer,
                 edit_bound=args.edit_bound,
                 min_score=args.min_score,
-                kernel=args.kernel,
                 filters=cascade_names,
                 jobs=args.jobs,
             )

@@ -17,7 +17,7 @@ whole dispatch at once costs less than extending them.
 The protocol is structural; :class:`~repro.filters.cascade.FilterCascade`
 checks it once, at construction, and calls ``admit_batch`` once per
 stage per dispatch — the same one-call-per-dispatch shape as
-:class:`~repro.pipeline.stages.BatchExtensionEngine`.
+:class:`~repro.pipeline.stages.ExtensionEngine`'s ``extend_batch``.
 """
 
 from __future__ import annotations
@@ -59,17 +59,10 @@ class CandidateFilter(Protocol):
 
 @dataclass
 class FilterStageStats:
-    """Per-stage cascade counters (mergeable across shards).
-
-    ``false_accepts`` counts candidates this stage admitted that a
-    *later* cascade stage then rejected — the measurable slice of the
-    stage's false-accept rate (candidates the whole cascade admits are
-    resolved by the extension engine, outside the cascade's view).
-    """
+    """Per-stage cascade counters (mergeable across shards)."""
 
     checked: int = 0
     rejected: int = 0
-    false_accepts: int = 0
     cycles: int = 0  # modelled streaming cycles attributed to this stage
 
     @property
@@ -82,14 +75,7 @@ class FilterStageStats:
             return 0.0
         return self.rejected / self.checked
 
-    @property
-    def false_accept_fraction(self) -> float:
-        if not self.survived:
-            return 0.0
-        return self.false_accepts / self.survived
-
     def merge(self, other: "FilterStageStats") -> None:
         self.checked += other.checked
         self.rejected += other.rejected
-        self.false_accepts += other.false_accepts
         self.cycles += other.cycles

@@ -8,7 +8,7 @@ convention), a candidate rejected at stage *i* never reaches stage
 ``candidates_filtered`` when any stage vetoes it, ``candidates_survived``
 when it clears the whole cascade.  The cascade also keeps one
 :class:`~repro.filters.base.FilterStageStats` per stage (checked /
-rejected / false-accept / cycle counters), attributing each stage's
+rejected / cycle counters), attributing each stage's
 ``prefilter_cycles`` delta to the stage that streamed it.
 
 The cascade has one entry point, :meth:`admit_batch_depths`, which the
@@ -19,9 +19,7 @@ A stage without ``admit_batch`` is rejected at construction.
 
 The *depth* of a candidate is the number of stages it passed: a depth
 equal to ``len(cascade)`` means admitted; anything lower names the
-rejecting stage.  Depths drive the telemetry cascade histogram and the
-per-stage false-accept accounting (a rejection at stage *j* charges one
-false accept to every stage before *j*).
+rejecting stage.  Depths drive the telemetry cascade histogram.
 """
 
 from __future__ import annotations
@@ -90,8 +88,6 @@ class FilterCascade:
                     survivors.append(job_index)
                 else:
                     stage_stats.rejected += 1
-                    for earlier in range(index):
-                        self.stage_stats[earlier].false_accepts += 1
             alive = survivors
         admitted_depth = len(self)
         for depth in depths:

@@ -138,7 +138,6 @@ def cell_work_metrics(aligner: Any) -> Dict[str, int]:
             prefix = f"filter_{stage_name}"
             metrics[f"{prefix}_checked"] = stage.checked
             metrics[f"{prefix}_rejected"] = stage.rejected
-            metrics[f"{prefix}_false_accepts"] = stage.false_accepts
             metrics[f"{prefix}_cycles"] = stage.cycles
     kernel = getattr(aligner, "kernel_stats", None)
     if kernel is not None:

@@ -11,24 +11,20 @@ every surviving lane per NumPy step.  Seeding reuses the whole-genome
 SMEM provider the software gold standard uses; the interesting delta is
 the extension stage.
 
-Two kernel variants share one config (``kernel="batched"`` /
-``"scalar"``) and are bit-identical in mappings and
-:class:`~repro.align.records.AlignmentStats` — the scalar variant runs
-the same gate through the pure-Python
-:func:`repro.align.myers.myers_semiglobal_min` and the traceback through
-the scalar :func:`repro.align.banded.banded_extension_align`, one
-candidate at a time, and exists as the in-pipeline cross-check (the
-benchmark's ``kernels`` sweep diffs the two and reports
-``mappings_changed``).
+Kernel equality is held below the pipeline: the ``bitvector-vs-myers``
+and ``bitvector-batch-vs-banded`` difftest pairs pin the gate against the
+scalar Myers recurrence, and ``banded-batch-vs-scalar`` pins the batched
+traceback against :func:`repro.align.banded.banded_extension_align`.
 
-The batched engine also deduplicates lanes before dispatch: within one
+The engine also deduplicates lanes before dispatch: within one
 ``extend_batch`` call, candidate windows requested at the same reference
 span are fetched and encoded once, and fully identical (read, window)
 lanes share one kernel lane and one survivor traceback.
 :class:`BitvectorKernelStats` counts requested vs. fetched windows so the
 dedupe rate is measured, not assumed.  Deduplication never changes
 results or the shared ``AlignmentStats`` — every job is still charged as
-if verified alone (the kernel-identity tests enforce it).
+if verified alone (the ``align_reads`` vs ``align_batch`` tests enforce
+it).
 """
 
 from __future__ import annotations
@@ -36,27 +32,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.banded import (
-    DPResult,
-    banded_extension_align,
-    batch_banded_extension_align,
-)
+from repro.align.banded import DPResult, batch_banded_extension_align
 from repro.align.bitvector import semiglobal_min_lanes
-from repro.align.myers import myers_semiglobal_min
 from repro.align.records import AlignmentStats, MappedRead, ReadInput
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.bwamem import WholeGenomeSeedProvider
-from repro.pipeline.common import Candidate, Extension, window_span
+from repro.pipeline.common import (
+    Candidate,
+    Extension,
+    dp_extension,
+    window_span,
+)
 from repro.pipeline.stages import ExtensionJob, PipelineDriver, StageSet
 from repro.seeding.accelerator import SeedingLane
 from repro.seeding.index import IndexTables, KmerIndex
 from repro.seeding.smem import SmemConfig
-
-KERNELS = ("batched", "scalar")
-"""The selectable extension-kernel variants, batched (NumPy) first."""
-
 
 @dataclass
 class BitvectorConfig:
@@ -67,7 +59,6 @@ class BitvectorConfig:
     min_score: int = 30
     max_candidates: Optional[int] = 64
     scheme: ScoringScheme = field(default_factory=lambda: BWA_MEM_SCHEME)
-    kernel: str = "batched"  # "batched" (NumPy lanes) or "scalar" (reference)
     # Pre-alignment filter cascade: ordered registered filter names
     # (repro.filters.registry), sharing ``edit_bound`` as the budget.
     # None/() disables filtering (the pinned default).
@@ -79,8 +70,8 @@ class BitvectorConfig:
 @dataclass
 class BitvectorKernelStats:
     """Kernel-level counters (engine-scoped, not part of the golden
-    ``AlignmentStats`` surface — both kernel variants must stay
-    bit-identical there)."""
+    ``AlignmentStats`` surface, which must not depend on how jobs are
+    batched or deduplicated)."""
 
     batches: int = 0  # extend_batch dispatches
     lanes: int = 0  # (read, window) verification jobs received
@@ -105,14 +96,16 @@ class BitvectorKernelStats:
         return 1.0 - self.windows_fetched / self.windows_requested
 
 
-class _BitvectorEngineBase:
-    """Shared gate/traceback plumbing for both kernel variants.
+class BatchedBitvectorEngine:
+    """:class:`~repro.pipeline.stages.ExtensionEngine`: Myers gate, then
+    banded traceback for the survivors.
 
-    The contract both must honour identically, per candidate: charge one
-    ``extensions``; reject (``candidates_filtered``) when the semi-global
-    Myers distance of the read vs. its window exceeds the edit bound;
-    otherwise ``candidates_survived`` plus a banded traceback charged to
-    ``dp_cells``.
+    Per job: charge one ``extensions``; reject (``candidates_filtered``)
+    when the semi-global Myers distance of the read vs. its window
+    exceeds the edit bound; otherwise ``candidates_survived`` plus a
+    banded traceback charged to ``dp_cells``.  ``extend`` delegates to a
+    one-job batch, so a single-candidate caller runs the same kernel the
+    driver's ``extend_batch`` dispatch does.
     """
 
     def __init__(
@@ -122,62 +115,6 @@ class _BitvectorEngineBase:
         self.edit_bound = edit_bound
         self.scheme = scheme
         self.kernel_stats = BitvectorKernelStats()
-
-    def _window_span(self, oriented: str, candidate: Candidate) -> Tuple[int, int]:
-        # Deletions in the read consume extra reference, so the window
-        # carries edit_bound bases of slack — the shared window rule
-        # (repro.pipeline.common.window_span) every verification stage
-        # uses; the dedupe caches key on this span.
-        return window_span(candidate, len(oriented), self.edit_bound)
-
-    def _survivor_extension(
-        self,
-        oriented: str,
-        candidate: Candidate,
-        result: DPResult,
-        stats: AlignmentStats,
-    ) -> Extension:
-        stats.candidates_survived += 1
-        stats.dp_cells += result.cells_computed
-        alignment = result.alignment
-        return Extension(
-            candidate=candidate,
-            score=alignment.score,
-            position=max(0, candidate.window_start) + alignment.reference_start,
-            cigar=alignment.cigar,
-            query_end=alignment.query_end,
-        )
-
-
-class ScalarBitvectorEngine(_BitvectorEngineBase):
-    """The reference variant: pure-Python gate, one candidate at a time."""
-
-    def extend(
-        self, oriented: str, candidate: Candidate, stats: AlignmentStats
-    ) -> Optional[Extension]:
-        start, length = self._window_span(oriented, candidate)
-        window = self.reference.fetch(start, start + length)
-        kernel = self.kernel_stats
-        kernel.lanes += 1
-        kernel.kernel_lanes += 1
-        kernel.windows_requested += 1
-        kernel.windows_fetched += 1
-        stats.extensions += 1
-        if myers_semiglobal_min(oriented, window) > self.edit_bound:
-            stats.candidates_filtered += 1
-            return None
-        result = banded_extension_align(
-            window, oriented, self.edit_bound, self.scheme
-        )
-        return self._survivor_extension(oriented, candidate, result, stats)
-
-
-class BatchedBitvectorEngine(_BitvectorEngineBase):
-    """The vectorized variant: a :class:`BatchExtensionEngine`.
-
-    ``extend`` delegates to a one-job batch, so a single-candidate caller
-    runs the same kernel the driver's ``extend_batch`` dispatch does.
-    """
 
     def extend(
         self, oriented: str, candidate: Candidate, stats: AlignmentStats
@@ -205,7 +142,10 @@ class BatchedBitvectorEngine(_BitvectorEngineBase):
         job_lane: List[int] = []
         for oriented, candidate in jobs:
             kernel.windows_requested += 1
-            span = self._window_span(oriented, candidate)
+            # Deletions in the read consume extra reference, so the
+            # window carries edit_bound bases of slack (the shared rule,
+            # repro.pipeline.common.window_span); the cache keys on it.
+            span = window_span(candidate, len(oriented), self.edit_bound)
             window_id = window_ids.get(span)
             if window_id is None:
                 window_id = len(windows)
@@ -245,10 +185,10 @@ class BatchedBitvectorEngine(_BitvectorEngineBase):
                 results.append(None)
                 continue
             # Shared tracebacks still charge every job's dp_cells, so the
-            # counter surface is dedupe-invariant (and kernel-invariant).
-            results.append(
-                self._survivor_extension(oriented, candidate, result, stats)
-            )
+            # counter surface does not depend on the dedupe.
+            stats.candidates_survived += 1
+            stats.dp_cells += result.cells_computed
+            results.append(dp_extension(candidate, result.alignment))
         return results
 
 
@@ -268,21 +208,11 @@ class BitvectorAligner:
     ):
         self.reference = reference
         self.config = config or BitvectorConfig()
-        if self.config.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown bitvector kernel {self.config.kernel!r} "
-                f"(choose from {', '.join(KERNELS)})"
-            )
         smem_config = SmemConfig(k=self.config.k, exact_match_fast_path=True)
         if tables is None:
             tables = self.build_tables(reference, self.config.k)
         self._lane = SeedingLane(tables, smem_config)
-        engine_type = (
-            BatchedBitvectorEngine
-            if self.config.kernel == "batched"
-            else ScalarBitvectorEngine
-        )
-        self._engine = engine_type(
+        self._engine = BatchedBitvectorEngine(
             reference, self.config.edit_bound, self.config.scheme
         )
         self._cascade = build_cascade(
@@ -334,5 +264,5 @@ class BitvectorAligner:
 
     def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
         """Batch mapping: candidates from *all* reads share each kernel
-        dispatch (the throughput path for the batched kernel)."""
+        dispatch (the throughput path)."""
         return self._driver.align_batch(reads)

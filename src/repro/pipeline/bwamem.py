@@ -9,8 +9,11 @@ module reproduces that algorithm in instrumented Python as a
 * seeding (:class:`WholeGenomeSeedProvider`) uses the same SMEM
   definition as the accelerator (it *is* BWA-MEM's definition) over a
   single whole-genome index — software has no reason to segment;
-* extension (:class:`BandedExtensionEngine`) is
-  :func:`repro.align.banded.banded_extension_align` with a 2K+1 band;
+* extension (:class:`BandedExtensionEngine`) is the banded affine-gap
+  DP with a 2K+1 band, run for every candidate of a driver dispatch in
+  one lane-batched :func:`repro.align.banded.batch_banded_extension_align`
+  call (the scalar :func:`repro.align.banded.banded_extension_align` is
+  its oracle);
 * reads whose whole body matches exactly skip extension via the driver's
   shared fast path, like the real tool's perfect-match shortcut.
 
@@ -23,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.banded import banded_extension_align
+from repro.align.banded import batch_banded_extension_align
 from repro.align.records import AlignmentStats, MappedRead, ReadInput
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
-from repro.pipeline.common import Candidate, Extension, fetch_window
-from repro.pipeline.stages import PipelineDriver, StageSet
+from repro.pipeline.common import Extension, dp_extension, fetch_window
+from repro.pipeline.stages import ExtensionJob, PipelineDriver, StageSet
 from repro.seeding.accelerator import GlobalSeed, SeedingLane
 from repro.seeding.index import IndexTables, KmerIndex
 from repro.seeding.smem import ReadBatch, SmemConfig
@@ -69,7 +72,14 @@ class WholeGenomeSeedProvider:
 
 
 class BandedExtensionEngine:
-    """:class:`ExtensionEngine` running banded affine-gap Smith-Waterman."""
+    """:class:`ExtensionEngine` running banded affine-gap Smith-Waterman.
+
+    Every job of a dispatch is aligned in one
+    :func:`~repro.align.banded.batch_banded_extension_align` call at the
+    engine's fixed band — exact against the scalar
+    :func:`~repro.align.banded.banded_extension_align` in score, span,
+    CIGAR and cell count.  There is no gate: every candidate is extended.
+    """
 
     def __init__(
         self, reference: ReferenceGenome, band: int, scheme: ScoringScheme
@@ -78,23 +88,25 @@ class BandedExtensionEngine:
         self.band = band
         self.scheme = scheme
 
-    def extend(
-        self, oriented: str, candidate: Candidate, stats: AlignmentStats
-    ) -> Optional[Extension]:
-        window = fetch_window(
-            self.reference, candidate, len(oriented), self.band
+    def extend_batch(
+        self, jobs: Sequence[ExtensionJob], stats: AlignmentStats
+    ) -> List[Optional[Extension]]:
+        windows = [
+            fetch_window(self.reference, candidate, len(oriented), self.band)
+            for oriented, candidate in jobs
+        ]
+        aligned = batch_banded_extension_align(
+            windows,
+            [oriented for oriented, __ in jobs],
+            [self.band] * len(jobs),
+            self.scheme,
         )
-        result = banded_extension_align(window, oriented, self.band, self.scheme)
-        stats.extensions += 1
-        stats.dp_cells += result.cells_computed
-        alignment = result.alignment
-        return Extension(
-            candidate=candidate,
-            score=alignment.score,
-            position=max(0, candidate.window_start) + alignment.reference_start,
-            cigar=alignment.cigar,
-            query_end=alignment.query_end,
-        )
+        extensions: List[Optional[Extension]] = []
+        for (__, candidate), result in zip(jobs, aligned):
+            stats.extensions += 1
+            stats.dp_cells += result.cells_computed
+            extensions.append(dp_extension(candidate, result.alignment))
+        return extensions
 
 
 class BwaMemAligner:

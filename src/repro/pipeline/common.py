@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.align.cigar import Cigar
-from repro.align.records import MappedRead
+from repro.align.records import Alignment, MappedRead
 from repro.genome.reference import ReferenceGenome
 from repro.genome.sequence import reverse_complement
 from repro.seeding.accelerator import GlobalSeed
@@ -93,6 +93,21 @@ class Extension:
     position: int  # global alignment start (window_start + in-window offset)
     cigar: Optional[Cigar]
     query_end: int  # read bases consumed before clipping
+
+
+def dp_extension(candidate: Candidate, alignment: Alignment) -> Extension:
+    """The :class:`Extension` a DP alignment of *candidate*'s window gives.
+
+    The fetched window starts at ``window_start`` clamped to the genome,
+    so the alignment's in-window offset is added to the clamped start.
+    """
+    return Extension(
+        candidate=candidate,
+        score=alignment.score,
+        position=max(0, candidate.window_start) + alignment.reference_start,
+        cigar=alignment.cigar,
+        query_end=alignment.query_end,
+    )
 
 
 def select_best(

@@ -202,9 +202,8 @@ def publish_cascade(
     """Publish a filter cascade's per-stage counters into a registry.
 
     One counter per (stage, field): ``<backend>_filter_<stage>_checked``
-    / ``_rejected`` / ``_false_accepts`` / ``_cycles``, plus a
-    ``_reject_fraction`` gauge per stage — the observability surface for
-    per-stage reject rates and false-accept charging.  No-op when the
+    / ``_rejected`` / ``_cycles``, plus a ``_reject_fraction`` gauge per
+    stage — the observability surface for per-stage reject rates.  No-op when the
     backend runs without a cascade (or, shard-parallel, when the
     per-stage breakdown died with the worker processes).
     """
@@ -215,11 +214,6 @@ def publish_cascade(
         fields = (
             ("checked", stage.checked, "candidates this stage examined"),
             ("rejected", stage.rejected, "candidates this stage vetoed"),
-            (
-                "false_accepts",
-                stage.false_accepts,
-                "candidates this stage admitted that a later stage vetoed",
-            ),
             ("cycles", stage.cycles, "modelled filter cycles charged"),
         )
         for field, value, help_text in fields:

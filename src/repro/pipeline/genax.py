@@ -97,7 +97,7 @@ class SegmentedSeedProvider:
 
 
 class SillaXExtensionEngine:
-    """:class:`BatchExtensionEngine` over a round-robin pool of SillaX lanes.
+    """:class:`ExtensionEngine` over a round-robin pool of SillaX lanes.
 
     Jobs go to the lanes round-robin in job order, so each lane's
     :class:`LaneStats` (re-run samples included) is the same however the

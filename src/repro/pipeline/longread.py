@@ -13,9 +13,9 @@ short-read backends, and nothing else — the shared
   resolved *per read* from its length by the
   :class:`~repro.pipeline.stages.AdaptivePolicy`, because no fixed K fits
   both a 101 bp and a 30 kbp read (§VIII-A sizes K for exactly one
-  length).  The banded DP is where a kilobase read's time goes, so the
-  engine is batch-capable: every candidate of a driver dispatch that
-  passes the Myers gate is aligned in one
+  length).  The banded DP is where a kilobase read's time goes, so
+  every candidate of a driver dispatch that passes the Myers gate is
+  aligned in one
   :func:`~repro.align.banded.batch_banded_extension_align` call — a band
   row of every lane per NumPy step, each lane at its own band — exact
   against the scalar DP in score, span, CIGAR and cell count.
@@ -31,16 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.banded import (
-    DPResult,
-    banded_extension_align,
-    batch_banded_extension_align,
-)
+from repro.align.banded import batch_banded_extension_align
 from repro.align.myers import myers_semiglobal_min
 from repro.align.records import AlignmentStats, MappedRead, ReadInput
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.genome.reference import ReferenceGenome
-from repro.pipeline.common import Candidate, Extension, fetch_window
+from repro.pipeline.common import (
+    Candidate,
+    Extension,
+    dp_extension,
+    fetch_window,
+)
 from repro.pipeline.stages import (
     AdaptivePolicy,
     ExtensionJob,
@@ -85,7 +86,7 @@ class LongReadConfig:
 
 
 class AdaptiveBandedEngine:
-    """:class:`BatchExtensionEngine` whose band tracks each read's length.
+    """:class:`ExtensionEngine` whose band tracks each read's length.
 
     Identical DP to :class:`~repro.pipeline.bwamem.BandedExtensionEngine`
     except the band is ``policy.params_for(len(oriented)).band`` instead
@@ -104,8 +105,7 @@ class AdaptiveBandedEngine:
     ``extend_batch`` gates every job, then aligns all survivors — each
     with its own read-length band — in one
     :func:`~repro.align.banded.batch_banded_extension_align` call.
-    ``extend`` runs the scalar DP for one job; both return the same
-    extensions and charge the same counters.
+    ``extend`` is a batch of one, for single-candidate callers.
     """
 
     def __init__(
@@ -121,12 +121,7 @@ class AdaptiveBandedEngine:
     def extend(
         self, oriented: str, candidate: Candidate, stats: AlignmentStats
     ) -> Optional[Extension]:
-        gated = self._gate(oriented, candidate, stats)
-        if gated is None:
-            return None
-        window, band = gated
-        result = banded_extension_align(window, oriented, band, self.scheme)
-        return self._extension(candidate, result, stats)
+        return self.extend_batch([(oriented, candidate)], stats)[0]
 
     def extend_batch(
         self, jobs: Sequence[ExtensionJob], stats: AlignmentStats
@@ -148,7 +143,9 @@ class AdaptiveBandedEngine:
             windows, reads, bands, self.scheme
         )
         for index, result in zip(survivors, aligned):
-            results[index] = self._extension(jobs[index][1], result, stats)
+            stats.extensions += 1
+            stats.dp_cells += result.cells_computed
+            results[index] = dp_extension(jobs[index][1], result.alignment)
         return results
 
     def _gate(
@@ -163,21 +160,6 @@ class AdaptiveBandedEngine:
             return None
         stats.candidates_survived += 1
         return window, band
-
-    @staticmethod
-    def _extension(
-        candidate: Candidate, result: DPResult, stats: AlignmentStats
-    ) -> Extension:
-        stats.extensions += 1
-        stats.dp_cells += result.cells_computed
-        alignment = result.alignment
-        return Extension(
-            candidate=candidate,
-            score=alignment.score,
-            position=max(0, candidate.window_start) + alignment.reference_start,
-            cigar=alignment.cigar,
-            query_end=alignment.query_end,
-        )
 
 
 class LongReadAligner:

@@ -280,7 +280,8 @@ BWAMEM_BACKEND = register_backend(
         name="bwamem",
         summary=(
             "the software gold standard: whole-genome SMEM seeding + "
-            "banded affine-gap Smith-Waterman with clipping"
+            "banded affine-gap Smith-Waterman with clipping, every "
+            "candidate of a dispatch in one lane-batched NumPy call"
         ),
         config_type=BwaMemConfig,
         default_config=BwaMemConfig,

@@ -35,22 +35,19 @@ Stage contracts
     stages that vetoes candidate placements before the (expensive)
     extension engine runs, charging work to the shared
     :class:`~repro.align.records.AlignmentStats` and keeping per-stage
-    reject/false-accept counters.  The driver filters every gathered
+    reject and cycle counters.  The driver filters every gathered
     candidate of a batch in one cross-read ``filter_batch`` dispatch
     (:meth:`~repro.filters.FilterCascade.admit_batch_depths`), the way it
     batches extension below.
 :class:`ExtensionEngine`
-    ``extend(oriented, candidate, stats)`` verifies one placement and
-    returns an :class:`~repro.pipeline.common.Extension` (or ``None`` to
-    drop it), charging extension work to the shared stats.
-:class:`BatchExtensionEngine`
-    An :class:`ExtensionEngine` that additionally accepts whole
-    ``extend_batch`` job lists, for engines whose kernels are vectorized
-    across (read, window) lanes (:mod:`repro.align.bitvector`).  The
-    driver detects the capability structurally and dispatches every
-    gathered candidate of a batch in one call — across *all* reads in
-    ``align_batch``, so lane counts reach the hundreds the NumPy kernels
-    need — and calls ``extend`` once per candidate for any other engine.
+    ``extend_batch(jobs, stats)`` verifies a whole job list of (oriented
+    read, candidate) placements and returns one
+    :class:`~repro.pipeline.common.Extension` (or ``None`` to drop it)
+    per job, charging extension work to the shared stats.  It is the one
+    extension contract: the driver dispatches every gathered candidate of
+    a batch in one call — across *all* reads in ``align_batch``, so lane
+    counts reach the hundreds the NumPy kernels need
+    (:mod:`repro.align.bitvector`, :mod:`repro.align.banded`).
 
 Backends compose stages into a :class:`StageSet` and hand it to a
 :class:`PipelineDriver`; the registry (:mod:`repro.pipeline.registry`)
@@ -65,7 +62,6 @@ import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Iterable,
     List,
     Optional,
@@ -110,28 +106,20 @@ class SeedProvider(Protocol):
         ...
 
 
-class ExtensionEngine(Protocol):
-    """Stage 3: verify one candidate placement."""
-
-    def extend(
-        self, oriented: str, candidate: Candidate, stats: AlignmentStats
-    ) -> Optional[Extension]:
-        """Score the read against the candidate window; ``None`` drops it."""
-        ...
-
-
 #: One batched-extension job: the oriented read and the placement to verify.
 ExtensionJob = Tuple[str, Candidate]
 
 
-class BatchExtensionEngine(ExtensionEngine, Protocol):
-    """Stage 3, batch-capable: verify many placements per vectorized call.
+class ExtensionEngine(Protocol):
+    """Stage 3: verify many candidate placements per call.
 
-    ``extend_batch`` must be pure batching — result ``i`` equals what
-    ``extend(*jobs[i], stats)`` would return, and the shared stats must be
-    charged identically (the backend tests hold the batched engines to
-    their scalar ``extend``).  Lanes are therefore free to be regrouped, deduplicated or
-    reordered internally, as long as outputs come back in job order.
+    ``extend_batch`` must be pure batching — result ``i`` does not depend
+    on the other jobs of the call, and the shared stats are charged per
+    job, so one dispatch of *n* jobs charges what *n* dispatches of one
+    job would (the ``align_reads`` vs ``align_batch`` tests hold every
+    backend to it).  Lanes are therefore free to be regrouped,
+    deduplicated or reordered internally, as long as outputs come back in
+    job order.
     """
 
     def extend_batch(
@@ -516,34 +504,15 @@ class PipelineDriver:
             plan.jobs = survivors
 
     def _dispatch_batch(self, plans: Sequence[_ReadPlan]) -> None:
-        """Phase 3: one extend dispatch over every plan's surviving jobs.
-
-        A :class:`BatchExtensionEngine` gets the whole job list in one
-        ``extend_batch`` call; any other engine gets one ``extend`` call
-        per job, in job order — same results, same charges.
-        """
+        """Phase 3: one ``extend_batch`` call over every plan's surviving jobs."""
         jobs = [job for plan in plans for job in plan.jobs]
         if not jobs:
             return
-        extender = self.stages.extender
-        stats = self.stats
         tel = self.telemetry
         if tel is not None:
             tel.stage_begin("extend_batch")
             tel.observe_batch(len(jobs))
-        extend_batch: Optional[
-            Callable[
-                [Sequence[ExtensionJob], AlignmentStats],
-                List[Optional[Extension]],
-            ]
-        ] = getattr(extender, "extend_batch", None)
-        if extend_batch is not None:
-            results = extend_batch(jobs, stats)
-        else:
-            results = [
-                extender.extend(oriented, candidate, stats)
-                for oriented, candidate in jobs
-            ]
+        results = self.stages.extender.extend_batch(jobs, self.stats)
         if tel is not None:
             tel.stage_end("extend_batch")
         if len(results) != len(jobs):

@@ -302,7 +302,7 @@ def render_profile(registry: MetricRegistry, elapsed_s: float) -> str:
 # named <backend>_filter_<stage>_<field>; backends never contain "_".
 _FILTER_METRIC_RE = re.compile(
     r"^(?P<backend>[a-z0-9]+)_filter_(?P<stage>\w+?)_"
-    r"(?P<field>checked|rejected|false_accepts|cycles|reject_fraction)$"
+    r"(?P<field>checked|rejected|cycles|reject_fraction)$"
 )
 _KERNEL_METRIC_RE = re.compile(
     r"^(?P<backend>[a-z0-9]+)_kernel_"
@@ -329,7 +329,7 @@ def _render_filter_stages(registry: MetricRegistry) -> List[str]:
         return []
     lines = [
         f"{'filter stage':<24} {'checked':>10} {'rejected':>10} "
-        f"{'false_acc':>10} {'reject':>7}"
+        f"{'reject':>7}"
     ]
     for backend, stage in sorted(stages):
         fields = stages[(backend, stage)]
@@ -340,8 +340,7 @@ def _render_filter_stages(registry: MetricRegistry) -> List[str]:
         )
         lines.append(
             f"{backend + '/' + stage:<24} {int(checked):>10} "
-            f"{int(rejected):>10} {int(fields.get('false_accepts', 0)):>10} "
-            f"{reject_fraction:>6.1%}"
+            f"{int(rejected):>10} {reject_fraction:>6.1%}"
         )
     return lines
 

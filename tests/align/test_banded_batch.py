@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.align import banded
 from repro.align.banded import (
     banded_extension_align,
     batch_banded_extension_align,
@@ -85,6 +86,27 @@ def test_zero_gap_open():
         [3, 4, 5],
         EDIT_DISTANCE_SCHEME,
     )
+
+
+def test_batch_over_the_pointer_budget_runs_in_chunks(monkeypatch):
+    # 7 lanes with a 13 bp window at band 3 need 14 * 7 = 98 pointer
+    # bytes each; a 200 byte budget forces even chunks of two lanes.
+    references = ["ACGTTGCAACGTA", "ACGTACGT", "TTTTACGTAC", "ACG",
+                  "GATTACAGATTAC", "CCGGAAT", "ACGTTGCAAC"]
+    queries = ["ACGATGCAACG", "ACGTCGT", "TTTACGTACC", "ACGTA",
+               "GATACAGATTA", "CCGAAT", "ACGTGCAAC"]
+    bands = [3, 2, 1, 3, 2, 0, 3]
+    passes = []
+    original = banded._banded_pass
+
+    def counting_pass(*args):
+        passes.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(banded, "POINTER_BUDGET", 200)
+    monkeypatch.setattr(banded, "_banded_pass", counting_pass)
+    assert_matches_scalar(references, queries, bands)
+    assert passes == [2, 2, 2, 1]
 
 
 def test_empty_batch():

@@ -1,8 +1,8 @@
 """Unit tests for the FilterCascade composition semantics.
 
 These tests use stub stages so every property of the cascade itself —
-ordering, short-circuiting, once-per-candidate charging, false-accept
-attribution, the one-``admit_batch``-per-stage dispatch — is pinned
+ordering, short-circuiting, once-per-candidate charging, per-stage
+cycle attribution, the one-``admit_batch``-per-stage dispatch — is pinned
 through the cascade's one entry point, ``admit_batch_depths``,
 independently of any concrete filter kernel (the ``myers`` stage gets
 its own admissibility tests in test_stage_bounds.py).
@@ -124,19 +124,6 @@ class TestScalarPath:
         assert stats.candidates_survived == 1
         assert stats.candidates_filtered == 1
 
-    def test_false_accept_charged_to_every_earlier_stage(self):
-        cascade = FilterCascade(
-            [Stub("a", lambda r: True),
-             Stub("b", lambda r: True),
-             Stub("c", lambda r: False)]
-        )
-        cascade.admit_batch_depths(jobs_for(["AC"]), AlignmentStats())
-        by_name = dict(cascade.report())
-        assert by_name["a"].false_accepts == 1
-        assert by_name["b"].false_accepts == 1
-        assert by_name["c"].false_accepts == 0
-        assert by_name["c"].rejected == 1
-
     def test_cycles_attributed_to_the_charging_stage(self):
         cascade = FilterCascade(
             [Stub("cheap", lambda r: True, cycles=2),
@@ -150,12 +137,10 @@ class TestScalarPath:
         assert stats.prefilter_cycles == 26
 
     def test_stage_stats_derived_fractions(self):
-        stage = FilterStageStats(checked=10, rejected=6, false_accepts=1)
+        stage = FilterStageStats(checked=10, rejected=6)
         assert stage.survived == 4
         assert stage.reject_fraction == pytest.approx(0.6)
-        assert stage.false_accept_fraction == pytest.approx(0.25)
         assert FilterStageStats().reject_fraction == 0.0
-        assert FilterStageStats().false_accept_fraction == 0.0
 
 
 class TestBatchPath:
@@ -182,10 +167,10 @@ class TestBatchPath:
         assert stats.candidates_filtered == 4
         assert stats.prefilter_cycles == 30
         assert [dataclasses.astuple(row) for _, row in cascade.report()] == [
-            # (checked, rejected, false_accepts, cycles)
-            (5, 2, 2, 15),
-            (3, 1, 1, 9),
-            (2, 1, 0, 6),
+            # (checked, rejected, cycles)
+            (5, 2, 15),
+            (3, 1, 9),
+            (2, 1, 6),
         ]
 
     def test_later_stage_sees_only_survivors(self):

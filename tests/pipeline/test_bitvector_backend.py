@@ -2,12 +2,17 @@
 
 Two contracts:
 
-* the batched NumPy kernel and the scalar reference kernel produce
-  bit-identical mappings *and* bit-identical ``AlignmentStats`` (the
-  dedupe/lane bookkeeping lives in the engine-level
+* a cross-read ``align_batch`` dispatch gives the mappings *and* the
+  ``AlignmentStats`` of one-read dispatches (``align_reads``), dirty
+  reads included (the dedupe/lane bookkeeping lives in the engine-level
   ``BitvectorKernelStats``, never in the shared counter surface);
 * the window/lane dedupe counters prove their rates on a crafted
   duplicate-heavy batch.
+
+The kernels themselves are pinned against their scalar references by
+the ``bitvector-vs-myers``, ``bitvector-batch-vs-banded`` and
+``banded-batch-vs-scalar`` difftest pairs, and the backend's mappings
+and stats by the bitvector golden.
 """
 
 import dataclasses
@@ -19,12 +24,11 @@ from repro.pipeline.bitvector import (
     BatchedBitvectorEngine,
     BitvectorAligner,
     BitvectorConfig,
-    ScalarBitvectorEngine,
 )
 from repro.pipeline.common import Candidate
 from repro.telemetry import telemetry_session
 
-from tests.pipeline.golden_fixtures import EDIT_BOUND, mapping_rows
+from tests.pipeline.golden_fixtures import EDIT_BOUND
 
 
 def stats_dict(stats: AlignmentStats):
@@ -37,48 +41,28 @@ def batch(simulated_reads):
 
 
 class TestKernelIdentity:
-    """Scalar reference kernel vs batched NumPy lanes: bit-identical."""
-
-    def test_batched_equals_scalar(self, small_reference, batch):
-        scalar = BitvectorAligner(
-            small_reference,
-            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="scalar"),
-        )
-        batched = BitvectorAligner(
-            small_reference,
-            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="batched"),
-        )
-        scalar_mapped = scalar.align_batch(batch)
-        batched_mapped = batched.align_batch(batch)
-        assert mapping_rows(batched_mapped) == mapping_rows(scalar_mapped)
-        assert stats_dict(batched.stats) == stats_dict(scalar.stats)
+    """Cross-read dispatch vs one read per dispatch: identical output."""
 
     def test_n_read_in_a_batch_matches_scalar(self, small_reference, batch):
         # The packed kernel takes ACGT only; an N lane takes the scalar
         # gate instead of aborting the batch, and scores as a mismatch.
+        # One read per dispatch is the reference the mixed batch must
+        # reproduce record for record and counter for counter.
         read = small_reference.sequence[5000:5101]
         mixed = batch[:6] + [("n_read", read[:50] + "N" + read[51:])] + batch[6:]
-        scalar = BitvectorAligner(
-            small_reference,
-            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="scalar"),
+        per_read = BitvectorAligner(
+            small_reference, BitvectorConfig(edit_bound=EDIT_BOUND)
         )
         batched = BitvectorAligner(
-            small_reference,
-            BitvectorConfig(edit_bound=EDIT_BOUND, kernel="batched"),
+            small_reference, BitvectorConfig(edit_bound=EDIT_BOUND)
         )
         batched_mapped = batched.align_batch(mixed)
-        assert mapping_rows(batched_mapped) == mapping_rows(
-            scalar.align_batch(mixed)
-        )
-        assert stats_dict(batched.stats) == stats_dict(scalar.stats)
+        per_read_mapped = per_read.align_reads(mixed)
+        assert batched_mapped == per_read_mapped
+        assert stats_dict(batched.stats) == stats_dict(per_read.stats)
+        assert batched.kernel_stats.batches == 1
         n_record = batched_mapped[6]
         assert (n_record.position, str(n_record.cigar)) == (5000, "50=1X50=")
-
-    def test_unknown_kernel_rejected(self, small_reference):
-        with pytest.raises(ValueError, match="unknown bitvector kernel"):
-            BitvectorAligner(
-                small_reference, BitvectorConfig(kernel="simd")
-            )
 
     def test_kernel_stats_surface(self, small_reference, batch):
         aligner = BitvectorAligner(
@@ -119,20 +103,6 @@ class TestWindowDedupe:
         # Shared traceback still charges every job's counters identically.
         assert stats.extensions == 4
         assert stats.candidates_survived == 4
-
-    def test_scalar_engine_counts_every_fetch(self, small_reference):
-        engine = ScalarBitvectorEngine(
-            small_reference, EDIT_BOUND, BitvectorConfig().scheme
-        )
-        oriented = small_reference.fetch(500, 601)
-        candidate = Candidate(window_start=500, reverse=False, seed_length=40)
-        stats = AlignmentStats()
-        for _ in range(3):
-            assert engine.extend(oriented, candidate, stats) is not None
-        kstats = engine.kernel_stats
-        assert kstats.windows_requested == 3
-        assert kstats.windows_fetched == 3
-        assert kstats.window_dedupe_rate == 0.0
 
 
 class TestBatchTelemetry:

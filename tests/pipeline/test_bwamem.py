@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.align.banded import banded_extension_align
+from repro.align.records import AlignmentStats
 from repro.genome.sequence import reverse_complement
-from repro.pipeline.bwamem import BwaMemAligner, BwaMemConfig
+from repro.pipeline.bwamem import (
+    BandedExtensionEngine,
+    BwaMemAligner,
+    BwaMemConfig,
+)
+from repro.pipeline.common import Candidate, Extension, fetch_window
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +103,53 @@ class TestBwaMem:
             if not mapped.is_unmapped and abs(mapped.position - sim.true_position) <= 12:
                 near += 1
         assert near >= int(0.8 * len(simulated_reads))
+
+
+class TestBandedExtensionEngine:
+    def test_extend_batch_equals_scalar_dp_per_job(self, small_reference):
+        band = 12
+        scheme = BwaMemConfig().scheme
+        text = small_reference.sequence
+        end = len(text)
+        substituted = list(text[1200:1301])
+        substituted[50] = "A" if substituted[50] != "A" else "C"
+        placements = [
+            (text[700:801], 700),  # exact
+            ("".join(substituted), 1200),  # one substitution
+            (text[5000:5050] + text[5053:5104], 5000),  # 3-base deletion
+            (reverse_complement(text[3000:3101]), 3000),  # wrong strand
+            ("ACGT" * 25 + "A", 9000),  # unrelated read
+            (text[0:95], -6),  # window starts before the genome
+            (text[end - 80 :], end - 80),  # slack runs past the genome end
+            (text[end - 50 :] + "ACGTACGTAC", end - 50),  # read outruns it
+        ]
+        jobs = [
+            (read, Candidate(window_start=start, reverse=False, seed_length=20))
+            for read, start in placements
+        ]
+        expected_stats = AlignmentStats()
+        expected = []
+        for read, candidate in jobs:
+            window = fetch_window(small_reference, candidate, len(read), band)
+            result = banded_extension_align(window, read, band, scheme)
+            expected_stats.extensions += 1
+            expected_stats.dp_cells += result.cells_computed
+            alignment = result.alignment
+            expected.append(
+                Extension(
+                    candidate=candidate,
+                    score=alignment.score,
+                    position=max(0, candidate.window_start)
+                    + alignment.reference_start,
+                    cigar=alignment.cigar,
+                    query_end=alignment.query_end,
+                )
+            )
+        engine = BandedExtensionEngine(small_reference, band, scheme)
+        stats = AlignmentStats()
+        batched = engine.extend_batch(jobs, stats)
+        assert batched == expected
+        assert stats == expected_stats
+        assert (batched[0].position, batched[0].score) == (700, 101)
+        assert batched[5].position == 0
+        assert engine.extend_batch([], AlignmentStats()) == []

@@ -40,11 +40,6 @@ class TestLookup:
         assert backend_for_config(GenAxConfig()).name == "genax"
         assert backend_for_config(BwaMemConfig()).name == "bwamem"
         assert backend_for_config(BitvectorConfig()).name == "bitvector"
-        # Both kernel variants share one config type -> one backend name.
-        assert (
-            backend_for_config(BitvectorConfig(kernel="scalar")).name
-            == "bitvector"
-        )
 
     def test_backend_for_unknown_config_type(self):
         with pytest.raises(ValueError, match="no registered backend"):

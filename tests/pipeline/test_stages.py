@@ -55,16 +55,19 @@ class CountingExtender:
         self.calls = 0
         self.score = score
 
-    def extend(self, oriented, candidate, stats: AlignmentStats):
-        self.calls += 1
-        stats.extensions += 1
-        return Extension(
-            candidate=candidate,
-            score=self.score,
-            position=max(0, candidate.window_start),
-            cigar=None,
-            query_end=len(oriented),
-        )
+    def extend_batch(self, jobs, stats: AlignmentStats):
+        self.calls += len(jobs)
+        stats.extensions += len(jobs)
+        return [
+            Extension(
+                candidate=candidate,
+                score=self.score,
+                position=max(0, candidate.window_start),
+                cigar=None,
+                query_end=len(oriented),
+            )
+            for oriented, candidate in jobs
+        ]
 
 
 class FlagFilter:

@@ -279,7 +279,6 @@ class TestRenderProfile:
         registry = MetricRegistry()
         registry.counter("bitvector_filter_gate_checked").inc(31)
         registry.counter("bitvector_filter_gate_rejected").inc(0)
-        registry.counter("bitvector_filter_gate_false_accepts").inc(12)
         registry.counter("bitvector_filter_gate_cycles").inc(62)
         registry.gauge(
             "bitvector_filter_gate_reject_fraction"
@@ -295,7 +294,7 @@ class TestRenderProfile:
             if l.startswith("bitvector/gate")
         )
         fields = gate_row.split()
-        assert fields[1:] == ["31", "0", "12", "0.0%"]
+        assert fields[1:] == ["31", "0", "0.0%"]
         myers_row = next(
             l for l in table.splitlines() if l.startswith("bitvector/myers")
         )
