@@ -192,13 +192,6 @@ def _banded_traceback(
 #: 3 = F extends.  A byte with neither direction bit is a diagonal step.
 _BIT_UP, _BIT_LEFT, _BIT_E_EXT, _BIT_F_EXT = 1, 2, 4, 8
 
-#: The batched kernel's "no score" value.  Cells outside a lane's DP hold
-#: it, and values derived only from it stay far below any real score
-#: (they move by one penalty or match per cell), so they lose every
-#: comparison against a real value exactly as the scalar ``NEG_INF``
-#: clamps do.  Such cells are never on a traceback path.
-_FLOOR = -(1 << 40)
-
 #: Code outside a string; never a Unicode code point.
 _PAD = 0xFFFFFFFF
 
@@ -208,11 +201,50 @@ def _code_points(text: str) -> NDArray[np.uint32]:
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
 
 
-#: Traceback-pointer bytes one pass of :func:`batch_banded_extension_align`
-#: may hold.  A lane needs ``(longest window + 1) * (2B + 1)`` bytes: a
-#: 101 bp read at band 40 takes ~11 kB (a pass holds ~2,900 lanes), a
-#: 2 kbp read at band 125 ~0.5 MB (~60 lanes).
+#: Memory one pass of :func:`batch_banded_extension_align` may hold for
+#: traceback pointers, one byte per frame cell per lane per row.  A lane
+#: needs ``(longest window + 1) * (2B + 1)`` bytes: a 101 bp read at
+#: band 40 takes ~11 kB (a pass holds ~2,900 lanes), a 2 kbp read at
+#: band 125 ~0.5 MB (~60 lanes).  The row-block buffers of the pass take
+#: at most a further ``POINTER_BUDGET // 16``.
 POINTER_BUDGET = 32 << 20
+
+#: Bytes the row blocks of one pass may hold.
+_BLOCK_BYTES = POINTER_BUDGET // 16
+
+#: Block-buffer bytes per padded frame cell of one block row: nine int32
+#: rows (diagonal scores, F bound, diagonal, F open and extend, H and F,
+#: G, the E prefix maximum) and six byte planes (character equality, the
+#: four pointer bits, the packed pointer byte).
+_BLOCK_CELL_BYTES = 9 * 4 + 6
+
+#: Largest number of score steps the int32 kernel may hold; see
+#: :func:`_score_dtype`.
+_INT32_REACH = 1 << 27
+
+
+def _score_dtype(
+    rows: int, cols: int, width: int, scheme: ScoringScheme
+) -> type:
+    """The kernel's score type: int32 unless a lane could outgrow it.
+
+    A real score, its column ramp, and any value that drifted from the
+    floor each move by at most ``step`` per row, column or frame column,
+    so every value stays within ``(rows + cols + width + 2) * step`` of
+    zero, of the floor or of the floor minus the pad penalty.  While that
+    reach is at most ``_INT32_REACH`` (2^27) the int32 constants of
+    :func:`_banded_pass` (floor -2^29, pad penalty 2^30) keep every cell
+    that is not a real score below every real one, with no overflow;
+    beyond it the pass runs in int64.
+    """
+    step = (
+        max(scheme.match, -scheme.substitution)
+        - scheme.gap_open
+        - scheme.gap_extend
+    )
+    if (rows + cols + width + 2) * step <= _INT32_REACH:
+        return np.int32
+    return np.int64
 
 
 def batch_banded_extension_align(
@@ -236,9 +268,9 @@ def batch_banded_extension_align(
     result *l* equals ``banded_extension_align(references[l],
     queries[l], bands[l], scheme)`` in every field.
 
-    Scores live for two rows only; traceback keeps one packed pointer
-    byte per frame cell per lane, ``(longest window + 1) * lanes *
-    (2B + 1)`` bytes, which the per-lane walk reads back.  Lanes run in
+    Scores live for one block of rows only; traceback keeps one packed
+    pointer byte per frame cell per lane, ``(longest window + 1) * lanes
+    * (2B + 1)`` bytes, which the per-lane walk reads back.  Lanes run in
     even chunks, in lane order, whose pointer array fits
     ``POINTER_BUDGET``; a lane's result never depends on the chunk it
     lands in.
@@ -277,123 +309,210 @@ def _banded_pass(
     bands: Sequence[int],
     scheme: ScoringScheme,
 ) -> List[DPResult]:
-    """One vectorised pass of :func:`batch_banded_extension_align`."""
+    """One vectorised pass of :func:`batch_banded_extension_align`.
+
+    Layout: the live lanes' band rows lie side by side in one flat array,
+    each lane ``[pad, 2B + 1 frame columns, pad]``, so a cell's up-right
+    neighbour (``F``'s source) is the next element and one NumPy call
+    updates a whole row of every lane on contiguous memory.  Scores are
+    held plus a column ramp ``-gap_extend * p`` (``p`` the padded
+    column): ``F`` then steps by constants, the ``E`` chain becomes a
+    plain prefix maximum along each lane's padded row, and every
+    comparison the pointer bits need is unchanged.
+
+    Cells off a lane's DP need no mask.  A real cell reads only real
+    cells, cells left of its row's real span, and ``F`` through the
+    band's right edge.  So ``F`` is clamped to the floor off the DP and
+    on that edge (a ``minimum`` against a bound row), and the left pad's
+    diagonal score is minus a pad penalty, which sinks what the previous
+    lane's ``E`` chain leaves there.  Cells left of the real span then
+    stay within the floor's drift (the floor is ``-2^29`` in int32 and
+    drifts by at most one step per row), cells right of it hold bounded
+    values nothing real reads, and the row maxima clamp both to the
+    floor before they are taken.  :func:`_score_dtype` picks int32 when
+    every such bound fits it.  The column-0 seeds ``(i, 0)`` need no
+    case of their own: ``F`` carries the leading deletion run down from
+    the origin and yields exactly the scalar seed scores.
+
+    Rows run in blocks of as many rows as fit ``_BLOCK_BYTES``
+    (``POINTER_BUDGET // 16``).  A block first builds its diagonal
+    scores and ``F`` bounds in bulk, then runs its rows at eight NumPy
+    calls each, then derives the pointer bits from the rows it stored,
+    packs them into bytes and takes every row's maximum at once.  A
+    block runs every lane still streaming at its first row; a lane that
+    ends inside it computes rows against the pad code, which only lose
+    score and are never read back.
+    """
     lanes = len(references)
     # Longest window first: the lanes still streaming rows at row i are
     # then always a prefix, so finished lanes drop out by slicing.
     order = sorted(range(lanes), key=lambda lane: -len(references[lane]))
-    ref_lens = [len(references[lane]) for lane in order]
-    lane_bands = np.array([bands[lane] for lane in order], dtype=np.int64)
+    ref_lens = np.array([len(references[lane]) for lane in order])
+    query_lens = np.array([len(queries[lane]) for lane in order])
+    lane_bands = np.array([bands[lane] for lane in order])
     top = int(lane_bands.max())
     width = 2 * top + 1
-    rows = ref_lens[0]
+    stride = width + 2
+    rows = int(ref_lens[0])
+    dtype = _score_dtype(rows, int(query_lens.max()), width, scheme)
+    limits = np.iinfo(dtype)
+    floor, ceiling = dtype(limits.min // 4), dtype(limits.max)
+    pad_penalty = dtype(limits.max // 2)
     match, sub = scheme.match, scheme.substitution
     gap_open, gap_extend = scheme.gap_open, scheme.gap_extend
 
-    # Query codes padded so row i reads frame column c = j - i + top at
-    # qcodes[:, i - 1 + c]; ``qdead`` marks the positions off the query.
-    ref_codes = np.full((lanes, rows), _PAD, dtype=np.uint32)
-    qcodes = np.full((lanes, rows + 2 * top), _PAD, dtype=np.uint32)
-    qdead = np.ones((lanes, rows + 2 * top), dtype=np.bool_)
-    row0_run = np.zeros(lanes, dtype=np.int64)  # row-0 gap run: min(m, band)
+    # Query codes padded so row i reads padded column p (frame column
+    # p - 1, query column j = i + p - 1 - top) at qcodes[:, i - 1 + p];
+    # the bounds on j are laid out the same way.  One spare position
+    # gives a pass of empty windows a window too.
+    span = rows + stride
+    ref_codes = np.full((rows, lanes), _PAD, dtype=np.uint32)
+    qcodes = np.full((lanes, span), _PAD, dtype=np.uint32)
     for slot, lane in enumerate(order):
         reference, query = references[lane], queries[lane]
-        ref_codes[slot, : len(reference)] = _code_points(reference)
+        ref_codes[: len(reference), slot] = _code_points(reference)
         reach = min(len(query), rows + top)
-        qcodes[slot, top : top + reach] = _code_points(query[:reach])
-        qdead[slot, top : top + reach] = False
-        row0_run[slot] = min(len(query), bands[lane])
-    columns = np.arange(width, dtype=np.int64)
-    off_band = np.abs(columns - top)[None, :] > lane_bands[:, None]
+        qcodes[slot, top + 1 : top + 1 + reach] = _code_points(query[:reach])
+    j = np.arange(-top, span - top)
+    m = query_lens[:, None]
+    d = np.arange(-top - 1, top + 2)
+    b = lane_bands[:, None]
+    # F is real on 0 <= j <= m inside the band but off its right edge
+    # (the scalar F there reads outside the band); H on 1 <= j <= m.
+    # Pads are outside every band.
+    f_reach = np.where((0 <= j) & (j <= m), ceiling, floor)
+    f_band = np.where((-b <= d) & (d < b), ceiling, floor)
+    h_reach = np.where((1 <= j) & (j <= m), ceiling, floor)
+    h_band = np.where(np.abs(d) <= b, ceiling, floor)
+    windows = np.lib.stride_tricks.sliding_window_view
+    query_rows = windows(qcodes, stride, axis=1).transpose(1, 0, 2)
+    f_rows = windows(f_reach, stride, axis=1).transpose(1, 0, 2)
+    h_rows = windows(h_reach, stride, axis=1).transpose(1, 0, 2)
 
-    # H and F rows carry one padding column each side (always _FLOOR), so
-    # the up-neighbour of frame column c is padded column c + 2.
-    h_prev = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
-    f_prev = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
-    h_cur = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
-    f_cur = np.full((lanes, width + 2), _FLOOR, dtype=np.int64)
-    e_row = np.empty((lanes, width), dtype=np.int64)
-    pointers = np.zeros((rows + 1, lanes, width), dtype=np.uint8)
+    ramp = np.arange(stride, dtype=dtype) * dtype(-gap_extend)
+    flat_ramp = np.tile(ramp, lanes)
+    # (F open, F extend) from the up-right (H, F), in ramped units.
+    f_steps = np.array(
+        [[gap_open + 2 * gap_extend], [2 * gap_extend]], dtype=dtype
+    )
+    plane_shifts = np.arange(4, dtype=np.uint64)[:, None]
 
     # Row 0: the origin, then a leading insertion run along the band.
-    run = np.arange(1, top + 1, dtype=np.int64)
-    on_run = run[None, :] <= row0_run[:, None]
-    h_prev[:, top + 1] = 0
-    h_prev[:, top + 2 : width + 1] = np.where(
-        on_run, gap_open + gap_extend * run, _FLOOR
+    run = np.arange(top + 1)
+    on_run = run <= np.minimum(m, b)
+    row0 = np.full((lanes, stride), floor, dtype=dtype)
+    row0[:, 1 + top : 1 + width] = np.where(
+        on_run,
+        np.where(run > 0, gap_open + gap_extend * run, 0)
+        + ramp[1 + top : 1 + width],
+        floor,
     )
-    pointers[0, :, top + 1 :] = np.where(
-        on_run, _BIT_LEFT | np.where(run > 1, _BIT_E_EXT, 0), 0
+    pointers = np.zeros((rows + 1, lanes, width), dtype=np.uint8)
+    pointers[0, :, top:] = np.where(
+        on_run & (run > 0), _BIT_LEFT | np.where(run > 1, _BIT_E_EXT, 0), 0
     )
+    carry = np.empty((2, lanes * stride), dtype=dtype)
+    carry[0] = row0.ravel()
+    carry[1] = floor
 
-    # E at column c opened from G at c' < c scores
-    # (gap_open + gap_extend * c) + (-gap_extend * c').
-    e_ramp = gap_open + gap_extend * columns
-    g_ramp = -gap_extend * columns
     # Each row's first maximum; row 0 stands for the origin (0, 0).
-    row_best = np.full((rows + 1, lanes), _FLOOR, dtype=np.int64)
+    row_best = np.full((rows + 1, lanes), floor, dtype=dtype)
     row_best[0] = 0
     row_arg = np.full((rows + 1, lanes), top, dtype=np.intp)
     live = lanes
-    for i in range(1, rows + 1):
+    i = 1
+    while i <= rows:
         while ref_lens[live - 1] < i:
             live -= 1
-        hp, fp = h_prev[:live], f_prev[:live]
-        h_row, f_row = h_cur[:live, 1:-1], f_cur[:live, 1:-1]
-        window = slice(i - 1, i - 1 + width)
-        invalid = qdead[:live, window] | off_band[:live]
+        cells = live * stride
+        fit = _BLOCK_BYTES // (cells * _BLOCK_CELL_BYTES)
+        count = min(rows + 1 - i, max(1, fit))
+        block = slice(i - 1, i - 1 + count)
 
-        same = qcodes[:live, window] == ref_codes[:live, i - 1 : i]
-        diag = hp[:, 1:-1] + np.where(same, match, sub)
-        f_open = hp[:, 2:] + (gap_open + gap_extend)
-        f_extend = fp[:, 2:] + gap_extend
-        f_ext = f_extend > f_open
-        f_val = np.maximum(f_open, f_extend)
-        up = f_val > diag
-        g_val = np.maximum(diag, f_val)
-        np.putmask(g_val, invalid, _FLOOR)
-        # Column-0 seed (i, 0), a leading deletion run of length i, sits
-        # at frame column top - i of the lanes whose band reaches it.
-        seed_col = top - i
-        seeded = lane_bands[:live] >= i if seed_col >= 0 else None
-        seed = gap_open + gap_extend * i
-        if seeded is not None:
-            g_val[:, seed_col] = np.where(seeded, seed, g_val[:, seed_col])
-
-        e_val = e_row[:live]
-        e_val[:, 0] = _FLOOR
-        np.add(
-            np.maximum.accumulate(g_val + g_ramp, axis=1)[:, :-1],
-            e_ramp[1:],
-            out=e_val[:, 1:],
+        # Diagonal scores and F bounds of the whole block.
+        same = np.equal(
+            query_rows[block, :live], ref_codes[block, :live, None]
         )
-        left = e_val > g_val
-        np.maximum(g_val, e_val, out=h_row)
-        np.putmask(h_row, invalid, _FLOOR)
-        np.copyto(f_row, f_val)
-        np.putmask(f_row, invalid, _FLOOR)
-        if seeded is not None:
-            h_row[:, seed_col] = np.where(seeded, seed, h_row[:, seed_col])
-            f_row[:, seed_col] = np.where(seeded, seed, f_row[:, seed_col])
+        score = np.multiply(same, dtype(match - sub), dtype=dtype)
+        np.add(score, dtype(sub), out=score)
+        score[:, :, 0] = -pad_penalty
+        f_cap = np.minimum(f_rows[block, :live], f_band[:live])
 
-        ptr = pointers[i, :live]
-        np.copyto(ptr, f_ext)
-        ptr <<= 1
-        # E at c extends E at c - 1 only if that strictly beats opening
-        # from H at c - 1 (both pay gap_extend for the new base).
-        ptr[:, 1:] |= e_val[:, :-1] > h_row[:, :-1] + gap_open
-        ptr <<= 1
-        ptr |= left
-        ptr <<= 1
-        ptr |= up
-        if seeded is not None:
-            seed_ptr = _BIT_UP | (_BIT_F_EXT if i > 1 else 0)
-            ptr[:, seed_col] = np.where(seeded, seed_ptr, ptr[:, seed_col])
+        # hf[t] holds row i - 1 + t as (H, F); hf[0] is the carried row.
+        # The last lane's right pad has no up-right neighbour.
+        hf = np.empty((count + 1, 2, cells), dtype=dtype)
+        hf[0] = carry[:, :cells]
+        hf[1:, 1, -1] = floor
+        f_pair = np.empty((count, 2, cells), dtype=dtype)
+        diag = np.empty((count, cells), dtype=dtype)
+        g = np.empty((count, cells), dtype=dtype)
+        e_max = np.empty((count, cells), dtype=dtype)
+        e = np.empty(cells, dtype=dtype)
+        e[0] = floor
+        e_to = e[1:]
+        block_rows = zip(
+            hf[:-1],
+            hf[1:, 0],
+            hf[1:, 1],
+            hf[1:, 1, :-1],
+            f_pair[:, :, :-1],
+            f_cap.reshape(count, cells),
+            score.reshape(count, cells),
+            diag,
+            g,
+            g.reshape(count, live, stride),
+            e_max.reshape(count, live, stride),
+            e_max[:, :-1],
+        )
+        for (
+            prev, h_row, f_row, f_to, f_from, f_bound, s_row, d_row, g_row,
+            g_lanes, e_lanes, e_from,
+        ) in block_rows:
+            np.add(prev[:, 1:], f_steps, out=f_from)
+            np.maximum(f_from[0], f_from[1], out=f_to)
+            np.minimum(f_row, f_bound, out=f_row)
+            np.add(prev[0], s_row, out=d_row)
+            np.maximum(d_row, f_row, out=g_row)
+            np.maximum.accumulate(g_lanes, axis=1, out=e_lanes)
+            np.add(e_from, gap_open, out=e_to)
+            np.maximum(g_row, e, out=h_row)
 
-        np.max(h_row, axis=1, out=row_best[i, :live])
-        np.argmax(h_row, axis=1, out=row_arg[i, :live])
-        h_prev, h_cur = h_cur, h_prev
-        f_prev, f_cur = f_cur, f_prev
+        # Pointer bits of the block.  At real cells: up iff F > diagonal
+        # iff G > diagonal; left iff E > G iff H > G; E at p extends iff
+        # E[p - 1] > H[p - 1] + gap_open, i.e. the prefix maximum at
+        # p - 2 beats H at p - 1.  Each plane holds one bit per byte;
+        # shifting whole 64-bit words packs eight cells per operation.
+        h = hf[1:, 0]
+        size = count * cells
+        planes = np.empty((4, -(-size // 8) * 8), dtype=np.bool_)
+        bits = planes[:, :size].reshape(4, count, cells)
+        np.greater(g, diag, out=bits[0])
+        np.greater(h, g, out=bits[1])
+        bits[2, :, :2] = False
+        np.greater(e_max[:, :-2], h[:, 1:-1], out=bits[2, :, 2:])
+        np.greater(f_pair[:, 1], f_pair[:, 0], out=bits[3])
+        words = planes.view(np.uint64)
+        np.left_shift(words, plane_shifts, out=words)
+        packed = np.bitwise_or.reduce(words, axis=0).view(np.uint8)
+        pointers[i : i + count, :live] = packed[:size].reshape(
+            count, live, stride
+        )[:, :, 1:-1]
+
+        # Row maxima over real cells; every other cell is clamped to the
+        # floor.  A row past a lane's window never holds a new best (see
+        # above), so its maximum may stand.
+        scores = np.subtract(h, flat_ramp[:cells], out=diag).reshape(
+            count, live, stride
+        )
+        np.minimum(scores, h_rows[block, :live], out=scores)
+        np.minimum(scores, h_band[:live], out=scores)
+        best = scores.argmax(axis=2)
+        row_arg[i : i + count, :live] = best - 1
+        row_best[i : i + count, :live] = np.take_along_axis(
+            scores, best[:, :, None], axis=2
+        )[:, :, 0]
+        carry = hf[count]
+        i += count
 
     # The scalar row-major scan keeps a new best only if strictly greater:
     # the first row holding the overall maximum, at its first maximum.
@@ -445,9 +564,11 @@ def _packed_traceback(
     The walk leaves a non-negative best cell and steps only through cells
     with real scores, each of which points somewhere, so it always ends at
     the origin and needs no stop code (the stop in
-    :func:`_banded_traceback` never fires either).
+    :func:`_banded_traceback` never fires either).  Runs are built during
+    the walk, end first, so the :class:`Cigar` needs no merge pass.
     """
     ops: List[Tuple[int, str]] = []
+    run_op, run_length = "", 0
     i, j = end_i, end_j
     state = "H"
     while i > 0 or j > 0:
@@ -455,22 +576,31 @@ def _packed_traceback(
         if state == "H":
             if byte & _BIT_LEFT:
                 state = "E"
-            elif byte & _BIT_UP:
+                continue
+            if byte & _BIT_UP:
                 state = "F"
-            else:
-                ops.append((1, "=" if reference[i - 1] == query[j - 1] else "X"))
-                i -= 1
-                j -= 1
+                continue
+            op = "=" if reference[i - 1] == query[j - 1] else "X"
+            i -= 1
+            j -= 1
         elif state == "E":
-            ops.append((1, "I"))
+            op = "I"
             j -= 1
             state = "E" if byte & _BIT_E_EXT else "H"
         else:
-            ops.append((1, "D"))
+            op = "D"
             i -= 1
             state = "F" if byte & _BIT_F_EXT else "H"
+        if op == run_op:
+            run_length += 1
+        else:
+            if run_length:
+                ops.append((run_length, run_op))
+            run_op, run_length = op, 1
+    if run_length:
+        ops.append((run_length, run_op))
     ops.reverse()
-    return Cigar.from_ops(ops), i, j
+    return Cigar(ops=tuple(ops)), i, j
 
 
 def banded_extension_score(

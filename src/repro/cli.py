@@ -209,7 +209,10 @@ def _load_reference(path: str) -> ReferenceGenome:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     reference = _load_reference(args.reference)
-    reads = read_fastq(args.reads)
+    try:
+        reads = read_fastq(args.reads)
+    except ValueError as exc:
+        raise SystemExit(f"error: {args.reads}: {exc}")
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     if args.paired:

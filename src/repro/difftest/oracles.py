@@ -793,6 +793,9 @@ def _oracle_sillax_object(case: DiffCase) -> Output:
 #: bitvector backend's 40.
 BANDED_BATCH_BANDS = (0, 1, 2, 3, 5, 8, 13, 21, 40)
 
+#: Smallest band of the batched banded pair's long-read lane.
+LONG_READ_BAND = 64
+
 
 def _banded_batch_lanes(
     case: DiffCase,
@@ -802,8 +805,11 @@ def _banded_batch_lanes(
     The shapes the long-read and bitvector engines hand the kernel: the
     whole window, a window clamped shorter than the read, half the read,
     an empty read, an empty window and a read with ``N`` bases — each
-    lane with its own band, all in one call.  The scheme alternates
-    between BWA-MEM's and the unit-cost one (``gap_open = 0``).
+    lane with its own band, all in one call — plus a long-read lane: the
+    read against four copies of the reference at a band of 64 to 127,
+    so the frame is wide and the other lanes end many rows before it.
+    The scheme alternates between BWA-MEM's and the unit-cost one
+    (``gap_open = 0``).
     """
     reference, query = case.reference, case.query
     shapes = [
@@ -822,6 +828,7 @@ def _banded_batch_lanes(
     lanes = [
         (window, read, band) for (window, read), band in zip(shapes, bands)
     ]
+    lanes.append((reference * 4, query, LONG_READ_BAND + start % 64))
     scheme = EDIT_DISTANCE_SCHEME if case.param("band") % 2 else BWA_MEM_SCHEME
     return lanes, scheme
 
@@ -1386,9 +1393,10 @@ _register(
         name="banded-batch-vs-scalar",
         contract=Contract.EXACT_SCORE,
         description=(
-            "Lane-batched NumPy banded DP (ragged six-lane batch, per-lane "
-            "bands in 0..40) vs the scalar banded DP per lane: every "
-            "DPResult field, CIGAR and cell count included"
+            "Lane-batched NumPy banded DP (ragged seven-lane batch, per-lane "
+            "bands in 0..40 and one long-read lane at 64..127) vs the "
+            "scalar banded DP per lane: every DPResult field, CIGAR and "
+            "cell count included"
         ),
         fast=_fast_banded_batch,
         oracle=_oracle_banded_per_lane,

@@ -53,21 +53,38 @@ def write_fasta(path: PathLike, records: Iterable[Tuple[str, str]], width: int =
                 handle.write(sequence[start : start + width] + "\n")
 
 
+def _fastq_read(number: int, record: List[str]) -> Read:
+    """FASTQ record *number* (1-based) from its lines.
+
+    A malformed record raises a one-line ``ValueError`` that names it by
+    number and, when its header holds one, by read name.
+    """
+    header = record[0].strip()
+    fields = header[1:].split() if header.startswith("@") else []
+    name = fields[0] if fields else ""
+    where = f"FASTQ record {number}" + (f" ({name!r})" if name else "")
+    if len(record) < 4:
+        raise ValueError(f"{where} is truncated: {len(record)} of 4 lines")
+    if not name:
+        raise ValueError(f"{where} header is not '@<name>': {header!r}")
+    sequence, plus, quality = (line.strip() for line in record[1:4])
+    if not plus.startswith("+"):
+        raise ValueError(f"{where} separator does not start with '+': {plus!r}")
+    if len(quality) != len(sequence):
+        raise ValueError(
+            f"{where} has {len(quality)} quality characters for "
+            f"{len(sequence)} bases"
+        )
+    return Read(name=name, sequence=sequence.upper(), quality=quality)
+
+
 def parse_fastq(text: str) -> List[Read]:
-    """Parse FASTQ text into :class:`Read` records."""
+    """Parse FASTQ text into :class:`Read` records (blank lines skipped)."""
     lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) % 4 != 0:
-        raise ValueError(f"FASTQ line count {len(lines)} is not a multiple of 4")
-    reads: List[Read] = []
-    for i in range(0, len(lines), 4):
-        header, sequence, plus, quality = lines[i : i + 4]
-        if not header.startswith("@"):
-            raise ValueError(f"FASTQ record {i // 4} header does not start with '@'")
-        if not plus.startswith("+"):
-            raise ValueError(f"FASTQ record {i // 4} separator does not start with '+'")
-        name = header[1:].split()[0]
-        reads.append(Read(name=name, sequence=sequence.strip().upper(), quality=quality.strip()))
-    return reads
+    return [
+        _fastq_read(start // 4 + 1, lines[start : start + 4])
+        for start in range(0, len(lines), 4)
+    ]
 
 
 def read_fastq(path: PathLike) -> List[Read]:
@@ -87,19 +104,16 @@ def write_fastq(path: PathLike, reads: Iterable[Read]) -> None:
 def iter_fastq(path: PathLike) -> Iterator[Read]:
     """Stream reads from a FASTQ file without loading it wholesale."""
     with open(path) as handle:
+        number = 0
         while True:
             header = handle.readline()
             if not header:
                 return
-            sequence = handle.readline()
-            plus = handle.readline()
-            quality = handle.readline()
-            if not quality:
-                raise ValueError("truncated FASTQ record at end of file")
-            if not header.startswith("@") or not plus.startswith("+"):
-                raise ValueError("malformed FASTQ record")
-            yield Read(
-                name=header[1:].strip().split()[0],
-                sequence=sequence.strip().upper(),
-                quality=quality.strip(),
-            )
+            number += 1
+            record = [header]
+            for _ in range(3):
+                line = handle.readline()
+                if not line:
+                    break
+                record.append(line)
+            yield _fastq_read(number, record)

@@ -7,8 +7,9 @@ other comes back unmapped — too many sequencing errors for seeding, or
 repeat-masked seed lists — the pair constraint turns an intractable
 whole-genome search into a tiny banded-DP problem over the predicted
 insert window.  Every production mapper ships this stage (BWA-MEM calls it
-mate rescue / mate-SW); here it is the driver-level stage
-:meth:`repro.pipeline.stages.PipelineDriver.align_pairs` delegates to.
+mate rescue / mate-SW); here ``repro align --paired``
+(:func:`repro.cli._resolve_read_pairs`) calls it on the mates one
+``align_batch`` mapped.
 
 The search itself is two-phase, the same shape as the main pipeline:
 :func:`~repro.align.myers.myers_search` scans the window for end positions
@@ -41,7 +42,7 @@ RESCUE_START_CAP = 64
 
 @dataclass
 class PairStats:
-    """Pair-level counters (the ``align_pairs`` observability surface)."""
+    """Pair-level counters (the ``--paired`` run summary reports them)."""
 
     pairs_total: int = 0
     both_mapped: int = 0  # pairs with both ends mapped (incl. rescued)

@@ -61,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Iterable,
     List,
     Optional,
@@ -89,9 +88,6 @@ from repro.pipeline.common import (
 )
 from repro.seeding.accelerator import GlobalSeed
 from repro.telemetry.runtime import PipelineTelemetry, active_telemetry
-
-if TYPE_CHECKING:
-    from repro.pipeline.pairs import PairMapping, PairRescuer
 
 
 class SeedProvider(Protocol):
@@ -333,42 +329,6 @@ class PipelineDriver:
         for read in reads:
             name, sequence = as_named_read(read)
             out.append(self.align_read(name, sequence))
-        return out
-
-    def align_pairs(
-        self,
-        pairs: Iterable[Tuple[ReadInput, ReadInput]],
-        rescuer: Optional["PairRescuer"] = None,
-    ) -> List["PairMapping"]:
-        """Map mate pairs, with optional insert-window mate rescue.
-
-        Both mates run through the ordinary single-end loop first.  When a
-        :class:`~repro.pipeline.pairs.PairRescuer` is supplied and exactly
-        one end maps confidently, the rescuer re-searches the mate inside
-        the insert-size window the library's distribution predicts —
-        recovering placements the seeding stage missed (too many errors,
-        repeat-masked seeds) at banded-DP cost bounded by the window.  The
-        rescuer charges its DP work to this driver's shared stats and
-        keeps its own :class:`~repro.pipeline.pairs.PairStats`.
-        """
-        from repro.pipeline.pairs import resolve_pair
-
-        out: List["PairMapping"] = []
-        for first, second in pairs:
-            first_name, first_seq = _folded(first)
-            second_name, second_seq = _folded(second)
-            mapped_first = self.align_read(first_name, first_seq)
-            mapped_second = self.align_read(second_name, second_seq)
-            out.append(
-                resolve_pair(
-                    mapped_first,
-                    mapped_second,
-                    first_seq,
-                    second_seq,
-                    rescuer,
-                    self.stats,
-                )
-            )
         return out
 
     def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:

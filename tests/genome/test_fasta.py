@@ -1,5 +1,7 @@
 """Tests for repro.genome.fasta."""
 
+import re
+
 import pytest
 
 from repro.genome.fasta import (
@@ -67,6 +69,21 @@ class TestFastq:
     def test_bad_separator(self):
         with pytest.raises(ValueError):
             parse_fastq("@r1\nACGT\n-\nIIII\n")
+
+    def test_errors_name_the_record(self):
+        good = "@r1\nACGT\n+\nIIII\n"
+        cases = [
+            (good + "@r2\nAC\n", "record 2 ('r2') is truncated: 2 of 4"),
+            (good + "r2\nAC\n+\nII\n", "record 2 header is not '@<name>'"),
+            (good + "@\nAC\n+\nII\n", "record 2 header is not '@<name>'"),
+            (good + "@r2\nAC\n-\nII\n",
+             "record 2 ('r2') separator does not start with '+'"),
+            (good + "@r2 x\nAC\n+\nIII\n",
+             "record 2 ('r2') has 3 quality characters for 2 bases"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_fastq(text)
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "reads.fq"

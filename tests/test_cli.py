@@ -1,7 +1,12 @@
 """Tests for the repro-genax command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.filters import filter_names
 from repro.genome.fasta import read_fasta, read_fastq
@@ -458,3 +463,42 @@ class TestScenarioProfiles:
         assert code == 0
         assert "longread" in capsys.readouterr().out
         assert out.exists()
+
+
+class TestMalformedFastq:
+    """A malformed FASTQ ends ``align`` with one line naming the record."""
+
+    def _align(self, simulated, tmp_path, text):
+        ref, __ = simulated
+        bad = tmp_path / "bad.fq"
+        bad.write_text(text)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        return bad, subprocess.run(
+            [sys.executable, "-m", "repro.cli", "align", str(ref), str(bad),
+             str(tmp_path / "out.sam")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_nine_line_file_names_the_truncated_record(
+        self, simulated, tmp_path
+    ):
+        text = "@r1\nACGT\n+\nIIII\n@r2\nACGG\n+\nIIII\n@r3\n"
+        bad, result = self._align(simulated, tmp_path, text)
+        assert result.returncode != 0
+        assert result.stderr.splitlines() == [
+            f"error: {bad}: FASTQ record 3 ('r3') is truncated: 1 of 4 lines"
+        ]
+
+    def test_quality_length_mismatch_names_the_record(
+        self, simulated, tmp_path
+    ):
+        text = "@r1\nACGT\n+\nIIII\n@r2\nACGTA\n+\nIIII\n"
+        bad, result = self._align(simulated, tmp_path, text)
+        assert result.returncode != 0
+        assert result.stderr.splitlines() == [
+            f"error: {bad}: FASTQ record 2 ('r2') has 4 quality characters "
+            "for 5 bases"
+        ]
+        assert not (tmp_path / "out.sam").exists()
