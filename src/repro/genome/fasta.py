@@ -7,6 +7,7 @@ dependency-free implementations sufficient for the examples and tests.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple, Union
 
@@ -78,13 +79,22 @@ def _fastq_read(number: int, record: List[str]) -> Read:
     return Read(name=name, sequence=sequence.upper(), quality=quality)
 
 
+def _fastq_records(lines: Iterator[str]) -> Iterator[Read]:
+    """Group FASTQ *lines* four to a record, blank lines included.
+
+    A zero-length read has a blank sequence and a blank quality line, so
+    blank lines are never dropped inside the input; only blank lines
+    after the last record are ignored.
+    """
+    for number, header in enumerate(lines, start=1):
+        if not header.strip() and not any(line.strip() for line in lines):
+            return  # nothing but blank lines after the last record
+        yield _fastq_read(number, [header, *islice(lines, 3)])
+
+
 def parse_fastq(text: str) -> List[Read]:
-    """Parse FASTQ text into :class:`Read` records (blank lines skipped)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    return [
-        _fastq_read(start // 4 + 1, lines[start : start + 4])
-        for start in range(0, len(lines), 4)
-    ]
+    """Parse FASTQ text into :class:`Read` records, as :func:`iter_fastq` does."""
+    return list(_fastq_records(iter(text.splitlines())))
 
 
 def read_fastq(path: PathLike) -> List[Read]:
@@ -104,16 +114,4 @@ def write_fastq(path: PathLike, reads: Iterable[Read]) -> None:
 def iter_fastq(path: PathLike) -> Iterator[Read]:
     """Stream reads from a FASTQ file without loading it wholesale."""
     with open(path) as handle:
-        number = 0
-        while True:
-            header = handle.readline()
-            if not header:
-                return
-            number += 1
-            record = [header]
-            for _ in range(3):
-                line = handle.readline()
-                if not line:
-                    break
-                record.append(line)
-            yield _fastq_read(number, record)
+        yield from _fastq_records(handle)

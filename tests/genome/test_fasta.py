@@ -85,6 +85,26 @@ class TestFastq:
             with pytest.raises(ValueError, match=re.escape(message)):
                 parse_fastq(text)
 
+    def test_zero_length_read_keeps_later_records_in_step(self, tmp_path):
+        text = "@r1\n\n+\n\n@r2\nACGT\n+\nIIII\n"
+        reads = [Read("r1", "", ""), Read("r2", "ACGT", "IIII")]
+        assert parse_fastq(text) == reads
+        path = tmp_path / "reads.fq"
+        path.write_text(text)
+        assert list(iter_fastq(path)) == reads
+
+    def test_blank_lines_after_the_last_record_are_ignored(self, tmp_path):
+        text = "@r1\nACGT\n+\nIIII\n\n  \n"
+        path = tmp_path / "reads.fq"
+        path.write_text(text)
+        assert parse_fastq(text) == list(iter_fastq(path)) == [
+            Read("r1", "ACGT", "IIII")
+        ]
+
+    def test_blank_line_between_records_is_an_error(self):
+        with pytest.raises(ValueError, match=re.escape("record 2 header")):
+            parse_fastq("@r1\nACGT\n+\nIIII\n\n@r2\nACGT\n+\nIIII\n")
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "reads.fq"
         reads = [Read("a", "ACGT", "IIII"), Read("b", "GGTT", "JJJJ")]

@@ -9,6 +9,7 @@ a round-robin pool of object-machine lanes does.
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.sillax.dense as dense
@@ -107,6 +108,15 @@ class TestEdgeLanes:
         scheme = ScoringScheme(match=2, substitution=-1, gap_open=-2, gap_extend=-1)
         _assert_matches_object(3, _random_lanes(5, 12), scheme)
 
+    def test_gap_open_wins_a_tie_with_extend(self):
+        # With a free gap open, reopening ties with extending: the record
+        # must say "open", as the object machine's does.
+        scheme = ScoringScheme(match=1, substitution=-1, gap_open=0, gap_extend=-1)
+        (result,) = _assert_matches_object(
+            5, [("ACTCAGCAGTTCCGGT", "ACCGTCAGCAGTTCCGGTT")], scheme
+        )
+        assert "I" in str(result.cigar)
+
     def test_non_acgt_characters(self):
         _assert_matches_object(2, [("ATBCD", "GABCD"), ("NNACGT", "ACGTNN")])
 
@@ -157,11 +167,72 @@ class TestBatchEquivalence:
         lanes = _random_lanes(11, 17)
         machine = DenseTracebackMachine(4)
         per_job = [machine.align(window, read) for window, read in lanes]
-        monkeypatch.setattr(dense, "PROVENANCE_BUDGET", budget)
+        monkeypatch.setattr(dense, "HISTORY_BUDGET", budget)
         batched = machine.align_batch(
             [w for w, __ in lanes], [r for __, r in lanes]
         )
         assert batched == per_job
+
+
+class TestRegistersAndChunks:
+    def test_int32_registers_when_the_int16_guard_fails(self, monkeypatch):
+        lanes = _random_lanes(13, 10)
+        lanes.append(TWO_RERUNS[:2])
+        k = TWO_RERUNS[2]
+        windows = [w for w, __ in lanes]
+        reads = [r for __, r in lanes]
+        forward = dense.dense_forward(k, BWA_MEM_SCHEME, windows, reads)
+        assert forward.history.dtype == np.int16
+        monkeypatch.setattr(dense, "_INT16_REACH", 0)
+        forward = dense.dense_forward(k, BWA_MEM_SCHEME, windows, reads)
+        assert forward.history.dtype == np.int32
+        assert forward.zero == 2**30
+        got = _assert_matches_object(k, lanes)
+        assert got[-1].rerun_count == 2
+
+    def test_overflowing_batch_rejected(self, monkeypatch):
+        monkeypatch.setattr(dense, "_INT16_REACH", 0)
+        monkeypatch.setattr(dense, "_INT32_REACH", 1)
+        with pytest.raises(ValueError, match="overflow"):
+            DenseTracebackMachine(2).align("ACGT", "ACGT")
+
+    def test_chunk_boundary_lanes(self, monkeypatch):
+        """Nine lanes at three per chunk: lanes 3 and 5 open and close a chunk."""
+        k = TWO_RERUNS[2]
+        lanes = _random_lanes(17, 9)
+        lanes[3] = TWO_RERUNS[:2]
+        lanes[5] = ("ACGTTGCAACGTTGCA", "ACGTTGCAACGTTGCA")
+        windows = [w for w, __ in lanes]
+        reads = [r for __, r in lanes]
+        cycles = max(len(text) for text in windows + reads) + k + 2
+        lane_bytes = (cycles + 1) * 2 * (k + 2) ** 2 * 2  # int16 registers
+        monkeypatch.setattr(dense, "HISTORY_BUDGET", 3 * lane_bytes)
+        chunks = []
+        forward = dense.dense_forward
+
+        def recording_forward(k, scheme, references, queries):
+            chunks.append(list(references))
+            return forward(k, scheme, references, queries)
+
+        monkeypatch.setattr(dense, "dense_forward", recording_forward)
+        got = _assert_matches_object(k, lanes)
+        assert chunks == [windows[0:3], windows[3:6], windows[6:9]]
+        assert got[3].rerun_count == 2
+        assert str(got[5].cigar) == "16="
+
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_ragged_batch_with_empty_strings_and_n_bases(self, k):
+        lanes = [
+            ("", "ACGTACGT"),
+            ("ACGTACGTAC", ""),
+            ("", ""),
+            ("ACGNTACNNGTA", "ACGTTACNGTA"),
+            ("NNNNACGT", "NNNNACGT"),
+            ("TTGACCATGGCATTACGATCCA", "TTGACCATGNCATTACGTCCA"),
+        ] + _random_lanes(k + 200, 6)
+        got = _assert_matches_object(k, lanes)
+        assert got[0].alignment is None and got[1].alignment is None
+        assert str(got[4].cigar) == "8="  # the machine compares raw characters
 
 
 def _extension_jobs(reference, count, seed):
