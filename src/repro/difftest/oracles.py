@@ -87,6 +87,7 @@ from repro.seeding.smem_oracle import (
     CamWalkFinder,
     brute_force_exact_match,
     brute_force_smems,
+    seed_reads_per_segment,
 )
 from repro.sillax.dense import DenseTracebackMachine
 from repro.sillax.traceback_machine import TracebackMachine, TracebackResult
@@ -585,6 +586,101 @@ def _fast_rmem_batch(case: DiffCase) -> Output:
 
 def _oracle_rmem_cam_walk(case: DiffCase) -> Output:
     return _rmem_run(case, CamWalkFinder)
+
+
+#: Segment counts the ``segments-one-pass-vs-per-segment`` pair stacks.
+_STACK_SEGMENT_COUNTS = (1, 3, 8)
+
+
+def _stack_setup(
+    case: DiffCase,
+) -> Tuple[ReferenceGenome, List[str], List[SmemConfig]]:
+    """Reference, read batch and configs of one segmented-seeding case.
+
+    The reference is the case's reference, its first half and the
+    reference again, so k-mers repeat across segments.  The batch is the
+    query, its reverse complement, a copy with an ``N``, a read one base
+    shorter than k, reference substrings across the first cut of the
+    three- and of the eight-segment split, and one that matches exactly
+    (the fast path).  Both fast-path settings run; the CAM size, binary
+    fallback, probing and ``SMEM_FIXED`` come from the bits of a checksum
+    of the case.
+    """
+    k = case.param("smem_k")
+    sequence = case.reference + case.reference[: len(case.reference) // 2]
+    sequence += case.reference
+    query = case.query
+    middle = len(query) // 2
+    reads = [
+        query,
+        reverse_complement(query),
+        query[:middle] + "N" + query[middle + 1 :],
+        query[: k - 1],
+    ]
+    for cut in (len(sequence) // 3, len(sequence) // 8):
+        reads.append(sequence[max(0, cut - k) : cut + 2 * k])
+    reads.append(sequence[len(sequence) // 2 : len(sequence) // 2 + len(query)])
+    salt = zlib.crc32(f"{sequence}|{query}|{k}".encode())
+    configs = [
+        SmemConfig(
+            k=k,
+            cam_size=_RMEM_CAM_SIZES[salt % len(_RMEM_CAM_SIZES)],
+            use_binary_fallback=bool(salt & 4),
+            probe=bool(salt & 8),
+            mode=SeedingMode.SMEM_FIXED if salt & 16 else SeedingMode.SMEM,
+            exact_match_fast_path=fast_path,
+        )
+        for fast_path in (False, True)
+    ]
+    return ReferenceGenome(sequence), reads, configs
+
+
+def _stack_run(case: DiffCase, one_pass: bool) -> Output:
+    """Seeds and every ``SeedingStats`` counter, per segment count and config.
+
+    Segments overlap by k bases, so a read crossing a cut seeds in both
+    neighbours and the merge removes the duplicated hits.
+    """
+    reference, reads, configs = _stack_setup(case)
+    k = case.param("smem_k")
+    out = []
+    for count in _STACK_SEGMENT_COUNTS:
+        for config in configs:
+            tables = build_segment_tables(reference.segments(count, overlap=k), k)
+            if one_pass:
+                accelerator = SeedingAccelerator(
+                    reference, config, segment_count=count, tables=tables
+                )
+                seeds = accelerator.seed_reads(reads)
+                stats = accelerator.stats
+            else:
+                seeds, stats = seed_reads_per_segment(tables, config, reads)
+            out.append(
+                {
+                    "seeds": [
+                        [
+                            [
+                                seed.read_offset,
+                                seed.length,
+                                list(seed.positions),
+                                seed.exact_whole_read,
+                            ]
+                            for seed in row
+                        ]
+                        for row in seeds
+                    ],
+                    "stats": dataclasses.asdict(stats),
+                }
+            )
+    return out
+
+
+def _fast_segments_one_pass(case: DiffCase) -> Output:
+    return _stack_run(case, one_pass=True)
+
+
+def _oracle_segments_per_segment(case: DiffCase) -> Output:
+    return _stack_run(case, one_pass=False)
 
 
 # ------------------------------------------------- batched bit-parallel
@@ -1331,6 +1427,21 @@ _register(
         ),
         fast=_fast_rmem_batch,
         oracle=_oracle_rmem_cam_walk,
+        spec=_SEEDING_SPEC,
+    )
+)
+_register(
+    OraclePair(
+        name="segments-one-pass-vs-per-segment",
+        contract=Contract.EXACT_SCORE,
+        description=(
+            "Segmented seeding in one RMEM pass over every segment vs a "
+            "CAM walk per segment and the per-read merge, at 1/3/8 "
+            "segments with the fast path off and on: every seed, hit "
+            "list and SeedingStats field"
+        ),
+        fast=_fast_segments_one_pass,
+        oracle=_oracle_segments_per_segment,
         spec=_SEEDING_SPEC,
     )
 )

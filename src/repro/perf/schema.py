@@ -18,8 +18,10 @@ envelope fixes that:
 * ``run_id`` — a content address (SHA-256 prefix) over everything except
   the volatile labels, so the history store is append-once and a gate
   diagnostic can name its baseline unambiguously.
-* ``git_sha`` / ``recorded_utc`` — labels, via the same helpers the run
-  manifests use (:mod:`repro.telemetry.manifest`).
+* ``git_sha`` / ``git_dirty`` / ``recorded_utc`` — labels, via the same
+  helpers the run manifests use (:mod:`repro.telemetry.manifest`).
+  ``git_dirty`` is true when tracked files differ from ``git_sha``, so a
+  run on an uncommitted tree is not mistaken for a run of that commit.
 
 Every committed ``BENCH_*.json`` is an envelope, so :func:`load_bench`
 accepts the envelope version only and names any other version it meets.
@@ -37,7 +39,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 import numpy
 
 from repro.telemetry.clock import utc_now_iso
-from repro.telemetry.manifest import config_fingerprint, git_commit
+from repro.telemetry.manifest import config_fingerprint, git_commit, git_dirty
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -54,9 +56,9 @@ __all__ = [
 BENCH_SCHEMA_VERSION = 3
 
 #: Envelope keys excluded from the content address: labels that may
-#: differ between byte-identical measurements ("when was it recorded"
-#: and the address itself).
-_VOLATILE_KEYS = ("run_id", "recorded_utc", "history")
+#: differ between byte-identical measurements ("when was it recorded",
+#: "was the tree committed" and the address itself).
+_VOLATILE_KEYS = ("run_id", "recorded_utc", "git_dirty", "history")
 
 
 def _cpu_model() -> str:
@@ -129,6 +131,7 @@ def bench_envelope(
         "quick": bool(quick),
         "machine": machine_info(),
         "git_sha": git_commit(),
+        "git_dirty": git_dirty(),
         "workload": dict(workload),
         "payload": dict(payload),
         "recorded_utc": utc_now_iso(),
@@ -152,12 +155,16 @@ def load_bench(path: Union[str, Path]) -> Dict[str, Any]:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a JSON object")
     version = data.get("schema_version")
-    if version == BENCH_SCHEMA_VERSION:
-        return data
-    raise ValueError(
-        f"{path}: unsupported bench schema_version {version!r} "
-        f"(expected {BENCH_SCHEMA_VERSION})"
-    )
+    if version != BENCH_SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: unsupported bench schema_version {version!r} "
+            f"(expected {BENCH_SCHEMA_VERSION})"
+        )
+    # Envelopes written before the label existed have no git_dirty.
+    dirty = data.get("git_dirty")
+    if dirty is not None and not isinstance(dirty, bool):
+        raise ValueError(f"{path}: git_dirty must be true, false or null, got {dirty!r}")
+    return data
 
 
 def ensure_bench_out(path: Union[str, Path]) -> Path:

@@ -5,9 +5,10 @@
   binary-search fallback, as a cost model over list lengths.
 * :mod:`repro.seeding.smem` — the RMEM/SMEM algorithm with the paper's
   optimizations (stride halving, probing, exact-match fast path), run as
-  one batched search per segment and read batch.
-* :mod:`repro.seeding.smem_oracle` — brute-force ground truth and the
-  per-pivot CAM walk the batched search is checked against.
+  one batched search per read batch over every segment.
+* :mod:`repro.seeding.smem_oracle` — brute-force ground truth, the
+  per-pivot CAM walk and the segment-at-a-time accelerator the batched
+  search is checked against.
 * :mod:`repro.seeding.accelerator` — seeding lanes and the segmented
   accelerator front-end.
 """

@@ -6,19 +6,24 @@ SRAM.  Segments are processed sequentially: tables for one segment are
 streamed in, *all* reads are seeded against it, then the next segment's
 tables replace them — that is what buys table locality (§V).
 
-This model keeps the same structure so hit counts, CAM lookups and table
-traffic are measurable; lane-level parallelism is accounted (not threaded).
+This model charges the same work so hit counts, CAM lookups and table
+traffic are measurable: each segment's tables are charged once per read
+batch, and every lookup and intersection against each segment is
+counted as the hardware would make it; lane-level parallelism is
+accounted (not threaded).  The search itself runs once per batch, not
+once per segment: a batch's reads are encoded once
+(:class:`~repro.seeding.smem.ReadBatch`), and one RMEM search pass
+(:meth:`~repro.seeding.smem.SmemFinder.seed_segments`) answers every
+pivot of the batch against every segment, its rows stacked segment-major.
 Every index access is by integer k-mer code, as in the hardware's
-direct-mapped fetch: a batch's reads are encoded once
-(:class:`~repro.seeding.smem.ReadBatch`), and per segment one RMEM search
-pass (:meth:`~repro.seeding.smem.SmemFinder.seed_batch`) answers every
-pivot of the batch.
+direct-mapped fetch.  The segment-at-a-time loop is the oracle
+(:func:`~repro.seeding.smem_oracle.seed_reads_per_segment`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.genome.reference import ReferenceGenome, SegmentView
 from repro.seeding.cache import IndexCache
@@ -164,51 +169,51 @@ class SeedingAccelerator:
                 )
                 for view in self.segments
             ]
-        self.stats = SeedingStats()
+        # One finder over every segment's index; its counters are the
+        # accelerator's, so each search charges them in place.
+        self._finder = SmemFinder(
+            [tables.index for tables in self.tables], self.config
+        )
+        self.stats = SeedingStats(
+            finder=self._finder.stats, intersections=self._finder.engine.stats
+        )
 
     @property
     def sram_bytes_per_segment(self) -> int:
         return max(tables.sram_bytes for tables in self.tables)
 
     def seed_reads(self, reads: Sequence[str]) -> List[List[GlobalSeed]]:
-        """Seed every read against every segment (segment-major order).
+        """Seed every read against every segment (one search pass).
 
         Returns, per read, the merged seed list across all segments with
-        duplicate (offset, length, position) hits removed.
+        duplicate (offset, length, position) hits removed, one seed per
+        (offset, length) in ascending order.
         """
-        merged: List[Dict[Tuple[int, int, int], None]] = [dict() for _ in reads]
-        exact: List[bool] = [False] * len(reads)
-        batch = ReadBatch(reads, self.config.k)
-        for tables in self.tables:
-            self.stats.table_bytes_streamed += tables.sram_bytes
-            lane = SeedingLane(tables, self.config)
-            for read_id, seeds in enumerate(lane.seed_batch(batch)):
-                for seed in seeds:
-                    if seed.exact_whole_read:
-                        exact[read_id] = True
-                    for position in seed.positions:
-                        merged[read_id][(seed.read_offset, seed.length, position)] = None
-            self.stats.finder.merge(lane.finder.stats)
-            self.stats.intersections.merge(lane.engine.stats)
+        per_segment = self._finder.seed_segments(ReadBatch(reads, self.config.k))
+        self.stats.table_bytes_streamed += sum(
+            tables.sram_bytes for tables in self.tables
+        )
         self.stats.reads_processed += len(reads)
-
         out: List[List[GlobalSeed]] = []
-        for read_id, entries in enumerate(merged):
-            grouped: Dict[Tuple[int, int], List[int]] = {}
-            for offset, length, position in entries:
-                grouped.setdefault((offset, length), []).append(position)
-            seeds = [
-                GlobalSeed(
-                    read_offset=offset,
-                    length=length,
-                    positions=tuple(sorted(positions)),
-                    exact_whole_read=exact[read_id]
-                    and offset == 0
-                    and length == len(reads[read_id]),
-                )
-                for (offset, length), positions in sorted(grouped.items())
-            ]
-            out.append(seeds)
+        for read_id, read in enumerate(reads):
+            grouped: Dict[Tuple[int, int], Set[int]] = {}
+            for tables, seeds in zip(self.tables, per_segment):
+                start = tables.segment_start
+                for seed in seeds[read_id]:
+                    grouped.setdefault((seed.read_offset, seed.length), set()).update(
+                        start + hit for hit in seed.hits
+                    )
+            out.append(
+                [
+                    GlobalSeed(
+                        read_offset=offset,
+                        length=length,
+                        positions=tuple(sorted(positions)),
+                        exact_whole_read=offset == 0 and length == len(read),
+                    )
+                    for (offset, length), positions in sorted(grouped.items())
+                ]
+            )
         return out
 
     def seed_read(self, read: str) -> List[GlobalSeed]:

@@ -141,6 +141,99 @@ def kmer_codes_at(
     return codes
 
 
+#: Slots per key of a :class:`KeyTable`, before rounding up to a power of
+#: two: the load factor stays at or below a half, so linear-probe chains
+#: stay short.
+SLOTS_PER_KEY = 2
+
+#: Slots a :meth:`KeyTable.lookup` round probes past a code's home slot.
+PROBE_WINDOW = 8
+_PROBE_STEPS = numpy.arange(PROBE_WINDOW)
+
+# Fibonacci hashing's 32-bit multiplier, round(2**32 / golden ratio).
+_HASH_MULTIPLIER = 0x9E3779B1
+
+
+def hash_slots(codes: NDArray[numpy.int64], bits: int) -> NDArray[numpy.int64]:
+    """Home slot of each code in a table of ``2**bits`` slots (``bits <= 32``).
+
+    Multiplicative hashing in int64 without wrapping: the code is folded
+    to 31 bits, so its product with the 32-bit multiplier stays below
+    2**63; the slot is the top *bits* bits of the product's low 32 bits.
+    """
+    folded = (codes ^ (codes >> 31)) & 0x7FFFFFFF
+    return ((folded * _HASH_MULTIPLIER) & 0xFFFFFFFF) >> (32 - bits)
+
+
+@dataclass(frozen=True)
+class KeyTable:
+    """Open-addressing hash table from k-mer code to hit-list length.
+
+    Each slot holds an int64 key (``-1`` when empty) and an int32 count;
+    collisions probe linearly.  Build and lookup run as NumPy rounds over
+    every key still unplaced or code still unanswered, so a lookup costs a
+    few gathers per code whatever order the codes come in.
+    """
+
+    keys: NDArray[numpy.int64]
+    counts: NDArray[numpy.int32]
+    bits: int
+
+    @classmethod
+    def build(
+        cls, keys: NDArray[numpy.int64], counts: NDArray[numpy.signedinteger]
+    ) -> "KeyTable":
+        """Table of distinct non-negative *keys* with their *counts*.
+
+        ``2**bits >= SLOTS_PER_KEY * len(keys)`` slots.  Each round, every
+        unplaced key tries its current slot; of the keys trying one free
+        slot the first takes it, and the rest step to the next slot.
+        """
+        bits = max(1, (SLOTS_PER_KEY * len(keys) - 1).bit_length())
+        mask = (1 << bits) - 1
+        table_keys = numpy.full(mask + 1, -1, dtype=numpy.int64)
+        table_counts = numpy.zeros(mask + 1, dtype=numpy.int32)
+        slots = hash_slots(keys, bits)
+        pending = numpy.arange(len(keys))
+        while pending.size:
+            tried = slots[pending]
+            free = numpy.flatnonzero(table_keys[tried] == -1)
+            taken, first = numpy.unique(tried[free], return_index=True)
+            winners = pending[free[first]]
+            table_keys[taken] = keys[winners]
+            table_counts[taken] = counts[winners]
+            placed = numpy.zeros(len(pending), dtype=bool)
+            placed[free[first]] = True
+            pending = pending[~placed]
+            slots[pending] = (slots[pending] + 1) & mask
+        return cls(table_keys, table_counts, bits)
+
+    def lookup(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int64]:
+        """Count of every code in *codes*, 0 where it has no entry.
+
+        A code's probe stops at its key or at an empty slot, whose count
+        is 0; ``-1`` codes stop at the first empty slot.  Most codes stop
+        at their home slot; the rest probe ``PROBE_WINDOW`` slots a round.
+        """
+        mask = len(self.keys) - 1
+        slots = hash_slots(codes, self.bits)
+        held = self.keys[slots]
+        stop = (held == codes) | (held == -1)
+        counts = numpy.where(stop, self.counts[slots], 0).astype(numpy.int64)
+        todo = numpy.flatnonzero(~stop)
+        step = 1
+        while todo.size:
+            window = (slots[todo, None] + (step + _PROBE_STEPS)) & mask
+            held = self.keys[window]
+            stops = (held == codes[todo, None]) | (held == -1)
+            found = numpy.flatnonzero(stops.any(axis=1))
+            first = stops[found].argmax(axis=1)
+            counts[todo[found]] = self.counts[window[found, first]]
+            todo = numpy.delete(todo, found)
+            step += PROBE_WINDOW
+        return counts
+
+
 class _KmerLookup:
     """Lookups shared by both index types.
 
@@ -156,11 +249,10 @@ class _KmerLookup:
     def hits_code(self, code: int) -> Sequence[int]:
         raise NotImplementedError
 
-    def sorted_codes(self) -> NDArray[numpy.int64]:
-        raise NotImplementedError
-
-    def _row_counts(self, rows: NDArray[numpy.intp]) -> NDArray[numpy.signedinteger]:
-        """Hit-list length of each row of :meth:`sorted_codes`."""
+    def _key_counts(
+        self,
+    ) -> Tuple[NDArray[numpy.int64], NDArray[numpy.signedinteger]]:
+        """Every key present in the index and its hit-list length."""
         raise NotImplementedError
 
     def gather_hits(
@@ -172,16 +264,19 @@ class _KmerLookup:
     def hit_counts(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int64]:
         """Hit-list length of every code in *codes*, 0 where it has no entry.
 
-        One batched ``searchsorted`` over the sorted key array answers a
-        whole read batch at once; ``-1`` (ambiguous) codes never match.
+        One :class:`KeyTable` lookup answers a whole read batch at once;
+        ``-1`` (ambiguous) codes never match.
         """
-        keys = self.sorted_codes()
-        if not len(keys):
-            return numpy.zeros(len(codes), dtype=numpy.int64)
-        rows = numpy.searchsorted(keys, codes)
-        rows[rows == len(keys)] = 0
-        counts = numpy.where(keys[rows] == codes, self._row_counts(rows), 0)
-        return counts.astype(numpy.int64, copy=False)
+        return self.key_table.lookup(codes)
+
+    @cached_property
+    def key_table(self) -> KeyTable:
+        """The hashed key -> count table :meth:`hit_counts` probes.
+
+        Built on first use, so a run that never seeds against this index
+        never pays for it.
+        """
+        return KeyTable.build(*self._key_counts())
 
     def _base_codes(self) -> NDArray[numpy.uint8]:
         """The segment's 2-bit base codes, one byte per base."""
@@ -274,24 +369,13 @@ class KmerIndex(_KmerLookup):
         """Sorted reference positions of the k-mer with index key *code*."""
         return self._positions.get(code, ())
 
-    @cached_property
-    def _sorted_keys(self) -> Tuple[NDArray[numpy.int64], NDArray[numpy.int32]]:
-        # Built on first use, not at set-up: a run that never seeds
-        # against this index never pays for the sort.
+    def _key_counts(self) -> Tuple[NDArray[numpy.int64], NDArray[numpy.int32]]:
         count = len(self._positions)
         keys = numpy.fromiter(self._positions, dtype=numpy.int64, count=count)
         sizes = numpy.fromiter(
             map(len, self._positions.values()), dtype=numpy.int32, count=count
         )
-        order = numpy.argsort(keys)
-        return keys[order], sizes[order]
-
-    def sorted_codes(self) -> NDArray[numpy.int64]:
-        """Every key present in the index, ascending."""
-        return self._sorted_keys[0]
-
-    def _row_counts(self, rows: NDArray[numpy.intp]) -> NDArray[numpy.signedinteger]:
-        return self._sorted_keys[1][rows]
+        return keys, sizes
 
     def gather_hits(
         self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
@@ -393,12 +477,8 @@ class PackedKmerIndex(_KmerLookup):
             return 0
         return int(self._offsets[row + 1] - self._offsets[row])
 
-    def sorted_codes(self) -> NDArray[numpy.int64]:
-        """Every key present in the index, ascending (the key array itself)."""
-        return self._keys
-
-    def _row_counts(self, rows: NDArray[numpy.intp]) -> NDArray[numpy.signedinteger]:
-        return self._offsets[rows + 1] - self._offsets[rows]
+    def _key_counts(self) -> Tuple[NDArray[numpy.int64], NDArray[numpy.int64]]:
+        return self._keys, numpy.diff(self._offsets)
 
     def gather_hits(
         self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]

@@ -23,8 +23,8 @@ Optimizations, each independently switchable for the Fig. 16 ablations:
 How the model runs the search.  The hardware walks one pivot's hit lists
 through its CAM; here the intersection engine is the *cost model*
 (:meth:`~repro.seeding.cam.IntersectionEngine.charge`) and the RMEM search
-runs batched, one pass per segment and read batch
-(:meth:`SmemFinder.seed_batch`).  Let ``l(pivot, p)`` be the length of the
+runs batched, one pass per read batch over every segment's pivots
+(:meth:`SmemFinder.seed_segments`).  Let ``l(pivot, p)`` be the length of the
 exact match between ``read[pivot:]`` and ``segment[p:]``, stopped by the
 read end, the segment end and the read's first base outside upper-case
 ``ACGT``.  Every intersection tests the k-mer at read offset
@@ -45,11 +45,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy
 from numpy.typing import NDArray
 
+from repro.genome.sequence import BASES_PER_WORD
 from repro.seeding.cam import IntersectionEngine
 from repro.seeding.index import (
     DIRTY_BASE,
@@ -206,25 +207,46 @@ class ReadBatch:
 
 
 class SmemFinder:
-    """Seed finder over one segment's k-mer index."""
+    """Seed finder over a stack of segment k-mer indexes.
+
+    *index* is one index or a sequence of them; a single index is a stack
+    of one.  :meth:`seed_segments` seeds a batch against every index of
+    the stack with one RMEM search pass; :meth:`seed_batch`, :meth:`rmem`
+    and :meth:`exact_match_hits` answer against a stack of one.
+    """
 
     def __init__(
         self,
-        index: KmerIndex,
+        index: Union[KmerIndex, Sequence[KmerIndex]],
         config: Optional[SmemConfig] = None,
         engine: Optional[IntersectionEngine] = None,
     ) -> None:
-        self.index = index
+        self.indexes: Tuple[KmerIndex, ...] = (
+            tuple(index) if isinstance(index, Sequence) else (index,)
+        )
         self.config = config or SmemConfig()
-        if self.config.k != index.k:
-            raise ValueError(
-                f"config k={self.config.k} does not match index k={index.k}"
-            )
+        for each in self.indexes:
+            if self.config.k != each.k:
+                raise ValueError(
+                    f"config k={self.config.k} does not match index k={each.k}"
+                )
         self.engine = engine or IntersectionEngine(
             cam_size=self.config.cam_size,
             use_binary_fallback=self.config.use_binary_fallback,
         )
         self.stats = FinderStats()
+
+    @property
+    def index(self) -> KmerIndex:
+        """The index of a stack of one."""
+        self._require_one()
+        return self.indexes[0]
+
+    def _require_one(self) -> None:
+        if len(self.indexes) != 1:
+            raise ValueError(
+                f"this finder searches a stack of {len(self.indexes)} indexes"
+            )
 
     # ----------------------------------------------------------- public API
 
@@ -233,26 +255,81 @@ class SmemFinder:
         return self.seed_batch(ReadBatch([read], self.config.k))[0]
 
     def seed_batch(self, batch: ReadBatch) -> List[List[Seed]]:
-        """Seeds of every read of *batch*, one RMEM search pass for all."""
-        out: List[List[Seed]] = [[] for __ in batch.reads]
-        searched: List[int] = []
-        for read_id, codes in enumerate(batch.codes):
-            if self.config.exact_match_fast_path:
-                exact = self._exact_match_hits(codes)
+        """Seeds of every read of *batch* against a stack of one."""
+        self._require_one()
+        return self.seed_segments(batch)[0]
+
+    def seed_segments(self, batch: ReadBatch) -> List[List[List[Seed]]]:
+        """Seeds of every read of *batch* against every index of the stack.
+
+        ``out[segment][read]`` holds the read's seeds in that index, hits
+        local to it.  Every index counts the batch's k-mers once; rows of
+        the stacked counts are ``segment * P + pivot`` (``P`` pivots in
+        the batch), segment-major.  The exact-match fast path walks only
+        the (segment, read) pairs the counts leave open
+        (:meth:`_exact_candidates`), and ``NAIVE`` mode answers one pair
+        at a time; every other pair's pivots go to one RMEM search pass
+        (:meth:`_smem_seeds`).
+        """
+        out: List[List[List[Seed]]] = [
+            [[] for __ in batch.reads] for __ in self.indexes
+        ]
+        counts = numpy.concatenate(
+            [index.hit_counts(batch.flat_codes) for index in self.indexes]
+        )
+        pending = numpy.ones((len(self.indexes), len(batch.reads)), dtype=bool)
+        if self.config.exact_match_fast_path:
+            for segment, read_id in self._exact_candidates(batch, counts):
+                index = self.indexes[segment]
+                exact = self._exact_match_hits(index, batch.codes[read_id])
                 if exact is not None:
                     self.stats.exact_match_reads += 1
                     read = batch.reads[read_id]
-                    out[read_id] = [Seed(read_offset=0, length=len(read), hits=exact)]
-                    continue
-            if self.config.mode is SeedingMode.NAIVE:
-                out[read_id] = self._naive_seeds(codes)
-            else:
-                searched.append(read_id)
-        if searched:
-            self._smem_seeds(batch, searched, out)
-        for seeds in out:
-            self._report(seeds)
+                    out[segment][read_id] = [
+                        Seed(read_offset=0, length=len(read), hits=exact)
+                    ]
+                    pending[segment, read_id] = False
+        if self.config.mode is SeedingMode.NAIVE:
+            for segment, read_id in zip(*numpy.nonzero(pending)):
+                out[segment][read_id] = self._naive_seeds(
+                    self.indexes[segment], batch.codes[read_id]
+                )
+        elif pending.any():
+            self._smem_seeds(batch, pending, counts, out)
+        for per_read in out:
+            for seeds in per_read:
+                self._report(seeds)
         return out
+
+    def _exact_candidates(
+        self, batch: ReadBatch, counts: Ints
+    ) -> List[Tuple[int, int]]:
+        """The (segment, read) pairs whose spanning k-mers all have hits.
+
+        The fast path looks a read's spanning k-mers up in order and gives
+        up at the first without hits.  For every other pair this charges
+        those lookups, the miss included, and nothing else; the pairs
+        returned run the fast path itself.
+        """
+        k = self.config.k
+        sizes = numpy.diff(batch.bounds)  # k-mers per read
+        reads = numpy.flatnonzero(sizes)
+        if not reads.size:
+            return []
+        # Spanning offsets 0, k, 2k, ... and the last k-mer's; an offset
+        # past the last k-mer clamps to it.
+        spans = -(-sizes[reads] // k) + ((sizes[reads] - 1) % k != 0)
+        starts = numpy.cumsum(spans) - spans
+        owner = numpy.repeat(reads, spans)
+        rank = numpy.arange(int(spans.sum())) - numpy.repeat(starts, spans)
+        pivots = batch.bounds[owner] + numpy.minimum(rank * k, sizes[owner] - 1)
+        hit = counts.reshape(len(self.indexes), -1)[:, pivots] > 0
+        misses = numpy.where(hit, int(spans.max()), rank)
+        first_miss = numpy.minimum.reduceat(misses, starts, axis=1)
+        failed = first_miss < spans
+        self.stats.index_lookups += int((first_miss + 1)[failed].sum())
+        segments, columns = numpy.nonzero(~failed)
+        return list(zip(segments.tolist(), reads[columns].tolist()))
 
     def exact_match_hits(self, read: str) -> Optional[Tuple[int, ...]]:
         """Fast path: hits where the *entire read* matches exactly, or None.
@@ -260,7 +337,7 @@ class SmemFinder:
         Looks up spanning k-mers, then intersects in ascending hit-count
         order so the candidate set shrinks as fast as possible (§V, item 4).
         """
-        return self._exact_match_hits(kmer_codes(read, self.config.k))
+        return self._exact_match_hits(self.index, kmer_codes(read, self.config.k))
 
     def rmem(self, read: str, pivot: int) -> Optional[Seed]:
         """Right-maximal exact match starting at *pivot* (length >= k)."""
@@ -282,7 +359,9 @@ class SmemFinder:
 
     # ------------------------------------------------------------ internals
 
-    def _exact_match_hits(self, codes: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    def _exact_match_hits(
+        self, index: KmerIndex, codes: Sequence[int]
+    ) -> Optional[Tuple[int, ...]]:
         if not codes:
             return None  # read shorter than k
         last = len(codes) - 1  # offset of the read's final k-mer
@@ -291,7 +370,7 @@ class SmemFinder:
             offsets.append(last)
         lists = []
         for offset in offsets:
-            hits = self.index.hits_code(codes[offset])
+            hits = index.hits_code(codes[offset])
             self.stats.index_lookups += 1
             if not hits:
                 return None
@@ -306,88 +385,132 @@ class SmemFinder:
         return tuple(candidates)
 
     def _smem_seeds(
-        self, batch: ReadBatch, read_ids: List[int], out: List[List[Seed]]
+        self,
+        batch: ReadBatch,
+        searched: NDArray[numpy.bool_],
+        counts: Ints,
+        out: List[List[List[Seed]]],
     ) -> None:
-        """RMEM of every pivot of *read_ids*, filtered to super-maximal matches.
+        """RMEM of every searched pivot, filtered to super-maximal matches.
 
-        Every pivot is charged its RMEM and its first lookup; the pivots
-        whose first k-mer has no hit end there.  The live ones are searched
-        in chunks of at most ``PAIR_BUDGET`` bytes of pair arrays, in flat
-        (read, pivot) order, so each read's running maximum seed end carries
-        from chunk to chunk.
+        *searched* marks the (segment, read) pairs to search; their pivots
+        are the rows of the stacked *counts* (:meth:`seed_segments`), so
+        each segment's rows are one block.  Every row is charged its RMEM
+        and its first lookup; the rows whose first k-mer has no hit end
+        there.  The live ones are searched in chunks of at most
+        ``PAIR_BUDGET`` bytes of pair arrays, in row order, so each
+        (segment, read)'s running maximum seed end carries from chunk to
+        chunk.
         """
-        counts = self.index.hit_counts(batch.flat_codes)
-        wanted = numpy.zeros(len(batch.reads), dtype=bool)
-        wanted[read_ids] = True
-        pivots = wanted[batch.read_of]
-        searched = int(numpy.count_nonzero(pivots))
-        self.stats.rmems_computed += searched
-        self.stats.index_lookups += searched
-        live = numpy.flatnonzero(pivots & (counts > 0))
+        wanted = searched[:, batch.read_of].ravel()
+        charged = int(numpy.count_nonzero(wanted))
+        self.stats.rmems_computed += charged
+        self.stats.index_lookups += charged
+        live = numpy.flatnonzero(wanted & (counts > 0))
         if not live.size:
             return
         per_chunk = max(1, PAIR_BUDGET // _PAIR_BYTES)
         chunk_of = (numpy.cumsum(counts[live]) - 1) // per_chunk
-        max_end = numpy.zeros(len(batch.reads), dtype=numpy.int64)
+        read_count = len(batch.reads)
+        max_end = numpy.zeros(searched.size, dtype=numpy.int64)
         for chunk in numpy.split(live, numpy.flatnonzero(numpy.diff(chunk_of)) + 1):
-            lengths, pair_pivot, positions, match = self._search(batch, chunk, counts)
-            reads = batch.read_of[chunk]
-            offsets = chunk - batch.bounds[reads]
+            lengths, pair_row, positions, match = self._search(batch, chunk, counts)
+            segments, pivots = numpy.divmod(chunk, len(batch.flat_codes))
+            reads = batch.read_of[pivots]
+            offsets = pivots - batch.bounds[reads]
             ends = offsets + lengths
             # A seed is reported iff it ends past every earlier seed of its
-            # read: a running maximum per read, keyed so reads never mix.
+            # (segment, read): a running maximum per group, keyed so groups
+            # never mix.
+            groups = segments * read_count + reads
             span = int(ends.max()) + 1
-            keys = reads * span + ends
+            keys = groups * span + ends
             before = numpy.concatenate(([-1], numpy.maximum.accumulate(keys)[:-1]))
-            earlier = numpy.where(before >= reads * span, before - reads * span, 0)
-            keep = ends > numpy.maximum(earlier, max_end[reads])
-            numpy.maximum.at(max_end, reads, ends)
-            take = keep[pair_pivot] & (match >= lengths[pair_pivot])
+            earlier = numpy.where(before >= groups * span, before - groups * span, 0)
+            keep = ends > numpy.maximum(earlier, max_end[groups])
+            numpy.maximum.at(max_end, groups, ends)
+            take = keep[pair_row] & (match >= lengths[pair_row])
             hits = positions[take].tolist()
-            sizes = numpy.bincount(pair_pivot[take], minlength=len(chunk))[keep]
+            sizes = numpy.bincount(pair_row[take], minlength=len(chunk))[keep]
             cuts = numpy.concatenate(([0], numpy.cumsum(sizes))).tolist()
-            for read, offset, length, begin, end in zip(
+            for segment, read, offset, length, begin, end in zip(
+                segments[keep].tolist(),
                 reads[keep].tolist(),
                 offsets[keep].tolist(),
                 lengths[keep].tolist(),
                 cuts,
                 cuts[1:],
             ):
-                out[read].append(
+                out[segment][read].append(
                     Seed(read_offset=offset, length=length, hits=tuple(hits[begin:end]))
                 )
 
     def _search(
-        self, batch: ReadBatch, pivots: Ints, counts: Ints
+        self, batch: ReadBatch, rows: Ints, counts: Ints
     ) -> Tuple[Ints, Ints, Ints, Ints]:
-        """RMEM lengths of live *pivots* (flat indices into *batch*).
+        """RMEM lengths of live stacked *rows* (ascending; see :meth:`_smem_seeds`).
 
-        Returns ``(lengths, pair_pivot, positions, match)``: per pivot its
-        RMEM length, and per (pivot, first hit) pair the pivot's row, the
-        hit and the pair's match length, pivot-major with each pivot's hits
-        ascending.  The pivot's RMEM hits are its pairs with
-        ``match >= length``.  Charges every lookup and intersection after
-        the first lookup.
+        Returns ``(lengths, pair_row, positions, match)``: per row its
+        RMEM length, and per (row, first hit) pair the row's place in
+        *rows*, the segment-local hit and the pair's match length,
+        row-major with each row's hits ascending.  The row's RMEM hits are
+        its pairs with ``match >= length``.  Charges every lookup and
+        intersection after the first lookup.
         """
-        first = counts[pivots]
-        positions = self.index.gather_hits(batch.flat_codes[pivots], first)
-        pair_pivot = numpy.repeat(numpy.arange(len(pivots)), first)
-        match = self._match_lengths(batch, pivots, pair_pivot, positions)
-        lengths = self._replay(batch, pivots, counts, pair_pivot, match)
-        return lengths, pair_pivot, positions, match
+        first = counts[rows]
+        segments, pivots = numpy.divmod(rows, len(batch.flat_codes))
+        cuts = numpy.searchsorted(segments, numpy.arange(len(self.indexes) + 1))
+        positions = numpy.concatenate(
+            [
+                index.gather_hits(batch.flat_codes[pivots[begin:end]], first[begin:end])
+                for index, begin, end in zip(self.indexes, cuts, cuts[1:])
+                if end > begin
+            ]
+        )
+        pair_row = numpy.repeat(numpy.arange(len(rows)), first)
+        match = self._match_lengths(batch, segments, pivots, pair_row, positions)
+        # Codes from each pivot to its read's end: offset o exists iff o < left.
+        left = batch.bounds[batch.read_of[pivots] + 1] - pivots
+        lengths = self._replay(rows, left, counts, pair_row, match)
+        return lengths, pair_row, positions, match
+
+    @cached_property
+    def _stacked_words(self) -> Tuple[NDArray[numpy.uint64], Ints, Ints]:
+        """Every index's ``base_words`` end to end, with each index's first
+        base in the result and its sequence length.
+
+        Each block starts on a word and ends with a zero word, so a
+        position's successor word never belongs to another block.
+        """
+        blocks = [index.base_words for index in self.indexes]
+        sizes = numpy.array([len(block) for block in blocks], dtype=numpy.int64)
+        firsts = BASES_PER_WORD * (numpy.cumsum(sizes) - sizes)
+        lengths = numpy.array(
+            [index.sequence_length for index in self.indexes], dtype=numpy.int64
+        )
+        words = blocks[0] if len(blocks) == 1 else numpy.concatenate(blocks)
+        return words, firsts, lengths
 
     def _match_lengths(
-        self, batch: ReadBatch, pivots: Ints, pair_pivot: Ints, positions: Ints
+        self,
+        batch: ReadBatch,
+        segments: Ints,
+        pivots: Ints,
+        pair_row: Ints,
+        positions: Ints,
     ) -> Ints:
-        """Exact-match length of each (pivot, segment position) pair.
+        """Exact-match length of each (row, segment position) pair.
 
         Compares 32 bases per step: XOR the read's and the segment's 2-bit
         words and take the first non-zero base.  A pair leaves the loop at
         its first mismatch or once its cap (read end, first non-``ACGT``
-        read base, segment end) is covered.
+        read base, its own segment's end) is covered.
         """
+        words, firsts, lengths = self._stacked_words
         starts, clean = batch.starts[pivots], batch.clean[pivots]
-        cap = numpy.minimum(clean[pair_pivot], self.index.sequence_length - positions)
+        pair_segment = segments[pair_row]
+        cap = numpy.minimum(clean[pair_row], lengths[pair_segment] - positions)
+        stacked = positions + firsts[pair_segment]
         match = cap.copy()
         todo = numpy.arange(len(positions))
         covered = 0
@@ -396,41 +519,41 @@ class SmemFinder:
             # A pivot whose read part is covered has no pair left; it reads
             # its first word again rather than past its read.
             shift = numpy.where(clean > covered, covered, 0)
-            mismatch = base_words_at(batch.words, starts + shift)[pair_pivot[todo]]
-            mismatch ^= base_words_at(self.index.base_words, positions[todo] + covered)
+            mismatch = base_words_at(batch.words, starts + shift)[pair_row[todo]]
+            mismatch ^= base_words_at(words, stacked[todo] + covered)
             differs = mismatch != 0
             done = todo[differs]
             first = covered + _first_base(mismatch[differs])
             match[done] = numpy.minimum(cap[done], first)
             todo = todo[~differs]
-            covered += 32
+            covered += BASES_PER_WORD
         return match
 
     def _replay(
         self,
-        batch: ReadBatch,
-        pivots: Ints,
+        rows: Ints,
+        left: Ints,
         counts: Ints,
-        pair_pivot: Ints,
+        pair_row: Ints,
         match: Ints,
     ) -> Ints:
-        """Run the stride schedule for every pivot at once; return the lengths.
+        """Run the stride schedule for every row at once; return the lengths.
 
-        Each round takes one step of every unfinished pivot: the lookup and
+        Each round takes one step of every unfinished row: the lookup and
         intersection of the k-mer at ``length + stride - k``, then the same
-        grow / halve / stop rule as the walk.  Candidate counts come from
-        the pairs' match lengths sorted per pivot.
+        grow / halve / stop rule as the walk.  A step's k-mer exists iff
+        its offset is below the row's *left*, so ``counts[row + offset]``
+        stays in the row's own segment block.  Candidate counts come from
+        the pairs' match lengths sorted per row.
         """
         k = self.config.k
-        count = len(pivots)
-        rows = numpy.arange(count)
-        # Codes from each pivot to its read's end: offset o exists iff o < left.
-        left = batch.bounds[batch.read_of[pivots] + 1] - pivots
-        first = counts[pivots]
+        count = len(rows)
+        places = numpy.arange(count)
+        first = counts[rows]
         span = int(match.max()) + 1
-        ordered = numpy.sort(pair_pivot * span + match)
+        ordered = numpy.sort(pair_row * span + match)
         pair_end = numpy.cumsum(first)
-        longest = ordered[pair_end - 1] - rows * span
+        longest = ordered[pair_end - 1] - places * span
         length = numpy.full(count, k, dtype=numpy.int64)
         if self.config.probe:
             best = numpy.zeros(count, dtype=numpy.int64)
@@ -440,7 +563,7 @@ class SmemFinder:
                 reach = numpy.flatnonzero(stride < left)
                 self.stats.index_lookups += len(reach)
                 incoming = numpy.zeros(count, dtype=numpy.int64)
-                incoming[reach] = counts[pivots[reach] + stride]
+                incoming[reach] = counts[rows[reach] + stride]
                 better = (incoming > 0) & ((best == 0) | (incoming < best))
                 best[better] = incoming[better]
                 best_stride[better] = stride
@@ -451,7 +574,7 @@ class SmemFinder:
 
         stride = numpy.full(count, k, dtype=numpy.int64)
         fixed = self.config.mode is SeedingMode.SMEM_FIXED
-        active = rows
+        active = places
         while active.size:
             offset = length[active] + stride[active] - k
             reach = offset < left[active]
@@ -462,7 +585,7 @@ class SmemFinder:
             matching = pair_end[tested] - numpy.searchsorted(
                 ordered, tested * span + length[tested]
             )
-            self.engine.charge(matching, counts[pivots[tested] + offset[reach]])
+            self.engine.charge(matching, counts[rows[tested] + offset[reach]])
             grows = longest[tested] >= length[tested] + step
             length[tested[grows]] += step[grows]
             failed = tested[~grows]
@@ -474,12 +597,12 @@ class SmemFinder:
             active = active[stride[active] > 0]
         return length
 
-    def _naive_seeds(self, codes: Sequence[int]) -> List[Seed]:
+    def _naive_seeds(self, index: KmerIndex, codes: Sequence[int]) -> List[Seed]:
         """Every k-mer's raw hits — the naive hash-table baseline."""
         k = self.config.k
         seeds: List[Seed] = []
         for pivot, code in enumerate(codes):
-            hits = self.index.hits_code(code)
+            hits = index.hits_code(code)
             self.stats.index_lookups += 1
             if hits:
                 seeds.append(Seed(read_offset=pivot, length=k, hits=tuple(hits)))

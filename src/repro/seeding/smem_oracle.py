@@ -22,15 +22,27 @@ finder replays the same schedule from match lengths and charges the
 counters from list lengths (:mod:`repro.seeding.smem`); the
 ``rmem-batch-vs-cam`` difftest pair holds the two equal in seeds and in
 every counter.
+
+:func:`seed_reads_per_segment` is the segmented accelerator as the
+hardware runs it: one segment's tables at a time, a CAM walk per
+segment, and the per-read merge across segments.  The
+``segments-one-pass-vs-per-segment`` pair holds
+:meth:`~repro.seeding.accelerator.SeedingAccelerator.seed_reads`, which
+searches every segment in one pass, equal to it in seeds and in every
+:class:`~repro.seeding.accelerator.SeedingStats` counter.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy
+from numpy.typing import NDArray
+
+from repro.seeding.accelerator import GlobalSeed, SeedingStats
 from repro.seeding.cam import IntersectionEngine
-from repro.seeding.index import KmerIndex, kmer_codes
+from repro.seeding.index import IndexTables, KmerIndex, kmer_codes
 from repro.seeding.smem import ReadBatch, Seed, SeedingMode, SmemConfig, SmemFinder
 
 
@@ -193,8 +205,9 @@ class CamWalkFinder(SmemFinder):
     """:class:`SmemFinder` running the RMEM search one pivot at a time.
 
     Each pivot's stride schedule intersects real hit lists on a
-    :class:`CamWalkEngine`, exactly as a seeding lane's control FSM does;
-    the exact-match fast path and ``NAIVE`` mode are the finder's own.
+    :class:`CamWalkEngine`, exactly as a seeding lane's control FSM does,
+    and the exact-match fast path looks up every (segment, read) pair's
+    k-mers itself; ``NAIVE`` mode is the finder's own.
     """
 
     def __init__(self, index: KmerIndex, config: Optional[SmemConfig] = None) -> None:
@@ -211,23 +224,43 @@ class CamWalkFinder(SmemFinder):
     def rmem(self, read: str, pivot: int) -> Optional[Seed]:
         if pivot < 0:
             raise ValueError(f"pivot must be non-negative, got {pivot}")
-        return self._rmem(kmer_codes(read, self.config.k), pivot)
+        return self._rmem(self.index, kmer_codes(read, self.config.k), pivot)
+
+    def _exact_candidates(
+        self, batch: ReadBatch, counts: NDArray[numpy.int64]
+    ) -> List[Tuple[int, int]]:
+        """Every (segment, read) pair: the fast path makes all its lookups."""
+        return [
+            (segment, read_id)
+            for segment in range(len(self.indexes))
+            for read_id in range(len(batch.reads))
+        ]
 
     def _smem_seeds(
-        self, batch: ReadBatch, read_ids: List[int], out: List[List[Seed]]
+        self,
+        batch: ReadBatch,
+        searched: NDArray[numpy.bool_],
+        counts: NDArray[numpy.int64],
+        out: List[List[List[Seed]]],
     ) -> None:
-        """RMEM per pivot, filtered to super-maximal matches."""
-        for read_id in read_ids:
-            max_end = 0
-            codes = batch.codes[read_id]
-            for pivot in range(len(codes)):
-                seed = self._rmem(codes, pivot)
-                if seed is not None and seed.end > max_end:
-                    out[read_id].append(seed)
-                    max_end = seed.end
+        """RMEM per pivot, filtered to super-maximal matches.
 
-    def _rmem(self, codes: Sequence[int], pivot: int) -> Optional[Seed]:
-        """:meth:`rmem` over the read's k-mer codes.
+        Walks hit lists itself; the batch's stacked *counts* go unused.
+        """
+        for segment, index in enumerate(self.indexes):
+            for read_id in numpy.flatnonzero(searched[segment]).tolist():
+                max_end = 0
+                codes = batch.codes[read_id]
+                for pivot in range(len(codes)):
+                    seed = self._rmem(index, codes, pivot)
+                    if seed is not None and seed.end > max_end:
+                        out[segment][read_id].append(seed)
+                        max_end = seed.end
+
+    def _rmem(
+        self, index: KmerIndex, codes: Sequence[int], pivot: int
+    ) -> Optional[Seed]:
+        """:meth:`rmem` over the read's k-mer codes, against *index*.
 
         ``codes[i]`` is the k-mer at read offset ``i``, so a k-mer at
         offset ``o`` exists exactly when ``o < len(codes)``.
@@ -237,7 +270,7 @@ class CamWalkFinder(SmemFinder):
         if pivot >= last:
             return None
         self.stats.rmems_computed += 1
-        first_hits = self.index.hits_code(codes[pivot])
+        first_hits = index.hits_code(codes[pivot])
         self.stats.index_lookups += 1
         if not first_hits:
             return None
@@ -248,7 +281,7 @@ class CamWalkFinder(SmemFinder):
 
         if self.config.probe:
             candidates, length = self._probe_first_extension(
-                codes, pivot, candidates, length
+                index, codes, pivot, candidates, length
             )
 
         stride = k
@@ -257,7 +290,7 @@ class CamWalkFinder(SmemFinder):
             if pivot + offset >= last:
                 stride //= 2
                 continue
-            hits = self.index.hits_code(codes[pivot + offset])
+            hits = index.hits_code(codes[pivot + offset])
             self.stats.index_lookups += 1
             survivors = self.engine.intersect(candidates, hits, incoming_offset=offset)
             if survivors:
@@ -272,7 +305,12 @@ class CamWalkFinder(SmemFinder):
         return Seed(read_offset=pivot, length=length, hits=tuple(candidates))
 
     def _probe_first_extension(
-        self, codes: Sequence[int], pivot: int, candidates: List[int], length: int
+        self,
+        index: KmerIndex,
+        codes: Sequence[int],
+        pivot: int,
+        candidates: List[int],
+        length: int,
     ) -> Tuple[List[int], int]:
         """Probing optimization: pick the cheapest second k-mer (§V item 3)."""
         k = self.config.k
@@ -282,7 +320,7 @@ class CamWalkFinder(SmemFinder):
             offset = length + stride - k
             if pivot + offset >= len(codes):
                 continue
-            hits = self.index.hits_code(codes[pivot + offset])
+            hits = index.hits_code(codes[pivot + offset])
             self.stats.index_lookups += 1
             if not hits:
                 continue
@@ -296,3 +334,54 @@ class CamWalkFinder(SmemFinder):
         if survivors:
             return survivors, length + stride
         return candidates, length
+
+
+def seed_reads_per_segment(
+    tables: Sequence[IndexTables], config: SmemConfig, reads: Sequence[str]
+) -> Tuple[List[List[GlobalSeed]], SeedingStats]:
+    """Seed *reads* against each segment's tables in turn, then merge.
+
+    Per segment a :class:`CamWalkFinder` seeds the batch and its seeds
+    move to global coordinates; per read, the (offset, length, position)
+    triples of every segment are deduplicated and grouped into one seed
+    per (offset, length), sorted.  Returns the seeds and the counters the
+    accelerator charges: each segment's table bytes once, every finder
+    and CAM counter, and the reads.
+    """
+    stats = SeedingStats()
+    merged: List[Dict[Tuple[int, int, int], None]] = [dict() for __ in reads]
+    exact = [False] * len(reads)
+    batch = ReadBatch(reads, config.k)
+    for segment in tables:
+        stats.table_bytes_streamed += segment.sram_bytes
+        finder = CamWalkFinder(segment.index, config)
+        for read_id, seeds in enumerate(finder.seed_batch(batch)):
+            for seed in seeds:
+                if seed.read_offset == 0 and seed.length == len(reads[read_id]):
+                    exact[read_id] = True
+                for hit in seed.hits:
+                    position = segment.segment_start + hit
+                    merged[read_id][(seed.read_offset, seed.length, position)] = None
+        stats.finder.merge(finder.stats)
+        stats.intersections.merge(finder.engine.stats)
+    stats.reads_processed += len(reads)
+
+    out: List[List[GlobalSeed]] = []
+    for read_id, entries in enumerate(merged):
+        grouped: Dict[Tuple[int, int], List[int]] = {}
+        for offset, length, position in entries:
+            grouped.setdefault((offset, length), []).append(position)
+        out.append(
+            [
+                GlobalSeed(
+                    read_offset=offset,
+                    length=length,
+                    positions=tuple(sorted(positions)),
+                    exact_whole_read=exact[read_id]
+                    and offset == 0
+                    and length == len(reads[read_id]),
+                )
+                for (offset, length), positions in sorted(grouped.items())
+            ]
+        )
+    return out, stats

@@ -86,11 +86,11 @@ _EQUAL, _MISMATCH, _E_OK, _F_OK = 0, 1, 2, 3
 # length 0, which is in range but holds no base).
 _EMPTY_REF, _EMPTY_QUERY, _PAD_REF, _PAD_QUERY = 252, 253, 254, 255
 
-#: Score reach (``step * (longest window + longest read)``) below which
-#: the registers are int16; see :func:`_register_dtype`.
-_INT16_REACH = (2**14) // 4
+#: Score reach (:func:`_register_dtype`) below which the registers are
+#: int16: ``zero // 2`` of the int16 layout.
+_INT16_REACH = 2**13
 #: The same for int32 registers; at or beyond it a batch is rejected.
-_INT32_REACH = (2**30) // 4
+_INT32_REACH = 2**29
 
 #: History bytes one chunk of traceback lanes may hold.  A lane needs
 #: ``(cycles + 1) * 2 * (K+2)^2`` registers, so at K = 12 a 101 bp read
@@ -102,23 +102,42 @@ HISTORY_BUDGET = 8 << 20
 _MASK_WINDOW = 16
 
 
-def _register_dtype(
-    scheme: ScoringScheme, longest_ref: int, longest_query: int
-) -> type:
+def _register_dtype(scheme: ScoringScheme, k: int, overlap: int) -> type:
     """The registers' type: int16 unless a lane's scores could outgrow it.
 
     Registers store score x as ``x + zero`` with ``zero`` half the type's
-    range (2^14 in int16, 2^30 in int32), so -inf is 0 and selection is
-    ``value * mask``.  A value derived from -inf only ever moves by one
-    step's score per string character consumed, so while the reach
-    ``step * (longest_ref + longest_query)`` stays below ``zero // 4``
-    every such value stays at or below ``zero // 2`` (the -inf line) and
-    every real score above it, with no overflow.
+    range (2^14 in int16, 2^30 in int32), so -inf is 0, selection is
+    ``value * mask``, and a value at or below ``zero // 2`` reads as
+    -inf.  *overlap* is the largest ``min(len(ref), len(query))`` of any
+    lane and ``step`` the largest score change one edit makes.  While
+
+        ``reach = max(match * overlap, step * (2K + 1)) < zero // 2``
+
+    no value overflows, every real score stays above ``zero // 2`` and
+    every value derived from -inf at or below it:
+
+    * No stored H is below 0.  The match and substitution candidates are
+      masked by exclusive planes, so one of the two is 0.  Every other
+      candidate, and every E and F, is at least ``-step``.
+    * A match step moves both string positions on by one and no step
+      moves either back, so a path holds at most ``overlap`` matches.
+      Only a match raises a value, so a value derived from -inf (from a
+      stored 0) is at most ``match * overlap < zero // 2``, and nothing
+      stored or computed exceeds ``zero + match * (overlap + 1) < 2 *
+      zero``.
+    * Every other step (E, F, either substitution edge) raises
+      ``i + d + layer`` by exactly one, and a cell has ``i, d <= K``.  A
+      real score has therefore paid for at most ``2K + 1`` edits and is
+      at least ``zero - step * (2K + 1) > zero // 2``.
+
+    The bound does not grow with the strings' length beyond the overlap,
+    so a 647 bp read at K = 64 (reach 903 under BWA-MEM scoring) runs in
+    int16.
     """
     step = max(
         scheme.match, -scheme.substitution, -(scheme.gap_open + scheme.gap_extend)
     )
-    reach = step * (longest_ref + longest_query)
+    reach = max(scheme.match * overlap, step * (2 * k + 1))
     if reach < _INT16_REACH:
         return np.int16
     if reach < _INT32_REACH:
@@ -238,7 +257,8 @@ def dense_forward(
     cycles = int(lane_cycles.max()) if lanes else 0
     longest_ref = int(ref_lens.max()) if lanes else 0
     longest_query = int(query_lens.max()) if lanes else 0
-    dtype = _register_dtype(scheme, longest_ref, longest_query)
+    overlap = int(np.minimum(ref_lens, query_lens).max()) if lanes else 0
+    dtype = _register_dtype(scheme, k, overlap)
     zero = int(np.iinfo(dtype).max) // 2 + 1
     planes = _cell_planes(references, queries, k, cycles)
 
@@ -573,7 +593,8 @@ class DenseTracebackMachine:
         k = self.k
         longest_ref = max(len(r) for r in references)
         longest_query = max(len(q) for q in queries)
-        dtype = _register_dtype(self.scheme, longest_ref, longest_query)
+        overlap = max(min(len(r), len(q)) for r, q in zip(references, queries))
+        dtype = _register_dtype(self.scheme, k, overlap)
         cycles = max(longest_ref, longest_query) + k + 2
         lane_bytes = (cycles + 1) * 2 * (k + 2) ** 2 * np.dtype(dtype).itemsize
         per_chunk = max(1, HISTORY_BUDGET // lane_bytes)

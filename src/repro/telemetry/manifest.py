@@ -31,6 +31,7 @@ __all__ = [
     "RunManifest",
     "config_fingerprint",
     "git_commit",
+    "git_dirty",
     "write_manifest",
 ]
 
@@ -59,11 +60,11 @@ def config_fingerprint(config: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def git_commit(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
-    """The checked-out commit SHA, or ``None`` when unavailable."""
+def _git(args: List[str], cwd: Optional[Union[str, Path]]) -> Optional[str]:
+    """``git <args>``'s stripped output, or ``None`` when git fails."""
     try:
         result = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=str(cwd) if cwd is not None else None,
             capture_output=True,
             text=True,
@@ -72,8 +73,23 @@ def git_commit(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = result.stdout.strip()
-    return sha if result.returncode == 0 and sha else None
+    return result.stdout.strip() if result.returncode == 0 else None
+
+
+def git_commit(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
+    """The checked-out commit SHA, or ``None`` when unavailable."""
+    return _git(["rev-parse", "HEAD"], cwd) or None
+
+
+def git_dirty(cwd: Optional[Union[str, Path]] = None) -> Optional[bool]:
+    """Whether tracked files differ from the checked-out commit.
+
+    True when ``git status --porcelain`` lists a tracked change (staged
+    or not); untracked files do not count.  ``None`` outside a git
+    checkout.
+    """
+    status = _git(["status", "--porcelain", "--untracked-files=no"], cwd)
+    return None if status is None else bool(status)
 
 
 @dataclass

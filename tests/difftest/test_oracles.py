@@ -97,6 +97,7 @@ class TestEvaluation:
         "smem-batch-vs-brute",
         "exact-match-vs-brute",
         "rmem-batch-vs-cam",
+        "segments-one-pass-vs-per-segment",
         "bitvector-semiglobal-vs-myers",
     ])
     def test_cheap_pairs_agree_on_short_budget(self, name):

@@ -41,10 +41,12 @@ class TestEnvelope:
     def test_required_keys(self):
         result = make_envelope()
         for key in ("schema_version", "benchmark", "quick", "machine",
-                    "git_sha", "workload", "payload", "recorded_utc",
-                    "machine_fingerprint", "workload_fingerprint", "run_id"):
+                    "git_sha", "git_dirty", "workload", "payload",
+                    "recorded_utc", "machine_fingerprint",
+                    "workload_fingerprint", "run_id"):
             assert key in result, key
         assert result["schema_version"] == BENCH_SCHEMA_VERSION
+        assert result["git_dirty"] in (True, False, None)
 
     def test_workload_fingerprint_ignores_machine_and_payload(self):
         a = make_envelope()
@@ -62,6 +64,7 @@ class TestEnvelope:
     def test_run_id_excludes_volatile_labels(self):
         result = make_envelope()
         relabelled = dict(result, recorded_utc="2020-01-01T00:00:00Z",
+                          git_dirty=not result["git_dirty"],
                           history={"sequence": 9})
         assert compute_run_id(relabelled) == result["run_id"]
 
@@ -108,6 +111,23 @@ class TestLegacyLoad:
         path.write_text(json.dumps({"schema_version": version,
                                     "benchmark": "bench_filters"}))
         with pytest.raises(ValueError, match=f"schema_version {version}"):
+            load_bench(path)
+
+    @pytest.mark.parametrize("dirty", [True, False, None, "absent"])
+    def test_git_dirty_label_accepted(self, tmp_path, dirty):
+        result = make_envelope()
+        if dirty == "absent":
+            del result["git_dirty"]  # envelopes older than the label
+        else:
+            result["git_dirty"] = dirty
+        path = tmp_path / "run.json"
+        write_bench(path, result)
+        assert load_bench(path) == result
+
+    def test_git_dirty_must_be_boolean(self, tmp_path):
+        path = tmp_path / "run.json"
+        write_bench(path, dict(make_envelope(), git_dirty="yes"))
+        with pytest.raises(ValueError, match="git_dirty"):
             load_bench(path)
 
     def test_non_object_rejected(self, tmp_path):

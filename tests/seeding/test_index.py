@@ -5,11 +5,14 @@ import pytest
 
 from repro.genome.reference import make_reference
 from repro.seeding.index import (
+    SLOTS_PER_KEY,
     IndexTables,
+    KeyTable,
     KmerIndex,
     PackedKmerIndex,
     base_words_at,
     build_segment_tables,
+    hash_slots,
     kmer_code,
     pack_bases,
 )
@@ -152,6 +155,66 @@ class TestSearchTables:
             assert got == bases[position : position + 32].tolist()
 
 
+class TestKeyTable:
+    """The hashed key -> count table behind ``hit_counts``."""
+
+    @staticmethod
+    def _table(keys, counts):
+        return KeyTable.build(
+            numpy.array(keys, dtype=numpy.int64), numpy.array(counts, dtype=numpy.int64)
+        )
+
+    @pytest.mark.parametrize("kind", ["dict", "packed"])
+    def test_empty_index_counts_nothing(self, kind):
+        index = KmerIndex.build("ACG", k=5)
+        if kind == "packed":
+            index = PackedKmerIndex.pack(index)
+        codes = numpy.array([0, 7, -1, kmer_code("ACGTA")])
+        assert index.hit_counts(codes).tolist() == [0, 0, 0, 0]
+
+    def test_minus_one_and_absent_codes_count_zero(self):
+        table = self._table([0, 5, 1 << 40], [3, 1, 2])
+        codes = numpy.array([-1, 5, 4, 0, (1 << 40) + 1, 1 << 40, -1])
+        assert table.lookup(codes).tolist() == [0, 1, 0, 3, 0, 2, 0]
+
+    def test_size_follows_key_count(self):
+        for count in (0, 1, 2, 3, 100, 1_000):
+            table = self._table(range(count), [1] * count)
+            slots = len(table.keys)
+            assert slots == 1 << table.bits
+            assert slots >= SLOTS_PER_KEY * count
+            assert slots < 2 * SLOTS_PER_KEY * max(count, 1)
+
+    def test_keys_in_one_probe_chain(self):
+        # More keys than a lookup round probes, all with one home slot,
+        # placed around the end of the table and wrapped to its start.
+        bits = (SLOTS_PER_KEY * 24 - 1).bit_length()
+        candidates = numpy.arange(1 << 16, dtype=numpy.int64)
+        homes = hash_slots(candidates, bits)
+        last = (1 << bits) - 1
+        chained = candidates[homes == last][:20].tolist()
+        others = candidates[homes == 3][:4].tolist()
+        assert len(chained) == 20 and len(others) == 4
+        keys = chained + others
+        table = self._table(keys, range(1, len(keys) + 1))
+        assert len(table.keys) == 1 << bits
+        absent = candidates[homes == last][20:23].tolist()
+        codes = numpy.array(keys[::-1] + absent + [-1])
+        want = list(range(len(keys), 0, -1)) + [0, 0, 0, 0]
+        assert table.lookup(codes).tolist() == want
+
+    def test_matches_dict_on_random_keys(self):
+        rng = numpy.random.default_rng(7)
+        keys = numpy.unique(rng.integers(0, 1 << 24, 3_000))
+        counts = rng.integers(1, 9, len(keys))
+        table = KeyTable.build(keys, counts)
+        codes = numpy.concatenate([keys, rng.integers(-1, 1 << 24, 3_000)])
+        want = dict(zip(keys.tolist(), counts.tolist()))
+        assert table.lookup(codes).tolist() == [
+            want.get(code, 0) for code in codes.tolist()
+        ]
+
+
 class TestDerivedSeedingState:
     """The search's derived tables are built on first use, once per index."""
 
@@ -192,4 +255,4 @@ class TestDerivedSeedingState:
                 assert after[name] is before[name]
 
 
-_DERIVED = ("_sorted_keys", "base_words")
+_DERIVED = ("key_table", "base_words")

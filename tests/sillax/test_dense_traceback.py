@@ -190,6 +190,56 @@ class TestRegistersAndChunks:
         got = _assert_matches_object(k, lanes)
         assert got[-1].rerun_count == 2
 
+    @pytest.mark.parametrize("overlap, dtype", [(127, np.int16), (128, np.int32)])
+    def test_overlap_edge(self, overlap, dtype):
+        # match * overlap reaches the int16 -inf line (2^13) at 128 bases:
+        # lanes at the edge run in int16, one base past it in int32.
+        scheme = ScoringScheme(match=64)
+        k = 2
+        rng = random.Random(overlap)
+        window = "".join(rng.choice("ACGT") for __ in range(overlap + 2 * k))
+        lanes = [
+            ("A" * overlap, "A" * overlap),
+            (window, window[:overlap]),
+            (window, _mutate(rng, window[1 : overlap + 1], 2)[:overlap]),
+        ] + _random_lanes(overlap, 6)
+        assert max(min(len(w), len(r)) for w, r in lanes) == overlap
+        forward = dense.dense_forward(
+            k, scheme, [w for w, __ in lanes], [r for __, r in lanes]
+        )
+        assert forward.history.dtype == dtype
+        got = _assert_matches_object(k, lanes, scheme)
+        assert got[0].score == 64 * overlap
+
+    @pytest.mark.parametrize("penalty, dtype", [(1170, np.int16), (1171, np.int32)])
+    def test_edit_edge(self, penalty, dtype):
+        # step * (2K + 1) at K = 3 reaches 2^13 at a substitution penalty
+        # of 1171.  Seven leading mismatches walk a real score down to
+        # -7 * penalty in the last layer-1 cell: at the edge it is stored
+        # 2 above the -inf line.
+        scheme = ScoringScheme(match=1, substitution=-penalty)
+        k = 3
+        lanes = [
+            ("A" * 7 + "ACGTTGCAAC", "C" * 7 + "ACGTTGCAAC"),
+            ("GGGGGGGGTACCA", "TTTTTTTTTACCA"),
+        ] + _random_lanes(penalty, 8)
+        forward = dense.dense_forward(
+            k, scheme, [w for w, __ in lanes], [r for __, r in lanes]
+        )
+        assert forward.history.dtype == dtype
+        deepest = forward.history[:, 1, k + 1, k + 1, 0].astype(np.int64)
+        real = deepest[deepest > forward.zero // 2] - forward.zero
+        assert real.min() == -7 * penalty
+        _assert_matches_object(k, lanes, scheme)
+
+    def test_long_lane_runs_in_int16(self):
+        # The reach grows with the overlap and with K, not with the
+        # lanes' total length: a 647 bp lane at K = 64 fits int16.
+        assert dense._register_dtype(BWA_MEM_SCHEME, 64, 647) is np.int16
+        assert dense._register_dtype(BWA_MEM_SCHEME, 584, 8_191) is np.int16
+        assert dense._register_dtype(BWA_MEM_SCHEME, 585, 100) is np.int32
+        assert dense._register_dtype(BWA_MEM_SCHEME, 12, 8_192) is np.int32
+
     def test_overflowing_batch_rejected(self, monkeypatch):
         monkeypatch.setattr(dense, "_INT16_REACH", 0)
         monkeypatch.setattr(dense, "_INT32_REACH", 1)

@@ -1,6 +1,7 @@
 """Run manifests: fingerprints, git SHA capture, writer."""
 
 import json
+import subprocess
 from dataclasses import dataclass
 
 from repro.pipeline.genax import GenAxConfig
@@ -9,6 +10,7 @@ from repro.telemetry.manifest import (
     RunManifest,
     config_fingerprint,
     git_commit,
+    git_dirty,
     write_manifest,
 )
 
@@ -50,6 +52,31 @@ class TestGitCommit:
 
     def test_none_outside_checkout(self, tmp_path):
         assert git_commit(cwd=tmp_path) is None
+
+
+class TestGitDirty:
+    @staticmethod
+    def _git(cwd, *args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=cwd, check=True, capture_output=True,
+        )
+
+    def test_tracks_changes_to_tracked_files_only(self, tmp_path):
+        self._git(tmp_path, "init", "-q")
+        (tmp_path / "a.txt").write_text("one\n")
+        self._git(tmp_path, "add", "a.txt")
+        self._git(tmp_path, "commit", "-q", "-m", "one")
+        assert git_dirty(cwd=tmp_path) is False
+        (tmp_path / "new.txt").write_text("untracked\n")
+        assert git_dirty(cwd=tmp_path) is False
+        (tmp_path / "a.txt").write_text("two\n")
+        assert git_dirty(cwd=tmp_path) is True
+        self._git(tmp_path, "add", "a.txt")
+        assert git_dirty(cwd=tmp_path) is True
+
+    def test_none_outside_checkout(self, tmp_path):
+        assert git_dirty(cwd=tmp_path) is None
 
 
 class TestRunManifest:
