@@ -22,6 +22,9 @@ envelope fixes that:
   helpers the run manifests use (:mod:`repro.telemetry.manifest`).
   ``git_dirty`` is true when tracked files differ from ``git_sha``, so a
   run on an uncommitted tree is not mistaken for a run of that commit.
+  Both describe the checkout this package was imported from, not the
+  working directory, so a bench run against another checkout's ``src``
+  carries that checkout's labels.
 
 Every committed ``BENCH_*.json`` is an envelope, so :func:`load_bench`
 accepts the envelope version only and names any other version it meets.
@@ -112,6 +115,10 @@ def compute_run_id(result: Mapping[str, Any]) -> str:
     return config_fingerprint(stable)
 
 
+#: Where this package was imported from: the checkout the git labels name.
+_SOURCE = Path(__file__).resolve().parent
+
+
 def bench_envelope(
     benchmark: str,
     *,
@@ -130,8 +137,8 @@ def bench_envelope(
         "benchmark": benchmark,
         "quick": bool(quick),
         "machine": machine_info(),
-        "git_sha": git_commit(),
-        "git_dirty": git_dirty(),
+        "git_sha": git_commit(cwd=_SOURCE),
+        "git_dirty": git_dirty(cwd=_SOURCE),
         "workload": dict(workload),
         "payload": dict(payload),
         "recorded_utc": utc_now_iso(),

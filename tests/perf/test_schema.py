@@ -48,6 +48,18 @@ class TestEnvelope:
         assert result["schema_version"] == BENCH_SCHEMA_VERSION
         assert result["git_dirty"] in (True, False, None)
 
+    def test_git_labels_name_the_imported_checkout(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        import repro.perf.schema as schema
+        from repro.telemetry.manifest import git_commit, git_dirty
+
+        source = Path(schema.__file__).resolve().parent
+        monkeypatch.chdir(tmp_path)  # not a git checkout
+        result = make_envelope()
+        assert result["git_sha"] == git_commit(cwd=source)
+        assert result["git_dirty"] == git_dirty(cwd=source)
+
     def test_workload_fingerprint_ignores_machine_and_payload(self):
         a = make_envelope()
         b = make_envelope(payload={"cells": []})
