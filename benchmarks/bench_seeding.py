@@ -179,7 +179,7 @@ def check_batch(
     entry = {
         "segments": len(tables),
         "reads": len(reads),
-        "seeds_equal": seeds == want_seeds,
+        "seeds_equal": list(seeds) == want_seeds,
         "stats_equal": (
             dataclasses.asdict(accelerator.stats) == dataclasses.asdict(want_stats)
         ),

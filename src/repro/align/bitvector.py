@@ -33,9 +33,10 @@ shift are one operation each), with no ``np.where`` over dead lanes.
 That fixed count is what the lane count amortises: on 101 bp patterns the
 batched kernel beats the scalar bigint scan from a few dozen lanes per
 call, which is why the cascade's ``myers`` stage
-(:class:`repro.filters.myers.MyersCandidateFilter`) and the bitvector
-backend's gate answer a whole dispatch in one
-:func:`semiglobal_min_lanes` call.
+(:class:`repro.filters.myers.MyersCandidateFilter`, through
+:func:`semiglobal_min_windows`) and the bitvector backend's gate
+(through :func:`semiglobal_min_lanes`) each answer a whole dispatch in
+one kernel call.
 
 Bits above a lane's pattern length are garbage by construction and
 provably harmless: the recurrence only moves information upward (adds
@@ -54,19 +55,26 @@ shifted into bit 0 (Myers' original distinction):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.align.myers import myers_semiglobal_min
-from repro.genome.sequence import BASES_PER_WORD, encode_batch, is_dna
+from repro.genome.sequence import (
+    BASES_PER_WORD,
+    DIRTY_BASE,
+    encode_batch,
+    encode_bases,
+    is_dna,
+)
 
 __all__ = [
     "batch_myers_bounded",
     "batch_myers_distance",
     "batch_semiglobal_min",
     "semiglobal_min_lanes",
+    "semiglobal_min_windows",
 ]
 
 #: DP-column bits per machine word (the blocked-Myers block size).
@@ -96,24 +104,30 @@ def _unpack_codes(
 def _build_peq(
     packed: NDArray[np.uint64], lengths: NDArray[np.int64]
 ) -> NDArray[np.uint64]:
-    """Per-symbol equality bit-planes: ``peq[lane, symbol, word]``.
-
-    Bits at or above each lane's pattern length are zero in every plane,
-    so padding never matches any text symbol.  Bit ``j`` of a word is
-    pattern base ``64*word+j``: the match masks are packed little-endian,
-    eight bases to a byte, eight bytes to a word.
-    """
+    """:func:`_peq_from_codes` of :func:`encode_batch` output."""
     count = packed.shape[0]
     max_len = int(lengths.max()) if count else 0
-    words = max(1, -(-max_len // BITS_PER_WORD))
-    # Code 4 is no base: padding matches none of the four planes.
-    codes = np.full((count, words * BITS_PER_WORD), 4, dtype=np.uint8)
+    codes = np.full((count, max_len), 4, dtype=np.uint8)
     if max_len:
         valid = np.arange(max_len, dtype=np.int64) < lengths[:, None]
-        codes[:, :max_len] = np.where(
-            valid, _unpack_codes(packed, max_len), 4
-        )
-    match = codes[:, None, :] == np.arange(4, dtype=np.uint8)[:, None]
+        codes = np.where(valid, _unpack_codes(packed, max_len), np.uint8(4))
+    return _peq_from_codes(codes)
+
+
+def _peq_from_codes(codes: NDArray[np.uint8]) -> NDArray[np.uint64]:
+    """Per-symbol equality bit-planes: ``peq[lane, symbol, word]``.
+
+    *codes* holds one pattern per row, 2-bit base codes with 4 for
+    padding or any base outside ``ACGT``; code 4 matches none of the four
+    planes, so padding never matches any text symbol.  Bit ``j`` of a
+    word is pattern base ``64*word+j``: the match masks are packed
+    little-endian, eight bases to a byte, eight bytes to a word.
+    """
+    count, columns = codes.shape
+    words = max(1, -(-columns // BITS_PER_WORD))
+    padded = np.full((count, words * BITS_PER_WORD), 4, dtype=np.uint8)
+    padded[:, :columns] = codes
+    match = padded[:, None, :] == np.arange(4, dtype=np.uint8)[:, None]
     planes = np.packbits(match, axis=2, bitorder="little")
     return planes.view(np.dtype("<u8"))
 
@@ -150,22 +164,26 @@ def _ripple_add(
 
 def _run_kernel(
     peq: NDArray[np.uint64],
+    pattern_rows: NDArray[np.int64],
     pattern_lengths: NDArray[np.int64],
-    text_codes: NDArray[np.intp],
+    text_codes: NDArray[Any],
     text_lengths: NDArray[np.int64],
     semiglobal: bool,
 ) -> NDArray[np.int64]:
     """Advance every lane over its text; one iteration per text column.
 
-    Lanes run sorted by text length, longest first, so the lanes still
-    reading text at any column are a prefix of the state arrays: each
-    column updates ``[:live]`` slices and never masks.  Returns the
-    per-lane global distance, or the per-lane minimum column score when
-    *semiglobal*, in the caller's lane order (lanes with empty patterns
-    are the caller's job — their high-bit index would be meaningless
-    here).
+    Lane ``i`` reads the equality planes ``peq[pattern_rows[i]]``, so
+    lanes sharing a pattern share its planes; *pattern_lengths* and the
+    text arrays are per lane.  Lanes run sorted by text length, longest
+    first, so the lanes still reading text at any column are a prefix of
+    the state arrays: each column updates ``[:live]`` slices and never
+    masks.  Returns the per-lane global distance, or the per-lane minimum
+    column score when *semiglobal*, in the caller's lane order (lanes
+    with empty patterns are the caller's job — their high-bit index
+    would be meaningless here).
     """
-    count, _, words = peq.shape
+    count = len(text_lengths)
+    words = peq.shape[2]
     order = np.argsort(-text_lengths, kind="stable")
     sorted_lengths = text_lengths[order]
     columns = int(sorted_lengths[0]) if count else 0
@@ -175,9 +193,9 @@ def _run_kernel(
     )
     # Row of the flattened (lane, symbol) equality planes each sorted lane
     # reads at each column, column-major so a column's rows are contiguous.
-    planes = peq.reshape(count * 4, words)
+    planes = peq.reshape(-1, words)
     plane_rows = np.ascontiguousarray(
-        (order * 4)[None, :] + text_codes[order, :columns].T
+        (pattern_rows[order] * 4)[None, :] + text_codes[order, :columns].T
     )
     vp: NDArray[np.uint64] = np.full((count, words), _ALL_ONES, dtype=np.uint64)
     vn: NDArray[np.uint64] = np.zeros((count, words), dtype=np.uint64)
@@ -241,7 +259,12 @@ def _batch_scores(
     text_codes = _unpack_codes(text_packed, max_text).astype(np.intp)
     peq = _build_peq(pattern_packed, pattern_lengths)
     scores = _run_kernel(
-        peq, pattern_lengths, text_codes, text_lengths, semiglobal
+        peq,
+        np.arange(len(patterns)),
+        pattern_lengths,
+        text_codes,
+        text_lengths,
+        semiglobal,
     )
     empty = pattern_lengths == 0
     if empty.any():
@@ -299,9 +322,9 @@ def semiglobal_min_lanes(
     or text holds anything else (an ``N``, an IUPAC code) runs the scalar
     :func:`repro.align.myers.myers_semiglobal_min`, which compares raw
     characters, so such a base costs one edit instead of aborting the
-    whole batch; every clean lane shares one kernel call.  This is the
-    one dirty-lane rule behind both the ``myers`` filter stage and the
-    bitvector backend's extension gate.
+    whole batch; every clean lane shares one kernel call.  The bitvector
+    backend's extension gate runs on it; the ``myers`` filter stage runs
+    :func:`semiglobal_min_windows`, which gives the same distances.
     """
     if len(patterns) != len(texts):
         raise ValueError(
@@ -321,3 +344,48 @@ def semiglobal_min_lanes(
         next(kernel) if ok else myers_semiglobal_min(pattern, text)
         for pattern, text, ok in zip(patterns, texts, clean)
     ]
+
+
+def semiglobal_min_windows(
+    patterns: Sequence[str],
+    rows: NDArray[np.int64],
+    reference: NDArray[np.uint8],
+    starts: NDArray[np.int64],
+    lengths: NDArray[np.int64],
+) -> NDArray[np.int64]:
+    """:func:`semiglobal_min_lanes` over reference windows named by span.
+
+    Lane ``i`` scores ``patterns[rows[i]]`` against the window
+    ``reference[starts[i] : starts[i] + lengths[i]]``; *reference* holds
+    2-bit ``ACGT`` codes (a validated genome, one byte per base) and
+    every window lies inside it.  Each pattern is encoded once, into one
+    set of equality planes that every lane of its row reads, and the
+    windows are one gather from *reference*, so no window string is
+    built.
+
+    A pattern base outside upper-case ``ACGT`` (an ``N``, lower case)
+    encodes as a symbol that equals none of the four planes: it
+    mismatches every reference base, exactly as the scalar
+    :func:`~repro.align.myers.myers_semiglobal_min` comparing raw
+    characters against an ``ACGT`` text does, so such rows share the
+    kernel call and get the scalar recurrence's distance.
+    """
+    count = len(rows)
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    sizes = np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns))
+    max_len = int(sizes.max())
+    bases = encode_bases("".join(patterns))
+    columns = np.arange(max_len, dtype=np.int64)
+    spots = np.minimum((np.cumsum(sizes) - sizes)[:, None] + columns, len(bases) - 1)
+    codes = np.where(columns < sizes[:, None], bases[spots], np.uint8(DIRTY_BASE))
+    peq = _peq_from_codes(codes)
+    width = int(lengths.max())
+    text = np.zeros((count, width), dtype=np.uint8)
+    if width:
+        spans = np.minimum(starts[:, None] + np.arange(width), len(reference) - 1)
+        text = reference[spans]
+    pattern_lengths = sizes[rows]
+    scores = _run_kernel(peq, rows, pattern_lengths, text, lengths, semiglobal=True)
+    # An empty pattern matches the empty substring for free.
+    return np.where(pattern_lengths == 0, 0, scores)

@@ -186,6 +186,26 @@ DTYPE_ALLOWLIST: Tuple[SanctionedSite, ...] = (
         ),
     ),
     SanctionedSite(
+        site="repro.align.bitvector.semiglobal_min_windows",
+        rule="hidden-copy",
+        reason=(
+            "Per-dispatch setup of the cascade's Myers stage, outside the "
+            "kernel's column loop: one gather lays the reads' codes out "
+            "one row per read for the equality planes, and one gather "
+            "reads every lane's window from the cached reference codes, "
+            "which replaces a window string and an encode per candidate."
+        ),
+    ),
+    SanctionedSite(
+        site="repro.genome.sequence.encode_bases",
+        rule="hidden-copy",
+        reason=(
+            "The vectorized ASCII->2-bit translation of a whole batch of "
+            "reads: one 256-entry LUT gather per call, as in encode_batch, "
+            "replacing a per-character Python loop."
+        ),
+    ),
+    SanctionedSite(
         site="repro.genome.sequence.unpack_batch",
         rule="hidden-copy",
         reason=(

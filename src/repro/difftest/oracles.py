@@ -53,6 +53,7 @@ from repro.align.bitvector import (
     BITS_PER_WORD,
     batch_myers_bounded,
     batch_semiglobal_min,
+    semiglobal_min_lanes,
 )
 from repro.align.myers import (
     myers_bounded,
@@ -73,15 +74,28 @@ from repro.align.ula import UniversalLevenshteinAutomaton
 from repro.align.xdrop import xdrop_extension_score
 from repro.core.silla import Silla
 from repro.difftest.grammar import DiffCase, GenSpec
-from repro.filters import filter_names, get_filter
+from repro.filters import (
+    FilterCascade,
+    MyersCandidateFilter,
+    filter_names,
+    get_filter,
+)
 from repro.genome.reference import ReferenceGenome, SegmentView
 from repro.genome.sequence import reverse_complement
-from repro.pipeline.common import Candidate
+from repro.pipeline.common import (
+    Candidate,
+    CandidateTable,
+    Extension,
+    candidates_from_seeds,
+    fetch_window,
+    strands,
+)
+from repro.pipeline.genax import SegmentedSeedProvider
 from repro.pipeline.pairs import rescue_search
 from repro.pipeline.registry import build_aligner, get_backend
-from repro.pipeline.stages import AdaptivePolicy
+from repro.pipeline.stages import AdaptivePolicy, ExtensionJob, PipelineDriver, StageSet
 from repro.seeding.accelerator import SeedingAccelerator
-from repro.seeding.index import KmerIndex, build_segment_tables
+from repro.seeding.index import IndexTables, KmerIndex, build_segment_tables
 from repro.seeding.smem import ReadBatch, SeedingMode, SmemConfig, SmemFinder
 from repro.seeding.smem_oracle import (
     CamWalkFinder,
@@ -683,6 +697,188 @@ def _oracle_segments_per_segment(case: DiffCase) -> Output:
     return _stack_run(case, one_pass=False)
 
 
+#: Candidate caps the ``candidate-table-vs-per-read`` pair runs: none
+#: kept, one per strand, and no cap.
+_CANDIDATE_CAPS = (0, 1, None)
+
+
+def _candidate_setup(
+    case: DiffCase,
+) -> Tuple[ReferenceGenome, List[IndexTables], SmemConfig, List[str]]:
+    """Reference, segment tables, seeding config and reads of one
+    ``candidate-table-vs-per-read`` case.
+
+    The reference is the case's reference, its first half and the
+    reference again, so placements repeat and tie on seed length; three
+    segments overlap by ``2 * smem_k`` bases, so a hit in an overlap is
+    found from both neighbours.  The reads are the query, a copy with an
+    ``N``, a read shorter than k, an empty read, an exact substring (an
+    exact-match strand), the genome's tail with one base changed (windows
+    clamped at the genome end) and the genome's head behind a prefix
+    (negative window starts).
+    """
+    k = case.param("smem_k")
+    half = len(case.reference) // 2
+    sequence = case.reference + case.reference[:half] + case.reference
+    reference = ReferenceGenome(sequence, name="difftest")
+    tables = build_segment_tables(reference.segments(3, overlap=2 * k), k)
+    query = case.query
+    middle = len(query) // 2
+    size = max(k + 2, len(query))
+    tail = list(sequence[-size:])
+    if tail:
+        spot = len(tail) // 2
+        tail[spot] = "ACGT"[("ACGT".index(tail[spot]) + 1) % 4]
+    reads = [
+        query,
+        query[:middle] + "N" + query[middle + 1 :],
+        query[: k - 1],
+        "",
+        sequence[half : half + size],
+        "".join(tail),
+        query[::-1][: k // 2 + 1] + sequence[:size],
+    ]
+    return reference, tables, SmemConfig(k=k, exact_match_fast_path=True), reads
+
+
+class _RecordingStage:
+    """A cascade stage that records every candidate table and verdict."""
+
+    name = "myers"
+
+    def __init__(self, stage: Any) -> None:
+        self.stage = stage
+        self.seen: List[List[Any]] = []
+
+    def admit_batch(self, candidates: CandidateTable, stats: AlignmentStats) -> Any:
+        verdicts = self.stage.admit_batch(candidates, stats)
+        self.seen.extend(
+            [row // 2, reverse, start, length, admitted]
+            for row, reverse, start, length, admitted in zip(
+                candidates.row.tolist(),
+                candidates.reverse.tolist(),
+                candidates.start.tolist(),
+                candidates.seed_length.tolist(),
+                list(map(bool, verdicts)),
+            )
+        )
+        return verdicts
+
+
+class _RecordingExtender:
+    """An extension engine that records its jobs and extends none."""
+
+    def __init__(self) -> None:
+        self.jobs: List[ExtensionJob] = []
+
+    def extend_batch(
+        self, jobs: List[ExtensionJob], stats: AlignmentStats
+    ) -> List[Optional[Extension]]:
+        self.jobs.extend(jobs)
+        return [None] * len(jobs)
+
+
+def _candidate_budgets(case: DiffCase) -> Tuple[int, int]:
+    """A tight and a loose edit bound, so verdicts go both ways."""
+    return case.param("k"), case.param("k") + 6
+
+
+def _fast_candidate_table(case: DiffCase) -> Output:
+    """The driver's dispatch: candidates, cascade verdicts and jobs."""
+    reference, tables, config, reads = _candidate_setup(case)
+    out = []
+    for cap in _CANDIDATE_CAPS:
+        for budget in _candidate_budgets(case):
+            accelerator = SeedingAccelerator(
+                reference, config, segment_count=len(tables), tables=tables
+            )
+            stage = _RecordingStage(MyersCandidateFilter(reference, budget, budget))
+            extender = _RecordingExtender()
+            driver = PipelineDriver(
+                StageSet(
+                    seeder=SegmentedSeedProvider(accelerator),
+                    extender=extender,
+                    match_score=1,
+                    min_score=1,
+                    max_candidates=cap,
+                    cascade=FilterCascade([stage]),
+                )
+            )
+            driver.align_batch([(f"r{index}", read) for index, read in enumerate(reads)])
+            out.append(
+                {
+                    "candidates": stage.seen,
+                    "jobs": [
+                        [oriented, job.window_start, job.reverse, job.seed_length]
+                        for oriented, job in extender.jobs
+                    ],
+                    "stats": _candidate_stats(driver.stats),
+                }
+            )
+    return out
+
+
+def _candidate_stats(stats: AlignmentStats) -> Output:
+    """The counters the gather and filter phases charge."""
+    return {
+        name: getattr(stats, name)
+        for name in (
+            "reads_total",
+            "reads_exact",
+            "candidates_filtered",
+            "candidates_survived",
+            "prefilter_cycles",
+        )
+    }
+
+
+def _oracle_candidates_per_read(case: DiffCase) -> Output:
+    """Per strand: CAM-walk seeds, ``candidates_from_seeds`` and one
+    ``semiglobal_min_lanes`` verdict per fetched window."""
+    reference, tables, config, reads = _candidate_setup(case)
+    oriented = [variant for read in reads for variant, __ in strands(read)]
+    seed_lists, __ = seed_reads_per_segment(tables, config, oriented)
+    out = []
+    for cap in _CANDIDATE_CAPS:
+        for budget in _candidate_budgets(case):
+            stats = AlignmentStats(reads_total=len(reads))
+            jobs: List[Tuple[int, str, Candidate]] = []
+            exact_reads = set()
+            for row, (variant, seeds) in enumerate(zip(oriented, seed_lists)):
+                if any(seed.exact_whole_read for seed in seeds):
+                    exact_reads.add(row // 2)
+                    continue
+                for candidate in candidates_from_seeds(seeds, row % 2 == 1, cap):
+                    jobs.append((row // 2, variant, candidate))
+            stats.reads_exact = len(exact_reads)
+            windows = [
+                fetch_window(reference, candidate, len(variant), budget)
+                for __, variant, candidate in jobs
+            ]
+            stats.prefilter_cycles = sum(map(len, windows))
+            distances = semiglobal_min_lanes(
+                [variant for __, variant, __c in jobs], windows
+            )
+            admitted = [distance <= budget for distance in distances]
+            stats.candidates_survived = sum(admitted)
+            stats.candidates_filtered = len(jobs) - stats.candidates_survived
+            out.append(
+                {
+                    "candidates": [
+                        [read, c.reverse, c.window_start, c.seed_length, verdict]
+                        for (read, __, c), verdict in zip(jobs, admitted)
+                    ],
+                    "jobs": [
+                        [variant, c.window_start, c.reverse, c.seed_length]
+                        for (__, variant, c), verdict in zip(jobs, admitted)
+                        if verdict
+                    ],
+                    "stats": _candidate_stats(stats),
+                }
+            )
+    return out
+
+
 # ------------------------------------------------- batched bit-parallel
 
 
@@ -984,9 +1180,8 @@ def _fast_cascade_verdicts(case: DiffCase) -> Output:
     verdicts: Dict[str, bool] = {}
     for name in filter_names():
         stage = get_filter(name).build(reference, k, slack)
-        verdicts[name] = bool(
-            stage.admit_batch([(case.query, candidate)], AlignmentStats())[0]
-        )
+        jobs = CandidateTable.from_jobs([(case.query, candidate)])
+        verdicts[name] = bool(stage.admit_batch(jobs, AlignmentStats())[0])
     return {"k": k, "verdicts": verdicts}
 
 
@@ -1427,6 +1622,22 @@ _register(
         ),
         fast=_fast_rmem_batch,
         oracle=_oracle_rmem_cam_walk,
+        spec=_SEEDING_SPEC,
+    )
+)
+_register(
+    OraclePair(
+        name="candidate-table-vs-per-read",
+        contract=Contract.EXACT_SCORE,
+        description=(
+            "The driver's per-dispatch candidate table and Myers cascade "
+            "verdicts vs candidates_from_seeds per strand and "
+            "semiglobal_min_lanes per fetched window, at caps 0/1/None "
+            "and two edit bounds: every candidate, verdict, extension "
+            "job and gather/filter counter"
+        ),
+        fast=_fast_candidate_table,
+        oracle=_oracle_candidates_per_read,
         spec=_SEEDING_SPEC,
     )
 )

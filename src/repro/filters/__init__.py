@@ -12,7 +12,7 @@
 ``python -m repro.filters`` prints the registry's README table.
 """
 
-from repro.filters.base import CandidateFilter, FilterJob, FilterStageStats
+from repro.filters.base import CandidateFilter, FilterStageStats
 from repro.filters.cascade import FilterCascade
 from repro.filters.myers import MyersCandidateFilter
 from repro.filters.registry import (
@@ -28,7 +28,6 @@ from repro.filters.registry import (
 __all__ = [
     "CandidateFilter",
     "FilterCascade",
-    "FilterJob",
     "FilterSpec",
     "FilterStageStats",
     "MyersCandidateFilter",

@@ -7,8 +7,10 @@ candidates are decoys, and one exact within-budget test answered for a
 whole dispatch at once costs less than extending them.
 
 :class:`CandidateFilter`
-    ``admit_batch(jobs, stats)`` answers every (oriented read, candidate)
-    job of one dispatch, charging its streaming work to the shared
+    ``admit_batch(candidates, stats)`` answers every candidate of one
+    dispatch, given as a :class:`~repro.pipeline.common.CandidateTable`
+    (columns, readable as a sequence of ``(oriented read, Candidate)``
+    jobs), charging its streaming work to the shared
     :class:`~repro.align.records.AlignmentStats` (``prefilter_cycles``).
     A filter must never bump ``candidates_filtered`` /
     ``candidates_survived`` itself — the cascade charges those exactly
@@ -23,24 +25,20 @@ stage per dispatch — the same one-call-per-dispatch shape as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    List,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Protocol, Sequence, Union, runtime_checkable
+
+import numpy
+from numpy.typing import NDArray
 
 from repro.align.records import AlignmentStats
 
 if TYPE_CHECKING:
     # Type-only: repro.pipeline imports this package at module scope, so
     # a runtime import of repro.pipeline.common here would cycle.
-    from repro.pipeline.common import Candidate
+    from repro.pipeline.common import CandidateTable
 
-#: One filter job: the oriented read and the placement to veto or admit.
-FilterJob = Tuple[str, "Candidate"]
+#: A stage's answer: one admit flag per candidate, as a list or an array.
+Verdicts = Union[Sequence[bool], NDArray[numpy.bool_]]
 
 
 @runtime_checkable
@@ -51,9 +49,10 @@ class CandidateFilter(Protocol):
     name: str
 
     def admit_batch(
-        self, jobs: Sequence[FilterJob], stats: AlignmentStats
-    ) -> List[bool]:
-        """Answer every job; entry *i* is True iff ``jobs[i]`` may proceed."""
+        self, candidates: "CandidateTable", stats: AlignmentStats
+    ) -> Verdicts:
+        """Answer every candidate; entry *i* is True iff candidate *i* may
+        proceed."""
         ...
 
 

@@ -12,10 +12,11 @@ rejected / cycle counters), attributing each stage's
 ``prefilter_cycles`` delta to the stage that streamed it.
 
 The cascade has one entry point, :meth:`admit_batch_depths`, which the
-driver calls once per batch with every gathered candidate.  Evaluation
-is stage-major over the lanes still alive: each stage answers, in one
-``admit_batch`` call, only the candidates every earlier stage admitted.
-A stage without ``admit_batch`` is rejected at construction.
+driver calls once per batch with the dispatch's
+:class:`~repro.pipeline.common.CandidateTable`.  Evaluation is
+stage-major over the candidates still alive: each stage answers, in one
+``admit_batch`` call, the sub-table of candidates every earlier stage
+admitted.  A stage without ``admit_batch`` is rejected at construction.
 
 The *depth* of a candidate is the number of stages it passed: a depth
 equal to ``len(cascade)`` means admitted; anything lower names the
@@ -24,10 +25,15 @@ rejecting stage.  Depths drive the telemetry cascade histogram.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
+
+import numpy
 
 from repro.align.records import AlignmentStats
-from repro.filters.base import CandidateFilter, FilterJob, FilterStageStats
+from repro.filters.base import CandidateFilter, FilterStageStats
+
+if TYPE_CHECKING:
+    from repro.pipeline.common import CandidateTable
 
 
 class FilterCascade:
@@ -56,46 +62,38 @@ class FilterCascade:
         return self._stages
 
     def admit_batch_depths(
-        self, jobs: Sequence[FilterJob], stats: AlignmentStats
+        self, candidates: "CandidateTable", stats: AlignmentStats
     ) -> List[int]:
-        """Depth per job; entry *i* answers ``jobs[i]``.
+        """Depth per candidate; entry *i* answers candidate *i*.
 
         A depth of ``len(self)`` means admitted; a lower depth names the
         rejecting stage.  Each candidate is charged to *stats* exactly
         once (``candidates_filtered`` or ``candidates_survived``), and
         each stage's ``prefilter_cycles`` delta is attributed to it.
         """
-        depths = [0] * len(jobs)
-        alive = list(range(len(jobs)))
+        depths = numpy.zeros(len(candidates), dtype=numpy.int64)
+        alive = numpy.arange(len(candidates))
         for index, stage in enumerate(self._stages):
-            if not alive:
+            if not alive.size:
                 break
-            subset = [jobs[i] for i in alive]
+            subset = candidates if index == 0 else candidates.take(alive)
             stage_stats = self.stage_stats[index]
-            stage_stats.checked += len(subset)
+            stage_stats.checked += len(alive)
             before = stats.prefilter_cycles
-            verdicts = stage.admit_batch(subset, stats)
-            if len(verdicts) != len(subset):
+            verdicts = numpy.asarray(stage.admit_batch(subset, stats), dtype=bool)
+            if len(verdicts) != len(alive):
                 raise ValueError(
                     f"filter {self.stage_names[index]!r} returned "
-                    f"{len(verdicts)} verdicts for {len(subset)} jobs"
+                    f"{len(verdicts)} verdicts for {len(alive)} jobs"
                 )
             stage_stats.cycles += stats.prefilter_cycles - before
-            survivors: List[int] = []
-            for job_index, admitted in zip(alive, verdicts):
-                if admitted:
-                    depths[job_index] += 1
-                    survivors.append(job_index)
-                else:
-                    stage_stats.rejected += 1
-            alive = survivors
-        admitted_depth = len(self)
-        for depth in depths:
-            if depth == admitted_depth:
-                stats.candidates_survived += 1
-            else:
-                stats.candidates_filtered += 1
-        return depths
+            stage_stats.rejected += len(alive) - int(numpy.count_nonzero(verdicts))
+            alive = alive[verdicts]
+            depths[alive] += 1
+        survived = int(numpy.count_nonzero(depths == len(self)))
+        stats.candidates_survived += survived
+        stats.candidates_filtered += len(candidates) - survived
+        return depths.tolist()
 
     # ----------------------------------------------------------- reporting
 

@@ -9,17 +9,21 @@ counts, SneakySnake-style diagonal coverage) were measured and removed,
 because every candidate they vetoed this stage vetoed too and they
 rejected almost nothing on their own.
 
-The cascade calls :meth:`MyersCandidateFilter.admit_batch`: every lane
-of a dispatch is answered by one
-:func:`~repro.align.bitvector.semiglobal_min_lanes` call, and a lane is
-admitted iff its minimum distance is ``<= max_edits``.  That is exactly
-``bool(myers_search(...))``, the scalar :meth:`~MyersCandidateFilter.admit`
-verdict the tests and the ``filters-vs-distance`` difftest pair hold it
-to, because both recurrences start the score at the pattern length and
+The cascade calls :meth:`MyersCandidateFilter.admit_batch` with the
+dispatch's :class:`~repro.pipeline.common.CandidateTable`, and one
+:func:`~repro.align.bitvector.semiglobal_min_windows` call answers every
+candidate: each read is encoded once, each window is a span of a cached
+2-bit copy of the reference (the ``fetch`` clamp applied), so no window
+string and no :class:`~repro.pipeline.common.Candidate` is built.  A
+candidate is admitted iff its minimum distance is ``<= max_edits``.
+That is exactly ``bool(myers_search(...))``, the scalar
+:meth:`~MyersCandidateFilter.admit` verdict the tests and the
+``filters-vs-distance`` difftest pair hold it to, because both
+recurrences start the score at the pattern length and
 :func:`~repro.align.myers.myers_search` reports a hit wherever the
-running score is within budget.  Lanes outside upper-case ACGT take the
-scalar recurrence inside ``semiglobal_min_lanes``, so an ``N`` costs an
-edit instead of aborting the dispatch.
+running score is within budget.  A read base outside upper-case ACGT
+costs an edit against every reference base, as in the scalar
+recurrence, instead of aborting the dispatch.
 
 Counter discipline (see :mod:`repro.filters.base`): the stage charges its
 streamed window to ``stats.prefilter_cycles`` (the hardware analogue
@@ -30,16 +34,20 @@ checked/rejected/cycle counters and the once-per-candidate
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-from repro.align.bitvector import semiglobal_min_lanes
+import numpy
+from numpy.typing import NDArray
+
+from repro.align.bitvector import semiglobal_min_windows
 from repro.align.myers import myers_search
 from repro.align.records import AlignmentStats
-from repro.filters.base import FilterJob
 from repro.genome.reference import ReferenceGenome
+from repro.genome.sequence import encode_bases
 
 if TYPE_CHECKING:
-    from repro.pipeline.common import Candidate
+    from repro.pipeline.common import Candidate, CandidateTable
 
 
 class MyersCandidateFilter:
@@ -79,13 +87,28 @@ class MyersCandidateFilter:
         return bool(myers_search(oriented, window, self.max_edits))
 
     def admit_batch(
-        self, jobs: Sequence[FilterJob], stats: AlignmentStats
-    ) -> List[bool]:
-        windows = [
-            self._window(oriented, candidate, stats)
-            for oriented, candidate in jobs
-        ]
-        distances = semiglobal_min_lanes(
-            [oriented for oriented, __ in jobs], windows
+        self, candidates: "CandidateTable", stats: AlignmentStats
+    ) -> NDArray[numpy.bool_]:
+        read_lengths = numpy.fromiter(
+            map(len, candidates.reads), dtype=numpy.int64, count=len(candidates.reads)
         )
-        return [distance <= self.max_edits for distance in distances]
+        # The fetch_window span, clamped to the genome like ReferenceGenome.fetch.
+        first = numpy.maximum(candidates.start, 0)
+        end = numpy.minimum(
+            len(self.reference),
+            candidates.start + read_lengths[candidates.row] + self.window_slack,
+        )
+        lengths = numpy.maximum(end - first, 0)
+        stats.prefilter_cycles += int(lengths.sum())
+        distances = semiglobal_min_windows(
+            candidates.reads, candidates.row, self._codes, first, lengths
+        )
+        return distances <= self.max_edits
+
+    @cached_property
+    def _codes(self) -> NDArray[numpy.uint8]:
+        """The reference's 2-bit codes, one byte per base; built once.
+
+        The reference is validated ``ACGT``, so every code is a base.
+        """
+        return encode_bases(self.reference.sequence)

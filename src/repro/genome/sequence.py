@@ -35,6 +35,12 @@ _CODE_LUT = np.full(256, _INVALID_CODE, dtype=np.uint8)
 for _base, _code in _BASE_TO_CODE.items():
     _CODE_LUT[ord(_base)] = _code
 
+#: The code :func:`encode_bases` gives every byte outside upper-case ``ACGT``.
+DIRTY_BASE = 4
+_ASCII_TO_BASE = np.where(
+    _CODE_LUT == _INVALID_CODE, DIRTY_BASE, _CODE_LUT
+).astype(np.uint8)
+
 
 def is_dna(sequence: str) -> bool:
     """Return True if *sequence* contains only upper-case ``A/C/G/T``."""
@@ -74,6 +80,17 @@ def decode(codes: Sequence[int]) -> str:
         return "".join(_CODE_TO_BASE[code] for code in codes)
     except KeyError as exc:
         raise ValueError(f"code {exc.args[0]!r} is outside 0..3") from None
+
+
+def encode_bases(text: str) -> NDArray[np.uint8]:
+    """The 2-bit code of every character of *text*, one byte each, and
+    :data:`DIRTY_BASE` where it is not an upper-case ``ACGT``.
+
+    The non-raising, unpacked sibling of :func:`encode_batch`: seeding
+    and the candidate filter encode reads that may hold an ``N`` with it.
+    """
+    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    return _ASCII_TO_BASE[raw]
 
 
 def encode_batch(

@@ -9,14 +9,18 @@ two extension engines, not of incidental plumbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, overload
+
+import numpy
+from numpy.typing import NDArray
 
 from repro.align.cigar import Cigar
 from repro.align.records import Alignment, MappedRead
 from repro.genome.reference import ReferenceGenome
 from repro.genome.sequence import reverse_complement
 from repro.seeding.accelerator import GlobalSeed
+from repro.seeding.smem import SeedTable
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,18 @@ def candidates_from_seeds(
     reverse: bool,
     max_candidates: Optional[int] = None,
 ) -> List[Candidate]:
-    """Translate seeds into deduplicated candidate window starts.
+    """Translate one strand's seeds into deduplicated candidate window starts.
 
     A seed at read offset o hitting global position p predicts the read
     begins at ``p - o``.  Several seeds usually agree on the same start;
     they are merged, keeping the longest supporting seed.  When a cap is
     set, candidates backed by longer seeds are preferred (longer exact
     matches are stronger evidence).
+
+    This is the per-strand, object-per-candidate statement of the rule;
+    the driver runs it on arrays for a whole dispatch
+    (:meth:`CandidateTable.from_seeds`), and the
+    ``candidate-table-vs-per-read`` difftest pair holds the two equal.
     """
     support: Dict[int, int] = {}
     for seed in seeds:
@@ -82,6 +91,134 @@ def candidates_from_seeds(
     if max_candidates is not None:
         ordered = ordered[:max_candidates]
     return ordered
+
+
+#: One (oriented read, placement) pair: a filter or extension job.
+Job = Tuple[str, Candidate]
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateTable(Sequence[Job]):
+    """The candidate placements of one dispatch, as columns.
+
+    Candidate ``i`` places oriented read ``reads[row[i]]`` at reference
+    window start ``start[i]`` on strand ``reverse[i]``, supported by a
+    seed of ``seed_length[i]`` bases.  The filter cascade reads the
+    columns directly; entry ``i`` of the table, as a sequence, is the
+    ``(oriented read, Candidate)`` job, built on access, so
+    :class:`Candidate` objects are made only for the entries a caller
+    asks for (the driver asks for the survivors of the cascade).
+    """
+
+    reads: Sequence[str]
+    row: NDArray[numpy.int64]
+    start: NDArray[numpy.int64]
+    seed_length: NDArray[numpy.int64]
+    reverse: NDArray[numpy.bool_]
+
+    @classmethod
+    def from_jobs(cls, jobs: Sequence[Job]) -> "CandidateTable":
+        """One row per job (tests, tools and oracles hold job lists)."""
+        count = len(jobs)
+        return cls(
+            reads=[oriented for oriented, __ in jobs],
+            row=numpy.arange(count, dtype=numpy.int64),
+            start=numpy.fromiter(
+                (c.window_start for __, c in jobs), dtype=numpy.int64, count=count
+            ),
+            seed_length=numpy.fromiter(
+                (c.seed_length for __, c in jobs), dtype=numpy.int64, count=count
+            ),
+            reverse=numpy.fromiter(
+                (c.reverse for __, c in jobs), dtype=bool, count=count
+            ),
+        )
+
+    @classmethod
+    def from_seeds(
+        cls,
+        seeds: SeedTable,
+        reads: Sequence[str],
+        reverse: NDArray[numpy.bool_],
+        searched: NDArray[numpy.bool_],
+        max_candidates: Optional[int],
+    ) -> "CandidateTable":
+        """:func:`candidates_from_seeds` for every *searched* row at once.
+
+        Row ``r`` of *seeds* is oriented read ``reads[r]`` on strand
+        ``reverse[r]``.  Every hit predicts the start ``position -
+        offset``; negative starts are dropped, each (row, start) keeps
+        its longest seed, and each row's candidates are ordered by seed
+        length descending, then start, and cut to the first
+        *max_candidates* (no cap for ``None``).  The table is ordered by
+        row, then that order.
+        """
+        sizes = seeds.sizes
+        row = numpy.repeat(seeds.row, sizes)
+        start = seeds.positions - numpy.repeat(seeds.offset, sizes)
+        length = numpy.repeat(seeds.length, sizes)
+        valid = searched[row] & (start >= 0)
+        row, start, length = row[valid], start[valid], length[valid]
+        # The longest seed of each (row, start): first after sorting by
+        # row, start and length descending.
+        order = numpy.lexsort((-length, start, row))
+        row, start, length = row[order], start[order], length[order]
+        first = numpy.ones(len(row), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (start[1:] != start[:-1])
+        row, start, length = row[first], start[first], length[first]
+        order = numpy.lexsort((start, -length, row))
+        row, start, length = row[order], start[order], length[order]
+        if max_candidates is not None:
+            rank = numpy.arange(len(row)) - numpy.searchsorted(row, row)
+            kept = rank < max_candidates
+            row, start, length = row[kept], start[kept], length[kept]
+        return cls(
+            reads=reads, row=row, start=start, seed_length=length, reverse=reverse[row]
+        )
+
+    def take(self, entries: NDArray[numpy.int64]) -> "CandidateTable":
+        """The table of *entries* (indexes, in the order given)."""
+        return CandidateTable(
+            reads=self.reads,
+            row=self.row[entries],
+            start=self.start[entries],
+            seed_length=self.seed_length[entries],
+            reverse=self.reverse[entries],
+        )
+
+    def jobs(self) -> List[Job]:
+        """Every entry as an ``(oriented read, Candidate)`` job."""
+        reads = self.reads
+        return [
+            (reads[row], Candidate(start, reverse, length))
+            for row, start, reverse, length in zip(
+                self.row.tolist(),
+                self.start.tolist(),
+                self.reverse.tolist(),
+                self.seed_length.tolist(),
+            )
+        ]
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    @overload
+    def __getitem__(self, entry: int) -> Job: ...
+
+    @overload
+    def __getitem__(self, entry: slice) -> List[Job]: ...
+
+    def __getitem__(self, entry: Union[int, slice]) -> Union[Job, List[Job]]:
+        if isinstance(entry, slice):
+            return self.take(numpy.arange(len(self))[entry]).jobs()
+        return (
+            self.reads[int(self.row[entry])],
+            Candidate(
+                int(self.start[entry]),
+                bool(self.reverse[entry]),
+                int(self.seed_length[entry]),
+            ),
+        )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ the stages share —
 * strand enumeration (forward + reverse complement),
 * the exact-match fast path (§V optimization 3) and its once-per-read
   ``reads_exact`` accounting,
-* candidate deduplication/ranking (:func:`repro.pipeline.common.candidates_from_seeds`),
+* candidate deduplication/ranking, one
+  :class:`~repro.pipeline.common.CandidateTable` per dispatch (the rule
+  of :func:`repro.pipeline.common.candidates_from_seeds`, on arrays),
 * the pre-alignment filter cascade (:class:`repro.filters.FilterCascade`),
 * best-hit selection and the mapped/unmapped counters,
 
@@ -29,7 +31,9 @@ Stage contracts
 :class:`SeedProvider`
     ``seed(oriented)`` / ``seed_batch(oriented)`` return
     :class:`~repro.seeding.accelerator.GlobalSeed` lists in global genome
-    coordinates, with whole-read exact matches flagged.
+    coordinates, with whole-read exact matches flagged; the SMEM
+    providers' ``seed_batch`` returns them as one
+    :class:`~repro.seeding.smem.SeedTable` of arrays.
 :class:`repro.filters.FilterCascade`
     The ordered composition of :class:`~repro.filters.CandidateFilter`
     stages that vetoes candidate placements before the (expensive)
@@ -37,8 +41,10 @@ Stage contracts
     :class:`~repro.align.records.AlignmentStats` and keeping per-stage
     reject and cycle counters.  The driver filters every gathered
     candidate of a batch in one cross-read ``filter_batch`` dispatch
-    (:meth:`~repro.filters.FilterCascade.admit_batch_depths`), the way it
-    batches extension below.
+    (:meth:`~repro.filters.FilterCascade.admit_batch_depths`) of one
+    :class:`~repro.pipeline.common.CandidateTable`, the way it batches
+    extension below; only the admitted candidates become
+    :class:`~repro.pipeline.common.Candidate` objects and jobs.
 :class:`ExtensionEngine`
     ``extend_batch(jobs, stats)`` verifies a whole job list of (oriented
     read, candidate) placements and returns one
@@ -60,14 +66,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Iterable, List, Optional, Protocol, Sequence
+
+import numpy
+from numpy.typing import NDArray
 
 from repro.align.records import (
     AlignmentStats,
@@ -79,14 +81,15 @@ from repro.align.records import (
 from repro.filters.cascade import FilterCascade
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.pipeline.common import (
-    Candidate,
+    CandidateTable,
     Extension,
-    candidates_from_seeds,
+    Job,
     exact_match_extensions,
     select_best,
     strands,
 )
 from repro.seeding.accelerator import GlobalSeed
+from repro.seeding.smem import SeedTable
 from repro.telemetry.runtime import PipelineTelemetry, active_telemetry
 
 
@@ -97,13 +100,17 @@ class SeedProvider(Protocol):
         """Seed one oriented sequence (per-read execution order)."""
         ...
 
-    def seed_batch(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
-        """Seed a whole oriented-sequence batch (segment-major order)."""
+    def seed_batch(self, oriented: Sequence[str]) -> Sequence[Sequence[GlobalSeed]]:
+        """Seed a whole oriented-sequence batch (segment-major order).
+
+        Per sequence, its seeds: a :class:`~repro.seeding.smem.SeedTable`
+        (the SMEM providers), or plain lists, which the driver tabulates.
+        """
         ...
 
 
 #: One batched-extension job: the oriented read and the placement to verify.
-ExtensionJob = Tuple[str, Candidate]
+ExtensionJob = Job
 
 
 class ExtensionEngine(Protocol):
@@ -236,27 +243,6 @@ class StageSet:
         return self.adaptive.min_score_for(read_length)
 
 
-@dataclass
-class _ReadPlan:
-    """One read's gathered state between the filter and extend phases.
-
-    The driver's one mapping loop runs in phases over a batch of plans:
-    *gather* (fast path, candidate enumeration) fills a plan per read,
-    one cross-read cascade dispatch drops the rejected jobs, one
-    cross-read extend dispatch verifies the survivors, and *finish* runs
-    selection.  ``extensions`` starts with the exact-match fast-path hits
-    and receives the extend results in job order (selection is
-    order-independent regardless; see
-    :func:`repro.pipeline.common.select_best`).
-    """
-
-    name: str
-    read_length: int
-    extensions: List[Extension]
-    jobs: List[ExtensionJob]
-    candidate_count: int
-
-
 def _folded(read: ReadInput) -> NamedRead:
     """The driver's input contract: bases are case-insensitive.
 
@@ -312,13 +298,13 @@ class PipelineDriver:
         if tel is not None:
             tel.stage_begin("align_read")
             tel.stage_begin("seed")
-        seed_lists = [
-            list(self.stages.seeder.seed(oriented))
-            for oriented, __ in strands(sequence)
-        ]
+        oriented = [variant for variant, __ in strands(sequence)]
+        seeds = SeedTable.from_lists(
+            [list(self.stages.seeder.seed(variant)) for variant in oriented]
+        )
         if tel is not None:
             tel.stage_end("seed")
-        mapped = self._map([(name, sequence)], seed_lists)[0]
+        mapped = self._map([(name, sequence)], oriented, seeds)[0]
         if tel is not None:
             tel.stage_end("align_read")
         return mapped
@@ -351,10 +337,11 @@ class PipelineDriver:
         if tel is not None:
             tel.stage_begin("align_batch")
             tel.stage_begin("seed")
-        seed_lists = self.stages.seeder.seed_batch(oriented)
+        seeds = self.stages.seeder.seed_batch(oriented)
         if tel is not None:
             tel.stage_end("seed")
-        out = self._map(named, seed_lists)
+        table = seeds if isinstance(seeds, SeedTable) else SeedTable.from_lists(seeds)
+        out = self._map(named, oriented, table)
         if tel is not None:
             tel.stage_end("align_batch")
         return out
@@ -364,108 +351,93 @@ class PipelineDriver:
     def _map(
         self,
         named: Sequence[NamedRead],
-        seed_lists: Sequence[Sequence[GlobalSeed]],
+        oriented: Sequence[str],
+        seeds: SeedTable,
     ) -> List[MappedRead]:
         """The one mapping loop: gather, filter, extend, select.
 
-        *seed_lists* holds two entries per read (forward, then reverse
-        complement), in read order.
-        """
-        plans = [
-            self._gather(name, sequence, seed_lists[2 * index : 2 * index + 2])
-            for index, (name, sequence) in enumerate(named)
-        ]
-        self._filter_plans(plans)
-        self._dispatch_batch(plans)
-        return [self._finish(plan) for plan in plans]
-
-    def _gather(
-        self,
-        name: str,
-        sequence: str,
-        seed_lists: Sequence[Sequence[GlobalSeed]],
-    ) -> _ReadPlan:
-        """Phase 1: exact-match fast path and candidate enumeration.
-
-        Every enumerated candidate becomes a pending job; filtering runs
-        afterwards, in one cross-read dispatch (:meth:`_filter_plans`).
+        *oriented* and the rows of *seeds* hold two entries per read
+        (forward, then reverse complement), in read order.  A strand with
+        a whole-read exact seed takes the fast path; the hits of every
+        other strand become one :class:`CandidateTable` for the dispatch.
+        :class:`Candidate` objects are built only for the candidates the
+        cascade admits.
         """
         stages = self.stages
         stats = self.stats
-        tel = self.telemetry
-        stats.reads_total += 1
-        if tel is not None:
-            tel.stage_begin("read")
-        extensions: List[Extension] = []
-        jobs: List[ExtensionJob] = []
-        exact_seen = False
-        candidate_count = 0
-        for (oriented, reverse), seeds in zip(strands(sequence), seed_lists):
-            if tel is not None:
-                tel.observe_seeds(seeds)
-            exact = [s for s in seeds if s.exact_whole_read]
-            if exact:
-                # Perfect match: no verification needed (§V item 4).  The
-                # flag — not a counter bump — makes ``reads_exact`` count
-                # once per read even when both strands match exactly.
-                exact_seen = True
-                extensions.extend(
-                    exact_match_extensions(
-                        exact, reverse, len(oriented), stages.match_score
-                    )
+        stats.reads_total += len(named)
+        exact_rows = numpy.zeros(len(oriented), dtype=bool)
+        exact_rows[seeds.row[seeds.exact]] = True
+        stats.reads_exact += int(exact_rows.reshape(-1, 2).any(axis=1).sum())
+        candidates = CandidateTable.from_seeds(
+            seeds,
+            oriented,
+            numpy.arange(len(oriented)) % 2 == 1,
+            ~exact_rows,
+            stages.max_candidates,
+        )
+        counts = numpy.bincount(candidates.row // 2, minlength=len(named)).tolist()
+        extensions: List[List[Extension]] = [[] for __ in named]
+        for row in numpy.flatnonzero(exact_rows).tolist():
+            # Perfect match: no verification needed (§V item 4).
+            exact = [seed for seed in seeds[row] if seed.exact_whole_read]
+            extensions[row // 2].extend(
+                exact_match_extensions(
+                    exact, row % 2 == 1, len(oriented[row]), stages.match_score
                 )
-                continue
-            for candidate in candidates_from_seeds(
-                seeds, reverse, stages.max_candidates
-            ):
-                candidate_count += 1
-                if tel is not None:
-                    tel.observe_candidate()
-                jobs.append((oriented, candidate))
-        if exact_seen:
-            stats.reads_exact += 1
-        if tel is not None:
+            )
+        if self.telemetry is not None:
+            self._observe_gather(seeds, counts)
+        survivors = candidates.take(numpy.flatnonzero(self._filter(candidates)))
+        self._extend(survivors, extensions)
+        return [
+            self._finish(name, len(sequence), read_extensions, count)
+            for (name, sequence), read_extensions, count in zip(
+                named, extensions, counts
+            )
+        ]
+
+    def _observe_gather(self, seeds: SeedTable, counts: Sequence[int]) -> None:
+        """Telemetry of the gather phase: a ``read`` span per read, with
+        its strands' seeds and its candidate count."""
+        tel = self.telemetry
+        assert tel is not None
+        for read, count in enumerate(counts):
+            tel.stage_begin("read")
+            tel.observe_seeds(seeds[2 * read])
+            tel.observe_seeds(seeds[2 * read + 1])
+            for __ in range(count):
+                tel.observe_candidate()
             tel.stage_end("read")
-        return _ReadPlan(name, len(sequence), extensions, jobs, candidate_count)
 
-    def _filter_plans(self, plans: Sequence[_ReadPlan]) -> None:
-        """Phase 2: one cross-read cascade dispatch over pending jobs.
+    def _filter(self, candidates: CandidateTable) -> NDArray[numpy.bool_]:
+        """Phase 2: one cross-read cascade dispatch; the admitted mask.
 
-        No-op without a cascade.  Rejected jobs are dropped from their
-        plans; the survivors keep their job order.
+        Everything is admitted without a cascade.
         """
         cascade = self.stages.cascade
-        if cascade is None:
-            return
-        jobs = [job for plan in plans for job in plan.jobs]
-        if not jobs:
-            return
+        if cascade is None or not len(candidates):
+            return numpy.ones(len(candidates), dtype=bool)
         tel = self.telemetry
         if tel is not None:
             tel.stage_begin("filter_batch")
-        depths = cascade.admit_batch_depths(jobs, self.stats)
+        depths = cascade.admit_batch_depths(candidates, self.stats)
         if tel is not None:
             tel.stage_end("filter_batch")
-        if len(depths) != len(jobs):
+        if len(depths) != len(candidates):
             raise ValueError(
-                f"cascade returned {len(depths)} depths for {len(jobs)} jobs"
+                f"cascade returned {len(depths)} depths for {len(candidates)} jobs"
             )
-        admitted = len(cascade)
-        index = 0
-        for plan in plans:
-            survivors: List[ExtensionJob] = []
-            for job in plan.jobs:
-                depth = depths[index]
-                index += 1
-                if tel is not None:
-                    tel.observe_cascade(depth)
-                if depth == admitted:
-                    survivors.append(job)
-            plan.jobs = survivors
+        if tel is not None:
+            for depth in depths:
+                tel.observe_cascade(depth)
+        return numpy.asarray(depths) == len(cascade)
 
-    def _dispatch_batch(self, plans: Sequence[_ReadPlan]) -> None:
-        """Phase 3: one ``extend_batch`` call over every plan's surviving jobs."""
-        jobs = [job for plan in plans for job in plan.jobs]
+    def _extend(
+        self, survivors: CandidateTable, extensions: List[List[Extension]]
+    ) -> None:
+        """Phase 3: one ``extend_batch`` call over every admitted candidate."""
+        jobs = survivors.jobs()
         if not jobs:
             return
         tel = self.telemetry
@@ -480,31 +452,33 @@ class PipelineDriver:
                 f"extend_batch returned {len(results)} results for "
                 f"{len(jobs)} jobs"
             )
-        index = 0
-        for plan in plans:
-            for __ in plan.jobs:
-                extension = results[index]
-                index += 1
-                if extension is not None:
-                    if tel is not None:
-                        tel.observe_extension(extension)
-                    plan.extensions.append(extension)
+        for read, extension in zip((survivors.row // 2).tolist(), results):
+            if extension is not None:
+                if tel is not None:
+                    tel.observe_extension(extension)
+                extensions[read].append(extension)
 
-    def _finish(self, plan: _ReadPlan) -> MappedRead:
+    def _finish(
+        self,
+        name: str,
+        read_length: int,
+        extensions: List[Extension],
+        candidate_count: int,
+    ) -> MappedRead:
         """Phase 4: selection and the mapped/unmapped counters."""
         stats = self.stats
         tel = self.telemetry
         if tel is not None:
             tel.stage_begin("select")
         mapped = select_best(
-            plan.name,
-            plan.read_length,
-            plan.extensions,
-            self.stages.min_score_for(plan.read_length),
+            name,
+            read_length,
+            extensions,
+            self.stages.min_score_for(read_length),
         )
         if tel is not None:
             tel.stage_end("select")
-            tel.read_done(plan.candidate_count)
+            tel.read_done(candidate_count)
         if mapped.is_unmapped:
             stats.reads_unmapped += 1
         else:

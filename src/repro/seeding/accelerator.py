@@ -13,23 +13,36 @@ counted as the hardware would make it; lane-level parallelism is
 accounted (not threaded).  The search itself runs once per batch, not
 once per segment: a batch's reads are encoded once
 (:class:`~repro.seeding.smem.ReadBatch`), and one RMEM search pass
-(:meth:`~repro.seeding.smem.SmemFinder.seed_segments`) answers every
+(:meth:`~repro.seeding.smem.SmemFinder.seed_table`) answers every
 pivot of the batch against every segment, its rows stacked segment-major.
 Every index access is by integer k-mer code, as in the hardware's
-direct-mapped fetch.  The segment-at-a-time loop is the oracle
+direct-mapped fetch.  Seeds leave as a
+:class:`~repro.seeding.smem.SeedTable`: the cross-segment merge is one
+sort of every hit, with no Python object per seed or hit.  The segment-at-a-time loop is the oracle
 (:func:`~repro.seeding.smem_oracle.seed_reads_per_segment`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
+
+import numpy
+from numpy.typing import NDArray
 
 from repro.genome.reference import ReferenceGenome, SegmentView
 from repro.seeding.cache import IndexCache
 from repro.seeding.cam import IntersectionEngine, IntersectionStats
 from repro.seeding.index import IndexTables, KmerIndex
-from repro.seeding.smem import FinderStats, ReadBatch, SmemConfig, SmemFinder
+from repro.seeding.smem import (
+    FinderStats,
+    GlobalSeed,
+    ReadBatch,
+    SeedTable,
+    SmemConfig,
+    SmemFinder,
+)
 
 
 @dataclass
@@ -83,16 +96,6 @@ class SeedingStats:
         return self.cycles / self.reads_processed
 
 
-@dataclass(frozen=True)
-class GlobalSeed:
-    """A seed translated into global genome coordinates."""
-
-    read_offset: int
-    length: int
-    positions: Tuple[int, ...]  # global positions of the seed start
-    exact_whole_read: bool = False
-
-
 class SeedingLane:
     """One seeding lane: a finder + CAM engine bound to a segment's tables."""
 
@@ -105,23 +108,14 @@ class SeedingLane:
         )
         self.finder = SmemFinder(tables.index, self.config, self.engine)
 
-    def seed_batch(self, batch: ReadBatch) -> List[List[GlobalSeed]]:
+    def seed_batch(self, batch: ReadBatch) -> SeedTable:
         """Seed every read of *batch* against this lane's segment."""
-        start = self.tables.segment_start
-        return [
-            [
-                GlobalSeed(
-                    read_offset=seed.read_offset,
-                    length=seed.length,
-                    positions=tuple(start + hit for hit in seed.hits),
-                    exact_whole_read=(
-                        seed.read_offset == 0 and seed.length == len(read)
-                    ),
-                )
-                for seed in seeds
-            ]
-            for read, seeds in zip(batch.reads, self.finder.seed_batch(batch))
-        ]
+        table = self.finder.seed_table(batch)
+        return dataclasses.replace(
+            table,
+            positions=table.positions + self.tables.segment_start,
+            exact=_exact(table.row, table.offset, table.length, batch.reads),
+        )
 
     def seed_read(self, read: str) -> List[GlobalSeed]:
         """Seed one read against this lane's segment, in global coordinates."""
@@ -182,40 +176,60 @@ class SeedingAccelerator:
     def sram_bytes_per_segment(self) -> int:
         return max(tables.sram_bytes for tables in self.tables)
 
-    def seed_reads(self, reads: Sequence[str]) -> List[List[GlobalSeed]]:
+    def seed_reads(self, reads: Sequence[str]) -> SeedTable:
         """Seed every read against every segment (one search pass).
 
         Returns, per read, the merged seed list across all segments with
         duplicate (offset, length, position) hits removed, one seed per
-        (offset, length) in ascending order.
+        (offset, length) in ascending order.  The merge is one sort of
+        every hit by (read, offset, length, global position).
         """
-        per_segment = self._finder.seed_segments(ReadBatch(reads, self.config.k))
+        table = self._finder.seed_table(ReadBatch(reads, self.config.k))
         self.stats.table_bytes_streamed += sum(
             tables.sram_bytes for tables in self.tables
         )
         self.stats.reads_processed += len(reads)
-        out: List[List[GlobalSeed]] = []
-        for read_id, read in enumerate(reads):
-            grouped: Dict[Tuple[int, int], Set[int]] = {}
-            for tables, seeds in zip(self.tables, per_segment):
-                start = tables.segment_start
-                for seed in seeds[read_id]:
-                    grouped.setdefault((seed.read_offset, seed.length), set()).update(
-                        start + hit for hit in seed.hits
-                    )
-            out.append(
-                [
-                    GlobalSeed(
-                        read_offset=offset,
-                        length=length,
-                        positions=tuple(sorted(positions)),
-                        exact_whole_read=offset == 0 and length == len(read),
-                    )
-                    for (offset, length), positions in sorted(grouped.items())
-                ]
-            )
-        return out
+        segment, read = numpy.divmod(table.row, max(1, len(reads)))
+        sizes = table.sizes
+        starts = numpy.array(
+            [tables.segment_start for tables in self.tables], dtype=numpy.int64
+        )
+        hit_read = numpy.repeat(read, sizes)
+        hit_offset = numpy.repeat(table.offset, sizes)
+        hit_length = numpy.repeat(table.length, sizes)
+        positions = table.positions + numpy.repeat(starts[segment], sizes)
+        order = numpy.lexsort((positions, hit_length, hit_offset, hit_read))
+        keys = numpy.stack(
+            [hit_read[order], hit_offset[order], hit_length[order], positions[order]]
+        )
+        fresh = numpy.ones(len(order), dtype=bool)
+        fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        keys = keys[:, fresh]
+        first = numpy.ones(keys.shape[1], dtype=bool)
+        first[1:] = (keys[:3, 1:] != keys[:3, :-1]).any(axis=0)
+        seeds = numpy.flatnonzero(first)
+        row, offset, length = keys[:3, seeds]
+        return SeedTable.of(
+            len(reads),
+            row,
+            offset,
+            length,
+            numpy.diff(numpy.append(seeds, keys.shape[1])),
+            keys[3],
+            _exact(row, offset, length, reads),
+        )
 
     def seed_read(self, read: str) -> List[GlobalSeed]:
         """Convenience wrapper for a single read."""
         return self.seed_reads([read])[0]
+
+
+def _exact(
+    row: NDArray[numpy.int64],
+    offset: NDArray[numpy.int64],
+    length: NDArray[numpy.int64],
+    reads: Sequence[str],
+) -> NDArray[numpy.bool_]:
+    """Per seed, whether it covers its whole read: the fast-path flag."""
+    lengths = numpy.fromiter(map(len, reads), dtype=numpy.int64, count=len(reads))
+    return (offset == 0) & (length == lengths[row])

@@ -10,8 +10,11 @@ the pathological k-mers the paper names (poly-A, ``ATAT...``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
+import numpy
+
+from repro.genome.sequence import decode
 from repro.seeding.index import KmerIndex
 
 
@@ -64,20 +67,18 @@ def analyze_index(index: KmerIndex) -> HitDistribution:
 
 
 def pathological_kmers(index: KmerIndex, top: int = 5) -> List[Tuple[str, int]]:
-    """The k-mers with the largest hit lists (poly-A and friends, §VIII-B)."""
-    from repro.genome.sequence import decode
+    """The k-mers with the largest hit lists (poly-A and friends, §VIII-B).
 
-    worst: List[Tuple[str, int]] = []
-    for code, positions in index._positions.items():
-        worst.append((code, len(positions)))
-    worst.sort(key=lambda item: -item[1])
-    out = []
-    for code, count in worst[:top]:
-        bases = []
-        for shift in range(index.k - 1, -1, -1):
-            bases.append((code >> (2 * shift)) & 3)
-        out.append((decode(bases), count))
-    return out
+    Largest first; equal hit counts in ascending k-mer code order.
+    """
+    counts = numpy.diff(index.offsets)
+    rows = numpy.lexsort((index.keys, -counts))[: max(0, top)]
+    shifts = 2 * numpy.arange(index.k - 1, -1, -1)
+    bases = (index.keys[rows, None] >> shifts) & 3
+    return [
+        (decode(kmer), count)
+        for kmer, count in zip(bases.tolist(), counts[rows].tolist())
+    ]
 
 
 def recommend_cam_size(

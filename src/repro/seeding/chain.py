@@ -23,8 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy
+
+from repro.genome.sequence import encode_bases
 from repro.seeding.accelerator import GlobalSeed
-from repro.seeding.index import KmerIndex, kmer_codes
+from repro.seeding.index import KmerIndex, kmer_codes_at
 
 
 @dataclass
@@ -90,9 +93,9 @@ class ChainedSeedProvider:
     """:class:`SeedProvider` that chains k-mer anchors on shared diagonals.
 
     Emits one :class:`GlobalSeed` per chain: the seed's offset/position
-    pair reproduces the chain's diagonal (so
-    :func:`~repro.pipeline.common.candidates_from_seeds` derives the
-    right window start) and its length is the chained read span (so
+    pair reproduces the chain's diagonal (so the driver's
+    :class:`~repro.pipeline.common.CandidateTable` derives the right
+    window start) and its length is the chained read span (so
     better-supported chains outrank stray ones under the candidate cap).
     Chains never claim ``exact_whole_read`` — they are evidence, not
     verification, and must not trigger the driver's exact fast path.
@@ -120,46 +123,68 @@ class ChainedSeedProvider:
 
     def seed(self, oriented: str) -> List[GlobalSeed]:
         """Chain one oriented sequence into per-chain seeds."""
-        self.stats.reads_seeded += 1
-        anchors = self._collect_anchors(oriented)
-        chains = self._chain(anchors)
-        self.stats.chains_emitted += len(chains)
-        return [
-            GlobalSeed(
-                read_offset=chain.read_start,
-                length=chain.read_span,
-                positions=(chain.position,),
-                exact_whole_read=False,
-            )
-            for chain in chains
-        ]
+        return self.seed_batch([oriented])[0]
 
     def seed_batch(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
-        # One whole-genome index: batch order has no table locality to
-        # exploit, so batch seeding is the per-read loop (bit-identical
-        # across the driver's execution orders by construction).
-        return [self.seed(sequence) for sequence in oriented]
+        """Chain every oriented sequence; anchors are looked up batch-wide.
+
+        One whole-genome index: batch order has no table locality to
+        exploit, and chaining stays per read, so a batch gives exactly
+        what per-read calls give.
+        """
+        self.stats.reads_seeded += len(oriented)
+        out: List[List[GlobalSeed]] = []
+        for anchors in self._collect_anchors(oriented):
+            chains = self._chain(anchors)
+            self.stats.chains_emitted += len(chains)
+            out.append(
+                [
+                    GlobalSeed(
+                        read_offset=chain.read_start,
+                        length=chain.read_span,
+                        positions=(chain.position,),
+                        exact_whole_read=False,
+                    )
+                    for chain in chains
+                ]
+            )
+        return out
 
     # ----------------------------------------------------------- internals
 
-    def _collect_anchors(self, oriented: str) -> List[Tuple[int, int]]:
-        """Sample (read offset, global position) anchor matches."""
+    def _collect_anchors(
+        self, oriented: Sequence[str]
+    ) -> List[List[Tuple[int, int]]]:
+        """Per read, the sampled (read offset, global position) anchor matches.
+
+        Every read's k-mers at offsets ``0, stride, 2 * stride, ...`` are
+        counted in one :meth:`~repro.seeding.index.KmerIndex.hit_counts`
+        call; a k-mer with more than ``max_hits_per_kmer`` hits is masked,
+        and the hits of the rest come from one ``gather_hits`` call.
+        Anchors are in read order, then offset, then position.
+        """
         config = self.config
-        index = self.index
-        anchors: List[Tuple[int, int]] = []
-        codes = kmer_codes(oriented, config.k)
-        for offset in range(0, len(codes), config.stride):
-            self.stats.anchors_sampled += 1
-            hits = index.hits_code(codes[offset])
-            if not hits:
-                continue
-            if len(hits) > config.max_hits_per_kmer:
-                self.stats.anchors_masked += 1
-                continue
-            for position in hits:
-                anchors.append((offset, int(position)))
-        self.stats.anchor_hits += len(anchors)
-        return anchors
+        lengths = numpy.fromiter(map(len, oriented), dtype=numpy.int64, count=len(oriented))
+        read_starts = numpy.cumsum(lengths) - lengths
+        sampled = -(-numpy.maximum(lengths - config.k + 1, 0) // config.stride)
+        owner = numpy.repeat(numpy.arange(len(oriented)), sampled)
+        firsts = numpy.cumsum(sampled) - sampled
+        offsets = (numpy.arange(len(owner)) - firsts[owner]) * config.stride
+        codes = kmer_codes_at(
+            encode_bases("".join(oriented)), read_starts[owner] + offsets, config.k
+        )
+        counts = self.index.hit_counts(codes)
+        masked = counts > config.max_hits_per_kmer
+        used = (counts > 0) & ~masked
+        hits = self.index.gather_hits(codes[used], counts[used])
+        anchor_owner = numpy.repeat(owner[used], counts[used])
+        anchor_offset = numpy.repeat(offsets[used], counts[used])
+        self.stats.anchors_sampled += len(codes)
+        self.stats.anchors_masked += int(numpy.count_nonzero(masked))
+        self.stats.anchor_hits += len(hits)
+        anchors = list(zip(anchor_offset.tolist(), hits.tolist()))
+        cuts = numpy.searchsorted(anchor_owner, numpy.arange(len(oriented) + 1))
+        return [anchors[begin:end] for begin, end in zip(cuts[:-1], cuts[1:])]
 
     def _chain(self, anchors: List[Tuple[int, int]]) -> List[Chain]:
         """Cluster anchors whose diagonals sit within the gap tolerance."""

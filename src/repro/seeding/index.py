@@ -11,37 +11,30 @@ GenAx's seeding tables have two levels, mirrored here exactly:
   collisions" (§VII); position lists are sorted offline, enabling the
   binary-search intersection fallback.
 
-Sizes in bytes are modelled so the memory/area models (Table II: 48 MB
-index + 18 MB position for a 6 Mbp segment scheme) can be regenerated for
-any genome scale.
+Here the index table is stored sparsely, in CSR form: the sorted
+distinct codes present plus prefix-sum offsets (:class:`KmerIndex`), so
+a table is sized by the segment, not by 4^k.  Sizes in bytes are
+modelled for the paper's direct-mapped layout, so the memory/area models
+(Table II: 48 MB index + 18 MB position for a 6 Mbp segment scheme) can
+be regenerated for any genome scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 import numpy
 from numpy.typing import NDArray
 
-from repro.genome.sequence import ALPHABET, BASES_PER_WORD, encode
+from repro.genome.sequence import BASES_PER_WORD, DIRTY_BASE, encode, encode_bases
 
 if TYPE_CHECKING:
     from repro.genome.reference import SegmentView
 
-_BASE_CODES = {base: code for code, base in enumerate(ALPHABET)}
-
 #: Largest k whose 2-bit k-mer codes fit a signed 64-bit integer.
 MAX_K = 31
-
-#: ASCII byte -> 2-bit base code; every byte outside upper-case ``ACGT``
-#: maps to ``DIRTY_BASE``.
-DIRTY_BASE = 4
-_ASCII_TO_BASE = numpy.full(256, DIRTY_BASE, dtype=numpy.uint8)
-for _base, _code in _BASE_CODES.items():
-    _ASCII_TO_BASE[ord(_base)] = _code
 
 # Per phase s (a position's offset inside its word) of base_words_at:
 # the low word shifts right by 2s bases' bits; the next word keeps only
@@ -90,6 +83,18 @@ def base_words_at(
     return low | high
 
 
+def gather_runs(
+    values: NDArray[numpy.int64], starts: NDArray[numpy.int64], sizes: NDArray[numpy.int64]
+) -> NDArray[numpy.int64]:
+    """``values[starts[i] : starts[i] + sizes[i]]`` for every i, concatenated.
+
+    One ``repeat`` + fancy index, however many runs there are.
+    """
+    firsts = numpy.cumsum(sizes) - sizes  # each run's slot in the result
+    total = int(sizes.sum())
+    return values[numpy.repeat(starts - firsts, sizes) + numpy.arange(total)]
+
+
 def kmer_code(kmer: str) -> int:
     """Pack a k-mer into its 2-bit-per-base integer code (the index key)."""
     code = 0
@@ -109,13 +114,6 @@ def kmer_codes(read: str, k: int) -> List[int]:
     """
     starts = numpy.arange(max(0, len(read) - k + 1))
     return kmer_codes_at(encode_bases(read), starts, k).tolist()
-
-
-def encode_bases(text: str) -> NDArray[numpy.uint8]:
-    """The 2-bit code of every character of *text*, ``DIRTY_BASE`` where
-    it is not an upper-case ``ACGT``."""
-    raw = numpy.frombuffer(text.encode("ascii", "replace"), dtype=numpy.uint8)
-    return _ASCII_TO_BASE[raw]
 
 
 def kmer_codes_at(
@@ -234,32 +232,78 @@ class KeyTable:
         return counts
 
 
-class _KmerLookup:
-    """Lookups shared by both index types.
+@dataclass(eq=False)
+class KmerIndex:
+    """Index + position tables for one reference segment, in CSR form.
 
-    The seeding hot path works on integer codes: ``hits_code`` for one,
-    and for the RMEM search's batches ``hit_counts``, ``gather_hits`` and
-    ``base_words``.  The string-keyed adapters over ``hits_code`` serve
-    tests, tools and analyses that hold k-mer strings.
+    The paper's table layout (§V) as three int64 arrays: the sorted
+    distinct k-mer codes (:attr:`keys`), prefix-sum :attr:`offsets` into
+    the flat position table (``len(keys) + 1`` long) and the
+    :attr:`positions` themselves, each k-mer's list ascending.  Key ``i``
+    occurs at ``positions[offsets[i]:offsets[i + 1]]``.  :meth:`build`
+    makes the arrays in NumPy passes; the on-disk cache
+    (:mod:`repro.seeding.cache`) stores and reloads exactly these arrays.
+
+    The seeding hot path works on integer codes: :meth:`hits_code` for
+    one, and for the RMEM search's batches :meth:`hit_counts`,
+    :meth:`gather_hits` and :attr:`base_words`.  A scalar lookup finds a
+    key's row with one ``searchsorted`` where the hardware does a
+    direct-mapped index fetch; the seeding stats count lookups, not
+    instructions, so the two account identically.  The string-keyed
+    adapters over :meth:`hits_code` serve tests, tools and analyses that
+    hold k-mer strings.
     """
 
     k: int
     sequence_length: int
+    keys: NDArray[numpy.int64] = field(repr=False)
+    offsets: NDArray[numpy.int64] = field(repr=False)
+    positions: NDArray[numpy.int64] = field(repr=False)
+
+    @classmethod
+    def build(cls, sequence: str, k: int) -> "KmerIndex":
+        """Offline table construction (done once per segment).
+
+        Every position's rolling 2-bit code, a stable ``argsort`` of the
+        codes (so each k-mer's positions stay ascending) and a ``unique``
+        over the sorted codes give the three tables.  The sequence must
+        be upper-case ``ACGT``, as a reference segment is.
+        """
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        starts = numpy.arange(max(0, len(sequence) - k + 1))
+        codes = kmer_codes_at(encode_bases(sequence), starts, k)
+        if (codes < 0).any():
+            raise ValueError("the indexed sequence holds a base outside ACGT")
+        order = numpy.argsort(codes, kind="stable")
+        keys, counts = numpy.unique(codes[order], return_counts=True)
+        offsets = numpy.zeros(len(keys) + 1, dtype=numpy.int64)
+        numpy.cumsum(counts, out=offsets[1:])
+        return cls(
+            k=k,
+            sequence_length=len(sequence),
+            keys=keys.astype(numpy.int64, copy=False),
+            offsets=offsets,
+            positions=order.astype(numpy.int64, copy=False),
+        )
+
+    def _row(self, code: int) -> int:
+        """Row of *code* in :attr:`keys`, or -1 if absent."""
+        row = int(numpy.searchsorted(self.keys, code))
+        if row >= len(self.keys) or int(self.keys[row]) != code:
+            return -1
+        return row
 
     def hits_code(self, code: int) -> Sequence[int]:
-        raise NotImplementedError
+        """Sorted reference positions of the k-mer with index key *code*.
 
-    def _key_counts(
-        self,
-    ) -> Tuple[NDArray[numpy.int64], NDArray[numpy.signedinteger]]:
-        """Every key present in the index and its hit-list length."""
-        raise NotImplementedError
-
-    def gather_hits(
-        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
-    ) -> NDArray[numpy.int64]:
-        """The hit lists of *codes* (all present; *counts* long), concatenated."""
-        raise NotImplementedError
+        Plain ``int``s, so downstream coordinates never carry NumPy
+        scalars; ``()`` for an absent key or ``-1``.
+        """
+        row = self._row(code)
+        if row < 0:
+            return ()
+        return self.positions[self.offsets[row] : self.offsets[row + 1]].tolist()
 
     def hit_counts(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int64]:
         """Hit-list length of every code in *codes*, 0 where it has no entry.
@@ -269,6 +313,17 @@ class _KmerLookup:
         """
         return self.key_table.lookup(codes)
 
+    def gather_hits(
+        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
+    ) -> NDArray[numpy.int64]:
+        """The hit lists of *codes* (all present; *counts* long), concatenated.
+
+        One ``searchsorted`` for the rows, then one :func:`gather_runs`
+        over the position table.
+        """
+        starts = self.offsets[numpy.searchsorted(self.keys, codes)]
+        return gather_runs(self.positions, starts, counts)
+
     @cached_property
     def key_table(self) -> KeyTable:
         """The hashed key -> count table :meth:`hit_counts` probes.
@@ -276,11 +331,7 @@ class _KmerLookup:
         Built on first use, so a run that never seeds against this index
         never pays for it.
         """
-        return KeyTable.build(*self._key_counts())
-
-    def _base_codes(self) -> NDArray[numpy.uint8]:
-        """The segment's 2-bit base codes, one byte per base."""
-        raise NotImplementedError
+        return KeyTable.build(self.keys, numpy.diff(self.offsets))
 
     @cached_property
     def base_words(self) -> NDArray[numpy.uint64]:
@@ -290,6 +341,26 @@ class _KmerLookup:
         this index never pays for it; a quarter byte per base.
         """
         return pack_bases(self._base_codes())
+
+    def _base_codes(self) -> NDArray[numpy.uint8]:
+        """Bases read back from the position table.
+
+        Every position holds the first base of the k-mer it is listed
+        under; the last k - 1 bases are the tail of the final k-mer's code.
+        A segment's sequence is all ``ACGT``, so every position is listed.
+        """
+        k, length = self.k, self.sequence_length
+        bases = numpy.zeros(length, dtype=numpy.uint8)
+        if length < k:
+            return bases
+        firsts = ((self.keys >> (2 * (k - 1))) & 3).astype(numpy.uint8)
+        bases[self.positions] = numpy.repeat(firsts, numpy.diff(self.offsets))
+        slot = int(numpy.flatnonzero(self.positions == length - k)[0])
+        row = numpy.searchsorted(self.offsets, slot, side="right") - 1
+        last = int(self.keys[row])
+        for j in range(1, k):
+            bases[length - k + j] = (last >> (2 * (k - 1 - j))) & 3
+        return bases
 
     def _code(self, kmer: str) -> int:
         if len(kmer) != self.k:
@@ -307,14 +378,28 @@ class _KmerLookup:
         return self.hits_code(self._code(kmer))
 
     def hit_count(self, kmer: str) -> int:
-        return len(self.hits(kmer))
+        row = self._row(self._code(kmer))
+        if row < 0:
+            return 0
+        return int(self.offsets[row + 1] - self.offsets[row])
 
     def contains(self, kmer: str) -> bool:
-        return len(self.hits(kmer)) > 0
+        return self.hit_count(kmer) > 0
+
+    @property
+    def distinct_kmers(self) -> int:
+        return len(self.keys)
 
     @property
     def total_positions(self) -> int:
-        raise NotImplementedError
+        """Total entries in the position table (= |segment| - k + 1)."""
+        return len(self.positions)
+
+    def hit_histogram(self) -> Dict[int, int]:
+        """Map hit-list length -> number of k-mers with that length."""
+        histogram = numpy.bincount(numpy.diff(self.offsets))
+        lengths = numpy.flatnonzero(histogram)
+        return dict(zip(lengths.tolist(), histogram[lengths].tolist()))
 
     def position_table_bytes(self, bytes_per_entry: int = 4) -> int:
         """Position-table footprint: one word per k-mer occurrence."""
@@ -326,202 +411,6 @@ class _KmerLookup:
         Direct-mapped over all 4^k keys, as in the paper's k = 12 design.
         """
         return (4**self.k) * bytes_per_entry
-
-
-@dataclass
-class KmerIndex(_KmerLookup):
-    """Index + position tables for one reference segment."""
-
-    k: int
-    sequence_length: int
-    _positions: Dict[int, List[int]] = field(default_factory=dict, repr=False)
-    # Position-table entry count; ``build`` knows it, other callers may
-    # leave it to be summed on first use.
-    _total_positions: Optional[int] = field(default=None, repr=False)
-    # The sequence the tables were built from (a reference, not a copy):
-    # the RMEM search reads its bases.
-    _sequence: str = field(default="", repr=False, compare=False)
-
-    @classmethod
-    def build(cls, sequence: str, k: int) -> "KmerIndex":
-        """Offline table construction (done once per segment)."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        positions: Dict[int, List[int]] = {}
-        if len(sequence) >= k:
-            # Rolling 2-bit encoding keeps construction O(N).
-            mask = (1 << (2 * k)) - 1
-            code = kmer_code(sequence[:k])
-            positions.setdefault(code, []).append(0)
-            encoded = encode(sequence)
-            for start in range(1, len(sequence) - k + 1):
-                code = ((code << 2) | encoded[start + k - 1]) & mask
-                positions.setdefault(code, []).append(start)
-        return cls(
-            k=k,
-            sequence_length=len(sequence),
-            _positions=positions,
-            _total_positions=max(0, len(sequence) - k + 1),
-            _sequence=sequence,
-        )
-
-    def hits_code(self, code: int) -> Sequence[int]:
-        """Sorted reference positions of the k-mer with index key *code*."""
-        return self._positions.get(code, ())
-
-    def _key_counts(self) -> Tuple[NDArray[numpy.int64], NDArray[numpy.int32]]:
-        count = len(self._positions)
-        keys = numpy.fromiter(self._positions, dtype=numpy.int64, count=count)
-        sizes = numpy.fromiter(
-            map(len, self._positions.values()), dtype=numpy.int32, count=count
-        )
-        return keys, sizes
-
-    def gather_hits(
-        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
-    ) -> NDArray[numpy.int64]:
-        lists = map(self._positions.__getitem__, codes.tolist())
-        return numpy.fromiter(
-            chain.from_iterable(lists), dtype=numpy.int64, count=int(counts.sum())
-        )
-
-    def _base_codes(self) -> NDArray[numpy.uint8]:
-        if len(self._sequence) != self.sequence_length:
-            raise ValueError("this index was not built from a sequence")
-        return encode_bases(self._sequence)
-
-    @property
-    def distinct_kmers(self) -> int:
-        return len(self._positions)
-
-    @property
-    def total_positions(self) -> int:
-        """Total entries in the position table (= |segment| - k + 1)."""
-        if self._total_positions is None:
-            self._total_positions = sum(len(v) for v in self._positions.values())
-        return self._total_positions
-
-    def hit_histogram(self) -> Dict[int, int]:
-        """Map hit-list length -> number of k-mers with that length."""
-        histogram: Dict[int, int] = {}
-        for hits in self._positions.values():
-            histogram[len(hits)] = histogram.get(len(hits), 0) + 1
-        return histogram
-
-
-@dataclass
-class PackedKmerIndex(_KmerLookup):
-    """CSR-packed, read-only k-mer index with ``KmerIndex``'s lookup API.
-
-    The paper's actual table layout (§V): one flat **position table** and a
-    per-k-mer ``(offset, count)`` **index table**, here as three numpy
-    arrays — sorted k-mer codes, prefix-sum offsets, flat positions.  The
-    point of this representation is the cache (:mod:`repro.seeding.cache`):
-    the arrays deserialize with a zero-copy ``frombuffer`` instead of
-    materializing hundreds of thousands of Python lists, which is what
-    makes a warm index load orders of magnitude faster than a rebuild.
-
-    ``hits_code`` finds a key's row with one ``searchsorted`` over the
-    sorted code array, where the hardware does a direct-mapped index
-    fetch; the seeding stats count lookups, not Python instructions, so
-    both representations account identically.  It materializes only the
-    requested slice, as plain ``int``s, so downstream coordinates are
-    type-identical to the dict-backed path.
-    """
-
-    k: int
-    sequence_length: int
-    _keys: "object" = field(repr=False, default=None)  # int64 codes, sorted
-    _offsets: "object" = field(repr=False, default=None)  # int64, len(keys)+1
-    _flat: "object" = field(repr=False, default=None)  # int64 position table
-
-    @classmethod
-    def pack(cls, index: KmerIndex) -> "PackedKmerIndex":
-        """Pack a dict-backed index into CSR arrays (offline/cold path)."""
-        import itertools
-
-        items = sorted(index._positions.items())
-        keys = numpy.array([code for code, __ in items], dtype=numpy.int64)
-        counts = numpy.array([len(v) for __, v in items], dtype=numpy.int64)
-        offsets = numpy.zeros(len(items) + 1, dtype=numpy.int64)
-        numpy.cumsum(counts, out=offsets[1:])
-        flat = numpy.array(
-            list(itertools.chain.from_iterable(v for __, v in items)),
-            dtype=numpy.int64,
-        )
-        return cls(
-            k=index.k,
-            sequence_length=index.sequence_length,
-            _keys=keys,
-            _offsets=offsets,
-            _flat=flat,
-        )
-
-    def _row(self, code: int) -> int:
-        """Row of *code* in the key array, or -1 if absent."""
-        row = int(numpy.searchsorted(self._keys, code))
-        if row >= len(self._keys) or int(self._keys[row]) != code:
-            return -1
-        return row
-
-    def hits_code(self, code: int) -> Sequence[int]:
-        """Sorted reference positions of the k-mer with index key *code*."""
-        row = self._row(code)
-        if row < 0:
-            return ()
-        return self._flat[self._offsets[row] : self._offsets[row + 1]].tolist()
-
-    def hit_count(self, kmer: str) -> int:
-        row = self._row(self._code(kmer))
-        if row < 0:
-            return 0
-        return int(self._offsets[row + 1] - self._offsets[row])
-
-    def _key_counts(self) -> Tuple[NDArray[numpy.int64], NDArray[numpy.int64]]:
-        return self._keys, numpy.diff(self._offsets)
-
-    def gather_hits(
-        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
-    ) -> NDArray[numpy.int64]:
-        starts = self._offsets[numpy.searchsorted(self._keys, codes)]
-        firsts = numpy.cumsum(counts) - counts  # each list's slot in the result
-        total = int(counts.sum())
-        return self._flat[numpy.repeat(starts - firsts, counts) + numpy.arange(total)]
-
-    def _base_codes(self) -> NDArray[numpy.uint8]:
-        """Bases read back from the position table.
-
-        Every position holds the first base of the k-mer it is listed
-        under; the last k - 1 bases are the tail of the final k-mer's code.
-        A segment's sequence is all ``ACGT``, so every position is listed.
-        """
-        k, length = self.k, self.sequence_length
-        bases = numpy.zeros(length, dtype=numpy.uint8)
-        if length < k:
-            return bases
-        firsts = ((self._keys >> (2 * (k - 1))) & 3).astype(numpy.uint8)
-        bases[self._flat] = numpy.repeat(firsts, numpy.diff(self._offsets))
-        slot = int(numpy.flatnonzero(self._flat == length - k)[0])
-        row = numpy.searchsorted(self._offsets, slot, side="right") - 1
-        last = int(self._keys[row])
-        for j in range(1, k):
-            bases[length - k + j] = (last >> (2 * (k - 1 - j))) & 3
-        return bases
-
-    @property
-    def distinct_kmers(self) -> int:
-        return len(self._keys)
-
-    @property
-    def total_positions(self) -> int:
-        return len(self._flat)
-
-    def hit_histogram(self) -> Dict[int, int]:
-        histogram: Dict[int, int] = {}
-        for row in range(len(self._keys)):
-            length = int(self._offsets[row + 1] - self._offsets[row])
-            histogram[length] = histogram.get(length, 0) + 1
-        return histogram
 
 
 @dataclass

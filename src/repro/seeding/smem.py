@@ -24,7 +24,7 @@ How the model runs the search.  The hardware walks one pivot's hit lists
 through its CAM; here the intersection engine is the *cost model*
 (:meth:`~repro.seeding.cam.IntersectionEngine.charge`) and the RMEM search
 runs batched, one pass per read batch over every segment's pivots
-(:meth:`SmemFinder.seed_segments`).  Let ``l(pivot, p)`` be the length of the
+(:meth:`SmemFinder.seed_table`).  Let ``l(pivot, p)`` be the length of the
 exact match between ``read[pivot:]`` and ``segment[p:]``, stopped by the
 read end, the segment end and the read's first base outside upper-case
 ``ACGT``.  Every intersection tests the k-mer at read offset
@@ -45,19 +45,19 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy
 from numpy.typing import NDArray
 
-from repro.genome.sequence import BASES_PER_WORD
+from repro.genome.sequence import BASES_PER_WORD, DIRTY_BASE, encode_bases
 from repro.seeding.cam import IntersectionEngine
 from repro.seeding.index import (
-    DIRTY_BASE,
     MAX_K,
     KmerIndex,
     base_words_at,
-    encode_bases,
+    gather_runs,
     kmer_codes,
     kmer_codes_at,
     pack_bases,
@@ -107,6 +107,181 @@ class Seed:
     def contains(self, other: "Seed") -> bool:
         """Positional containment in the read (the SMEM filter relation)."""
         return self.read_offset <= other.read_offset and other.end <= self.end
+
+
+@dataclass(frozen=True)
+class GlobalSeed:
+    """A seed translated into global genome coordinates."""
+
+    read_offset: int
+    length: int
+    positions: Tuple[int, ...]  # global positions of the seed start
+    exact_whole_read: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class SeedTable(Sequence[List[GlobalSeed]]):
+    """The seeds of a batch as columns, one entry per seed.
+
+    Seed ``i`` belongs to list ``row[i]`` (a read, or a segment-major
+    (segment, read) pair inside :class:`SmemFinder`), starts at read
+    offset ``offset[i]``, is ``length[i]`` bases long, and its hits are
+    ``positions[cuts[i]:cuts[i + 1]]``, ascending.  Seeds are ordered by
+    row, then offset, then length.  The table is the seeding stages'
+    batch output: hits stay slices of one flat array from the k-mer index
+    to the candidate table (:mod:`repro.pipeline.common`), never a Python
+    object per hit.
+
+    It also reads as a sequence of per-row :class:`GlobalSeed` lists
+    (``table[row]``), built on access, for callers that want objects.
+    """
+
+    rows: int
+    row: Ints
+    offset: Ints
+    length: Ints
+    exact: NDArray[numpy.bool_]
+    cuts: Ints
+    positions: Ints
+
+    @classmethod
+    def of(
+        cls,
+        rows: int,
+        row: Ints,
+        offset: Ints,
+        length: Ints,
+        sizes: Ints,
+        positions: Ints,
+        exact: Optional[NDArray[numpy.bool_]] = None,
+    ) -> "SeedTable":
+        """A table from per-seed columns and hit counts (*sizes*)."""
+        cuts = numpy.zeros(len(sizes) + 1, dtype=numpy.int64)
+        numpy.cumsum(sizes, out=cuts[1:])
+        return cls(
+            rows=rows,
+            row=row,
+            offset=offset,
+            length=length,
+            exact=numpy.zeros(len(row), dtype=bool) if exact is None else exact,
+            cuts=cuts,
+            positions=positions,
+        )
+
+    @classmethod
+    def empty(cls, rows: int) -> "SeedTable":
+        none = numpy.zeros(0, dtype=numpy.int64)
+        return cls.of(rows, none, none, none, none, none)
+
+    @classmethod
+    def from_entries(
+        cls,
+        rows: int,
+        entries: Sequence[Tuple[int, int, int, Sequence[int], bool]],
+    ) -> "SeedTable":
+        """A table from ``(row, offset, length, hits, exact)`` tuples, in order."""
+        if not entries:
+            return cls.empty(rows)
+        row, offset, length, hits, exact = zip(*entries)
+        sizes = numpy.fromiter(map(len, hits), dtype=numpy.int64, count=len(hits))
+        return cls.of(
+            rows,
+            numpy.array(row, dtype=numpy.int64),
+            numpy.array(offset, dtype=numpy.int64),
+            numpy.array(length, dtype=numpy.int64),
+            sizes,
+            numpy.fromiter(
+                chain.from_iterable(hits), dtype=numpy.int64, count=int(sizes.sum())
+            ),
+            numpy.array(exact, dtype=bool),
+        )
+
+    @classmethod
+    def from_lists(cls, seed_lists: Sequence[Sequence[GlobalSeed]]) -> "SeedTable":
+        """The table of per-row :class:`GlobalSeed` lists (any order kept)."""
+        return cls.from_entries(
+            len(seed_lists),
+            [
+                (row, seed.read_offset, seed.length, seed.positions, seed.exact_whole_read)
+                for row, seeds in enumerate(seed_lists)
+                for seed in seeds
+            ],
+        )
+
+    @classmethod
+    def concat(cls, rows: int, parts: Iterable["SeedTable"]) -> "SeedTable":
+        """The seeds of every part, in (row, offset, length) order."""
+        parts = list(parts)
+        if not parts:
+            return cls.empty(rows)
+        table = cls.of(
+            rows,
+            numpy.concatenate([part.row for part in parts]),
+            numpy.concatenate([part.offset for part in parts]),
+            numpy.concatenate([part.length for part in parts]),
+            numpy.concatenate([part.sizes for part in parts]),
+            numpy.concatenate([part.positions for part in parts]),
+            numpy.concatenate([part.exact for part in parts]),
+        )
+        order = numpy.lexsort((table.length, table.offset, table.row))
+        if (order[1:] < order[:-1]).any():
+            table = table.take(order)
+        return table
+
+    @property
+    def sizes(self) -> Ints:
+        """Hits per seed."""
+        return numpy.diff(self.cuts)
+
+    def take(self, seeds: Ints) -> "SeedTable":
+        """The table of *seeds* (seed indexes, in the order given)."""
+        sizes = self.sizes[seeds]
+        return SeedTable.of(
+            self.rows,
+            self.row[seeds],
+            self.offset[seeds],
+            self.length[seeds],
+            sizes,
+            gather_runs(self.positions, self.cuts[seeds], sizes),
+            self.exact[seeds],
+        )
+
+    def __len__(self) -> int:
+        return self.rows
+
+    @overload
+    def __getitem__(self, row: int) -> List[GlobalSeed]: ...
+
+    @overload
+    def __getitem__(self, row: slice) -> List[List[GlobalSeed]]: ...
+
+    def __getitem__(
+        self, row: Union[int, slice]
+    ) -> Union[List[GlobalSeed], List[List[GlobalSeed]]]:
+        if isinstance(row, slice):
+            return [self[each] for each in range(*row.indices(self.rows))]
+        if row < 0:
+            row += self.rows
+        if not 0 <= row < self.rows:
+            raise IndexError(f"row {row} outside a table of {self.rows}")
+        first, last = numpy.searchsorted(self.row, [row, row + 1]).tolist()
+        positions = self.positions[self.cuts[first] : self.cuts[last]].tolist()
+        base = int(self.cuts[first])
+        return [
+            GlobalSeed(
+                read_offset=offset,
+                length=length,
+                positions=tuple(positions[begin - base : end - base]),
+                exact_whole_read=exact,
+            )
+            for offset, length, exact, begin, end in zip(
+                self.offset[first:last].tolist(),
+                self.length[first:last].tolist(),
+                self.exact[first:last].tolist(),
+                self.cuts[first:last].tolist(),
+                self.cuts[first + 1 : last + 1].tolist(),
+            )
+        ]
 
 
 @dataclass
@@ -210,9 +385,10 @@ class SmemFinder:
     """Seed finder over a stack of segment k-mer indexes.
 
     *index* is one index or a sequence of them; a single index is a stack
-    of one.  :meth:`seed_segments` seeds a batch against every index of
-    the stack with one RMEM search pass; :meth:`seed_batch`, :meth:`rmem`
-    and :meth:`exact_match_hits` answer against a stack of one.
+    of one.  :meth:`seed_table` seeds a batch against every index of
+    the stack with one RMEM search pass (:meth:`seed_segments` gives the
+    same seeds as objects); :meth:`seed_batch`, :meth:`rmem` and
+    :meth:`exact_match_hits` answer against a stack of one.
     """
 
     def __init__(
@@ -260,46 +436,72 @@ class SmemFinder:
         return self.seed_segments(batch)[0]
 
     def seed_segments(self, batch: ReadBatch) -> List[List[List[Seed]]]:
+        """:meth:`seed_table` as objects: ``out[segment][read]`` holds the
+        read's seeds in that index, hits local to it."""
+        table = self.seed_table(batch)
+        out: List[List[List[Seed]]] = [
+            [[] for __ in batch.reads] for __ in self.indexes
+        ]
+        positions = table.positions.tolist()
+        cuts = table.cuts.tolist()
+        for row, offset, length, begin, end in zip(
+            table.row.tolist(),
+            table.offset.tolist(),
+            table.length.tolist(),
+            cuts,
+            cuts[1:],
+        ):
+            segment, read = divmod(row, len(batch.reads))
+            out[segment][read].append(
+                Seed(read_offset=offset, length=length, hits=tuple(positions[begin:end]))
+            )
+        return out
+
+    def seed_table(self, batch: ReadBatch) -> SeedTable:
         """Seeds of every read of *batch* against every index of the stack.
 
-        ``out[segment][read]`` holds the read's seeds in that index, hits
-        local to it.  Every index counts the batch's k-mers once; rows of
-        the stacked counts are ``segment * P + pivot`` (``P`` pivots in
-        the batch), segment-major.  The exact-match fast path walks only
-        the (segment, read) pairs the counts leave open
+        Row ``segment * R + read`` of the table (``R`` reads in the batch)
+        holds the read's seeds in that index, hits local to it.  Every
+        index counts the batch's k-mers once; rows of the stacked counts
+        are ``segment * P + pivot`` (``P`` pivots in the batch),
+        segment-major.  The exact-match fast path walks only the
+        (segment, read) pairs the counts leave open
         (:meth:`_exact_candidates`), and ``NAIVE`` mode answers one pair
         at a time; every other pair's pivots go to one RMEM search pass
         (:meth:`_smem_seeds`).
         """
-        out: List[List[List[Seed]]] = [
-            [[] for __ in batch.reads] for __ in self.indexes
-        ]
+        reads = len(batch.reads)
+        rows = len(self.indexes) * reads
         counts = numpy.concatenate(
             [index.hit_counts(batch.flat_codes) for index in self.indexes]
         )
-        pending = numpy.ones((len(self.indexes), len(batch.reads)), dtype=bool)
+        pending = numpy.ones((len(self.indexes), reads), dtype=bool)
+        entries: List[Tuple[int, int, int, Sequence[int], bool]] = []
         if self.config.exact_match_fast_path:
             for segment, read_id in self._exact_candidates(batch, counts):
                 index = self.indexes[segment]
                 exact = self._exact_match_hits(index, batch.codes[read_id])
                 if exact is not None:
                     self.stats.exact_match_reads += 1
-                    read = batch.reads[read_id]
-                    out[segment][read_id] = [
-                        Seed(read_offset=0, length=len(read), hits=exact)
-                    ]
+                    length = len(batch.reads[read_id])
+                    entries.append((segment * reads + read_id, 0, length, exact, False))
                     pending[segment, read_id] = False
+        parts = [SeedTable.from_entries(rows, entries)]
         if self.config.mode is SeedingMode.NAIVE:
-            for segment, read_id in zip(*numpy.nonzero(pending)):
-                out[segment][read_id] = self._naive_seeds(
+            naive = [
+                (segment * reads + read_id, seed.read_offset, seed.length, seed.hits, False)
+                for segment, read_id in zip(*numpy.nonzero(pending))
+                for seed in self._naive_seeds(
                     self.indexes[segment], batch.codes[read_id]
                 )
+            ]
+            parts.append(SeedTable.from_entries(rows, naive))
         elif pending.any():
-            self._smem_seeds(batch, pending, counts, out)
-        for per_read in out:
-            for seeds in per_read:
-                self._report(seeds)
-        return out
+            parts.append(self._smem_seeds(batch, pending, counts))
+        table = SeedTable.concat(rows, parts)
+        self.stats.seeds_reported += len(table.row)
+        self.stats.hits_reported += len(table.positions)
+        return table
 
     def _exact_candidates(
         self, batch: ReadBatch, counts: Ints
@@ -389,18 +591,17 @@ class SmemFinder:
         batch: ReadBatch,
         searched: NDArray[numpy.bool_],
         counts: Ints,
-        out: List[List[List[Seed]]],
-    ) -> None:
+    ) -> SeedTable:
         """RMEM of every searched pivot, filtered to super-maximal matches.
 
         *searched* marks the (segment, read) pairs to search; their pivots
-        are the rows of the stacked *counts* (:meth:`seed_segments`), so
+        are the rows of the stacked *counts* (:meth:`seed_table`), so
         each segment's rows are one block.  Every row is charged its RMEM
         and its first lookup; the rows whose first k-mer has no hit end
         there.  The live ones are searched in chunks of at most
         ``PAIR_BUDGET`` bytes of pair arrays, in row order, so each
         (segment, read)'s running maximum seed end carries from chunk to
-        chunk.
+        chunk.  A kept seed's hits stay a slice of its chunk's positions.
         """
         wanted = searched[:, batch.read_of].ravel()
         charged = int(numpy.count_nonzero(wanted))
@@ -408,11 +609,12 @@ class SmemFinder:
         self.stats.index_lookups += charged
         live = numpy.flatnonzero(wanted & (counts > 0))
         if not live.size:
-            return
+            return SeedTable.empty(searched.size)
         per_chunk = max(1, PAIR_BUDGET // _PAIR_BYTES)
         chunk_of = (numpy.cumsum(counts[live]) - 1) // per_chunk
         read_count = len(batch.reads)
         max_end = numpy.zeros(searched.size, dtype=numpy.int64)
+        parts: List[SeedTable] = []
         for chunk in numpy.split(live, numpy.flatnonzero(numpy.diff(chunk_of)) + 1):
             lengths, pair_row, positions, match = self._search(batch, chunk, counts)
             segments, pivots = numpy.divmod(chunk, len(batch.flat_codes))
@@ -430,20 +632,17 @@ class SmemFinder:
             keep = ends > numpy.maximum(earlier, max_end[groups])
             numpy.maximum.at(max_end, groups, ends)
             take = keep[pair_row] & (match >= lengths[pair_row])
-            hits = positions[take].tolist()
-            sizes = numpy.bincount(pair_row[take], minlength=len(chunk))[keep]
-            cuts = numpy.concatenate(([0], numpy.cumsum(sizes))).tolist()
-            for segment, read, offset, length, begin, end in zip(
-                segments[keep].tolist(),
-                reads[keep].tolist(),
-                offsets[keep].tolist(),
-                lengths[keep].tolist(),
-                cuts,
-                cuts[1:],
-            ):
-                out[segment][read].append(
-                    Seed(read_offset=offset, length=length, hits=tuple(hits[begin:end]))
+            parts.append(
+                SeedTable.of(
+                    searched.size,
+                    groups[keep],
+                    offsets[keep],
+                    lengths[keep],
+                    numpy.bincount(pair_row[take], minlength=len(chunk))[keep],
+                    positions[take],
                 )
+            )
+        return SeedTable.concat(searched.size, parts)
 
     def _search(
         self, batch: ReadBatch, rows: Ints, counts: Ints
@@ -607,11 +806,6 @@ class SmemFinder:
             if hits:
                 seeds.append(Seed(read_offset=pivot, length=k, hits=tuple(hits)))
         return seeds
-
-    def _report(self, seeds: List[Seed]) -> None:
-        self.stats.seeds_reported += len(seeds)
-        self.stats.hits_reported += sum(len(seed.hits) for seed in seeds)
-
 
 def _first_base(words: NDArray[numpy.uint64]) -> Ints:
     """Index of the first non-zero 2-bit base of each non-zero word."""

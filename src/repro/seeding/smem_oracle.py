@@ -43,7 +43,14 @@ from numpy.typing import NDArray
 from repro.seeding.accelerator import GlobalSeed, SeedingStats
 from repro.seeding.cam import IntersectionEngine
 from repro.seeding.index import IndexTables, KmerIndex, kmer_codes
-from repro.seeding.smem import ReadBatch, Seed, SeedingMode, SmemConfig, SmemFinder
+from repro.seeding.smem import (
+    ReadBatch,
+    Seed,
+    SeedingMode,
+    SeedTable,
+    SmemConfig,
+    SmemFinder,
+)
 
 
 def brute_force_rmem(segment: str, read: str, pivot: int, k: int) -> Optional[Seed]:
@@ -241,12 +248,13 @@ class CamWalkFinder(SmemFinder):
         batch: ReadBatch,
         searched: NDArray[numpy.bool_],
         counts: NDArray[numpy.int64],
-        out: List[List[List[Seed]]],
-    ) -> None:
+    ) -> SeedTable:
         """RMEM per pivot, filtered to super-maximal matches.
 
         Walks hit lists itself; the batch's stacked *counts* go unused.
         """
+        reads = len(batch.reads)
+        entries: List[Tuple[int, int, int, Sequence[int], bool]] = []
         for segment, index in enumerate(self.indexes):
             for read_id in numpy.flatnonzero(searched[segment]).tolist():
                 max_end = 0
@@ -254,8 +262,12 @@ class CamWalkFinder(SmemFinder):
                 for pivot in range(len(codes)):
                     seed = self._rmem(index, codes, pivot)
                     if seed is not None and seed.end > max_end:
-                        out[segment][read_id].append(seed)
+                        entries.append(
+                            (segment * reads + read_id, seed.read_offset,
+                             seed.length, seed.hits, False)
+                        )
                         max_end = seed.end
+        return SeedTable.from_entries(searched.size, entries)
 
     def _rmem(
         self, index: KmerIndex, codes: Sequence[int], pivot: int

@@ -98,6 +98,7 @@ class TestEvaluation:
         "exact-match-vs-brute",
         "rmem-batch-vs-cam",
         "segments-one-pass-vs-per-segment",
+        "candidate-table-vs-per-read",
         "bitvector-semiglobal-vs-myers",
     ])
     def test_cheap_pairs_agree_on_short_budget(self, name):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.align.records import AlignmentStats
 from repro.filters import FilterCascade, FilterStageStats
-from repro.pipeline.common import Candidate
+from repro.pipeline.common import Candidate, CandidateTable
 
 CANDIDATE = Candidate(window_start=0, reverse=False, seed_length=7)
 
@@ -56,7 +56,7 @@ class ScalarOnlyStub:
 
 
 def jobs_for(reads):
-    return [(read, CANDIDATE) for read in reads]
+    return CandidateTable.from_jobs([(read, CANDIDATE) for read in reads])
 
 
 class TestConstruction:
@@ -183,7 +183,7 @@ class TestBatchPath:
     def test_empty_batch_is_a_no_op(self):
         cascade = self.build()
         stats = AlignmentStats()
-        assert cascade.admit_batch_depths([], stats) == []
+        assert cascade.admit_batch_depths(jobs_for([]), stats) == []
         assert stats.candidates_filtered == 0
         assert stats.candidates_survived == 0
 

@@ -17,7 +17,7 @@ from repro.align.records import AlignmentStats
 from repro.filters import MyersCandidateFilter
 from repro.genome.reference import ReferenceGenome
 from repro.genome.sequence import ALPHABET
-from repro.pipeline.common import Candidate, fetch_window
+from repro.pipeline.common import Candidate, CandidateTable, fetch_window
 
 
 def semiglobal_distance(query, text):
@@ -110,7 +110,9 @@ class TestMyers:
         for max_edits in (0, 1, 3):
             stage = MyersCandidateFilter(reference, max_edits, 5)
             batch_stats, scalar_stats = AlignmentStats(), AlignmentStats()
-            batched = stage.admit_batch(jobs, batch_stats)
+            batched = stage.admit_batch(
+                CandidateTable.from_jobs(jobs), batch_stats
+            ).tolist()
             scalar = [
                 stage.admit(query, candidate, scalar_stats)
                 for query, candidate in jobs
@@ -140,5 +142,5 @@ class TestCycleCharging:
         query = "ACGTACGT"
         stage, candidate = build_stage(stage_class, text, query, 2)
         stats = AlignmentStats()
-        stage.admit_batch([(query, candidate)] * 3, stats)
+        stage.admit_batch(CandidateTable.from_jobs([(query, candidate)] * 3), stats)
         assert stats.prefilter_cycles == 3 * len(text)

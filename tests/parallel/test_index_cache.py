@@ -1,10 +1,10 @@
-"""Tests for repro.seeding.cache and the packed index it deserializes to."""
+"""Tests for repro.seeding.cache and the CSR index it deserializes to."""
 
 import pytest
 
 from repro.genome.reference import make_reference
-from repro.seeding.cache import IndexCache, index_fingerprint
-from repro.seeding.index import KmerIndex, PackedKmerIndex
+from repro.seeding.cache import IndexCache, _deserialize, _serialize, index_fingerprint
+from repro.seeding.index import IndexTables, KmerIndex
 
 K = 8
 SEGMENTS = 3
@@ -59,7 +59,7 @@ class TestIndexCache:
         warm = IndexCache(tmp_path)
         loaded = warm.load_or_build(reference, K, SEGMENTS, OVERLAP)
         assert (warm.stats.misses, warm.stats.hits) == (0, 1)
-        assert all(isinstance(t.index, PackedKmerIndex) for t in loaded)
+        assert all(isinstance(t.index, KmerIndex) for t in loaded)
         assert_tables_equivalent(loaded, built, probes)
 
     def test_same_instance_hits_second_time(self, reference, tmp_path):
@@ -110,10 +110,12 @@ class TestIndexCache:
 
 
 class TestPackedKmerIndex:
+    """A built index and its copy read back from the cache's layout."""
+
     @pytest.fixture(scope="class")
     def pair(self, reference):
         index = KmerIndex.build(reference.sequence[:1500], K)
-        return index, PackedKmerIndex.pack(index)
+        return index, _deserialize(_serialize([IndexTables(0, 0, index)]))[0].index
 
     def test_hits_identical_for_all_kmers(self, reference, pair):
         index, packed = pair

@@ -1,8 +1,12 @@
 """Tests for repro.pipeline.common."""
 
+import numpy
+import pytest
+
 from repro.align.cigar import Cigar
 from repro.pipeline.common import (
     Candidate,
+    CandidateTable,
     Extension,
     candidates_from_seeds,
     exact_match_cigar,
@@ -10,6 +14,7 @@ from repro.pipeline.common import (
     strands,
 )
 from repro.seeding.accelerator import GlobalSeed
+from repro.seeding.smem import SeedTable
 
 
 def seed(offset, length, positions):
@@ -40,6 +45,42 @@ class TestCandidates:
     def test_reverse_flag_propagates(self):
         candidates = candidates_from_seeds([seed(0, 10, [100])], reverse=True)
         assert candidates[0].reverse
+
+
+class TestCandidateTable:
+    """The per-dispatch table applies ``candidates_from_seeds`` per row."""
+
+    STRANDS = [
+        # Negative starts, a start supported twice, equal-length ties.
+        [seed(50, 10, [5, 60, 300]), seed(0, 12, [10, 250]), seed(3, 12, [13, 90])],
+        [seed(0, 10, [100]), seed(0, 40, [500]), seed(0, 25, [900, 40])],
+        [],
+        [seed(7, 9, [7, 8, 9, 1_000]), seed(2, 9, [3, 999]), seed(0, 30, [4])],
+    ]
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, None])
+    def test_matches_per_strand_candidates(self, cap):
+        reads = ["R%d" % row for row in range(len(self.STRANDS))]
+        reverse = numpy.array([row % 2 == 1 for row in range(len(reads))])
+        searched = numpy.array([True, True, True, False])
+        table = CandidateTable.from_seeds(
+            SeedTable.from_lists(self.STRANDS), reads, reverse, searched, cap
+        )
+        want = [
+            (reads[row], candidate)
+            for row, seeds in enumerate(self.STRANDS)
+            if searched[row]
+            for candidate in candidates_from_seeds(seeds, bool(reverse[row]), cap)
+        ]
+        assert table.jobs() == want
+        assert list(table) == want
+
+    def test_from_jobs_round_trips(self):
+        jobs = [("ACGT", Candidate(4, True, 9)), ("GG", Candidate(-2, False, 3))]
+        table = CandidateTable.from_jobs(jobs)
+        assert table.jobs() == jobs
+        assert table[1] == jobs[1]
+        assert table.take(numpy.array([1])).jobs() == jobs[1:]
 
 
 class TestSelectBest:

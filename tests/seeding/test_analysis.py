@@ -84,6 +84,29 @@ class TestPathologicalKmers:
         assert worst[0][0] == "A" * 12
         assert worst[0][1] >= 150
 
+    def test_cache_loaded_index(self, tmp_path):
+        """The analysis reads the CSR arrays, so a cache-loaded index works."""
+        from repro.seeding.cache import IndexCache
+
+        reference = make_reference(3_000, seed=8)
+        IndexCache(tmp_path).load_or_build(reference, 8, 2, 16)
+        warm = IndexCache(tmp_path)
+        loaded = warm.load_or_build(reference, 8, 2, 16)
+        assert warm.stats.hits == 1
+        built = KmerIndex.build(reference.segments(2, overlap=16)[0].sequence, 8)
+        assert pathological_kmers(loaded[0].index, top=7) == pathological_kmers(
+            built, top=7
+        )
+        assert analyze_index(loaded[0].index) == analyze_index(built)
+
+    def test_ties_break_by_code(self):
+        # Every 2-mer of ACGT once: all tie at one hit, so code order wins.
+        index = KmerIndex.build("TTGGAC", 2)
+        assert pathological_kmers(index, top=4) == [
+            ("AC", 1), ("GA", 1), ("GG", 1), ("TG", 1)
+        ]
+        assert pathological_kmers(index, top=0) == []
+
     def test_top_list_sorted(self):
         index = KmerIndex.build(make_reference(5_000, seed=7).sequence, 8)
         worst = pathological_kmers(index, top=5)

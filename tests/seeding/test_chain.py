@@ -95,6 +95,25 @@ class TestChaining:
         singles = [per_read_provider.seed(s) for s in sequences]
         assert batched == singles
 
+    def test_batch_counts_like_per_read(self, reference):
+        # Short, dirty and repeat-masked reads share the batch's lookups.
+        sequences = [
+            reference.sequence[0:300],
+            "",
+            "ACGT",
+            reference.sequence[900:1_100].replace("C", "N", 3),
+            "A" * 200,
+            reference.sequence[1_500:1_900],
+        ]
+        config = ChainConfig(max_hits_per_kmer=3)
+        batch_provider = ChainedSeedProvider(reference.sequence, config)
+        per_read_provider = ChainedSeedProvider(reference.sequence, config)
+        batched = batch_provider.seed_batch(sequences)
+        singles = [per_read_provider.seed(s) for s in sequences]
+        assert batched == singles
+        assert batch_provider.stats == per_read_provider.stats
+        assert batch_provider.stats.anchors_sampled > 0
+
 
 class TestStats:
     def test_counters_track_one_read(self, reference):

@@ -4,18 +4,23 @@ import numpy
 import pytest
 
 from repro.genome.reference import make_reference
+from repro.seeding.cache import _deserialize, _serialize
 from repro.seeding.index import (
     SLOTS_PER_KEY,
     IndexTables,
     KeyTable,
     KmerIndex,
-    PackedKmerIndex,
     base_words_at,
     build_segment_tables,
     hash_slots,
     kmer_code,
     pack_bases,
 )
+
+
+def reloaded(index):
+    """*index* written to and read back from the cache's on-disk layout."""
+    return _deserialize(_serialize([IndexTables(0, 0, index)]))[0].index
 
 
 class TestKmerCode:
@@ -75,7 +80,7 @@ class TestKmerIndex:
     def test_non_acgt_kmers_are_absent_not_errors(self, packed):
         index = KmerIndex.build("ACGTACGT", k=4)
         if packed:
-            index = PackedKmerIndex.pack(index)
+            index = reloaded(index)
         assert index.contains("ACGT")
         for kmer in ("ACGN", "acgt", "RCGT"):
             assert not index.contains(kmer)
@@ -101,6 +106,59 @@ class TestKmerIndex:
                 assert start in index.hits(kmer)
 
 
+def brute_force_tables(sequence, k):
+    """Every k-mer's positions, keyed by code, by direct scanning."""
+    table = {}
+    for start in range(len(sequence) - k + 1):
+        table.setdefault(kmer_code(sequence[start : start + k]), []).append(start)
+    return table
+
+
+class TestCsrBuild:
+    """The NumPy build gives exactly a brute-force dict's tables."""
+
+    @staticmethod
+    def assert_tables(index, sequence, k):
+        want = brute_force_tables(sequence, k)
+        keys = sorted(want)
+        assert index.keys.tolist() == keys
+        assert numpy.diff(index.offsets).tolist() == [len(want[key]) for key in keys]
+        assert index.positions.tolist() == [p for key in keys for p in want[key]]
+        assert index.offsets[0] == 0
+        for dtype in (index.keys.dtype, index.offsets.dtype, index.positions.dtype):
+            assert dtype == numpy.int64
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sequences(self, seed):
+        rng = numpy.random.default_rng(seed)
+        sequence = "".join(rng.choice(list("ACGT"), int(rng.integers(1, 400))))
+        for k in (1, 2, 3, 5, 8, 13):
+            self.assert_tables(KmerIndex.build(sequence, k), sequence, k)
+
+    @pytest.mark.parametrize("sequence,k", [("ACGTA", 6), ("ACGTA", 5), ("", 3)])
+    def test_k_at_and_past_the_length(self, sequence, k):
+        index = KmerIndex.build(sequence, k)
+        self.assert_tables(index, sequence, k)
+        assert index.total_positions == max(0, len(sequence) - k + 1)
+
+    def test_homopolymer(self):
+        index = KmerIndex.build("A" * 40, 7)
+        self.assert_tables(index, "A" * 40, 7)
+        assert index.hits("A" * 7) == list(range(34))
+        assert index.hit_histogram() == {34: 1}
+
+    def test_hits_code_returns_plain_ints(self):
+        index = KmerIndex.build("ACGACGACG", 3)
+        hits = index.hits_code(kmer_code("ACG"))
+        assert hits == [0, 3, 6]
+        assert all(type(hit) is int for hit in hits)
+        assert index.hits_code(kmer_code("TTT")) == ()
+
+    def test_non_acgt_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            KmerIndex.build("ACGNACGT", 3)
+
+
 class TestSegmentTables:
     def test_build_per_segment(self):
         ref = make_reference(4_000, seed=9)
@@ -124,7 +182,7 @@ class TestSearchTables:
     @pytest.fixture(params=["dict", "packed"])
     def index(self, request):
         index = KmerIndex.build(make_reference(1_500, seed=4).sequence, k=5)
-        return PackedKmerIndex.pack(index) if request.param == "packed" else index
+        return reloaded(index) if request.param == "packed" else index
 
     def test_hit_counts_match_scalar_lookups(self, index):
         codes = numpy.array(
@@ -168,7 +226,7 @@ class TestKeyTable:
     def test_empty_index_counts_nothing(self, kind):
         index = KmerIndex.build("ACG", k=5)
         if kind == "packed":
-            index = PackedKmerIndex.pack(index)
+            index = reloaded(index)
         codes = numpy.array([0, 7, -1, kmer_code("ACGTA")])
         assert index.hit_counts(codes).tolist() == [0, 0, 0, 0]
 

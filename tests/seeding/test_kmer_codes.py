@@ -13,7 +13,6 @@ from repro.seeding.index import (
     MAX_K,
     IndexTables,
     KmerIndex,
-    PackedKmerIndex,
     kmer_code,
     kmer_codes,
 )
@@ -99,7 +98,7 @@ class TestBatchMatchesOneReadCalls:
         tables = cache.load_or_build(
             reference, 10, 3, SeedingAccelerator.SEGMENT_OVERLAP
         )
-        assert all(isinstance(t.index, PackedKmerIndex) for t in tables)
+        assert cache.stats.hits == 1  # the tables below were read back from disk
         return tables
 
     @pytest.mark.parametrize("kind", ["dict", "packed"])
@@ -116,7 +115,7 @@ class TestBatchMatchesOneReadCalls:
         batch_reads = _batch_reads(reference)
         batched = SeedingAccelerator(reference, config, segment_count=3, tables=tables)
         single = SeedingAccelerator(reference, config, segment_count=3, tables=tables)
-        got = batched.seed_reads(batch_reads)
+        got = list(batched.seed_reads(batch_reads))
         want = [single.seed_read(read) for read in batch_reads]
         assert got == want
         assert any(got)
@@ -131,7 +130,7 @@ class TestBatchMatchesOneReadCalls:
         batched = WholeGenomeSeedProvider(SeedingLane(tables, config))
         single = WholeGenomeSeedProvider(SeedingLane(tables, config))
         batch_reads = _batch_reads(reference)
-        assert batched.seed_batch(batch_reads) == [
+        assert list(batched.seed_batch(batch_reads)) == [
             single.seed(read) for read in batch_reads
         ]
         assert _counters(batched.lane.finder.stats) == _counters(

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.seeding import smem
 from repro.seeding.cam import IntersectionEngine
-from repro.seeding.index import KmerIndex, PackedKmerIndex
+from repro.seeding.cache import _deserialize, _serialize
+from repro.seeding.index import IndexTables, KmerIndex
 from repro.seeding.smem import ReadBatch, Seed, SeedingMode, SmemConfig, SmemFinder
 from repro.seeding.smem_oracle import (
     CamWalkFinder,
@@ -321,7 +322,7 @@ class TestBatchedSearchMatchesCamWalk:
         reads = _repeat_reads(segment, 8)
         index = KmerIndex.build(segment, 6)
         config = SmemConfig(k=6, cam_size=4, probe=True)
-        packed = PackedKmerIndex.pack(index)
+        packed = _deserialize(_serialize([IndexTables(0, 0, index)]))[0].index
         assert _run(SmemFinder(packed, config), reads) == _run(
             CamWalkFinder(index, config), reads
         )
