@@ -35,7 +35,7 @@ import dataclasses
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.align.banded import (
     banded_extension_align,
@@ -772,7 +772,7 @@ class _RecordingExtender:
         self.jobs: List[ExtensionJob] = []
 
     def extend_batch(
-        self, jobs: List[ExtensionJob], stats: AlignmentStats
+        self, jobs: Sequence[ExtensionJob], stats: AlignmentStats
     ) -> List[Optional[Extension]]:
         self.jobs.extend(jobs)
         return [None] * len(jobs)
