@@ -69,21 +69,14 @@ class MyersCandidateFilter:
         self.max_edits = max_edits
         self.window_slack = window_slack
 
-    def _window(
-        self, oriented: str, candidate: "Candidate", stats: AlignmentStats
-    ) -> str:
-        """The candidate's reference window, charged as streamed cycles."""
-        window = self._fetch_window(
-            self.reference, candidate, len(oriented), self.window_slack
-        )
-        stats.prefilter_cycles += len(window)
-        return window
-
     def admit(
         self, oriented: str, candidate: "Candidate", stats: AlignmentStats
     ) -> bool:
         """The scalar reference verdict for one job (not on the cascade path)."""
-        window = self._window(oriented, candidate, stats)
+        window = self._fetch_window(
+            self.reference, candidate, len(oriented), self.window_slack
+        )
+        stats.prefilter_cycles += len(window)
         return bool(myers_search(oriented, window, self.max_edits))
 
     def admit_batch(
