@@ -665,7 +665,7 @@ def _stack_run(case: DiffCase, one_pass: bool) -> Output:
                 accelerator = SeedingAccelerator(
                     reference, config, segment_count=count, tables=tables
                 )
-                seeds = accelerator.seed_reads(reads)
+                seeds = list(accelerator.seed_reads(reads))
                 stats = accelerator.stats
             else:
                 seeds, stats = seed_reads_per_segment(tables, config, reads)

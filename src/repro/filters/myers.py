@@ -62,9 +62,10 @@ class MyersCandidateFilter:
             raise ValueError(f"max_edits must be non-negative, got {max_edits}")
         # Deferred import: repro.pipeline imports this package at module
         # scope, so importing pipeline.common at import time would cycle.
-        from repro.pipeline.common import fetch_window
+        from repro.pipeline.common import fetch_window, window_spans
 
         self._fetch_window = fetch_window
+        self._window_spans = window_spans
         self.reference = reference
         self.max_edits = max_edits
         self.window_slack = window_slack
@@ -85,13 +86,12 @@ class MyersCandidateFilter:
         read_lengths = numpy.fromiter(
             map(len, candidates.reads), dtype=numpy.int64, count=len(candidates.reads)
         )
-        # The fetch_window span, clamped to the genome like ReferenceGenome.fetch.
-        first = numpy.maximum(candidates.start, 0)
-        end = numpy.minimum(
+        first, lengths = self._window_spans(
+            candidates.start,
+            read_lengths[candidates.row],
+            self.window_slack,
             len(self.reference),
-            candidates.start + read_lengths[candidates.row] + self.window_slack,
         )
-        lengths = numpy.maximum(end - first, 0)
         stats.prefilter_cycles += int(lengths.sum())
         distances = semiglobal_min_windows(
             candidates.reads, candidates.row, self._codes, first, lengths

@@ -35,7 +35,7 @@ from repro.pipeline.common import Extension, dp_extension, fetch_window
 from repro.pipeline.stages import ExtensionJob, PipelineDriver, StageSet
 from repro.seeding.accelerator import GlobalSeed, SeedingLane
 from repro.seeding.index import IndexTables, KmerIndex
-from repro.seeding.smem import ReadBatch, SmemConfig
+from repro.seeding.smem import ReadBatch, SeedTable, SmemConfig
 
 
 @dataclass
@@ -65,7 +65,7 @@ class WholeGenomeSeedProvider:
     def seed(self, oriented: str) -> List[GlobalSeed]:
         return self.lane.seed_read(oriented)
 
-    def seed_batch(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
+    def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         # One segment covering the genome: the batch is encoded once and
         # its dead pivots found in one pass over the single table.
         return self.lane.seed_batch(ReadBatch(oriented, self.lane.config.k))

@@ -10,7 +10,7 @@ two extension engines, not of incidental plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, overload
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy
 from numpy.typing import NDArray
@@ -44,6 +44,23 @@ def window_span(
     window; the batched kernels key their fetch-dedupe caches on it.
     """
     return candidate.window_start, read_length + slack
+
+
+def window_spans(
+    starts: NDArray[numpy.int64],
+    read_lengths: NDArray[numpy.int64],
+    slack: int,
+    genome_length: int,
+) -> Tuple[NDArray[numpy.int64], NDArray[numpy.int64]]:
+    """``(first, lengths)`` of the windows :func:`fetch_window` fetches.
+
+    The array form of :func:`window_span` for many candidates, clamped to
+    ``[0, genome_length)`` the way :meth:`ReferenceGenome.fetch` clamps:
+    window ``i`` is ``sequence[first[i] : first[i] + lengths[i]]``.
+    """
+    first = numpy.maximum(starts, 0)
+    end = numpy.minimum(genome_length, starts + read_lengths + slack)
+    return first, numpy.maximum(end - first, 0)
 
 
 def fetch_window(
@@ -98,13 +115,13 @@ Job = Tuple[str, Candidate]
 
 
 @dataclass(frozen=True, eq=False)
-class CandidateTable(Sequence[Job]):
+class CandidateTable:
     """The candidate placements of one dispatch, as columns.
 
     Candidate ``i`` places oriented read ``reads[row[i]]`` at reference
     window start ``start[i]`` on strand ``reverse[i]``, supported by a
     seed of ``seed_length[i]`` bases.  The filter cascade reads the
-    columns directly; entry ``i`` of the table, as a sequence, is the
+    columns directly; ``table[i]`` (and iteration) gives the
     ``(oriented read, Candidate)`` job, built on access, so
     :class:`Candidate` objects are made only for the entries a caller
     asks for (the driver asks for the survivors of the cascade).
@@ -202,15 +219,10 @@ class CandidateTable(Sequence[Job]):
     def __len__(self) -> int:
         return len(self.row)
 
-    @overload
-    def __getitem__(self, entry: int) -> Job: ...
+    def __iter__(self) -> Iterator[Job]:
+        return iter(self.jobs())
 
-    @overload
-    def __getitem__(self, entry: slice) -> List[Job]: ...
-
-    def __getitem__(self, entry: Union[int, slice]) -> Union[Job, List[Job]]:
-        if isinstance(entry, slice):
-            return self.take(numpy.arange(len(self))[entry]).jobs()
+    def __getitem__(self, entry: int) -> Job:
         return (
             self.reads[int(self.row[entry])],
             Candidate(

@@ -40,7 +40,7 @@ from repro.seeding.accelerator import (
 )
 from repro.seeding.cache import IndexCache
 from repro.seeding.index import IndexTables
-from repro.seeding.smem import SmemConfig
+from repro.seeding.smem import SeedTable, SmemConfig
 from repro.sillax.dense import DenseTracebackMachine
 from repro.sillax.lane import ExtensionOutcome, LaneStats, extension_window
 
@@ -92,7 +92,7 @@ class SegmentedSeedProvider:
     def seed(self, oriented: str) -> List[GlobalSeed]:
         return self.accelerator.seed_read(oriented)
 
-    def seed_batch(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
+    def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         return self.accelerator.seed_reads(oriented)
 
 

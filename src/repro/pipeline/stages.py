@@ -29,11 +29,11 @@ Stage contracts
 ---------------
 
 :class:`SeedProvider`
-    ``seed(oriented)`` / ``seed_batch(oriented)`` return
-    :class:`~repro.seeding.accelerator.GlobalSeed` lists in global genome
-    coordinates, with whole-read exact matches flagged; the SMEM
-    providers' ``seed_batch`` returns them as one
-    :class:`~repro.seeding.smem.SeedTable` of arrays.
+    ``seed(oriented)`` returns one sequence's
+    :class:`~repro.seeding.accelerator.GlobalSeed` list and
+    ``seed_batch(oriented)`` a whole batch's seeds as one
+    :class:`~repro.seeding.smem.SeedTable` of arrays, in global genome
+    coordinates, with whole-read exact matches flagged.
 :class:`repro.filters.FilterCascade`
     The ordered composition of :class:`~repro.filters.CandidateFilter`
     stages that vetoes candidate placements before the (expensive)
@@ -100,11 +100,10 @@ class SeedProvider(Protocol):
         """Seed one oriented sequence (per-read execution order)."""
         ...
 
-    def seed_batch(self, oriented: Sequence[str]) -> Sequence[Sequence[GlobalSeed]]:
+    def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         """Seed a whole oriented-sequence batch (segment-major order).
 
-        Per sequence, its seeds: a :class:`~repro.seeding.smem.SeedTable`
-        (the SMEM providers), or plain lists, which the driver tabulates.
+        Row ``i`` of the table holds the seeds of ``oriented[i]``.
         """
         ...
 
@@ -340,8 +339,7 @@ class PipelineDriver:
         seeds = self.stages.seeder.seed_batch(oriented)
         if tel is not None:
             tel.stage_end("seed")
-        table = seeds if isinstance(seeds, SeedTable) else SeedTable.from_lists(seeds)
-        out = self._map(named, oriented, table)
+        out = self._map(named, oriented, seeds)
         if tel is not None:
             tel.stage_end("align_batch")
         return out

@@ -28,6 +28,7 @@ import numpy
 from repro.genome.sequence import encode_bases
 from repro.seeding.accelerator import GlobalSeed
 from repro.seeding.index import KmerIndex, kmer_codes_at
+from repro.seeding.smem import SeedTable
 
 
 @dataclass
@@ -123,15 +124,21 @@ class ChainedSeedProvider:
 
     def seed(self, oriented: str) -> List[GlobalSeed]:
         """Chain one oriented sequence into per-chain seeds."""
-        return self.seed_batch([oriented])[0]
+        return self._chain_reads([oriented])[0]
 
-    def seed_batch(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
+    def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         """Chain every oriented sequence; anchors are looked up batch-wide.
 
         One whole-genome index: batch order has no table locality to
         exploit, and chaining stays per read, so a batch gives exactly
         what per-read calls give.
         """
+        return SeedTable.from_lists(self._chain_reads(oriented))
+
+    # ----------------------------------------------------------- internals
+
+    def _chain_reads(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
+        """Per oriented sequence, one seed per chain, in chain order."""
         self.stats.reads_seeded += len(oriented)
         out: List[List[GlobalSeed]] = []
         for anchors in self._collect_anchors(oriented):
@@ -149,8 +156,6 @@ class ChainedSeedProvider:
                 ]
             )
         return out
-
-    # ----------------------------------------------------------- internals
 
     def _collect_anchors(
         self, oriented: Sequence[str]

@@ -46,7 +46,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Tuple, Union, overload
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy
 from numpy.typing import NDArray
@@ -120,20 +120,23 @@ class GlobalSeed:
 
 
 @dataclass(frozen=True, eq=False)
-class SeedTable(Sequence[List[GlobalSeed]]):
+class SeedTable:
     """The seeds of a batch as columns, one entry per seed.
 
     Seed ``i`` belongs to list ``row[i]`` (a read, or a segment-major
     (segment, read) pair inside :class:`SmemFinder`), starts at read
     offset ``offset[i]``, is ``length[i]`` bases long, and its hits are
     ``positions[cuts[i]:cuts[i + 1]]``, ascending.  Seeds are ordered by
-    row, then offset, then length.  The table is the seeding stages'
-    batch output: hits stay slices of one flat array from the k-mer index
-    to the candidate table (:mod:`repro.pipeline.common`), never a Python
-    object per hit.
+    row; the SMEM stages order each row by offset, then length, and
+    :meth:`from_lists` keeps the lists' order.  The table is every seed
+    provider's batch output: hits stay slices of one flat array from the
+    k-mer index to the candidate table (:mod:`repro.pipeline.common`),
+    never a Python object per hit.
 
-    It also reads as a sequence of per-row :class:`GlobalSeed` lists
-    (``table[row]``), built on access, for callers that want objects.
+    ``table[row]`` is that row's :class:`GlobalSeed` list, built on
+    access, and iterating the table yields every row's list, for callers
+    that want objects.  Tables compare by identity: compare
+    ``list(table)`` with expected lists.
     """
 
     rows: int
@@ -249,17 +252,10 @@ class SeedTable(Sequence[List[GlobalSeed]]):
     def __len__(self) -> int:
         return self.rows
 
-    @overload
-    def __getitem__(self, row: int) -> List[GlobalSeed]: ...
+    def __iter__(self) -> Iterator[List[GlobalSeed]]:
+        return (self[row] for row in range(self.rows))
 
-    @overload
-    def __getitem__(self, row: slice) -> List[List[GlobalSeed]]: ...
-
-    def __getitem__(
-        self, row: Union[int, slice]
-    ) -> Union[List[GlobalSeed], List[List[GlobalSeed]]]:
-        if isinstance(row, slice):
-            return [self[each] for each in range(*row.indices(self.rows))]
+    def __getitem__(self, row: int) -> List[GlobalSeed]:
         if row < 0:
             row += self.rows
         if not 0 <= row < self.rows:

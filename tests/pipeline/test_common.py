@@ -10,9 +10,12 @@ from repro.pipeline.common import (
     Extension,
     candidates_from_seeds,
     exact_match_cigar,
+    fetch_window,
     select_best,
     strands,
+    window_spans,
 )
+from repro.genome.reference import ReferenceGenome
 from repro.seeding.accelerator import GlobalSeed
 from repro.seeding.smem import SeedTable
 
@@ -81,6 +84,20 @@ class TestCandidateTable:
         assert table.jobs() == jobs
         assert table[1] == jobs[1]
         assert table.take(numpy.array([1])).jobs() == jobs[1:]
+
+
+class TestWindowSpans:
+    def test_matches_fetch_window_at_both_genome_ends(self):
+        reference = ReferenceGenome("ACGTTGCAAC" * 3)
+        starts = numpy.array([-7, -2, 0, 5, 20, 25, 29, 30, 45])
+        read_lengths = numpy.array([4, 6, 3, 8, 5, 9, 2, 4, 3])
+        first, lengths = window_spans(starts, read_lengths, 2, len(reference))
+        for start, read_length, begin, size in zip(
+            starts.tolist(), read_lengths.tolist(), first.tolist(), lengths.tolist()
+        ):
+            window = fetch_window(reference, Candidate(start, False, 1), read_length, 2)
+            assert reference.sequence[begin : begin + size] == window
+            assert size == len(window)
 
 
 class TestSelectBest:

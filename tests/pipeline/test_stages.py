@@ -14,6 +14,7 @@ from repro.pipeline.common import Candidate, Extension
 from repro.filters import FilterCascade
 from repro.pipeline.stages import PipelineDriver, StageSet
 from repro.seeding.accelerator import GlobalSeed
+from repro.seeding.smem import SeedTable
 
 READ = "ACGTACGTTACG"
 
@@ -43,9 +44,11 @@ class FakeSeeder:
         self.seed_calls += 1
         return self.table.get(oriented, [])
 
-    def seed_batch(self, oriented: Sequence[str]) -> List[List[GlobalSeed]]:
+    def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         self.batch_calls += 1
-        return [self.table.get(sequence, []) for sequence in oriented]
+        return SeedTable.from_lists(
+            [self.table.get(sequence, []) for sequence in oriented]
+        )
 
 
 class CountingExtender:

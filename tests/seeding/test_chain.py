@@ -93,7 +93,7 @@ class TestChaining:
         per_read_provider = ChainedSeedProvider(reference.sequence)
         batched = batch_provider.seed_batch(sequences)
         singles = [per_read_provider.seed(s) for s in sequences]
-        assert batched == singles
+        assert list(batched) == singles
 
     def test_batch_counts_like_per_read(self, reference):
         # Short, dirty and repeat-masked reads share the batch's lookups.
@@ -110,7 +110,7 @@ class TestChaining:
         per_read_provider = ChainedSeedProvider(reference.sequence, config)
         batched = batch_provider.seed_batch(sequences)
         singles = [per_read_provider.seed(s) for s in sequences]
-        assert batched == singles
+        assert list(batched) == singles
         assert batch_provider.stats == per_read_provider.stats
         assert batch_provider.stats.anchors_sampled > 0
 
