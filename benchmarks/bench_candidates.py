@@ -16,8 +16,8 @@ candidate**.  Every timed dispatch is also run once with a recording
 cascade stage and extension engine, and its candidates, verdicts and
 extension jobs must equal the per-strand oracle: each strand's seeds
 through :func:`~repro.pipeline.common.candidates_from_seeds`, each
-candidate's fetched window through
-:func:`~repro.align.bitvector.semiglobal_min_lanes`.  The exit status is
+candidate's fetched window through the scalar
+:func:`~repro.align.myers.myers_semiglobal_min`.  The exit status is
 non-zero when any differs.
 
 ``--baseline FILE`` copies another run's per-shape numbers into this
@@ -44,7 +44,7 @@ import statistics
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.align.bitvector import semiglobal_min_lanes
+from repro.align.myers import myers_semiglobal_min
 from repro.align.records import AlignmentStats
 from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
@@ -235,7 +235,10 @@ def oracle(
         fetch_window(reference, candidate, len(oriented), EDIT_BOUND)
         for oriented, candidate in jobs
     ]
-    distances = semiglobal_min_lanes([oriented for oriented, __ in jobs], windows)
+    distances = [
+        myers_semiglobal_min(oriented, window)
+        for (oriented, __), window in zip(jobs, windows)
+    ]
     seen = [
         (oriented, c.window_start, c.reverse, c.seed_length, distance <= EDIT_BOUND)
         for (oriented, c), distance in zip(jobs, distances)

@@ -19,9 +19,12 @@ unfiltered baseline and measures:
   straight from :meth:`FilterCascade.report`;
 * **wall-clock** — elapsed seconds and reads/s against the baseline.
 
-Runs on the ``bitvector`` backend (the batch-capable software pipeline,
-so the sweep also exercises the driver's cross-read ``filter_batch``
-dispatch).  Results land in ``benchmarks/results/bench/BENCH_filters.json``
+Runs on the ``genax`` backend, the one with an unfiltered variant whose
+extension verifies on its own (SillaX rejects what is beyond the edit
+bound); the sweep also exercises the driver's cross-read
+``filter_batch`` dispatch.  The ``bitvector`` backend has no baseline:
+its ``myers`` stage is its only verifier and cannot be switched off.
+Results land in ``benchmarks/results/bench/BENCH_filters.json``
 in the unified bench envelope (:mod:`repro.perf.schema`,
 ``schema_version`` 3; the bench-specific body lives under ``payload``)
 so future PRs can regress against them (load them with
@@ -45,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.genome.reference import ReferenceGenome
 from repro.perf.schema import BENCH_SCHEMA_VERSION, bench_envelope, write_bench
 from repro.perf.workloads import build_repeat_rich_workload
-from repro.pipeline.bitvector import BitvectorAligner, BitvectorConfig
+from repro.pipeline.genax import GenAxAligner, GenAxConfig
 from repro.telemetry import monotonic_s
 
 BENCHMARK = "bench_filters"
@@ -169,9 +172,8 @@ def measure_cascade(
     spec: Tuple[str, ...],
     baseline_key: list,
 ) -> dict:
-    aligner = BitvectorAligner(
-        reference,
-        BitvectorConfig(k=KMER, edit_bound=EDIT_BOUND, filters=spec),
+    aligner = GenAxAligner(
+        reference, GenAxConfig(k=KMER, edit_bound=EDIT_BOUND, filters=spec)
     )
     elapsed, mapped = timed_align(aligner, reads)
     cascade = aligner.cascade
@@ -222,8 +224,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
           f"{READ_LENGTH} bp with {READ_ERRORS} errors, "
           f"edit_bound={EDIT_BOUND}, k={KMER}")
 
-    baseline_aligner = BitvectorAligner(
-        reference, BitvectorConfig(k=KMER, edit_bound=EDIT_BOUND)
+    baseline_aligner = GenAxAligner(
+        reference, GenAxConfig(k=KMER, edit_bound=EDIT_BOUND, filters=None)
     )
     baseline_s, baseline_mapped = timed_align(baseline_aligner, reads)
     baseline_key = mapping_key(baseline_mapped)
@@ -259,6 +261,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         BENCHMARK,
         quick=args.quick,
         workload={
+            "backend": "genax",
             "genome_bp": len(reference.sequence),
             "repeat_copies": shape["repeat_copies"],
             "unit_bp": UNIT_BP,

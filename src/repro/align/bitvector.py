@@ -34,9 +34,10 @@ That fixed count is what the lane count amortises: on 101 bp patterns the
 batched kernel beats the scalar bigint scan from a few dozen lanes per
 call, which is why the cascade's ``myers`` stage
 (:class:`repro.filters.myers.MyersCandidateFilter`, through
-:func:`semiglobal_min_windows`) and the bitvector backend's gate
-(through :func:`semiglobal_min_lanes`) each answer a whole dispatch in
-one kernel call.
+:func:`semiglobal_min_windows`) answers a whole dispatch in one kernel
+call.  On the bitvector backend that stage is the only verifier: the
+extension engine runs the banded traceback on what it admits and no
+Myers test of its own.
 
 Bits above a lane's pattern length are garbage by construction and
 provably harmless: the recurrence only moves information upward (adds
@@ -50,7 +51,7 @@ shifted into bit 0 (Myers' original distinction):
   batched :func:`repro.align.myers.myers_distance`;
 * **semi-global** (`carry = 0`): text-side gaps are free, the running
   minimum is the batched :func:`repro.align.myers.myers_semiglobal_min` —
-  the quantity the extension gate thresholds against its edit bound.
+  the quantity the ``myers`` stage thresholds against its edit bound.
 """
 
 from __future__ import annotations
@@ -60,20 +61,17 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.align.myers import myers_semiglobal_min
 from repro.genome.sequence import (
     BASES_PER_WORD,
     DIRTY_BASE,
     encode_batch,
     encode_bases,
-    is_dna,
 )
 
 __all__ = [
     "batch_myers_bounded",
     "batch_myers_distance",
     "batch_semiglobal_min",
-    "semiglobal_min_lanes",
     "semiglobal_min_windows",
 ]
 
@@ -306,44 +304,10 @@ def batch_semiglobal_min(
     """Minimum edit distance of each pattern vs. any substring of its text.
 
     Element-wise identical to
-    :func:`repro.align.myers.myers_semiglobal_min`; this is the batched
-    extension gate (distance ≤ edit bound ⇒ the candidate window survives
-    to banded traceback).
+    :func:`repro.align.myers.myers_semiglobal_min`, for upper-case
+    ``ACGT`` strings (the packed encoding raises on anything else).
     """
     return _batch_scores(patterns, texts, semiglobal=True)
-
-
-def semiglobal_min_lanes(
-    patterns: Sequence[str], texts: Sequence[str]
-) -> List[int]:
-    """:func:`batch_semiglobal_min` for lanes of any alphabet.
-
-    The packed kernel takes upper-case ACGT only.  A lane whose pattern
-    or text holds anything else (an ``N``, an IUPAC code) runs the scalar
-    :func:`repro.align.myers.myers_semiglobal_min`, which compares raw
-    characters, so such a base costs one edit instead of aborting the
-    whole batch; every clean lane shares one kernel call.  The bitvector
-    backend's extension gate runs on it; the ``myers`` filter stage runs
-    :func:`semiglobal_min_windows`, which gives the same distances.
-    """
-    if len(patterns) != len(texts):
-        raise ValueError(
-            f"pattern/text batch size mismatch: {len(patterns)} vs {len(texts)}"
-        )
-    clean = [
-        is_dna(pattern) and is_dna(text)
-        for pattern, text in zip(patterns, texts)
-    ]
-    kernel = iter(
-        batch_semiglobal_min(
-            [pattern for pattern, ok in zip(patterns, clean) if ok],
-            [text for text, ok in zip(texts, clean) if ok],
-        ).tolist()
-    )
-    return [
-        next(kernel) if ok else myers_semiglobal_min(pattern, text)
-        for pattern, text, ok in zip(patterns, texts, clean)
-    ]
 
 
 def semiglobal_min_windows(
@@ -353,7 +317,7 @@ def semiglobal_min_windows(
     starts: NDArray[np.int64],
     lengths: NDArray[np.int64],
 ) -> NDArray[np.int64]:
-    """:func:`semiglobal_min_lanes` over reference windows named by span.
+    """:func:`batch_semiglobal_min` over reference windows named by span.
 
     Lane ``i`` scores ``patterns[rows[i]]`` against the window
     ``reference[starts[i] : starts[i] + lengths[i]]``; *reference* holds

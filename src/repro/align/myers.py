@@ -64,7 +64,8 @@ def myers_semiglobal_min(pattern: str, text: str) -> int:
     :mod:`repro.align.bitvector`: the same recurrence as
     :func:`myers_search` (text-side gaps before/after the match are free),
     but returning the best score seen instead of hit positions — the
-    quantity the extension gate thresholds against its edit bound.
+    quantity the ``myers`` cascade stage and the long-read gate threshold
+    against their edit bounds.
     """
     if not pattern:
         return 0

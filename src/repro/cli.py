@@ -111,9 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--filters",
         default=None,
         metavar="SPEC",
-        help="pre-alignment filter cascade: registered filter names, "
-        f"comma-separated ({', '.join(filter_names())}), or 'none' "
-        "(the default); the filter shares the pipeline's edit budget",
+        help="pre-alignment filter cascade of the genax and bwamem "
+        "pipelines: registered filter names, comma-separated "
+        f"({', '.join(filter_names())}), or 'none' (the default); the "
+        "filter shares the pipeline's edit budget (bitvector always runs "
+        "myers as its verifier; longread has no cascade)",
     )
     align.add_argument(
         "--cache-dir",
@@ -254,11 +256,16 @@ def _cmd_align(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.pipeline == "bitvector":
+            if args.filters is not None:
+                print(
+                    "warning: --filters does not apply to the bitvector "
+                    "pipeline (the myers stage is this pipeline's verifier)",
+                    file=sys.stderr,
+                )
             config = BitvectorConfig(
                 k=args.kmer,
                 edit_bound=args.edit_bound,
                 min_score=args.min_score,
-                filters=cascade_names,
                 jobs=args.jobs,
             )
         elif args.pipeline == "longread":
@@ -304,7 +311,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
             f"rescued, {pair_stats.proper_pairs}/{pair_stats.pairs_total} "
             "pairs proper"
         )
-    if cascade_names:
+    if cascade_names or args.pipeline == "bitvector":
         checked = stats.candidates_filtered + stats.candidates_survived
         suffix += f", filters rejected {stats.candidates_filtered}/{checked}"
     print(

@@ -53,7 +53,6 @@ from repro.align.bitvector import (
     BITS_PER_WORD,
     batch_myers_bounded,
     batch_semiglobal_min,
-    semiglobal_min_lanes,
 )
 from repro.align.myers import (
     myers_bounded,
@@ -834,7 +833,7 @@ def _candidate_stats(stats: AlignmentStats) -> Output:
 
 def _oracle_candidates_per_read(case: DiffCase) -> Output:
     """Per strand: CAM-walk seeds, ``candidates_from_seeds`` and one
-    ``semiglobal_min_lanes`` verdict per fetched window."""
+    scalar ``myers_semiglobal_min`` verdict per fetched window."""
     reference, tables, config, reads = _candidate_setup(case)
     oriented = [variant for read in reads for variant, __ in strands(read)]
     seed_lists, __ = seed_reads_per_segment(tables, config, oriented)
@@ -856,10 +855,10 @@ def _oracle_candidates_per_read(case: DiffCase) -> Output:
                 for __, variant, candidate in jobs
             ]
             stats.prefilter_cycles = sum(map(len, windows))
-            distances = semiglobal_min_lanes(
-                [variant for __, variant, __c in jobs], windows
-            )
-            admitted = [distance <= budget for distance in distances]
+            admitted = [
+                myers_semiglobal_min(variant, window) <= budget
+                for (__, variant, __c), window in zip(jobs, windows)
+            ]
             stats.candidates_survived = sum(admitted)
             stats.candidates_filtered = len(jobs) - stats.candidates_survived
             out.append(
@@ -1631,8 +1630,8 @@ _register(
         contract=Contract.EXACT_SCORE,
         description=(
             "The driver's per-dispatch candidate table and Myers cascade "
-            "verdicts vs candidates_from_seeds per strand and "
-            "semiglobal_min_lanes per fetched window, at caps 0/1/None "
+            "verdicts vs candidates_from_seeds per strand and the scalar "
+            "myers_semiglobal_min per fetched window, at caps 0/1/None "
             "and two edit bounds: every candidate, verdict, extension "
             "job and gather/filter counter"
         ),

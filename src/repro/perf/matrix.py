@@ -84,11 +84,12 @@ def _backend_config(backend: str, profile_name: str, jobs: int) -> Any:
     Field names differ per backend (``edit_bound`` vs ``band``,
     ``segment_count`` only on genax); overrides apply only where the
     config dataclass has the field.  Every backend with a ``filters``
-    field runs the one-stage ``("myers",)`` cascade, so candidate counts
-    and the stage's rejects are part of the gated metric surface.  Myers
-    is the only stage that pays: on repeat-rich input it rejects almost
-    every decoy candidate for less than their extension costs, and the
-    cheaper stages it replaced rejected nothing it did not.
+    field (genax, bwamem) runs the one-stage ``("myers",)`` cascade, and
+    bitvector always installs it as its only verifier, so candidate
+    counts and the stage's rejects are part of the gated metric surface.
+    Myers is the only stage that pays: on repeat-rich input it rejects
+    almost every decoy candidate for less than their extension costs,
+    and the cheaper stages it replaced rejected nothing it did not.
     """
     profile = get_workload(profile_name)
     config = get_backend(backend).default_config()

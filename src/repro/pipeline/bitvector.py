@@ -1,30 +1,33 @@
-"""Bitvector backend: batched bit-parallel verification and banded traceback.
+"""Bitvector backend: the cascade's Myers scan verifies, a banded traceback aligns.
 
 The software rendition of GenAx's "many cells per step" thesis (§IV) at
-the pipeline level: candidate placements are *verified* by the vectorized
-semi-global Myers kernel (:mod:`repro.align.bitvector`) — whole batches
-of (read, window) lanes per NumPy call — and the survivors (distance ≤
-the edit bound) get the banded traceback that produces scores and CIGARs
-from one lane-batched call
+the pipeline level.  Each candidate placement is checked once, as GenAx
+checks it once with the Levenshtein automaton before any traceback:
+the ``myers`` cascade stage (:class:`repro.filters.MyersCandidateFilter`)
+answers a whole dispatch with the vectorized semi-global Myers kernel
+(:mod:`repro.align.bitvector`) and admits a candidate iff its distance is
+within the edit bound.  The cascade is always installed; it is this
+backend's only verifier.  The extension engine's precondition is that
+its jobs are admitted candidates: it gives each one the banded traceback
+that produces scores and CIGARs from one lane-batched call
 (:func:`repro.align.banded.batch_banded_extension_align`), a band row of
-every surviving lane per NumPy step.  Seeding reuses the whole-genome
-SMEM provider the software gold standard uses; the interesting delta is
-the extension stage.
+every lane per NumPy step.  Seeding reuses the whole-genome SMEM
+provider the software gold standard uses.
 
-Kernel equality is held below the pipeline: the ``bitvector-vs-myers``
-and ``bitvector-batch-vs-banded`` difftest pairs pin the gate against the
-scalar Myers recurrence, and ``banded-batch-vs-scalar`` pins the batched
-traceback against :func:`repro.align.banded.banded_extension_align`.
+Kernel equality is held below the pipeline: the
+``bitvector-semiglobal-vs-myers`` and ``candidate-table-vs-per-read``
+difftest pairs pin the verifier against the scalar Myers recurrence, and
+``banded-batch-vs-scalar`` pins the batched traceback against
+:func:`repro.align.banded.banded_extension_align`.
 
 The engine also deduplicates lanes before dispatch: within one
 ``extend_batch`` call, candidate windows requested at the same reference
-span are fetched and encoded once, and fully identical (read, window)
-lanes share one kernel lane and one survivor traceback.
-:class:`BitvectorKernelStats` counts requested vs. fetched windows so the
-dedupe rate is measured, not assumed.  Deduplication never changes
-results or the shared ``AlignmentStats`` — every job is still charged as
-if verified alone (the ``align_reads`` vs ``align_batch`` tests enforce
-it).
+span are fetched once, and fully identical (read, window) lanes share
+one traceback.  :class:`BitvectorKernelStats` counts requested vs.
+fetched windows so the dedupe rate is measured, not assumed.
+Deduplication never changes results or the shared ``AlignmentStats`` —
+every job is still charged as if aligned alone (the ``align_reads`` vs
+``align_batch`` tests enforce it).
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.align.banded import DPResult, batch_banded_extension_align
-from repro.align.bitvector import semiglobal_min_lanes
+from repro.align.banded import batch_banded_extension_align
 from repro.align.records import AlignmentStats, MappedRead, ReadInput
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
-from repro.filters import FilterCascade, build_cascade
+from repro.filters import FilterCascade, MyersCandidateFilter
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.bwamem import WholeGenomeSeedProvider
 from repro.pipeline.common import (
@@ -55,14 +57,10 @@ class BitvectorConfig:
     """Tuning knobs; defaults mirror the other backends' operating point."""
 
     k: int = 12
-    edit_bound: int = 40  # gate threshold, window slack and traceback band
+    edit_bound: int = 40  # Myers stage budget, window slack and traceback band
     min_score: int = 30
     max_candidates: Optional[int] = 64
     scheme: ScoringScheme = field(default_factory=lambda: BWA_MEM_SCHEME)
-    # Pre-alignment filter cascade: ordered registered filter names
-    # (repro.filters.registry), sharing ``edit_bound`` as the budget.
-    # None/() disables filtering (the pinned default).
-    filters: Optional[Tuple[str, ...]] = None
     # Shard-parallel driver knob (consumed by repro.parallel.ParallelAligner).
     jobs: int = 1
 
@@ -74,8 +72,8 @@ class BitvectorKernelStats:
     batched or deduplicated)."""
 
     batches: int = 0  # extend_batch dispatches
-    lanes: int = 0  # (read, window) verification jobs received
-    kernel_lanes: int = 0  # lanes actually scored after deduplication
+    lanes: int = 0  # (read, window) extension jobs received
+    kernel_lanes: int = 0  # lanes actually aligned after deduplication
     max_batch_lanes: int = 0  # largest single dispatch
     windows_requested: int = 0  # window fetches the jobs implied
     windows_fetched: int = 0  # unique windows fetched + encoded
@@ -97,15 +95,16 @@ class BitvectorKernelStats:
 
 
 class BatchedBitvectorEngine:
-    """:class:`~repro.pipeline.stages.ExtensionEngine`: Myers gate, then
-    banded traceback for the survivors.
+    """:class:`~repro.pipeline.stages.ExtensionEngine`: banded traceback
+    of candidates the ``myers`` cascade stage admitted.
 
-    Per job: charge one ``extensions``; reject (``candidates_filtered``)
-    when the semi-global Myers distance of the read vs. its window
-    exceeds the edit bound; otherwise ``candidates_survived`` plus a
-    banded traceback charged to ``dp_cells``.  ``extend`` delegates to a
-    one-job batch, so a single-candidate caller runs the same kernel the
-    driver's ``extend_batch`` dispatch does.
+    The engine verifies nothing: its jobs are the cascade's survivors,
+    so every job gets a banded traceback at the edit bound.  Per job it
+    charges one ``extensions`` and the traceback's ``dp_cells``; the
+    cascade alone charges ``candidates_filtered``/``candidates_survived``.
+    ``extend`` delegates to a one-job batch, so a single-candidate
+    caller runs the same kernel the driver's ``extend_batch`` dispatch
+    does.
     """
 
     def __init__(
@@ -163,30 +162,18 @@ class BatchedBitvectorEngine:
                 lane_windows.append(windows[window_id])
             job_lane.append(lane_id)
         kernel.kernel_lanes += len(lane_patterns)
-        distances = semiglobal_min_lanes(lane_patterns, lane_windows)
-        surviving = [
-            lane_id
-            for lane_id, distance in enumerate(distances)
-            if distance <= self.edit_bound
-        ]
         aligned = batch_banded_extension_align(
-            [lane_windows[lane_id] for lane_id in surviving],
-            [lane_patterns[lane_id] for lane_id in surviving],
-            [self.edit_bound] * len(surviving),
+            lane_windows,
+            lane_patterns,
+            [self.edit_bound] * len(lane_patterns),
             self.scheme,
         )
-        tracebacks: Dict[int, DPResult] = dict(zip(surviving, aligned))
         results: List[Optional[Extension]] = []
-        for job_index, (oriented, candidate) in enumerate(jobs):
-            stats.extensions += 1
-            result = tracebacks.get(job_lane[job_index])
-            if result is None:
-                stats.candidates_filtered += 1
-                results.append(None)
-                continue
+        for (__, candidate), lane_id in zip(jobs, job_lane):
             # Shared tracebacks still charge every job's dp_cells, so the
             # counter surface does not depend on the dedupe.
-            stats.candidates_survived += 1
+            result = aligned[lane_id]
+            stats.extensions += 1
             stats.dp_cells += result.cells_computed
             results.append(dp_extension(candidate, result.alignment))
         return results
@@ -212,14 +199,12 @@ class BitvectorAligner:
         if tables is None:
             tables = self.build_tables(reference, self.config.k)
         self._lane = SeedingLane(tables, smem_config)
+        edit_bound = self.config.edit_bound
         self._engine = BatchedBitvectorEngine(
-            reference, self.config.edit_bound, self.config.scheme
+            reference, edit_bound, self.config.scheme
         )
-        self._cascade = build_cascade(
-            self.config.filters or (),
-            reference,
-            self.config.edit_bound,
-            self.config.edit_bound,
+        self._cascade = FilterCascade(
+            [MyersCandidateFilter(reference, edit_bound, edit_bound)]
         )
         self._driver = PipelineDriver(
             StageSet(
@@ -234,8 +219,8 @@ class BitvectorAligner:
         self.stats: AlignmentStats = self._driver.stats
 
     @property
-    def cascade(self) -> Optional[FilterCascade]:
-        """The installed pre-alignment cascade (None when disabled)."""
+    def cascade(self) -> FilterCascade:
+        """The ``myers`` cascade, this backend's only verifier."""
         return self._cascade
 
     @staticmethod

@@ -295,9 +295,10 @@ BITVECTOR_BACKEND = register_backend(
     BackendSpec(
         name="bitvector",
         summary=(
-            "the vectorized software pipeline: batched bit-parallel Myers "
-            "verification (NumPy, cross-read lanes) gating a lane-batched "
-            "NumPy banded traceback over the survivors"
+            "the vectorized software pipeline: the `myers` cascade stage "
+            "(batched bit-parallel Myers, NumPy, cross-read lanes) is its "
+            "only verifier, and a lane-batched NumPy banded traceback "
+            "aligns the candidates it admits"
         ),
         config_type=BitvectorConfig,
         default_config=BitvectorConfig,

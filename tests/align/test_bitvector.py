@@ -10,6 +10,7 @@ profile (tests/conftest.py), so every machine draws the same examples.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,10 +18,10 @@ from repro.align.bitvector import (
     batch_myers_bounded,
     batch_myers_distance,
     batch_semiglobal_min,
-    semiglobal_min_lanes,
+    semiglobal_min_windows,
 )
 from repro.align.myers import myers_bounded, myers_distance, myers_semiglobal_min
-from repro.genome.sequence import random_dna
+from repro.genome.sequence import encode_bases, random_dna
 
 dna = st.text(alphabet="ACGT", max_size=90)
 lanes = st.lists(st.tuples(dna, dna), max_size=12)
@@ -117,17 +118,36 @@ class TestBatchSemiglobal:
         assert int(scores[0]) == 0
 
     def test_dirty_lanes_take_the_scalar_recurrence(self):
-        # N, IUPAC and lower-case lanes cannot be packed; they get the
-        # scalar answer in place while clean lanes share the kernel call.
-        pairs = ragged_batch(seed=8, count=12, max_len=60)
-        pairs[2] = ("ACGNACGT", pairs[2][1])
-        pairs[5] = (pairs[5][0], "TTRACGTACGTT")
-        pairs[9] = ("acgtacgt", "TTACGTACGTT")
-        scores = semiglobal_min_lanes(
-            [p for p, _ in pairs], [t for _, t in pairs]
+        # N, IUPAC and lower-case pattern bases cannot be packed as ACGT;
+        # in the windowed kernel they match no equality plane, so each
+        # scores one edit against the ACGT reference, exactly like the
+        # scalar recurrence comparing raw characters.
+        rng = random.Random(8)
+        reference = random_dna(400, rng)
+        patterns = [
+            reference[40:100],
+            reference[120:150][:10] + "N" + reference[131:150],
+            reference[200:230][:5] + "R" + reference[206:230],
+            reference[250:290].lower(),
+            "NNNN",
+            "",
+        ]
+        rows, starts, lengths = [], [], []
+        for row in range(len(patterns)):
+            for start, length in ((0, 400), (30, 80), (115, 45), (395, 5)):
+                rows.append(row)
+                starts.append(start)
+                lengths.append(length)
+        scores = semiglobal_min_windows(
+            patterns,
+            np.array(rows, dtype=np.int64),
+            encode_bases(reference),
+            np.array(starts, dtype=np.int64),
+            np.array(lengths, dtype=np.int64),
         )
-        assert scores == [myers_semiglobal_min(p, t) for p, t in pairs]
-
-    def test_lane_helper_rejects_ragged_arguments(self):
-        with pytest.raises(ValueError):
-            semiglobal_min_lanes(["ACGT"], [])
+        assert scores.tolist() == [
+            myers_semiglobal_min(
+                patterns[row], reference[start : start + length]
+            )
+            for row, start, length in zip(rows, starts, lengths)
+        ]

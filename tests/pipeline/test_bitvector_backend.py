@@ -44,8 +44,8 @@ class TestKernelIdentity:
     """Cross-read dispatch vs one read per dispatch: identical output."""
 
     def test_n_read_in_a_batch_matches_scalar(self, small_reference, batch):
-        # The packed kernel takes ACGT only; an N lane takes the scalar
-        # gate instead of aborting the batch, and scores as a mismatch.
+        # An N read base matches no equality plane of the myers stage's
+        # kernel, so it scores as a mismatch instead of aborting the batch.
         # One read per dispatch is the reference the mixed batch must
         # reproduce record for record and counter for counter.
         read = small_reference.sequence[5000:5101]
@@ -100,9 +100,10 @@ class TestWindowDedupe:
         assert kstats.window_dedupe_rate == pytest.approx(0.75)
         assert kstats.lanes == 4
         assert kstats.kernel_lanes == 1  # one unique (pattern, window) lane
-        # Shared traceback still charges every job's counters identically.
+        # Shared traceback still charges every job's counters identically;
+        # the verdict counters belong to the cascade, not the engine.
         assert stats.extensions == 4
-        assert stats.candidates_survived == 4
+        assert stats.candidates_survived == stats.candidates_filtered == 0
 
 
 class TestBatchTelemetry:

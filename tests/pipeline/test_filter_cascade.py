@@ -2,7 +2,13 @@
 
 **Losslessness** — running every registered filter stage changes no
 mapping relative to the no-filter pipeline (each stage admits every
-candidate within the edit budget the extension engine enforces).
+candidate within the edit budget the extension engine enforces).  The
+bitvector backend has no unfiltered variant (the ``myers`` stage is its
+only verifier); its golden's unchanged mappings hold it lossless.
+
+**Counters** — on every backend with a cascade, the shared
+``candidates_filtered``/``candidates_survived`` counters are exactly the
+``myers`` stage's rejects and survivors.
 """
 
 import pytest
@@ -23,15 +29,13 @@ from tests.pipeline.golden_fixtures import (
 #: Per-backend config factory taking the cascade names tuple (or None).
 #: The longread backend is deliberately absent: its per-read adaptive
 #: gate plays the cascade's role, and the fixed-bound stages are
-#: meaningless without a backend-level ``edit_bound``/``band``.
+#: meaningless without a backend-level ``edit_bound``/``band``.  The
+#: bitvector backend is absent too: it always runs ``myers``.
 CASCADE_CONFIGS = {
     "genax": lambda filters: GenAxConfig(
         edit_bound=EDIT_BOUND, segment_count=SEGMENT_COUNT, filters=filters
     ),
     "bwamem": lambda filters: BwaMemConfig(band=EDIT_BOUND, filters=filters),
-    "bitvector": lambda filters: BitvectorConfig(
-        edit_bound=EDIT_BOUND, filters=filters
-    ),
 }
 
 
@@ -51,8 +55,11 @@ CASCADE_BACKENDS = tuple(CASCADE_CONFIGS)
 
 def test_config_factories_cover_every_cascade_backend():
     assert set(CASCADE_CONFIGS) <= set(backend_names())
-    # Only the adaptive long-read backend opts out of the cascade.
-    assert set(backend_names()) - set(CASCADE_CONFIGS) == {"longread"}
+    # The adaptive long-read backend has no cascade; bitvector's is fixed.
+    assert set(backend_names()) - set(CASCADE_CONFIGS) == {
+        "longread",
+        "bitvector",
+    }
 
 
 @pytest.mark.parametrize("backend", CASCADE_BACKENDS)
@@ -72,14 +79,34 @@ class TestCascadeLossless:
         report = dict(filtered.cascade.report())
         assert report["myers"].checked > 0
         # Conservation within the cascade: stage i+1 sees exactly the
-        # candidates stage i admitted.  (The shared candidates_filtered /
-        # candidates_survived counters also absorb the extension engine's
-        # own over-budget rejections, so they are not cascade-exclusive.)
+        # candidates stage i admitted.
         names = list(filter_names())
         for earlier, later in zip(names, names[1:]):
             assert report[later].checked == report[earlier].survived
         cascade_rejects = sum(report[name].rejected for name in names)
-        assert cascade_rejects <= filtered.stats.candidates_filtered
+        assert cascade_rejects == filtered.stats.candidates_filtered
+
+
+#: Every backend with a cascade, built with the ``myers`` stage.
+MYERS_BACKENDS = {
+    "genax": lambda reference: build_aligner("genax", reference, ("myers",)),
+    "bwamem": lambda reference: build_aligner("bwamem", reference, ("myers",)),
+    "bitvector": lambda reference: BitvectorAligner(
+        reference, BitvectorConfig(edit_bound=EDIT_BOUND)
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", list(MYERS_BACKENDS))
+def test_shared_counters_are_the_myers_stage_counters(
+    backend, small_reference, batch
+):
+    aligner = MYERS_BACKENDS[backend](small_reference)
+    aligner.align_batch(batch)
+    myers = dict(aligner.cascade.report())["myers"]
+    assert myers.checked > 0
+    assert aligner.stats.candidates_filtered == myers.rejected
+    assert aligner.stats.candidates_survived == myers.survived
 
 
 class TestCascadeTelemetry:
@@ -89,7 +116,7 @@ class TestCascadeTelemetry:
         with telemetry_session() as telemetry:
             aligner = BitvectorAligner(
                 small_reference,
-                BitvectorConfig(edit_bound=EDIT_BOUND, filters=("myers",)),
+                BitvectorConfig(edit_bound=EDIT_BOUND),
             )
             aligner.align_batch(batch)
         depths = telemetry.metrics.get("pipeline_cascade_depth")

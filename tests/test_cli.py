@@ -353,6 +353,31 @@ class TestFilterCascadeCli:
         assert "filters rejected" in capsys.readouterr().out
         assert cascade_out.read_text() == plain_out.read_text()
 
+    def test_bitvector_always_verifies_with_myers(
+        self, simulated, tmp_path, capsys
+    ):
+        # The myers stage is the bitvector pipeline's only verifier: its
+        # summary counts every candidate checked, and --filters is ignored.
+        ref, reads = simulated
+        plain_out = tmp_path / "plain.sam"
+        flagged_out = tmp_path / "flagged.sam"
+        assert main(["align", str(ref), str(reads), str(plain_out),
+                     "--pipeline", "bitvector", *self.BASE]) == 0
+        plain = capsys.readouterr()
+        assert "does not apply" not in plain.err
+        rejected, checked = (
+            plain.out.rsplit("rejected", 1)[1].split()[0].split("/")
+        )
+        assert 0 <= int(rejected) <= int(checked)
+        assert int(checked) > 0
+        assert main(["align", str(ref), str(reads), str(flagged_out),
+                     "--pipeline", "bitvector", *self.BASE,
+                     "--filters", "none"]) == 0
+        flagged = capsys.readouterr()
+        assert "--filters does not apply to the bitvector" in flagged.err
+        assert f"filters rejected {rejected}/{checked}" in flagged.out
+        assert flagged_out.read_text() == plain_out.read_text()
+
     def test_filters_none_is_explicitly_no_cascade(
         self, simulated, tmp_path, capsys
     ):
