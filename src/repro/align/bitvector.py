@@ -14,15 +14,17 @@ dispatching (see :class:`repro.pipeline.stages.PipelineDriver`).
 Layout
 ------
 
-Sequences arrive as strings and are packed by
-:func:`repro.genome.sequence.encode_batch` (2-bit codes, 32 bases per
-``uint64`` word).  Patterns are re-spread into per-symbol bit-planes
-(``peq[lane, symbol, word]``: bit ``j`` set iff pattern base ``64*word+j``
-equals ``symbol``), the classic blocked-Myers equality masks.  Lanes may
-have different pattern/text lengths: each lane reads its score at its own
-high bit (pattern length − 1), through a flat index computed once per
-call, and stops updating once its text is exhausted, so one kernel call
-handles a ragged batch.
+Sequences arrive as one array of 2-bit codes plus window spans, not as
+packed strings.  The texts are windows of one reference code array
+(one byte per base, :func:`repro.genome.sequence.encode_bases`), named
+by ``(start, length)`` and read with one gather.  Each pattern is
+spread once into per-symbol bit-planes (``peq[pattern, symbol, word]``:
+bit ``j`` set iff pattern base ``64*word+j`` equals ``symbol``), the
+classic blocked-Myers equality masks, which every lane of that pattern
+reads.  Lanes may have different pattern/text lengths: each lane reads
+its score at its own high bit (pattern length − 1), through a flat
+index computed once per call, and stops updating once its text is
+exhausted, so one kernel call handles a ragged batch.
 
 Liveness is a sorted prefix, not a mask: the kernel orders lanes by text
 length, longest first, so the lanes still reading text at column ``c``
@@ -44,36 +46,23 @@ provably harmless: the recurrence only moves information upward (adds
 carry up within a word, the word-carry chain and the ``hp``/``hn`` shifts
 go low word → high word), so bit ``m-1`` never sees them.
 
-Two modes share the recurrence and differ only in the horizontal carry
-shifted into bit 0 (Myers' original distinction):
-
-* **global** (`carry = 1`): edit distance pattern vs. whole text, the
-  batched :func:`repro.align.myers.myers_distance`;
-* **semi-global** (`carry = 0`): text-side gaps are free, the running
-  minimum is the batched :func:`repro.align.myers.myers_semiglobal_min` —
-  the quantity the ``myers`` stage thresholds against its edit bound.
+The recurrence is Myers' semi-global one: the horizontal carry shifted
+into bit 0 is 0, so text-side gaps are free and the running minimum of
+the column score is the batched
+:func:`repro.align.myers.myers_semiglobal_min` — the quantity the
+``myers`` stage thresholds against its edit bound.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.genome.sequence import (
-    BASES_PER_WORD,
-    DIRTY_BASE,
-    encode_batch,
-    encode_bases,
-)
+from repro.genome.sequence import DIRTY_BASE, encode_bases
 
-__all__ = [
-    "batch_myers_bounded",
-    "batch_myers_distance",
-    "batch_semiglobal_min",
-    "semiglobal_min_windows",
-]
+__all__ = ["semiglobal_min_windows"]
 
 #: DP-column bits per machine word (the blocked-Myers block size).
 BITS_PER_WORD = 64
@@ -82,34 +71,6 @@ _ONE = np.uint64(1)
 _SHIFT_ONE = np.uint64(1)
 _SHIFT_TOP = np.uint64(BITS_PER_WORD - 1)
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _unpack_codes(
-    packed: NDArray[np.uint64], columns: int
-) -> NDArray[np.uint8]:
-    """2-bit codes back out of packed words, as an (n, columns) matrix.
-
-    Padding positions come back as code 0; callers mask them with the
-    lengths array (the kernel via its live-lane prefix, the PEQ builder
-    via its validity mask).
-    """
-    count, words = packed.shape
-    shifts = np.arange(BASES_PER_WORD, dtype=np.uint64) * np.uint64(2)
-    codes = ((packed[:, :, None] >> shifts) & np.uint64(3)).astype(np.uint8)
-    return codes.reshape(count, words * BASES_PER_WORD)[:, :columns]
-
-
-def _build_peq(
-    packed: NDArray[np.uint64], lengths: NDArray[np.int64]
-) -> NDArray[np.uint64]:
-    """:func:`_peq_from_codes` of :func:`encode_batch` output."""
-    count = packed.shape[0]
-    max_len = int(lengths.max()) if count else 0
-    codes = np.full((count, max_len), 4, dtype=np.uint8)
-    if max_len:
-        valid = np.arange(max_len, dtype=np.int64) < lengths[:, None]
-        codes = np.where(valid, _unpack_codes(packed, max_len), np.uint8(4))
-    return _peq_from_codes(codes)
 
 
 def _peq_from_codes(codes: NDArray[np.uint8]) -> NDArray[np.uint64]:
@@ -166,7 +127,6 @@ def _run_kernel(
     pattern_lengths: NDArray[np.int64],
     text_codes: NDArray[Any],
     text_lengths: NDArray[np.int64],
-    semiglobal: bool,
 ) -> NDArray[np.int64]:
     """Advance every lane over its text; one iteration per text column.
 
@@ -175,10 +135,9 @@ def _run_kernel(
     text arrays are per lane.  Lanes run sorted by text length, longest
     first, so the lanes still reading text at any column are a prefix of
     the state arrays: each column updates ``[:live]`` slices and never
-    masks.  Returns the per-lane global distance, or the per-lane minimum
-    column score when *semiglobal*, in the caller's lane order (lanes
-    with empty patterns are the caller's job — their high-bit index
-    would be meaningless here).
+    masks.  Returns the per-lane minimum column score, in the caller's
+    lane order (lanes with empty patterns are the caller's job — their
+    high-bit index would be meaningless here).
     """
     count = len(text_lengths)
     words = peq.shape[2]
@@ -225,89 +184,18 @@ def _run_kernel(
         lane_score += high_bits[0].view(np.int64)
         lane_score -= high_bits[1].view(np.int64)
         # Shift hp/hn one bit up across word boundaries; the bit entering
-        # hp's bit 0 is the mode's horizontal carry (1 in global mode).
+        # hp's bit 0 is the semi-global horizontal carry, 0.
         shifted = h << _SHIFT_ONE
         shifted[:, :, 1:] |= h[:, :, :-1] >> _SHIFT_TOP
         hp, hn = shifted
-        if not semiglobal:
-            hp[:, 0] |= _ONE
         np.bitwise_and(hp, xv, out=lane_vn)
         xv |= hp
         np.invert(xv, out=xv)
         np.bitwise_or(hn, xv, out=lane_vp)
-        if semiglobal:
-            np.minimum(best[:n], lane_score, out=best[:n])
+        np.minimum(best[:n], lane_score, out=best[:n])
     result = np.empty(count, dtype=np.int64)
-    result[order] = best if semiglobal else score
+    result[order] = best
     return result
-
-
-def _batch_scores(
-    patterns: Sequence[str], texts: Sequence[str], semiglobal: bool
-) -> NDArray[np.int64]:
-    if len(patterns) != len(texts):
-        raise ValueError(
-            f"pattern/text batch size mismatch: {len(patterns)} vs {len(texts)}"
-        )
-    if not patterns:
-        return np.zeros(0, dtype=np.int64)
-    pattern_packed, pattern_lengths = encode_batch(patterns)
-    text_packed, text_lengths = encode_batch(texts)
-    max_text = int(text_lengths.max())
-    text_codes = _unpack_codes(text_packed, max_text).astype(np.intp)
-    peq = _build_peq(pattern_packed, pattern_lengths)
-    scores = _run_kernel(
-        peq,
-        np.arange(len(patterns)),
-        pattern_lengths,
-        text_codes,
-        text_lengths,
-        semiglobal,
-    )
-    empty = pattern_lengths == 0
-    if empty.any():
-        # An empty pattern matches the empty substring for free
-        # (semi-global) or costs one insertion per text base (global).
-        fallback = (
-            np.zeros_like(text_lengths) if semiglobal else text_lengths
-        )
-        scores = np.where(empty, fallback, scores)
-    return scores.astype(np.int64)
-
-
-def batch_myers_distance(
-    patterns: Sequence[str], texts: Sequence[str]
-) -> NDArray[np.int64]:
-    """Global unit-cost edit distance for each (pattern, text) pair.
-
-    Element-wise identical to :func:`repro.align.myers.myers_distance`
-    (the difftest pair ``bitvector-vs-myers`` and the hypothesis property
-    test pin this).
-    """
-    return _batch_scores(patterns, texts, semiglobal=False)
-
-
-def batch_myers_bounded(
-    patterns: Sequence[str], texts: Sequence[str], k: int
-) -> List[Optional[int]]:
-    """Element-wise :func:`repro.align.myers.myers_bounded`: distance if
-    ``<= k`` else ``None`` (the Silla contract), over a whole batch."""
-    distances = batch_myers_distance(patterns, texts)
-    return [
-        int(distance) if distance <= k else None for distance in distances
-    ]
-
-
-def batch_semiglobal_min(
-    patterns: Sequence[str], texts: Sequence[str]
-) -> NDArray[np.int64]:
-    """Minimum edit distance of each pattern vs. any substring of its text.
-
-    Element-wise identical to
-    :func:`repro.align.myers.myers_semiglobal_min`, for upper-case
-    ``ACGT`` strings (the packed encoding raises on anything else).
-    """
-    return _batch_scores(patterns, texts, semiglobal=True)
 
 
 def semiglobal_min_windows(
@@ -317,9 +205,11 @@ def semiglobal_min_windows(
     starts: NDArray[np.int64],
     lengths: NDArray[np.int64],
 ) -> NDArray[np.int64]:
-    """:func:`batch_semiglobal_min` over reference windows named by span.
+    """Minimum edit distance of each pattern vs. any substring of its window.
 
-    Lane ``i`` scores ``patterns[rows[i]]`` against the window
+    Element-wise identical to
+    :func:`repro.align.myers.myers_semiglobal_min`.  Lane ``i`` scores
+    ``patterns[rows[i]]`` against the window
     ``reference[starts[i] : starts[i] + lengths[i]]``; *reference* holds
     2-bit ``ACGT`` codes (a validated genome, one byte per base) and
     every window lies inside it.  Each pattern is encoded once, into one
@@ -350,6 +240,6 @@ def semiglobal_min_windows(
         spans = np.minimum(starts[:, None] + np.arange(width), len(reference) - 1)
         text = reference[spans]
     pattern_lengths = sizes[rows]
-    scores = _run_kernel(peq, rows, pattern_lengths, text, lengths, semiglobal=True)
+    scores = _run_kernel(peq, rows, pattern_lengths, text, lengths)
     # An empty pattern matches the empty substring for free.
     return np.where(pattern_lengths == 0, 0, scores)

@@ -119,35 +119,6 @@ DTYPE_ALLOWLIST: Tuple[SanctionedSite, ...] = (
         ),
     ),
     SanctionedSite(
-        site="repro.align.bitvector._unpack_codes",
-        rule="uint64-wrap",
-        reason=(
-            "Shift-table construction multiplies lane offsets (<= 31) by 2 "
-            "inside uint64: the product is bounded by 62 and cannot wrap; "
-            "uint64 is used so the subsequent `>>` stays same-dtype (NumPy "
-            "shifts require matching kinds)."
-        ),
-    ),
-    SanctionedSite(
-        site="repro.genome.sequence.encode_batch",
-        rule="uint64-wrap",
-        reason=(
-            "Packing shift table: position offsets (<= 31) times 2 inside "
-            "uint64, bounded by 62 by the 32-bases-per-word layout, so the "
-            "product cannot wrap; uint64 keeps the pack shifts same-dtype "
-            "(round-trip pinned by the word-boundary codec tests)."
-        ),
-    ),
-    SanctionedSite(
-        site="repro.genome.sequence.unpack_batch",
-        rule="uint64-wrap",
-        reason=(
-            "Mirror of encode_batch: the unpack shift table is the same "
-            "bounded-by-62 product; uint64 keeps the unpack shifts "
-            "same-dtype."
-        ),
-    ),
-    SanctionedSite(
         site="repro.align.bitvector._run_kernel",
         rule="hidden-copy",
         reason=(
@@ -157,32 +128,6 @@ DTYPE_ALLOWLIST: Tuple[SanctionedSite, ...] = (
             "one gather per column reads every live lane's high hp/hn bits "
             "through one flat index: O(lanes) per column, replacing a "
             "Python-level per-lane loop."
-        ),
-    ),
-    SanctionedSite(
-        site="repro.align.bitvector._build_peq",
-        rule="hidden-copy",
-        reason=(
-            "PEQ bit-plane construction converts the (count, capacity) "
-            "match mask to uint64 once per batch, outside the per-column "
-            "loop; setup cost, not steady-state."
-        ),
-    ),
-    SanctionedSite(
-        site="repro.align.bitvector._unpack_codes",
-        rule="hidden-copy",
-        reason=(
-            "The packed->codes expansion is the codec's output (uint8 "
-            "matrix), produced once per batch during setup."
-        ),
-    ),
-    SanctionedSite(
-        site="repro.align.bitvector._batch_scores",
-        rule="hidden-copy",
-        reason=(
-            "Batch entry point: one intp cast of the text codes and one "
-            "int64 cast of the result per *batch* (not per candidate), both "
-            "required by the kernel's index/score dtypes."
         ),
     ),
     SanctionedSite(
@@ -201,26 +146,8 @@ DTYPE_ALLOWLIST: Tuple[SanctionedSite, ...] = (
         rule="hidden-copy",
         reason=(
             "The vectorized ASCII->2-bit translation of a whole batch of "
-            "reads: one 256-entry LUT gather per call, as in encode_batch, "
+            "reads or the reference: one 256-entry LUT gather per call, "
             "replacing a per-character Python loop."
-        ),
-    ),
-    SanctionedSite(
-        site="repro.genome.sequence.unpack_batch",
-        rule="hidden-copy",
-        reason=(
-            "The packed->codes expansion is the codec's output (uint8 "
-            "matrix), produced once per batch during filter/kernel setup "
-            "— the same designed data movement as bitvector._unpack_codes."
-        ),
-    ),
-    SanctionedSite(
-        site="repro.genome.sequence.encode_batch",
-        rule="hidden-copy",
-        reason=(
-            "`_CODE_LUT[raw]` is the vectorized ASCII->2-bit translation: "
-            "a deliberate 256-entry LUT gather, once per batch, replacing "
-            "a per-character Python loop."
         ),
     ),
 )

@@ -1,7 +1,8 @@
 """GX5xx dtype-flow rules: uint64 wrap/upcast/hidden-copy discipline.
 
-The uint64 kernel lattice (:mod:`repro.align.bitvector`,
-:func:`repro.genome.sequence.encode_batch`) is correct *because* specific
+The uint64 kernel lattice (:mod:`repro.align.bitvector`, which reads one
+2-bit code array from :func:`repro.genome.sequence.encode_bases` plus
+window spans, no packed strings) is correct *because* specific
 operations wrap modulo 2**64 — and silently wrong the moment wrapping
 arithmetic, value-based upcasts, or hidden array copies appear anywhere
 else on the hot path.  These rules propagate an abstract NumPy dtype

@@ -37,6 +37,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
+import numpy as np
+
 from repro.align.banded import (
     banded_extension_align,
     banded_extension_score,
@@ -49,13 +51,8 @@ from repro.align.hirschberg import (
     hirschberg_align,
     nw_global_align,
 )
-from repro.align.bitvector import (
-    BITS_PER_WORD,
-    batch_myers_bounded,
-    batch_semiglobal_min,
-)
+from repro.align.bitvector import BITS_PER_WORD, semiglobal_min_windows
 from repro.align.myers import (
-    myers_bounded,
     myers_distance,
     myers_search,
     myers_semiglobal_min,
@@ -80,7 +77,7 @@ from repro.filters import (
     get_filter,
 )
 from repro.genome.reference import ReferenceGenome, SegmentView
-from repro.genome.sequence import reverse_complement
+from repro.genome.sequence import encode_bases, reverse_complement
 from repro.pipeline.common import (
     Candidate,
     CandidateTable,
@@ -881,15 +878,20 @@ def _oracle_candidates_per_read(case: DiffCase) -> Output:
 # ------------------------------------------------- batched bit-parallel
 
 
-def _bitvector_lanes(case: DiffCase) -> List[Tuple[str, str]]:
-    """Derive a small ragged batch from one case, deterministically.
+def _semiglobal_lanes(case: DiffCase) -> List[Tuple[str, str]]:
+    """Derive a ragged many-lane semi-global batch from one case.
 
-    The batched kernels' failure modes are batch-shape-dependent (lane
-    masking, per-lane high bits, word-boundary carries), so every case is
-    scored as a multi-lane batch of slices rather than a batch of one —
-    including empty-pattern and empty-text lanes.
+    The batched kernel's failure modes are batch-shape-dependent (the
+    sorted live prefix, per-lane high bits, word-boundary carries), so
+    every case is scored as a multi-lane batch of slices rather than a
+    batch of one: empty-pattern and empty-text lanes, cuts of the text
+    that leave the live prefix at many different columns, and patterns
+    wider than 64 and 128 bits, so the word-carry chain and high bits
+    past word 0 are hit on every case whatever its drawn lengths.
     """
     query, reference = case.query, case.reference
+    pool = query + reference
+    wide = pool * (-(-3 * BITS_PER_WORD // len(pool))) if pool else ""
     return [
         (query, reference),
         (query[: len(query) // 2], reference),
@@ -897,39 +899,6 @@ def _bitvector_lanes(case: DiffCase) -> List[Tuple[str, str]]:
         (query[len(query) // 3 :], reference[len(reference) // 4 :]),
         ("", reference),
         (query, ""),
-    ]
-
-
-def _fast_bitvector_batch(case: DiffCase) -> Output:
-    lanes = _bitvector_lanes(case)
-    return batch_myers_bounded(
-        [pattern for pattern, _ in lanes],
-        [text for _, text in lanes],
-        case.param("k"),
-    )
-
-
-def _oracle_myers_per_lane(case: DiffCase) -> Output:
-    k = case.param("k")
-    return [
-        myers_bounded(pattern, text, k)
-        for pattern, text in _bitvector_lanes(case)
-    ]
-
-
-def _semiglobal_lanes(case: DiffCase) -> List[Tuple[str, str]]:
-    """Derive a ragged many-lane semi-global batch from one case.
-
-    The bounded pair's lanes (empty pattern and empty text included) plus
-    more cuts of the text, so lanes leave the kernel's sorted live prefix
-    at many different columns, and patterns wider than 64 and 128 bits,
-    so the word-carry chain and high bits past word 0 are hit on every
-    case whatever its drawn lengths.
-    """
-    query, reference = case.query, case.reference
-    pool = query + reference
-    wide = pool * (-(-3 * BITS_PER_WORD // len(pool))) if pool else ""
-    return _bitvector_lanes(case) + [
         (query, reference[: 3 * len(reference) // 4]),
         (query[len(query) // 2 :], reference[len(reference) // 3 :]),
         (wide[: BITS_PER_WORD + 1 + len(query) % BITS_PER_WORD], reference),
@@ -938,11 +907,28 @@ def _semiglobal_lanes(case: DiffCase) -> List[Tuple[str, str]]:
     ]
 
 
+def _windows_semiglobal_min(lanes: Sequence[Tuple[str, str]]) -> List[int]:
+    """:func:`semiglobal_min_windows` over ragged ``(pattern, text)`` lanes.
+
+    The texts are laid end to end in one 2-bit code array, lane ``i``'s
+    window starting where the texts before it end, so each lane reads
+    exactly its own text as a span of that array.
+    """
+    lengths = np.fromiter(
+        (len(text) for _, text in lanes), dtype=np.int64, count=len(lanes)
+    )
+    distances = semiglobal_min_windows(
+        [pattern for pattern, _ in lanes],
+        np.arange(len(lanes), dtype=np.int64),
+        encode_bases("".join(text for _, text in lanes)),
+        np.cumsum(lengths) - lengths,
+        lengths,
+    )
+    return [int(distance) for distance in distances]
+
+
 def _fast_bitvector_semiglobal(case: DiffCase) -> Output:
-    lanes = _semiglobal_lanes(case)
-    return batch_semiglobal_min(
-        [pattern for pattern, _ in lanes], [text for _, text in lanes]
-    ).tolist()
+    return _windows_semiglobal_min(_semiglobal_lanes(case))
 
 
 def _oracle_semiglobal_per_lane(case: DiffCase) -> Output:
@@ -972,18 +958,19 @@ def _semiglobal_min_dp(pattern: str, text: str) -> int:
 
 
 def _fast_bitvector_verify(case: DiffCase) -> Output:
-    """The bitvector backend's verify path: batched gate, banded score."""
+    """The bitvector backend's path: the ``myers`` stage's windowed
+    verdict, then the lane-batched banded traceback of what it admits."""
     k = case.param("k")
-    distance = int(
-        batch_semiglobal_min([case.query], [case.reference])[0]
-    )
+    distance = _windows_semiglobal_min([(case.query, case.reference)])[0]
     output: Dict[str, Output] = {
         "admitted": distance <= k,
         "distance": distance,
     }
     if distance <= k:
-        score, _cells = banded_extension_score(case.reference, case.query, k)
-        output["score"] = score
+        (aligned,) = batch_banded_extension_align(
+            [case.reference], [case.query], [k]
+        )
+        output["score"] = aligned.alignment.score
     return output
 
 
@@ -1392,14 +1379,13 @@ def _fast_sv_split(case: DiffCase) -> Output:
 
     Split mapping places each side of the breakpoint independently; the
     pinned quantity is the per-segment minimum semi-global distance the
-    batched bit-parallel kernel reports for the two segments as one
-    ragged batch (the shape the batch extension stage dispatches).
+    windowed bit-parallel kernel reports for the two segments as one
+    ragged batch (the shape the ``myers`` stage dispatches).
     """
     left, right = _sv_segments(case)
-    distances = batch_semiglobal_min(
-        [left, right], [case.reference, case.reference]
+    return _windows_semiglobal_min(
+        [(left, case.reference), (right, case.reference)]
     )
-    return [int(distances[0]), int(distances[1])]
 
 
 def _oracle_sv_split(case: DiffCase) -> Output:
@@ -1657,25 +1643,12 @@ _register(
 )
 _register(
     OraclePair(
-        name="bitvector-vs-myers",
-        contract=Contract.EXACT_SCORE,
-        description=(
-            "Batched NumPy Myers bounded distance (ragged multi-lane "
-            "batch per case) vs scalar Myers per lane"
-        ),
-        fast=_fast_bitvector_batch,
-        oracle=_oracle_myers_per_lane,
-        spec=_BITVECTOR_SPEC,
-    )
-)
-_register(
-    OraclePair(
         name="bitvector-semiglobal-vs-myers",
         contract=Contract.EXACT_SCORE,
         description=(
-            "Batched NumPy Myers semi-global minimum (ragged many-lane "
-            "batch per case, patterns past 64 and 128 bits) vs scalar "
-            "semi-global Myers per lane"
+            "Windowed NumPy Myers semi-global minimum (ragged many-lane "
+            "batch per case over one code array, patterns past 64 and 128 "
+            "bits) vs scalar semi-global Myers per lane"
         ),
         fast=_fast_bitvector_semiglobal,
         oracle=_oracle_semiglobal_per_lane,
@@ -1687,8 +1660,9 @@ _register(
         name="bitvector-batch-vs-banded",
         contract=Contract.EXACT_SCORE,
         description=(
-            "Bitvector verify path (batched semi-global gate + banded "
-            "score) vs full-DP gate + traceback-DP score"
+            "Bitvector backend path (the myers stage's windowed Myers "
+            "verdict + lane-batched banded traceback score) vs full-DP "
+            "gate + scalar traceback-DP score"
         ),
         fast=_fast_bitvector_verify,
         oracle=_oracle_banded_verify,

@@ -11,9 +11,11 @@ backends; the stage it builds must answer through ``admit_batch``
 
 One stage is registered: ``myers``, the exact bit-vector scan.  It is
 lossless whenever its edit budget is
-(:func:`repro.align.prefilter.lossless_threshold`).  No backend installs
-it by default; the perf matrix and the repo benchmark run it so the
-candidate counts and its rejects are part of the measured surface.
+(:func:`repro.align.prefilter.lossless_threshold`).  The bitvector
+backend always installs it, as its only verifier; genax and bwamem run
+it only when asked (``--filters``), and the perf matrix and the repo
+benchmark ask, so the candidate counts and its rejects are part of the
+measured surface.
 
 Run ``python -m repro.filters`` to print the README filter table;
 ``tests/analysis/test_docs_sync.py`` asserts the README copy matches.

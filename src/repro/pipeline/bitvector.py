@@ -14,11 +14,15 @@ that produces scores and CIGARs from one lane-batched call
 every lane per NumPy step.  Seeding reuses the whole-genome SMEM
 provider the software gold standard uses.
 
-Kernel equality is held below the pipeline: the
+The verifier reads no window string: its kernel takes the reference as
+one 2-bit code array plus each candidate's window span.  Kernel
+equality is held below the pipeline: the
 ``bitvector-semiglobal-vs-myers`` and ``candidate-table-vs-per-read``
-difftest pairs pin the verifier against the scalar Myers recurrence, and
+difftest pairs pin the verifier against the scalar Myers recurrence,
 ``banded-batch-vs-scalar`` pins the batched traceback against
-:func:`repro.align.banded.banded_extension_align`.
+:func:`repro.align.banded.banded_extension_align`, and
+``bitvector-batch-vs-banded`` pins the two in sequence, as this backend
+runs them, against full DP.
 
 The engine also deduplicates lanes before dispatch: within one
 ``extend_batch`` call, candidate windows requested at the same reference

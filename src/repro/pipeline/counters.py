@@ -131,12 +131,15 @@ def collect_counters(aligner: CounterSource) -> GenAxCounters:
     lack ``lane_stats`` / ``seeding_stats``; those counter groups
     degrade to zeros with a :class:`RuntimeWarning` instead of an
     ``AttributeError`` — a counter report must never take the run down.
+    ``extensions`` is not one of them: it comes from the shared
+    ``stats``, which every backend's extension engine charges once per
+    job (on genax it equals the SillaX lanes' own count).
     """
     lane = getattr(aligner, "lane_stats", None)
     if lane is None:
         warnings.warn(
             f"{type(aligner).__name__} exposes no lane_stats; SillaX "
-            "extension counters report as zero",
+            "cycle and re-run counters report as zero",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -155,7 +158,7 @@ def collect_counters(aligner: CounterSource) -> GenAxCounters:
         reads_mapped=aligner.stats.reads_mapped,
         reads_exact=aligner.stats.reads_exact,
         reads_unmapped=aligner.stats.reads_unmapped,
-        extensions=lane.extensions,
+        extensions=aligner.stats.extensions,
         sillax_cycles=lane.cycles,
         sillax_cycles_per_extension=lane.cycles_per_extension,
         rerun_events=lane.rerun_events,

@@ -49,9 +49,12 @@ _HIGH_SHIFTS = numpy.array(
 
 
 def pack_bases(bases: NDArray[numpy.uint8]) -> NDArray[numpy.uint64]:
-    """Pack 2-bit base codes 32 to a ``uint64`` word, ``encode_batch``'s layout.
+    """Pack 2-bit base codes 32 to a ``uint64`` word.
 
-    Base ``j`` sits in bits ``2*(j % 32)`` and ``2*(j % 32) + 1`` of word
+    *bases* is one :func:`~repro.genome.sequence.encode_bases` code array
+    (the reference), and this packing is the only one in the library: the
+    Myers kernel reads the same codes unpacked, one byte per base, by
+    window span.  Base ``j`` sits in bits ``2*(j % 32)`` and ``2*(j % 32) + 1`` of word
     ``j // 32``.  The array ends with at least one zero word, so every
     position before the end has the successor word :func:`base_words_at`
     reads.  Bytes are packed four bases at a time, so no temporary is

@@ -1,11 +1,11 @@
-"""Tests for repro.align.bitvector (batched NumPy bit-parallel kernels).
+"""Tests for repro.align.bitvector (the batched NumPy bit-parallel kernel).
 
-The contract under test: every batched kernel equals its scalar
-reference (``myers_distance`` / ``myers_bounded`` /
-``myers_semiglobal_min``) element-wise over ragged batches, including
-empty lanes and pattern lengths that straddle the 64-bit word boundary.
-The hypothesis properties run under the suite-wide derandomized
-profile (tests/conftest.py), so every machine draws the same examples.
+The contract under test: :func:`semiglobal_min_windows` equals the
+scalar ``myers_semiglobal_min`` element-wise over ragged batches,
+including empty lanes, windows at the reference's ends and pattern
+lengths that straddle the 64-bit word boundary.  The hypothesis
+property runs under the suite-wide derandomized profile
+(tests/conftest.py), so every machine draws the same examples.
 """
 
 import random
@@ -14,13 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.align.bitvector import (
-    batch_myers_bounded,
-    batch_myers_distance,
-    batch_semiglobal_min,
-    semiglobal_min_windows,
-)
-from repro.align.myers import myers_bounded, myers_distance, myers_semiglobal_min
+from repro.align.bitvector import semiglobal_min_windows
+from repro.align.myers import myers_semiglobal_min
 from repro.genome.sequence import encode_bases, random_dna
 
 dna = st.text(alphabet="ACGT", max_size=90)
@@ -43,79 +38,66 @@ def ragged_batch(seed, count=48, max_len=200):
     return pairs
 
 
-class TestBatchDistance:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_scalar_myers(self, seed):
-        pairs = ragged_batch(seed)
-        scores = batch_myers_distance(
-            [p for p, _ in pairs], [t for _, t in pairs]
-        )
-        assert [int(s) for s in scores] == [
-            myers_distance(p, t) for p, t in pairs
-        ]
+def windowed_min(pairs):
+    """Score ``(pattern, text)`` lanes with the texts laid end to end.
 
-    @given(lanes)
-    @settings(max_examples=60, deadline=None)
-    def test_property_matches_scalar_myers(self, pairs):
-        scores = batch_myers_distance(
-            [p for p, _ in pairs], [t for _, t in pairs]
-        )
-        assert [int(s) for s in scores] == [
-            myers_distance(p, t) for p, t in pairs
-        ]
-
-    def test_empty_batch(self):
-        assert list(batch_myers_distance([], [])) == []
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_myers_distance(["A"], [])
-
-
-class TestBatchBounded:
-    @pytest.mark.parametrize("k", [0, 1, 4, 12])
-    def test_matches_scalar_bounded(self, k):
-        pairs = ragged_batch(seed=k + 10)
-        got = batch_myers_bounded(
-            [p for p, _ in pairs], [t for _, t in pairs], k
-        )
-        assert got == [myers_bounded(p, t, k) for p, t in pairs]
-
-    @given(lanes, st.integers(0, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_property_matches_scalar_bounded(self, pairs, k):
-        got = batch_myers_bounded(
-            [p for p, _ in pairs], [t for _, t in pairs], k
-        )
-        assert got == [myers_bounded(p, t, k) for p, t in pairs]
+    The texts become one 2-bit code array, and lane ``i``'s window is
+    the span of that array its own text occupies.
+    """
+    lengths = np.array([len(text) for _, text in pairs], dtype=np.int64)
+    scores = semiglobal_min_windows(
+        [pattern for pattern, _ in pairs],
+        np.arange(len(pairs), dtype=np.int64),
+        encode_bases("".join(text for _, text in pairs)),
+        np.cumsum(lengths) - lengths,
+        lengths,
+    )
+    return scores.tolist()
 
 
 class TestBatchSemiglobal:
     @pytest.mark.parametrize("seed", [5, 6])
     def test_matches_scalar_semiglobal(self, seed):
         pairs = ragged_batch(seed)
-        scores = batch_semiglobal_min(
-            [p for p, _ in pairs], [t for _, t in pairs]
-        )
-        assert [int(s) for s in scores] == [
+        assert windowed_min(pairs) == [
             myers_semiglobal_min(p, t) for p, t in pairs
         ]
 
     @given(lanes)
     @settings(max_examples=60, deadline=None)
     def test_property_matches_scalar_semiglobal(self, pairs):
-        scores = batch_semiglobal_min(
-            [p for p, _ in pairs], [t for _, t in pairs]
-        )
-        assert [int(s) for s in scores] == [
+        assert windowed_min(pairs) == [
             myers_semiglobal_min(p, t) for p, t in pairs
         ]
 
     def test_substring_scores_zero(self):
         reference = random_dna(300, random.Random(7))
         window = reference[100:180]
-        scores = batch_semiglobal_min([window], [reference])
-        assert int(scores[0]) == 0
+        assert windowed_min([(window, reference)]) == [0]
+
+    def test_empty_batch(self):
+        scores = semiglobal_min_windows(
+            [],
+            np.zeros(0, dtype=np.int64),
+            encode_bases(""),
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+        )
+        assert scores.tolist() == []
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("ACGT", ""), ("", ""), ("G" * 65, "")],
+            [("ACGT", "TTACG"), ("ACGTTT", "GGGGGGACGTTT")],
+        ],
+        ids=["every-window-empty-over-an-empty-reference",
+             "last-window-ends-at-the-last-reference-base"],
+    )
+    def test_edge_batches_match_scalar(self, pairs):
+        assert windowed_min(pairs) == [
+            myers_semiglobal_min(p, t) for p, t in pairs
+        ]
 
     def test_dirty_lanes_take_the_scalar_recurrence(self):
         # N, IUPAC and lower-case pattern bases cannot be packed as ACGT;

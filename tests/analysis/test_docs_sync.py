@@ -122,6 +122,15 @@ class TestDesignWorkloadsAndScenarios:
         assert "`AdaptivePolicy`" in design
 
 
+class TestDesignOracleTable:
+    def test_design_names_every_registered_pair(self):
+        from repro.difftest.oracles import all_pairs
+
+        design = read_doc("DESIGN.md")
+        for pair in all_pairs():
+            assert f"`{pair.name}`" in design, pair.name
+
+
 class TestPerfTrajectoryDocs:
     def test_design_section_exists(self):
         assert "## Perf trajectory (`repro/perf`)" in read_doc("DESIGN.md")

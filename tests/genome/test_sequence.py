@@ -9,9 +9,7 @@ from repro.genome.sequence import (
     ALPHABET,
     complement,
     decode,
-    decode_batch,
     encode,
-    encode_batch,
     gc_content,
     hamming_distance,
     is_dna,
@@ -155,55 +153,3 @@ class TestHamming:
         with pytest.raises(ValueError):
             hamming_distance("A", "AA")
 
-
-class TestEncodeBatch:
-    def test_roundtrip_ragged_batch(self):
-        rng = random.Random(41)
-        sequences = [random_dna(rng.randrange(0, 100), rng) for _ in range(40)]
-        packed, lengths = encode_batch(sequences)
-        assert decode_batch(packed, lengths) == sequences
-
-    @given(st.lists(dna, max_size=12))
-    def test_roundtrip_property(self, sequences):
-        packed, lengths = encode_batch(sequences)
-        assert decode_batch(packed, lengths) == sequences
-
-    def test_packing_matches_scalar_encode(self):
-        # Base j lives in bits 2*(j % 32) of word j // 32.
-        sequence = "GATTACA" * 12  # 84 bp: spans three words
-        packed, lengths = encode_batch([sequence])
-        assert lengths[0] == len(sequence)
-        for j, code in enumerate(encode(sequence)):
-            word = int(packed[0, j // 32])
-            assert (word >> (2 * (j % 32))) & 3 == code
-
-    def test_empty_batch(self):
-        packed, lengths = encode_batch([])
-        assert packed.shape == (0, 1)
-        assert lengths.shape == (0,)
-        assert decode_batch(packed, lengths) == []
-
-    def test_empty_sequence_row(self):
-        packed, lengths = encode_batch(["", "ACGT"])
-        assert lengths.tolist() == [0, 4]
-        assert decode_batch(packed, lengths) == ["", "ACGT"]
-
-    def test_word_boundary_lengths(self):
-        rng = random.Random(43)
-        sequences = [random_dna(n, rng) for n in (31, 32, 33, 63, 64, 65)]
-        packed, lengths = encode_batch(sequences)
-        assert packed.shape[1] == 3  # 65 bases -> 3 words of 32
-        assert decode_batch(packed, lengths) == sequences
-
-    def test_rejects_bad_base_with_row_and_position(self):
-        with pytest.raises(ValueError, match="sequence 1 at position 2"):
-            encode_batch(["ACGT", "ACNT"])
-
-    def test_rejects_lowercase(self):
-        with pytest.raises(ValueError):
-            encode_batch(["acgt"])
-
-    def test_decode_rejects_short_capacity(self):
-        packed, lengths = encode_batch(["ACGT"])
-        with pytest.raises(ValueError):
-            decode_batch(packed, lengths + 60)

@@ -10,9 +10,11 @@ Two contracts:
   duplicate-heavy batch.
 
 The kernels themselves are pinned against their scalar references by
-the ``bitvector-vs-myers``, ``bitvector-batch-vs-banded`` and
-``banded-batch-vs-scalar`` difftest pairs, and the backend's mappings
-and stats by the bitvector golden.
+difftest pairs: ``bitvector-semiglobal-vs-myers`` (the windowed Myers
+kernel, fed one 2-bit code array plus window spans, never packed
+strings), ``bitvector-batch-vs-banded`` (the ``myers`` stage's verdict,
+then the batched banded traceback) and ``banded-batch-vs-scalar``.  The
+backend's mappings and stats are pinned by the bitvector golden.
 """
 
 import dataclasses
