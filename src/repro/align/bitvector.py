@@ -103,9 +103,8 @@ def _ripple_add(
     words, as carry-lookahead on bool masks: a word passes a carry on if
     its own add overflowed (*generate*) or if it is all ones and a carry
     came in (*propagate*).  This is the one place in the kernel where
-    uint64 overflow is the *algorithm*, not a bug — it is sanctioned in
-    ``repro.analysis.config.DTYPE_ALLOWLIST`` and cross-checked against
-    arbitrary-precision Python ints by the carry-ripple property test.
+    uint64 overflow is the *algorithm*, not a bug; the carry-ripple
+    property test cross-checks it against arbitrary-precision Python ints.
     """
     addend = eq & vp
     total = addend + vp

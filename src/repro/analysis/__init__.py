@@ -15,15 +15,12 @@ about:
   ever handed to the multiprocess engine
   (:mod:`repro.analysis.rules.pickle_safety`);
 * **API hygiene** — no mutable default arguments, bare ``except`` clauses
-  or float ``==`` comparisons (:mod:`repro.analysis.rules.api_hygiene`);
-* **dtype-flow discipline** — uint64 wrapping arithmetic only at
-  sanctioned, reasoned allowlist sites, no implicit upcasts, no hidden
-  copies on extension hot paths, proven interprocedurally over the
-  project call graph (:mod:`repro.analysis.rules.dtype_flow`);
-* **worker purity** — the closure of functions reachable from
-  multiprocess worker entry points stays free of module-global races,
-  RNG/clock taint and unpicklable captures
-  (:mod:`repro.analysis.rules.worker_purity`).
+  or float ``==`` comparisons (:mod:`repro.analysis.rules.api_hygiene`).
+
+Every rule sees one module at a time.  Whole-program properties — uint64
+carry arithmetic in the Myers kernel, worker purity across the fork
+boundary — are held by the goldens, the serial/parallel concordance tests
+and the difftest fuzzer, which compare output rather than prove syntax.
 
 Run it with ``repro-genaxlint`` (installed console script) or
 ``python -m repro.analysis``.  Findings can be suppressed inline with
@@ -33,16 +30,11 @@ exceptions live in the documented allowlist in
 """
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.graph import ProjectGraph, SourceModule
 from repro.analysis.registry import (
-    ProjectContext,
-    ProjectRuleSpec,
     RuleContext,
     RuleSpec,
-    all_project_rules,
     all_rules,
     get_rule,
-    project_rule,
     render_rule_table,
     rule,
 )
@@ -52,16 +44,10 @@ from repro.analysis.sarif import render_sarif
 __all__ = [
     "Finding",
     "Severity",
-    "ProjectContext",
-    "ProjectGraph",
-    "ProjectRuleSpec",
     "RuleContext",
     "RuleSpec",
-    "SourceModule",
-    "all_project_rules",
     "all_rules",
     "get_rule",
-    "project_rule",
     "render_rule_table",
     "render_sarif",
     "rule",

@@ -17,13 +17,9 @@ import subprocess
 import sys
 from typing import FrozenSet, List, Optional, Sequence
 
-from repro.analysis.config import (
-    DEFAULT_LINT_ROOTS,
-    allowlist_reasons,
-    sanctioned_site_reasons,
-)
+from repro.analysis.config import DEFAULT_LINT_ROOTS, allowlist_reasons
 from repro.analysis.findings import Severity, render_json, render_text
-from repro.analysis.registry import all_project_rules, all_rules
+from repro.analysis.registry import all_rules
 from repro.analysis.runner import collect_files, lint_files
 from repro.analysis.sarif import render_sarif
 
@@ -33,8 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-genaxlint",
         description=(
             "Repo-specific static analysis for the GenAx reproduction: "
-            "determinism, counter hygiene, pickle safety, API hygiene, "
-            "dtype-flow overflow discipline, worker purity."
+            "determinism, counter hygiene, pickle safety, API hygiene."
         ),
     )
     parser.add_argument(
@@ -75,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print every registered rule and the allowlists, then exit",
+        help="print every registered rule and the counter allowlist, then exit",
     )
     return parser
 
@@ -104,27 +99,13 @@ def _changed_files(base: str) -> List[str]:
 
 
 def _list_rules() -> str:
-    lines = ["registered rules (file scope):"]
+    lines = ["registered rules:"]
     for spec in all_rules():
-        lines.append(f"  {spec.code}  {spec.name:26s} {spec.description}")
-    lines.append("registered rules (project scope):")
-    for project_spec in all_project_rules():
-        lines.append(
-            f"  {project_spec.code}  {project_spec.name:26s} "
-            f"{project_spec.description}"
-        )
+        lines.append(f"  {spec.code}  {spec.name:18s} {spec.description}")
     reasons = allowlist_reasons()
     if reasons:
         lines.append("counter allowlist (repro.analysis.config.COUNTER_ALLOWLIST):")
         for key, reason in sorted(reasons.items()):
-            lines.append(f"  {key}: {reason}")
-    site_reasons = sanctioned_site_reasons()
-    if site_reasons:
-        lines.append(
-            "sanctioned sites (repro.analysis.config.DTYPE_ALLOWLIST / "
-            "WORKER_ALLOWLIST):"
-        )
-        for key, reason in sorted(site_reasons.items()):
             lines.append(f"  {key}: {reason}")
     return "\n".join(lines)
 
@@ -160,11 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     try:
-        findings = lint_files(
-            files,
-            rules=all_rules(only),
-            project_rules=all_project_rules(only),
-        )
+        findings = lint_files(files, rules=all_rules(only))
     except KeyError as error:
         print(f"repro-genaxlint: {error.args[0]}", file=sys.stderr)
         return 2

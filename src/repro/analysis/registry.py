@@ -1,21 +1,14 @@
 """Pluggable rule registry.
 
-Two kinds of rules live here:
-
-* **File rules** — ``(RuleContext) -> Iterator[Finding]``, registered with
-  :func:`rule`.  They see one parsed module at a time (GX1xx–GX4xx).
-* **Project rules** — ``(ProjectContext) -> Iterator[Finding]``, registered
-  with :func:`project_rule`.  They see the whole-program
-  :class:`~repro.analysis.graph.ProjectGraph` and run once per lint
-  invocation, after every module is parsed (GX5xx dtype-flow, GX6xx
-  worker-purity).
+A rule is ``(RuleContext) -> Iterator[Finding]``, registered with
+:func:`rule`.  It sees one parsed module at a time (GX1xx–GX4xx).
 
 Registration is import-time: importing :mod:`repro.analysis.rules`
-populates both registries, and anything else (a plugin, a test fixture)
+populates the registry, and anything else (a plugin, a test fixture)
 can register additional rules the same way.  Rule names are the stable
 public contract — they appear in suppression comments and CI output — so
-names and GX codes are unique across *both* registries, and
-re-registering an existing one is an error, not a silent override.
+names and GX codes are unique, and re-registering an existing one is an
+error, not a silent override.
 """
 
 from __future__ import annotations
@@ -25,12 +18,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.graph import ProjectGraph
 
 
 @dataclass(frozen=True)
 class RuleContext:
-    """Everything a file rule may look at for one module.
+    """Everything a rule may look at for one module.
 
     Rules receive the parsed ``tree`` plus the raw ``source`` and ``path``;
     they never re-read files, so the whole suite does one parse per module.
@@ -63,48 +55,12 @@ class RuleContext:
         )
 
 
-@dataclass
-class ProjectContext:
-    """Everything a project rule may look at: the whole-program graph.
-
-    ``cache`` is shared across the project rules of one lint invocation so
-    expensive artifacts (reachability closures, per-function dataflow
-    results) are computed once even when several rules need them.
-    """
-
-    graph: ProjectGraph
-    cache: Dict[str, object] = field(default_factory=dict)
-
-    def finding(
-        self,
-        path: str,
-        node: ast.AST,
-        rule_name: str,
-        code: str,
-        message: str,
-        hint: str,
-        severity: Severity = Severity.ERROR,
-    ) -> Finding:
-        """Build a finding anchored at *node*'s location in *path*."""
-        return Finding(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            rule=rule_name,
-            code=code,
-            message=message,
-            hint=hint,
-            severity=severity,
-        )
-
-
 RuleFunc = Callable[[RuleContext], Iterator[Finding]]
-ProjectRuleFunc = Callable[[ProjectContext], Iterator[Finding]]
 
 
 @dataclass(frozen=True)
 class RuleSpec:
-    """A registered file rule: stable name, GX code, one-line rationale."""
+    """A registered rule: stable name, GX code, one-line rationale."""
 
     name: str
     code: str
@@ -112,49 +68,23 @@ class RuleSpec:
     func: RuleFunc
 
 
-@dataclass(frozen=True)
-class ProjectRuleSpec:
-    """A registered project rule: stable name, GX code, one-line rationale."""
-
-    name: str
-    code: str
-    description: str
-    func: ProjectRuleFunc
-
-
 _REGISTRY: Dict[str, RuleSpec] = {}
-_PROJECT_REGISTRY: Dict[str, ProjectRuleSpec] = {}
 
 
 def _check_unique(name: str, code: str) -> None:
-    if name in _REGISTRY or name in _PROJECT_REGISTRY:
+    if name in _REGISTRY:
         raise ValueError(f"rule {name!r} is already registered")
-    for spec in list(_REGISTRY.values()) + list(_PROJECT_REGISTRY.values()):
+    for spec in _REGISTRY.values():
         if spec.code == code:
             raise ValueError(f"rule code {code!r} is already used by {spec.name!r}")
 
 
 def rule(name: str, code: str, description: str) -> Callable[[RuleFunc], RuleFunc]:
-    """Register a file rule function under *name* / *code*."""
+    """Register a rule function under *name* / *code*."""
 
     def decorate(func: RuleFunc) -> RuleFunc:
         _check_unique(name, code)
         _REGISTRY[name] = RuleSpec(
-            name=name, code=code, description=description, func=func
-        )
-        return func
-
-    return decorate
-
-
-def project_rule(
-    name: str, code: str, description: str
-) -> Callable[[ProjectRuleFunc], ProjectRuleFunc]:
-    """Register a project (whole-program) rule under *name* / *code*."""
-
-    def decorate(func: ProjectRuleFunc) -> ProjectRuleFunc:
-        _check_unique(name, code)
-        _PROJECT_REGISTRY[name] = ProjectRuleSpec(
             name=name, code=code, description=description, func=func
         )
         return func
@@ -172,87 +102,44 @@ def get_rule(name: str) -> RuleSpec:
 
 
 def known_rule_names() -> FrozenSet[str]:
-    """Every registered rule name, file and project alike."""
+    """Every registered rule name."""
     _ensure_builtin_rules()
-    return frozenset(_REGISTRY) | frozenset(_PROJECT_REGISTRY)
-
-
-def _validate_only(only: Optional[FrozenSet[str]]) -> None:
-    if only is None:
-        return
-    unknown = only - known_rule_names()
-    if unknown:
-        raise KeyError(f"unknown rule(s): {', '.join(sorted(unknown))}")
+    return frozenset(_REGISTRY)
 
 
 def all_rules(only: Optional[FrozenSet[str]] = None) -> List[RuleSpec]:
-    """Every registered file rule, optionally restricted to names in *only*.
+    """Every registered rule, optionally restricted to names in *only*.
 
-    *only* may also name project rules (it is one ``--rules`` namespace);
-    those are simply not file rules, so they select nothing here.  Names
-    in neither registry raise ``KeyError``.
+    Names in *only* that are not registered raise ``KeyError``.
     """
     _ensure_builtin_rules()
-    _validate_only(only)
     specs = sorted(_REGISTRY.values(), key=lambda spec: spec.code)
     if only is None:
         return specs
-    return [spec for spec in specs if spec.name in only]
-
-
-def all_project_rules(
-    only: Optional[FrozenSet[str]] = None,
-) -> List[ProjectRuleSpec]:
-    """Every registered project rule, optionally restricted to *only*."""
-    _ensure_builtin_rules()
-    _validate_only(only)
-    specs = sorted(_PROJECT_REGISTRY.values(), key=lambda spec: spec.code)
-    if only is None:
-        return specs
+    unknown = only - frozenset(_REGISTRY)
+    if unknown:
+        raise KeyError(f"unknown rule(s): {', '.join(sorted(unknown))}")
     return [spec for spec in specs if spec.name in only]
 
 
 def render_rule_table() -> str:
     """The rule-family table embedded in README.md (kept in sync by test).
 
-    Rendered from the live registries so the docs cannot drift from the
+    Rendered from the live registry so the docs cannot drift from the
     code: adding a rule without regenerating the table fails
     ``tests/analysis/test_docs_sync.py``.
     """
     _ensure_builtin_rules()
-    rows: List[Dict[str, str]] = []
-    for spec in sorted(_REGISTRY.values(), key=lambda item: item.code):
-        rows.append(
-            {
-                "code": spec.code,
-                "name": spec.name,
-                "scope": "file",
-                "description": spec.description,
-            }
-        )
-    for project_spec in sorted(_PROJECT_REGISTRY.values(), key=lambda item: item.code):
-        rows.append(
-            {
-                "code": project_spec.code,
-                "name": project_spec.name,
-                "scope": "project",
-                "description": project_spec.description,
-            }
-        )
-    rows.sort(key=lambda row: row["code"])
     lines = [
-        "| code | rule | scope | invariant |",
-        "| --- | --- | --- | --- |",
+        "| code | rule | invariant |",
+        "| --- | --- | --- |",
     ]
-    for row in rows:
-        lines.append(
-            f"| {row['code']} | `{row['name']}` | {row['scope']} | "
-            f"{row['description']} |"
-        )
+    for spec in sorted(_REGISTRY.values(), key=lambda item: item.code):
+        lines.append(f"| {spec.code} | `{spec.name}` | {spec.description} |")
     return "\n".join(lines)
 
 
 def _ensure_builtin_rules() -> None:
     # Import for the registration side effect; cycle-free because the
-    # rules modules import only findings/registry/config/graph/dataflow.
+    # rules modules import only findings/registry/config.
     import repro.analysis.rules  # noqa: F401

@@ -3,45 +3,29 @@
 Importing this package registers every shipped rule with
 :mod:`repro.analysis.registry`:
 
-========  ==========================  ====================================================
-code      name                        invariant
-========  ==========================  ====================================================
-GX101     unseeded-random             all randomness flows through a seeded RNG instance
-GX102     wall-clock                  elapsed time is measured with a monotonic clock
-GX103     set-iteration               output never depends on set (hash) iteration order
-GX201     counter-merge               every stats-dataclass field is folded in ``merge``
-GX202     counter-snapshot            every counters field is exported by ``as_dict``
-GX301     pickle-callable             only module-level callables cross process boundaries
-GX401     mutable-default             no mutable default arguments
-GX402     bare-except                 no bare ``except:`` clauses
-GX403     float-equality              no float ``==``/``!=`` in library code
-GX501     uint64-wrap                 uint64 arithmetic wraps only at sanctioned sites
-GX502     uint64-upcast               uint64 never mixes with bare Python scalars
-GX503     hidden-copy                 no astype/fancy-index copies on extension hot paths
-GX601     worker-global-state         no module-global races across the fork boundary
-GX602     worker-impure-call          no RNG/clock taint reachable from worker entries
-GX603     worker-unpicklable-capture  pool payloads survive pickling under spawn
-========  ==========================  ====================================================
+========  =================  ====================================================
+code      name               invariant
+========  =================  ====================================================
+GX101     unseeded-random    all randomness flows through a seeded RNG instance
+GX102     wall-clock         elapsed time is measured with a monotonic clock
+GX103     set-iteration      output never depends on set (hash) iteration order
+GX104     clock-confinement  every clock read goes through repro/telemetry/clock.py
+GX201     counter-merge      every stats-dataclass field is folded in ``merge``
+GX202     counter-snapshot   every counters field is exported by ``as_dict``
+GX301     pickle-callable    only module-level callables cross process boundaries
+GX401     mutable-default    no mutable default arguments
+GX402     bare-except        no bare ``except:`` clauses
+GX403     float-equality     no float ``==``/``!=`` in library code
+========  =================  ====================================================
 
-GX1xx–GX4xx are per-file rules; GX5xx/GX6xx are *project* rules running on
-the whole-program call graph (:mod:`repro.analysis.graph`) and the forward
-dtype dataflow (:mod:`repro.analysis.dataflow`).
+Every rule sees one parsed module at a time.
 """
 
-from repro.analysis.rules import (
-    api_hygiene,
-    counters,
-    determinism,
-    dtype_flow,
-    pickle_safety,
-    worker_purity,
-)
+from repro.analysis.rules import api_hygiene, counters, determinism, pickle_safety
 
 __all__ = [
     "api_hygiene",
     "counters",
     "determinism",
-    "dtype_flow",
     "pickle_safety",
-    "worker_purity",
 ]

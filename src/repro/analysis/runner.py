@@ -2,9 +2,7 @@
 
 One parse per module: the runner tokenises (for suppressions) and parses
 (for rules) each file once, hands the shared :class:`RuleContext` to every
-file rule, then runs the *project* rules once over a
-:class:`~repro.analysis.graph.ProjectGraph` built from all parsed modules,
-and finally filters everything through the inline suppressions.
+rule, and filters the findings through the inline suppressions.
 
 Runner-level problems are findings too, because a lint gate that crashes
 on bad input can be defeated by bad input:
@@ -21,16 +19,12 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.graph import ProjectGraph, SourceModule
 from repro.analysis.registry import (
-    ProjectContext,
-    ProjectRuleSpec,
     RuleContext,
     RuleSpec,
-    all_project_rules,
     all_rules,
     known_rule_names,
 )
@@ -71,13 +65,11 @@ def collect_files(paths: Sequence[str]) -> List[str]:
 
 @dataclass
 class _ModuleLint:
-    """One module's per-file lint state, carried into the project phase."""
+    """One module's lint state, carried into the suppression audit."""
 
     path: str
-    source: str
     findings: List[Finding] = field(default_factory=list)
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    tree: Optional[ast.Module] = None
     # line -> suppression names that actually silenced a finding.
     used: Dict[int, Set[str]] = field(default_factory=dict)
     # line -> names GX002 already reported as unknown (skipped by GX003).
@@ -100,8 +92,8 @@ class _ModuleLint:
 def _scan_module(
     source: str, path: str, rules: Sequence[RuleSpec]
 ) -> _ModuleLint:
-    """Run the per-file phase: suppressions, parse, file rules."""
-    mod = _ModuleLint(path=path, source=source)
+    """Parse one module's suppressions and source, then run *rules*."""
+    mod = _ModuleLint(path=path)
 
     try:
         mod.suppressions = parse_suppressions(source)
@@ -122,7 +114,7 @@ def _scan_module(
             )
 
     try:
-        mod.tree = ast.parse(source, filename=path)
+        tree = ast.parse(source, filename=path)
     except SyntaxError as error:
         mod.findings.append(
             _meta_finding(path, error.lineno or 1, "GX001", f"syntax error: {error.msg}")
@@ -130,39 +122,13 @@ def _scan_module(
         return mod
 
     ctx = RuleContext(
-        path=path, source=source, tree=mod.tree, suppressions=mod.suppressions
+        path=path, source=source, tree=tree, suppressions=mod.suppressions
     )
     for spec in rules:
         for finding in spec.func(ctx):
             if mod.filter(finding):
                 mod.findings.append(finding)
     return mod
-
-
-def _run_project_rules(
-    mods: Sequence[_ModuleLint], project_rules: Sequence[ProjectRuleSpec]
-) -> None:
-    """Run whole-program rules over every parsed module, in place."""
-    if not project_rules:
-        return
-    by_path = {mod.path: mod for mod in mods}
-    sources = [
-        SourceModule.from_source(mod.path, mod.source, mod.tree)
-        for mod in mods
-        if mod.tree is not None
-    ]
-    if not sources:
-        return
-    ctx = ProjectContext(graph=ProjectGraph(sources))
-    for spec in project_rules:
-        for finding in spec.func(ctx):
-            mod = by_path.get(finding.path)
-            if mod is None:
-                # A rule anchored a finding outside the linted set; keep it
-                # on the first module rather than dropping it silently.
-                mods[0].findings.append(finding)
-            elif mod.filter(finding):
-                mod.findings.append(finding)
 
 
 def _audit_suppressions(mod: _ModuleLint) -> None:
@@ -210,44 +176,27 @@ def lint_source(
     source: str,
     path: str = "<string>",
     rules: Optional[Sequence[RuleSpec]] = None,
-    project_rules: Optional[Sequence[ProjectRuleSpec]] = None,
     audit: bool = True,
 ) -> List[Finding]:
-    """Run rules over one module's source.
-
-    With no explicit selection, every registered file *and* project rule
-    runs (the project rules see a single-module graph — exactly how the
-    fixture corpora in the tests exercise GX5xx/GX6xx).  Passing ``rules``
-    restricts the file phase and, unless ``project_rules`` is also given,
-    turns the project phase off — callers selecting specific rules get
-    specific rules.
-    """
+    """Run *rules* (default: every registered rule) over one module's source."""
     if rules is None:
         rules = all_rules()
-        if project_rules is None:
-            project_rules = all_project_rules()
-    mod = _scan_module(source, path, rules)
-    _run_project_rules([mod], project_rules or ())
-    return _finalize([mod], audit)
+    return _finalize([_scan_module(source, path, rules)], audit)
 
 
 def lint_files(
     files: Iterable[str],
     rules: Optional[Sequence[RuleSpec]] = None,
-    project_rules: Optional[Sequence[ProjectRuleSpec]] = None,
     audit: bool = True,
 ) -> List[Finding]:
-    """Lint *files*: per-file rules each, project rules once over all."""
+    """Lint *files* with *rules* (default: every registered rule)."""
     if rules is None:
         rules = all_rules()
-        if project_rules is None:
-            project_rules = all_project_rules()
     mods: List[_ModuleLint] = []
     for path in files:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
         mods.append(_scan_module(source, path, rules))
-    _run_project_rules(mods, project_rules or ())
     return _finalize(mods, audit)
 
 
@@ -256,11 +205,7 @@ def lint_paths(
     only: Optional[FrozenSet[str]] = None,
 ) -> List[Finding]:
     """Lint files/directories with all (or ``only``-restricted) rules."""
-    return lint_files(
-        collect_files(paths),
-        rules=all_rules(only),
-        project_rules=all_project_rules(only),
-    )
+    return lint_files(collect_files(paths), rules=all_rules(only))
 
 
 def _meta_finding(path: str, line: int, code: str, message: str) -> Finding:

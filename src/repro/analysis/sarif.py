@@ -1,7 +1,7 @@
 """SARIF 2.1.0 export: genaxlint findings as GitHub code-scanning input.
 
 One run, one tool (``repro-genaxlint``), one result per finding.  Rule
-metadata for every registered rule (file and project) plus the runner's
+metadata for every registered rule plus the runner's
 meta findings is published in ``tool.driver.rules`` so code-scanning can
 render names, descriptions and help text; each result references its rule
 by the stable GX code via ``ruleId``/``ruleIndex``.
@@ -19,7 +19,7 @@ import os
 from typing import Any, Dict, List, Tuple
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import all_project_rules, all_rules
+from repro.analysis.registry import all_rules
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -40,10 +40,6 @@ def _driver_rules() -> List[Dict[str, Any]]:
     entries: List[Tuple[str, str, str]] = list(_META_RULES)
     for spec in all_rules():
         entries.append((spec.code, spec.name, spec.description))
-    for project_spec in all_project_rules():
-        entries.append(
-            (project_spec.code, project_spec.name, project_spec.description)
-        )
     entries.sort()
     return [
         {

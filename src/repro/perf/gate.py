@@ -280,6 +280,11 @@ def evaluate_gate(
             )
             if finding is not None:
                 report.findings.append(finding)
+        for metric in sorted(set(baseline_metrics) - set(current_metrics)):
+            report.notes.append(
+                f"baseline metric {metric} in cell {key[2]}/{key[0]}/"
+                f"jobs={key[1]} missing from the current run"
+            )
     for key in sorted(baseline_cells):
         report.notes.append(
             f"baseline cell {key[2]}/{key[0]}/jobs={key[1]} missing from "

@@ -1,12 +1,11 @@
-"""Arbitrary-precision cross-check of the sanctioned carry-ripple step.
+"""Arbitrary-precision cross-check of the Myers carry-ripple step.
 
 ``repro.align.bitvector._ripple_add`` is the one place the kernel
 *depends on* uint64 wrapping: ``X = ((EQ & VP) + VP) ^ VP | EQ`` computed
 word-by-word with the carry recovered from overflow comparisons (Hyyro's
-blocked Myers formulation).  GX501 sanctions that site via the allowlist;
-this property test is the other half of the bargain — it recomputes the
-same step in Python big ints, where ``+`` cannot wrap, and asserts the
-low 64 bits of every word agree exactly.  If NumPy dtype promotion, the
+blocked Myers formulation).  This property test recomputes the same step
+in Python big ints, where ``+`` cannot wrap, and asserts the low 64 bits
+of every word agree exactly.  If NumPy dtype promotion, the
 overflow comparisons, or the cross-word carry chain ever drift, the
 mismatch shows up here before it corrupts an alignment score.
 

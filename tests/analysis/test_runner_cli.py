@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import textwrap
 
@@ -95,12 +96,32 @@ class TestCli:
         assert code == 2
         assert "no-such-rule" in err
 
+    def test_deleted_whole_program_rule_is_unknown(self, tree, capsys):
+        code = main(["--rules", "uint64-wrap", str(tree / "pkg" / "bad.py")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "uint64-wrap" in err
+
     def test_list_rules(self, capsys):
         code = main(["--list-rules"])
         out = capsys.readouterr().out
         assert code == 0
         assert "GX101" in out and "unseeded-random" in out
         assert "table_bytes_streamed" in out  # allowlist is printed
+
+    def test_list_rules_prints_only_file_rules_and_counter_allowlist(self, capsys):
+        main(["--list-rules"])
+        out = capsys.readouterr().out
+        codes = re.findall(r"\bGX\d{3}\b", out)
+        assert codes == [
+            "GX101", "GX102", "GX103", "GX104", "GX201",
+            "GX202", "GX301", "GX401", "GX402", "GX403",
+        ]
+        headers = [line for line in out.splitlines() if not line.startswith(" ")]
+        assert headers == [
+            "registered rules:",
+            "counter allowlist (repro.analysis.config.COUNTER_ALLOWLIST):",
+        ]
 
 
 class TestChanged:

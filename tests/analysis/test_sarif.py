@@ -1,8 +1,9 @@
 """SARIF export: schema shape, rule metadata, and end-to-end emission.
 
 The end-to-end class is the acceptance check for the reporting pipeline:
-seeded fixture violations (file-rule *and* project-rule families) must
-come out of the CLI in both JSON and SARIF with intact locations.
+seeded fixture violations from two rule families (determinism and API
+hygiene) must come out of the CLI in both JSON and SARIF with intact
+locations.
 """
 
 import json
@@ -15,22 +16,21 @@ from repro.analysis.cli import main
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.sarif import SARIF_SCHEMA, SARIF_VERSION
 
-#: One GX102 wall-clock hit (file rule) and one GX501 wrap hit (project
-#: rule), seeded in a fixture written to tmp_path — never to the repo.
+#: One GX102 wall-clock hit (determinism) and one GX401 mutable-default
+#: hit (API hygiene), seeded in a fixture written to tmp_path — never to
+#: the repo.
 MIXED_BAD_SOURCE = textwrap.dedent(
     """
     import time
-
-    import numpy as np
 
 
     def measure():
         return time.time()
 
 
-    def bump(values):
-        words = np.asarray(values, dtype=np.uint64)
-        return words + words
+    def bump(values=[]):
+        values.append(1)
+        return values
     """
 ).lstrip()
 
@@ -73,13 +73,13 @@ class TestSarifDocument:
         codes = [entry["id"] for entry in rules]
         assert codes == sorted(codes)
         assert len(codes) == len(set(codes))
-        # Meta findings, a file rule, and both new project families.
-        for code in ("GX001", "GX003", "GX102", "GX501", "GX601"):
+        # Meta findings plus rules from two families.
+        for code in ("GX001", "GX003", "GX102", "GX401"):
             assert code in codes
         by_code = {entry["id"]: entry for entry in rules}
         assert by_code["GX003"]["defaultConfiguration"]["level"] == "warning"
-        assert by_code["GX501"]["defaultConfiguration"]["level"] == "error"
-        assert by_code["GX501"]["name"] == "uint64-wrap"
+        assert by_code["GX401"]["defaultConfiguration"]["level"] == "error"
+        assert by_code["GX401"]["name"] == "mutable-default"
 
     def test_results_reference_rules_by_index(self):
         log = json.loads(render_sarif(sample_findings()))
@@ -139,7 +139,7 @@ class TestEndToEnd:
     """Seeded violations must surface in every output format (self-check)."""
 
     def expected_rules(self):
-        return {"wall-clock", "uint64-wrap"}
+        return {"wall-clock", "mutable-default"}
 
     def test_lint_source_detects_both_families(self):
         findings = lint_source(MIXED_BAD_SOURCE, path="src/pkg/mixed.py")
@@ -167,7 +167,7 @@ class TestEndToEnd:
         log = json.loads(out.read_text())
         assert log["version"] == SARIF_VERSION
         results = log["runs"][0]["results"]
-        assert {r["ruleId"] for r in results} >= {"GX102", "GX501"}
+        assert {r["ruleId"] for r in results} >= {"GX102", "GX401"}
         driver_codes = {
             rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]
         }

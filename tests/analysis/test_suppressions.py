@@ -155,20 +155,6 @@ class TestUnusedSuppressionAudit:
         found = lint_source("x = 1  # genaxlint: disable=no-such-rule\n")
         assert [f.code for f in found] == ["GX002"]
 
-    def test_project_rule_suppression_counts_as_used(self):
-        # The audit runs after the project phase, so a directive silencing
-        # a GX5xx finding is "used", not stale.
-        source = dedent(
-            """
-            import numpy as np
-
-            def bump(values):
-                words = np.asarray(values, dtype=np.uint64)
-                return words + words  # genaxlint: disable=uint64-wrap
-            """
-        )
-        assert [f.code for f in lint_source(source, path="src/fake/kern.py")] == []
-
     def test_audit_suppressible_on_its_own_line(self):
         source = dedent(
             """

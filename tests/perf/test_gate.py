@@ -242,6 +242,19 @@ class TestShapeChanges:
             "missing from the current run" in note for note in report.notes
         )
 
+    def test_missing_metric_is_noted(self, store):
+        store.append(make_matrix_result())
+        current = make_matrix_result()
+        del current["payload"]["cells"][0]["work"]["extensions"]
+        report = evaluate_gate(refresh_run_id(current), store)
+        assert report.passed
+        assert report.metrics_compared == 2
+        assert any(
+            "baseline metric extensions" in note
+            and "missing from the current run" in note
+            for note in report.notes
+        )
+
 
 class TestValidation:
     def test_unknown_mode_rejected(self, store):
