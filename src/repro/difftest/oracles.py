@@ -882,16 +882,17 @@ def _semiglobal_lanes(case: DiffCase) -> List[Tuple[str, str]]:
     """Derive a ragged many-lane semi-global batch from one case.
 
     The batched kernel's failure modes are batch-shape-dependent (the
-    sorted live prefix, per-lane high bits, word-boundary carries), so
-    every case is scored as a multi-lane batch of slices rather than a
-    batch of one: empty-pattern and empty-text lanes, cuts of the text
-    that leave the live prefix at many different columns, and patterns
-    wider than 64 and 128 bits, so the word-carry chain and high bits
-    past word 0 are hit on every case whatever its drawn lengths.
+    sorted live prefix, word-boundary carries), so every case is scored
+    as a multi-lane batch of slices rather than a batch of one:
+    empty-pattern and empty-text lanes, cuts of the text that leave the
+    live prefix at many different columns, and patterns wider than 64 and
+    128 bits, so the word-carry chain is hit on every case whatever its
+    drawn lengths.  Texts here are up to several times their patterns, so
+    at the case's small bound the band still covers every pattern.
     """
     query, reference = case.query, case.reference
     pool = query + reference
-    wide = pool * (-(-3 * BITS_PER_WORD // len(pool))) if pool else ""
+    wide = _wide(pool)
     return [
         (query, reference),
         (query[: len(query) // 2], reference),
@@ -907,12 +908,83 @@ def _semiglobal_lanes(case: DiffCase) -> List[Tuple[str, str]]:
     ]
 
 
-def _windows_semiglobal_min(lanes: Sequence[Tuple[str, str]]) -> List[int]:
+def _wide(pool: str) -> str:
+    """*pool* repeated to at least three words' worth of bases."""
+    return pool * (-(-3 * BITS_PER_WORD // len(pool))) if pool else ""
+
+
+def _edited(pattern: str, edits: int) -> str:
+    """*pattern* with *edits* spread substitutions, deletions and insertions."""
+    bases = list(pattern)
+    for edit in range(edits):
+        if not bases:
+            break
+        spot = (edit * 37 + 11) % len(bases)
+        if edit % 3 == 0:
+            bases[spot] = "ACGT"[("ACGT".index(bases[spot]) + 1) % 4]
+        elif edit % 3 == 1:
+            del bases[spot]
+        else:
+            bases.insert(spot, "ACGT"[edit % 4])
+    return "".join(bases)
+
+
+def _banded_lanes(case: DiffCase) -> List[Tuple[str, str]]:
+    """Lanes whose band is narrower than their pattern, so it slides.
+
+    The ``myers`` stage's shape at the case's bound k: patterns from 1
+    to 3 words (the query when it is past one word, else a cut of the
+    case's bases), each planted with about k edits between two copies of
+    the reference, and windows of ``pattern + k`` (the stage's slack) cut
+    around the plant, at the genome's start (clamped at 0) and past its
+    end (clamped there).
+    """
+    k = case.param("k")
+    wide = _wide(case.query + case.reference)
+    if not wide:
+        return []
+    long_query = case.query if len(case.query) > BITS_PER_WORD else ""
+    patterns = [
+        long_query or wide[: BITS_PER_WORD + 1 + len(case.query) % BITS_PER_WORD],
+        wide[7 : 7 + BITS_PER_WORD // 2 + len(case.reference) % BITS_PER_WORD],
+        wide[: 2 * BITS_PER_WORD + 2 + len(case.reference) % BITS_PER_WORD],
+    ]
+    lanes = []
+    for extra, pattern in enumerate(patterns):
+        genome = case.reference + _edited(pattern, k + extra - 1) + case.reference
+        plant = len(case.reference)
+        window = len(pattern) + k
+        for start in (plant, plant - k, plant - k // 2, plant + 1,
+                      -3, len(genome) - len(pattern) + 2):
+            lanes.append((pattern, genome[max(start, 0) : start + window]))
+    return lanes
+
+
+def _semiglobal_calls(case: DiffCase) -> List[Tuple[int, List[Tuple[str, str]]]]:
+    """``(bound, lanes)`` of each kernel call a case is scored with.
+
+    The ragged batch and the banded lanes at the case's k, then the
+    ragged batch again at its longest pattern, where every distance is
+    exact.
+    """
+    ragged = _semiglobal_lanes(case)
+    longest = max(len(pattern) for pattern, _ in ragged)
+    return [
+        (case.param("k"), ragged),
+        (case.param("k"), _banded_lanes(case)),
+        (longest, ragged),
+    ]
+
+
+def _windows_semiglobal_min(
+    lanes: Sequence[Tuple[str, str]], max_edits: int
+) -> List[int]:
     """:func:`semiglobal_min_windows` over ragged ``(pattern, text)`` lanes.
 
     The texts are laid end to end in one 2-bit code array, lane ``i``'s
     window starting where the texts before it end, so each lane reads
-    exactly its own text as a span of that array.
+    exactly its own text as a span of that array.  Distances are
+    bounded: ``min(distance, max_edits + 1)``.
     """
     lengths = np.fromiter(
         (len(text) for _, text in lanes), dtype=np.int64, count=len(lanes)
@@ -923,18 +995,22 @@ def _windows_semiglobal_min(lanes: Sequence[Tuple[str, str]]) -> List[int]:
         encode_bases("".join(text for _, text in lanes)),
         np.cumsum(lengths) - lengths,
         lengths,
+        max_edits,
     )
     return [int(distance) for distance in distances]
 
 
 def _fast_bitvector_semiglobal(case: DiffCase) -> Output:
-    return _windows_semiglobal_min(_semiglobal_lanes(case))
+    return [
+        _windows_semiglobal_min(lanes, bound)
+        for bound, lanes in _semiglobal_calls(case)
+    ]
 
 
 def _oracle_semiglobal_per_lane(case: DiffCase) -> Output:
     return [
-        myers_semiglobal_min(pattern, text)
-        for pattern, text in _semiglobal_lanes(case)
+        [min(myers_semiglobal_min(pattern, text), bound + 1) for pattern, text in lanes]
+        for bound, lanes in _semiglobal_calls(case)
     ]
 
 
@@ -959,9 +1035,12 @@ def _semiglobal_min_dp(pattern: str, text: str) -> int:
 
 def _fast_bitvector_verify(case: DiffCase) -> Output:
     """The bitvector backend's path: the ``myers`` stage's windowed
-    verdict, then the lane-batched banded traceback of what it admits."""
+    verdict, then the lane-batched banded traceback of what it admits.
+
+    The stage's kernel answers ``min(distance, k + 1)``, so both sides
+    report the distance clipped there."""
     k = case.param("k")
-    distance = _windows_semiglobal_min([(case.query, case.reference)])[0]
+    distance = _windows_semiglobal_min([(case.query, case.reference)], k)[0]
     output: Dict[str, Output] = {
         "admitted": distance <= k,
         "distance": distance,
@@ -975,9 +1054,10 @@ def _fast_bitvector_verify(case: DiffCase) -> Output:
 
 
 def _oracle_banded_verify(case: DiffCase) -> Output:
-    """Per-cell reference: full-DP gate, traceback-DP score."""
+    """Per-cell reference: full-DP gate (clipped at k + 1), traceback-DP
+    score."""
     k = case.param("k")
-    distance = _semiglobal_min_dp(case.query, case.reference)
+    distance = min(_semiglobal_min_dp(case.query, case.reference), k + 1)
     output: Dict[str, Output] = {
         "admitted": distance <= k,
         "distance": distance,
@@ -1380,19 +1460,21 @@ def _fast_sv_split(case: DiffCase) -> Output:
     Split mapping places each side of the breakpoint independently; the
     pinned quantity is the per-segment minimum semi-global distance the
     windowed bit-parallel kernel reports for the two segments as one
-    ragged batch (the shape the ``myers`` stage dispatches).
+    ragged batch (the shape the ``myers`` stage dispatches), at the
+    case's k: both sides clip the distances at k + 1.
     """
     left, right = _sv_segments(case)
     return _windows_semiglobal_min(
-        [(left, case.reference), (right, case.reference)]
+        [(left, case.reference), (right, case.reference)], case.param("k")
     )
 
 
 def _oracle_sv_split(case: DiffCase) -> Output:
     left, right = _sv_segments(case)
+    k = case.param("k")
     return [
-        _semiglobal_min_dp(left, case.reference),
-        _semiglobal_min_dp(right, case.reference),
+        min(_semiglobal_min_dp(left, case.reference), k + 1),
+        min(_semiglobal_min_dp(right, case.reference), k + 1),
     ]
 
 
@@ -1646,9 +1728,11 @@ _register(
         name="bitvector-semiglobal-vs-myers",
         contract=Contract.EXACT_SCORE,
         description=(
-            "Windowed NumPy Myers semi-global minimum (ragged many-lane "
-            "batch per case over one code array, patterns past 64 and 128 "
-            "bits) vs scalar semi-global Myers per lane"
+            "Windowed NumPy Myers semi-global minimum, clipped at k + 1 "
+            "(a ragged many-lane batch per case over one code array, "
+            "patterns past 64 and 128 bits; banded lanes whose vector "
+            "slides; the ragged batch again at its longest pattern, "
+            "exact) vs scalar semi-global Myers per lane, clipped alike"
         ),
         fast=_fast_bitvector_semiglobal,
         oracle=_oracle_semiglobal_per_lane,
@@ -1661,8 +1745,8 @@ _register(
         contract=Contract.EXACT_SCORE,
         description=(
             "Bitvector backend path (the myers stage's windowed Myers "
-            "verdict + lane-batched banded traceback score) vs full-DP "
-            "gate + scalar traceback-DP score"
+            "verdict, distance clipped at k + 1, + lane-batched banded "
+            "traceback score) vs full-DP gate + scalar traceback-DP score"
         ),
         fast=_fast_bitvector_verify,
         oracle=_oracle_banded_verify,
@@ -1769,7 +1853,8 @@ _register(
         contract=Contract.EXACT_SCORE,
         description=(
             "Per-segment batched semi-global distances of a chimeric read "
-            "split at its breakpoint vs scalar full-DP per segment"
+            "split at its breakpoint vs scalar full-DP per segment, both "
+            "clipped at k + 1"
         ),
         fast=_fast_sv_split,
         oracle=_oracle_sv_split,

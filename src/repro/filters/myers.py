@@ -14,8 +14,12 @@ dispatch's :class:`~repro.pipeline.common.CandidateTable`, and one
 :func:`~repro.align.bitvector.semiglobal_min_windows` call answers every
 candidate: each read is encoded once, each window is a span of a cached
 2-bit copy of the reference (the ``fetch`` clamp applied), so no window
-string and no :class:`~repro.pipeline.common.Candidate` is built.  A
-candidate is admitted iff its minimum distance is ``<= max_edits``.
+string and no :class:`~repro.pipeline.common.Candidate` is built.  The
+call is bounded at ``max_edits``: it scores only the diagonal band an
+alignment within budget can touch — one machine word per lane up to
+21 edits at the default slack, whatever the read length — and returns
+``min(distance, max_edits + 1)``, which is all the verdict needs.  A
+candidate is admitted iff that distance is ``<= max_edits``.
 That is exactly ``bool(myers_search(...))``, the scalar
 :meth:`~MyersCandidateFilter.admit` verdict the tests and the
 ``filters-vs-distance`` difftest pair hold it to, because both
@@ -94,7 +98,12 @@ class MyersCandidateFilter:
         )
         stats.prefilter_cycles += int(lengths.sum())
         distances = semiglobal_min_windows(
-            candidates.reads, candidates.row, self._codes, first, lengths
+            candidates.reads,
+            candidates.row,
+            self._codes,
+            first,
+            lengths,
+            self.max_edits,
         )
         return distances <= self.max_edits
 

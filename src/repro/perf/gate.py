@@ -164,6 +164,16 @@ def _check_metric(
     return None
 
 
+def _wall_metrics(cell: Mapping[str, Any]) -> Dict[str, float]:
+    """The cell's wall-clock metric, or none when it recorded no time.
+
+    A missing ``elapsed_s`` is absent, not 0 s: read as 0 it would pass
+    every gate instead of being noted as missing.
+    """
+    wall = cell.get("wall", {})
+    return {"elapsed_s": float(wall["elapsed_s"])} if "elapsed_s" in wall else {}
+
+
 def evaluate_gate(
     current: Mapping[str, Any],
     store: HistoryStore,
@@ -254,14 +264,8 @@ def evaluate_gate(
             current_metrics = dict(cell.get("work", {}))
             baseline_metrics = dict(base_cell.get("work", {}))
         else:
-            current_metrics = {
-                "elapsed_s": float(cell.get("wall", {}).get("elapsed_s", 0.0))
-            }
-            baseline_metrics = {
-                "elapsed_s": float(
-                    base_cell.get("wall", {}).get("elapsed_s", 0.0)
-                )
-            }
+            current_metrics = _wall_metrics(cell)
+            baseline_metrics = _wall_metrics(base_cell)
         for metric in sorted(current_metrics):
             if metric not in baseline_metrics:
                 report.notes.append(

@@ -9,6 +9,9 @@ of every word agree exactly.  If NumPy dtype promotion, the
 overflow comparisons, or the cross-word carry chain ever drift, the
 mismatch shows up here before it corrupts an alignment score.
 
+The kernel stores its state word-major, ``(words, lanes)``; these tests
+build one lane per row and hand ``_ripple_add`` the transposes.
+
 Runs under the suite-wide derandomized hypothesis profile
 (tests/conftest.py), so every machine draws the same examples.
 """
@@ -51,6 +54,11 @@ def reference_ripple(eq_big, vp_big, words):
     return x & column_mask
 
 
+def ripple_lanes(eq, vp):
+    """``_ripple_add`` over ``(lanes, words)`` arrays, one lane per row."""
+    return _ripple_add(eq.T, vp.T).T
+
+
 def lanes_strategy(max_words=4, max_lanes=6):
     return st.integers(min_value=1, max_value=max_words).flatmap(
         lambda words: st.lists(
@@ -70,7 +78,7 @@ class TestRippleAddCrossCheck:
     def test_matches_arbitrary_precision_reference(self, lanes):
         eq = np.array([pair[0] for pair in lanes], dtype=np.uint64)
         vp = np.array([pair[1] for pair in lanes], dtype=np.uint64)
-        xh = _ripple_add(eq, vp)
+        xh = ripple_lanes(eq, vp)
         words = eq.shape[1]
         for lane in range(len(lanes)):
             expected = reference_ripple(
@@ -86,7 +94,7 @@ class TestRippleAddCrossCheck:
         # the carry must ripple into the high word.
         eq = np.array([[WORD_MASK, 0]], dtype=np.uint64)
         vp = np.array([[WORD_MASK, 1]], dtype=np.uint64)
-        xh = _ripple_add(eq, vp)
+        xh = ripple_lanes(eq, vp)
         expected = reference_ripple(to_big(eq[0]), to_big(vp[0]), 2)
         assert [int(w) for w in xh[0]] == from_big(expected, 2)
 
@@ -95,11 +103,11 @@ class TestRippleAddCrossCheck:
         # the worst case for the two-comparison overflow recovery.
         eq = np.array([[WORD_MASK, WORD_MASK, 0]], dtype=np.uint64)
         vp = np.array([[WORD_MASK, WORD_MASK, 5]], dtype=np.uint64)
-        xh = _ripple_add(eq, vp)
+        xh = ripple_lanes(eq, vp)
         expected = reference_ripple(to_big(eq[0]), to_big(vp[0]), 3)
         assert [int(w) for w in xh[0]] == from_big(expected, 3)
 
     def test_zero_inputs(self):
         eq = np.zeros((2, 2), dtype=np.uint64)
         vp = np.zeros((2, 2), dtype=np.uint64)
-        assert _ripple_add(eq, vp).tolist() == [[0, 0], [0, 0]]
+        assert ripple_lanes(eq, vp).tolist() == [[0, 0], [0, 0]]

@@ -255,6 +255,21 @@ class TestShapeChanges:
             for note in report.notes
         )
 
+    def test_cell_without_wall_time_is_noted_not_passed_as_zero(self, store):
+        store.append(make_matrix_result(elapsed_s=1.0))
+        current = make_matrix_result()
+        del current["payload"]["cells"][0]["wall"]
+        report = evaluate_gate(
+            refresh_run_id(current), store, mode=GATE_WALL_CLOCK
+        )
+        assert report.metrics_compared == 0
+        assert report.findings == []
+        assert any(
+            "baseline metric elapsed_s" in note
+            and "missing from the current run" in note
+            for note in report.notes
+        )
+
 
 class TestValidation:
     def test_unknown_mode_rejected(self, store):
