@@ -235,9 +235,10 @@ def banded_calls(draw):
                 max_value=2 * BITS_PER_WORD - 1 - 2 * bound,
             )
         )
+    # One read past two words, so the band slides in every draw.
     read_lengths = draw(
-        st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=6)
-    )
+        st.lists(st.integers(min_value=0, max_value=200), max_size=5)
+    ) + [draw(st.integers(min_value=2 * BITS_PER_WORD + 1, max_value=200))]
     seed = draw(st.integers(min_value=0, max_value=2**16))
     return seed, read_lengths, bound, slack, draw(st.booleans())
 
