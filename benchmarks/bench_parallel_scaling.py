@@ -12,10 +12,10 @@ measures, end to end:
   with every sharded run checked bit-identical to the serial
   ``GenAxAligner.align_batch`` mappings;
 * **dispatch** — the bitvector backend with one read per extension
-  dispatch (``align_reads``) vs. one cross-read dispatch per batch
-  (``align_batch``), with the cross-read run checked bit-identical to the
-  per-read one (``mappings_changed`` must be 0) and the window-dedupe
-  counters recorded;
+  dispatch (one ``align_batch`` call per read) vs. one cross-read
+  dispatch per batch (one ``align_batch`` call), with the cross-read
+  run checked bit-identical to the per-read one (``mappings_changed``
+  must be 0) and the window-dedupe counters recorded;
 * **combined** — best configuration (max jobs + prefilter + warm cache).
 
 The ``acceptance`` block enforces the concordance bar: every sharded run
@@ -177,9 +177,11 @@ def measure_index_cache(
 
 
 def timed_align(aligner, reads, per_read: bool = False) -> Tuple[float, list]:
-    align = aligner.align_reads if per_read else aligner.align_batch
     started = monotonic_s()
-    mapped = align(reads)
+    if per_read:
+        mapped = [aligner.align_batch([read])[0] for read in reads]
+    else:
+        mapped = aligner.align_batch(reads)
     elapsed = monotonic_s() - started
     return elapsed, mapped
 
@@ -188,11 +190,11 @@ def measure_dispatch(
     reference: ReferenceGenome, reads, serial_s: float
 ) -> List[dict]:
     """Sweep the bitvector backend's extension dispatch: one read per
-    ``extend_batch`` call (``align_reads``) vs. every read's candidates
-    in one call (``align_batch``).  The per-read run is the concordance
-    baseline: cross-read dispatch must reproduce its mappings
-    bit-for-bit (``mappings_changed`` is the count of rows that differ,
-    and the acceptance bar is 0)."""
+    ``extend_batch`` call (one ``align_batch`` call per read) vs. every
+    read's candidates in one call (one ``align_batch`` call).  The
+    per-read run is the concordance baseline: cross-read dispatch must
+    reproduce its mappings bit-for-bit (``mappings_changed`` is the
+    count of rows that differ, and the acceptance bar is 0)."""
     results: List[dict] = []
     baseline_key: Optional[list] = None
     for dispatch in ("per_read", "cross_read"):

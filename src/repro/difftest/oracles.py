@@ -929,17 +929,22 @@ def _edited(pattern: str, edits: int) -> str:
     return "".join(bases)
 
 
-def _banded_lanes(case: DiffCase) -> List[Tuple[str, str]]:
+#: The least bound whose banded lanes need a two-word vector: at slack
+#: e the band is ``3e + 1`` rows, past one word from e = 22.
+TWO_WORD_BOUND = BITS_PER_WORD // 3 + 1
+
+
+def _banded_lanes(case: DiffCase, k: int) -> List[Tuple[str, str]]:
     """Lanes whose band is narrower than their pattern, so it slides.
 
-    The ``myers`` stage's shape at the case's bound k: patterns from 1
-    to 3 words (the query when it is past one word, else a cut of the
-    case's bases), each planted with about k edits between two copies of
-    the reference, and windows of ``pattern + k`` (the stage's slack) cut
-    around the plant, at the genome's start (clamped at 0) and past its
-    end (clamped there).
+    The ``myers`` stage's shape at bound k: patterns from 1 to 3 words
+    (the query when it is past one word, else a cut of the case's
+    bases), each planted with about k edits between two copies of the
+    reference (padded from the case's bases to at least k, so the
+    planted window keeps its slack), and windows of ``pattern + k`` (the
+    stage's slack) cut around the plant, at the genome's start (clamped
+    at 0) and past its end (clamped there).
     """
-    k = case.param("k")
     wide = _wide(case.query + case.reference)
     if not wide:
         return []
@@ -949,10 +954,11 @@ def _banded_lanes(case: DiffCase) -> List[Tuple[str, str]]:
         wide[7 : 7 + BITS_PER_WORD // 2 + len(case.reference) % BITS_PER_WORD],
         wide[: 2 * BITS_PER_WORD + 2 + len(case.reference) % BITS_PER_WORD],
     ]
+    flank = (case.reference + wide)[: max(len(case.reference), k)]
     lanes = []
     for extra, pattern in enumerate(patterns):
-        genome = case.reference + _edited(pattern, k + extra - 1) + case.reference
-        plant = len(case.reference)
+        genome = flank + _edited(pattern, k + extra - 1) + flank
+        plant = len(flank)
         window = len(pattern) + k
         for start in (plant, plant - k, plant - k // 2, plant + 1,
                       -3, len(genome) - len(pattern) + 2):
@@ -963,15 +969,19 @@ def _banded_lanes(case: DiffCase) -> List[Tuple[str, str]]:
 def _semiglobal_calls(case: DiffCase) -> List[Tuple[int, List[Tuple[str, str]]]]:
     """``(bound, lanes)`` of each kernel call a case is scored with.
 
-    The ragged batch and the banded lanes at the case's k, then the
-    ragged batch again at its longest pattern, where every distance is
-    exact.
+    The ragged batch and the banded lanes at the case's k, the banded
+    lanes again at a bound past :data:`TWO_WORD_BOUND` (a two-word
+    vector that slides), then the ragged batch at its longest pattern,
+    where every distance is exact.
     """
+    k = case.param("k")
+    two_word = TWO_WORD_BOUND + k
     ragged = _semiglobal_lanes(case)
     longest = max(len(pattern) for pattern, _ in ragged)
     return [
-        (case.param("k"), ragged),
-        (case.param("k"), _banded_lanes(case)),
+        (k, ragged),
+        (k, _banded_lanes(case, k)),
+        (two_word, _banded_lanes(case, two_word)),
         (longest, ragged),
     ]
 
@@ -1728,11 +1738,12 @@ _register(
         name="bitvector-semiglobal-vs-myers",
         contract=Contract.EXACT_SCORE,
         description=(
-            "Windowed NumPy Myers semi-global minimum, clipped at k + 1 "
-            "(a ragged many-lane batch per case over one code array, "
-            "patterns past 64 and 128 bits; banded lanes whose vector "
-            "slides; the ragged batch again at its longest pattern, "
-            "exact) vs scalar semi-global Myers per lane, clipped alike"
+            "Windowed NumPy Myers semi-global minimum, clipped at the "
+            "call's bound + 1 (a ragged many-lane batch per case over one "
+            "code array, patterns past 64 and 128 bits; banded lanes whose "
+            "vector slides, at k and at a two-word bound; the ragged batch "
+            "again at its longest pattern, exact) vs scalar semi-global "
+            "Myers per lane, clipped alike"
         ),
         fast=_fast_bitvector_semiglobal,
         oracle=_oracle_semiglobal_per_lane,

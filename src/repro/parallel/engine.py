@@ -57,6 +57,7 @@ from repro.pipeline.registry import (
     backend_for_config,
     get_backend,
 )
+from repro.pipeline.stages import BatchMapper
 from repro.seeding.accelerator import SeedingStats
 from repro.sillax.lane import LaneStats
 from repro.telemetry.runtime import (
@@ -128,15 +129,16 @@ def _align_chunk(chunk_id: int, reads: Sequence[NamedRead]) -> ShardResult:
     )
 
 
-class ParallelAligner:
+class ParallelAligner(BatchMapper[MappedRead]):
     """Aligner-compatible driver that shards batches across processes.
 
     Wraps any backend registered in :mod:`repro.pipeline.registry`
     (chosen by ``backend`` name, or inferred from the config's type) and
-    exposes the same ``align_batch`` / ``align_reads`` / ``align_read``
-    contract and the same ``stats`` / ``lane_stats`` / ``seeding_stats``
-    counter surface, so :func:`repro.pipeline.counters.collect_counters`
-    and the concordance tests treat it as a drop-in aligner.
+    exposes the same one-entry :class:`~repro.pipeline.stages.BatchMapper`
+    contract (``align_read`` is a batch of one) and the same ``stats`` /
+    ``lane_stats`` / ``seeding_stats`` counter surface, so
+    :func:`repro.pipeline.counters.collect_counters` and the concordance
+    tests treat it as a drop-in aligner.
     """
 
     def __init__(
@@ -197,12 +199,6 @@ class ParallelAligner:
     def counters(self) -> BackendRunStats:
         """The merged backend counter bundle."""
         return self._counters
-
-    def align_read(self, name: str, sequence: str) -> MappedRead:
-        return self.align_batch([(name, sequence)])[0]
-
-    def align_reads(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        return self.align_batch(reads)
 
     def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
         """Map a batch, sharded over ``jobs`` workers; order is preserved."""

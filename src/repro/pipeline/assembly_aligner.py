@@ -1,6 +1,7 @@
 """Alignment against multi-contig assemblies.
 
-Wraps either pipeline around an :class:`repro.genome.assembly.Assembly`:
+Wraps any registered backend around an
+:class:`repro.genome.assembly.Assembly`:
 the assembly is linearized for indexing/seeding, mappings are translated
 back to contig coordinates, and any candidate alignment whose window would
 span a contig boundary is rejected (a read cannot truly align across
@@ -10,7 +11,7 @@ chromosomes — the concatenation boundary is an artifact).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from repro.align.records import (
     AlignmentStats,
@@ -19,9 +20,9 @@ from repro.align.records import (
     as_named_read,
 )
 from repro.genome.assembly import Assembly, ContigPosition
-from repro.pipeline.bwamem import BwaMemConfig
 from repro.pipeline.genax import GenAxConfig
-from repro.pipeline.registry import backend_for_config
+from repro.pipeline.registry import BackendConfig, backend_for_config
+from repro.pipeline.stages import BatchMapper
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class ContigMapping:
         return self.offset < 0
 
 
-class AssemblyAligner:
+class AssemblyAligner(BatchMapper[ContigMapping]):
     """Any registered backend over a multi-contig assembly.
 
     The backend is resolved from the config's type via the pipeline
@@ -52,7 +53,7 @@ class AssemblyAligner:
     def __init__(
         self,
         assembly: Assembly,
-        config: Optional[Union[GenAxConfig, BwaMemConfig]] = None,
+        config: Optional[BackendConfig] = None,
     ) -> None:
         self.assembly = assembly
         self.reference = assembly.linearize()
@@ -64,16 +65,15 @@ class AssemblyAligner:
     def stats(self) -> AlignmentStats:
         return self._aligner.stats
 
-    def align_read(self, name: str, sequence: str) -> ContigMapping:
-        mapped = self._aligner.align_read(name, sequence)
-        return self._translate(mapped, len(sequence))
-
-    def align_reads(self, reads: Iterable[ReadInput]) -> List[ContigMapping]:
-        out: List[ContigMapping] = []
-        for read in reads:
-            read_name, sequence = as_named_read(read)
-            out.append(self.align_read(read_name, sequence))
-        return out
+    def align_batch(self, reads: Iterable[ReadInput]) -> List[ContigMapping]:
+        """Map the whole input in one backend batch, then translate each
+        mapping to contig coordinates."""
+        named = [as_named_read(read) for read in reads]
+        mapped = self._aligner.align_batch(named)
+        return [
+            self._translate(mapping, len(sequence))
+            for mapping, (__, sequence) in zip(mapped, named)
+        ]
 
     def _translate(self, mapped: MappedRead, read_length: int) -> ContigMapping:
         if mapped.is_unmapped:

@@ -30,17 +30,17 @@ span are fetched once, and fully identical (read, window) lanes share
 one traceback.  :class:`BitvectorKernelStats` counts requested vs.
 fetched windows so the dedupe rate is measured, not assumed.
 Deduplication never changes results or the shared ``AlignmentStats`` —
-every job is still charged as if aligned alone (the ``align_reads`` vs
-``align_batch`` tests enforce it).
+every job is still charged as if aligned alone (the tests that map each
+read in a batch of its own against one batch of them all enforce it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.align.banded import batch_banded_extension_align
-from repro.align.records import AlignmentStats, MappedRead, ReadInput
+from repro.align.records import AlignmentStats
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.filters import FilterCascade, MyersCandidateFilter
 from repro.genome.reference import ReferenceGenome
@@ -51,7 +51,12 @@ from repro.pipeline.common import (
     dp_extension,
     window_span,
 )
-from repro.pipeline.stages import ExtensionJob, PipelineDriver, StageSet
+from repro.pipeline.stages import (
+    DriverFacade,
+    ExtensionJob,
+    PipelineDriver,
+    StageSet,
+)
 from repro.seeding.accelerator import SeedingLane
 from repro.seeding.index import IndexTables, KmerIndex
 from repro.seeding.smem import SmemConfig
@@ -183,7 +188,7 @@ class BatchedBitvectorEngine:
         return results
 
 
-class BitvectorAligner:
+class BitvectorAligner(DriverFacade):
     """Facade over the shared driver with a bitvector extension stage.
 
     Same constructor shape as the other backends; ``tables`` lets the
@@ -240,18 +245,3 @@ class BitvectorAligner:
     def kernel_stats(self) -> BitvectorKernelStats:
         """The extension engine's kernel/dedupe counters."""
         return self._engine.kernel_stats
-
-    # ----------------------------------------------------------------- API
-
-    def align_read(self, name: str, sequence: str) -> MappedRead:
-        """Map one read; returns an unmapped record if nothing scores."""
-        return self._driver.align_read(name, sequence)
-
-    def align_reads(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Map a batch of (name, sequence) pairs or Read objects."""
-        return self._driver.align_reads(reads)
-
-    def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Batch mapping: candidates from *all* reads share each kernel
-        dispatch (the throughput path)."""
-        return self._driver.align_batch(reads)

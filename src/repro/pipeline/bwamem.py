@@ -24,16 +24,21 @@ accelerator's cycles without trusting Python wall-clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.align.banded import batch_banded_extension_align
-from repro.align.records import AlignmentStats, MappedRead, ReadInput
+from repro.align.records import AlignmentStats
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import Extension, dp_extension, fetch_window
-from repro.pipeline.stages import ExtensionJob, PipelineDriver, StageSet
-from repro.seeding.accelerator import GlobalSeed, SeedingLane
+from repro.pipeline.stages import (
+    DriverFacade,
+    ExtensionJob,
+    PipelineDriver,
+    StageSet,
+)
+from repro.seeding.accelerator import SeedingLane
 from repro.seeding.index import IndexTables, KmerIndex
 from repro.seeding.smem import ReadBatch, SeedTable, SmemConfig
 
@@ -61,9 +66,6 @@ class WholeGenomeSeedProvider:
 
     def __init__(self, lane: SeedingLane) -> None:
         self.lane = lane
-
-    def seed(self, oriented: str) -> List[GlobalSeed]:
-        return self.lane.seed_read(oriented)
 
     def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         # One segment covering the genome: the batch is encoded once and
@@ -109,7 +111,7 @@ class BandedExtensionEngine:
         return extensions
 
 
-class BwaMemAligner:
+class BwaMemAligner(DriverFacade):
     """Software seed-and-extend aligner over one reference genome.
 
     A thin facade over the shared :class:`PipelineDriver` — the same outer
@@ -165,17 +167,3 @@ class BwaMemAligner:
             segment_start=0,
             index=KmerIndex.build(reference.sequence, k),
         )
-
-    # ----------------------------------------------------------------- API
-
-    def align_read(self, name: str, sequence: str) -> MappedRead:
-        """Map one read; returns an unmapped record if nothing scores."""
-        return self._driver.align_read(name, sequence)
-
-    def align_reads(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Map a batch of (name, sequence) pairs or Read objects."""
-        return self._driver.align_reads(reads)
-
-    def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Batch mapping; identical to :meth:`align_reads` for this backend."""
-        return self._driver.align_batch(reads)

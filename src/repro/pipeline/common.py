@@ -322,8 +322,8 @@ def exact_match_extensions(
 
     A whole-read exact seed needs no SillaX verification: every hit
     position is already a perfect placement with the maximum score and an
-    all-``=`` CIGAR.  Shared by the per-read and segment-major paths so
-    their outputs stay bit-identical.
+    all-``=`` CIGAR.  The driver's mapping loop builds these for every
+    strand with a whole-read exact seed, in place of extension.
     """
     out: List[Extension] = []
     for seed in exact_seeds:

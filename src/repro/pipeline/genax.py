@@ -21,23 +21,20 @@ bytes streamed) feeds the throughput model behind Fig. 15.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.align.records import (
-    AlignmentStats,
-    MappedRead,
-    ReadInput,
-)
+from repro.align.records import AlignmentStats
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.filters import FilterCascade, build_cascade
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import Candidate, Extension
-from repro.pipeline.stages import ExtensionJob, PipelineDriver, StageSet
-from repro.seeding.accelerator import (
-    GlobalSeed,
-    SeedingAccelerator,
-    SeedingStats,
+from repro.pipeline.stages import (
+    DriverFacade,
+    ExtensionJob,
+    PipelineDriver,
+    StageSet,
 )
+from repro.seeding.accelerator import SeedingAccelerator, SeedingStats
 from repro.seeding.cache import IndexCache
 from repro.seeding.index import IndexTables
 from repro.seeding.smem import SeedTable, SmemConfig
@@ -75,11 +72,10 @@ class GenAxConfig:
 class SegmentedSeedProvider:
     """:class:`SeedProvider` over the segmented seeding accelerator.
 
-    Per-read mode streams the segment tables once per oriented sequence;
-    batch mode hands the whole oriented batch to
+    Hands the whole oriented batch to
     :meth:`SeedingAccelerator.seed_reads`, which streams each segment's
-    tables once per batch (§VI) — that accounting difference is exactly
-    what the two driver execution orders expose.
+    tables once per batch (§VI): one batch of *n* reads streams them once,
+    *n* one-read batches *n* times.
     """
 
     def __init__(self, accelerator: SeedingAccelerator) -> None:
@@ -88,9 +84,6 @@ class SegmentedSeedProvider:
     @property
     def stats(self) -> SeedingStats:
         return self.accelerator.stats
-
-    def seed(self, oriented: str) -> List[GlobalSeed]:
-        return self.accelerator.seed_read(oriented)
 
     def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         return self.accelerator.seed_reads(oriented)
@@ -165,7 +158,7 @@ class SillaXExtensionEngine:
         return extensions
 
 
-class GenAxAligner:
+class GenAxAligner(DriverFacade):
     """The accelerator: a thin facade over the staged pipeline driver.
 
     Composes segmented SMEM seeding + (optional) pre-alignment filter
@@ -241,22 +234,3 @@ class GenAxAligner:
     def cascade(self) -> Optional[FilterCascade]:
         """The installed pre-alignment cascade (None when disabled)."""
         return self._cascade
-
-    def align_read(self, name: str, sequence: str) -> MappedRead:
-        """Map one read through the accelerator."""
-        return self._driver.align_read(name, sequence)
-
-    def align_reads(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Map a batch of (name, sequence) pairs or Read objects."""
-        return self._driver.align_reads(reads)
-
-    def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Segment-major batch mapping — the order the hardware runs (§VI).
-
-        All reads (both orientations) are seeded against each segment in
-        turn, so each segment's tables are streamed **once per batch**
-        instead of once per read; the buffered hits then flow to the SillaX
-        lanes.  Functionally identical to :meth:`align_reads` (the tests
-        enforce it); the accounting difference is the point.
-        """
-        return self._driver.align_batch(reads)

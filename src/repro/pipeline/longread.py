@@ -29,11 +29,11 @@ perf profile pins its work counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.align.banded import batch_banded_extension_align
 from repro.align.myers import myers_semiglobal_min
-from repro.align.records import AlignmentStats, MappedRead, ReadInput
+from repro.align.records import AlignmentStats
 from repro.align.scoring import BWA_MEM_SCHEME, ScoringScheme
 from repro.genome.reference import ReferenceGenome
 from repro.pipeline.common import (
@@ -44,6 +44,7 @@ from repro.pipeline.common import (
 )
 from repro.pipeline.stages import (
     AdaptivePolicy,
+    DriverFacade,
     ExtensionJob,
     PipelineDriver,
     StageSet,
@@ -162,7 +163,7 @@ class AdaptiveBandedEngine:
         return window, band
 
 
-class LongReadAligner:
+class LongReadAligner(DriverFacade):
     """Chained-seeding adaptive-band aligner over one reference genome.
 
     The same thin-facade shape as :class:`~repro.pipeline.bwamem.BwaMemAligner`:
@@ -207,19 +208,3 @@ class LongReadAligner:
     def build_tables(reference: ReferenceGenome, k: int) -> KmerIndex:
         """Build the single whole-genome anchor index."""
         return KmerIndex.build(reference.sequence, k)
-
-    # ----------------------------------------------------------------- API
-
-    def align_read(self, name: str, sequence: str) -> MappedRead:
-        """Map one read; returns an unmapped record if nothing scores."""
-        return self._driver.align_read(name, sequence)
-
-    def align_reads(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Map a batch of (name, sequence) pairs or Read objects."""
-        return self._driver.align_reads(reads)
-
-    def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Batch mapping: the gated candidates of *all* reads share one
-        batched banded-DP call (the throughput path), with the same
-        mappings as :meth:`align_reads`."""
-        return self._driver.align_batch(reads)

@@ -49,8 +49,6 @@ class PipelineBackend(Protocol):
 
     def align_read(self, name: str, sequence: str) -> MappedRead: ...
 
-    def align_reads(self, reads: Any) -> List[MappedRead]: ...
-
     def align_batch(self, reads: Any) -> List[MappedRead]: ...
 
 

@@ -18,20 +18,19 @@ the stages share —
 * the pre-alignment filter cascade (:class:`repro.filters.FilterCascade`),
 * best-hit selection and the mapped/unmapped counters,
 
-in **one** mapping loop.  Only seeding has two orders: per-read (seed
-one read's strands on demand) and segment-major batch (seed the whole
-batch against each segment in turn — the order the hardware runs, §VI).
-Both orders hand their seed hits to the same gather → filter → extend →
-select loop, so they are functionally identical for any backend; the
-seeding-traffic accounting difference is the point.
+in **one** mapping loop, with **one** entry: every read reaches it
+through :meth:`PipelineDriver.align_batch`, and mapping one read is a
+batch of one (:meth:`BatchMapper.align_read`).  Seeding runs in the order
+the hardware runs (§VI): the whole batch is seeded against each segment
+in turn, so a segmented provider streams each segment's tables once per
+batch — one batch of *n* reads streams them once, *n* one-read batches
+*n* times, and that traffic is the only counter the batch size moves.
 
 Stage contracts
 ---------------
 
 :class:`SeedProvider`
-    ``seed(oriented)`` returns one sequence's
-    :class:`~repro.seeding.accelerator.GlobalSeed` list and
-    ``seed_batch(oriented)`` a whole batch's seeds as one
+    ``seed_batch(oriented)`` returns a whole batch's seeds as one
     :class:`~repro.seeding.smem.SeedTable` of arrays, in global genome
     coordinates, with whole-read exact matches flagged.
 :class:`repro.filters.FilterCascade`
@@ -66,7 +65,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Protocol, Sequence
+from typing import (
+    Generic,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    TypeVar,
+)
 
 import numpy
 from numpy.typing import NDArray
@@ -88,17 +95,12 @@ from repro.pipeline.common import (
     select_best,
     strands,
 )
-from repro.seeding.accelerator import GlobalSeed
 from repro.seeding.smem import SeedTable
 from repro.telemetry.runtime import PipelineTelemetry, active_telemetry
 
 
 class SeedProvider(Protocol):
     """Stage 1: find seeds for oriented read sequences."""
-
-    def seed(self, oriented: str) -> Sequence[GlobalSeed]:
-        """Seed one oriented sequence (per-read execution order)."""
-        ...
 
     def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         """Seed a whole oriented-sequence batch (segment-major order).
@@ -118,10 +120,10 @@ class ExtensionEngine(Protocol):
     ``extend_batch`` must be pure batching — result ``i`` does not depend
     on the other jobs of the call, and the shared stats are charged per
     job, so one dispatch of *n* jobs charges what *n* dispatches of one
-    job would (the ``align_reads`` vs ``align_batch`` tests hold every
-    backend to it).  Lanes are therefore free to be regrouped,
-    deduplicated or reordered internally, as long as outputs come back in
-    job order.
+    job would (the tests that map each read in a batch of its own against
+    one batch of them all hold every backend to it).  Lanes are therefore
+    free to be regrouped, deduplicated or reordered internally, as long as
+    outputs come back in job order.
     """
 
     def extend_batch(
@@ -254,16 +256,35 @@ def _folded(read: ReadInput) -> NamedRead:
     return name, sequence.upper()
 
 
-class PipelineDriver:
+MappingT = TypeVar("MappingT")
+
+
+class BatchMapper(Generic[MappingT]):
+    """The public mapping API: reads enter only through :meth:`align_batch`.
+
+    :meth:`align_read` is the single-read convenience, a batch of one, so
+    every mapper — the driver, the backend facades, the shard-parallel
+    and assembly aligners — maps one read exactly as it maps a batch.
+    """
+
+    def align_batch(self, reads: Iterable[ReadInput]) -> List[MappingT]:
+        """Map every read, in input order."""
+        raise NotImplementedError
+
+    def align_read(self, name: str, sequence: str) -> MappingT:
+        """Map one read: a batch of one."""
+        return self.align_batch([(name, sequence)])[0]
+
+
+class PipelineDriver(BatchMapper[MappedRead]):
     """The one seed-and-extend outer loop every backend runs behind.
 
     Owns the shared :class:`AlignmentStats`; backends differ only in the
-    :class:`StageSet` they compose.  :meth:`align_read` and
-    :meth:`align_batch` differ only in how they seed (per read vs
-    segment-major); both hand the seed hits to the same gather → filter
-    → extend → select loop, so mappings and counters agree (minus
-    seeding-traffic counters that legitimately depend on the order — the
-    tests assert the rest).
+    :class:`StageSet` they compose.  :meth:`align_batch` is the one
+    entry: a batch is seeded segment-major, then its seed hits go through
+    one gather → filter → extend → select loop.  Batching changes no
+    mapping and no counter except seeding traffic, which is the point
+    (the tests map each read in a batch of its own against one batch).
 
     Telemetry is opt-in and run-scoped: when a
     :class:`~repro.telemetry.runtime.PipelineTelemetry` bundle is active
@@ -290,32 +311,6 @@ class PipelineDriver:
 
     # ----------------------------------------------------------------- API
 
-    def align_read(self, name: str, sequence: str) -> MappedRead:
-        """Map one read, seeding each strand on demand (per-read order)."""
-        sequence = sequence.upper()
-        tel = self.telemetry
-        if tel is not None:
-            tel.stage_begin("align_read")
-            tel.stage_begin("seed")
-        oriented = [variant for variant, __ in strands(sequence)]
-        seeds = SeedTable.from_lists(
-            [list(self.stages.seeder.seed(variant)) for variant in oriented]
-        )
-        if tel is not None:
-            tel.stage_end("seed")
-        mapped = self._map([(name, sequence)], oriented, seeds)[0]
-        if tel is not None:
-            tel.stage_end("align_read")
-        return mapped
-
-    def align_reads(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
-        """Map a batch in per-read order."""
-        out: List[MappedRead] = []
-        for read in reads:
-            name, sequence = as_named_read(read)
-            out.append(self.align_read(name, sequence))
-        return out
-
     def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
         """Segment-major batch mapping — the order the hardware runs (§VI).
 
@@ -324,8 +319,6 @@ class PipelineDriver:
         per batch instead of once per read; the buffered seed hits then
         flow through the shared filter/extend/select loop as one batch, so
         filter and extend lane counts scale with the whole batch.
-        Functionally identical to :meth:`align_reads` (the tests enforce
-        it).
         """
         named: List[NamedRead] = [_folded(read) for read in reads]
         oriented: List[str] = []
@@ -482,3 +475,19 @@ class PipelineDriver:
         else:
             stats.reads_mapped += 1
         return mapped
+
+
+class DriverFacade(BatchMapper[MappedRead]):
+    """A backend facade: one :class:`StageSet` behind one driver.
+
+    A backend's constructor composes its stages into ``self._driver`` and
+    re-exports the driver's ``stats``; the mapping API is the driver's
+    one entry.
+    """
+
+    _driver: PipelineDriver
+    stats: AlignmentStats
+
+    def align_batch(self, reads: Iterable[ReadInput]) -> List[MappedRead]:
+        """Segment-major batch mapping — the order the hardware runs (§VI)."""
+        return self._driver.align_batch(reads)

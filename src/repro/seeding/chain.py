@@ -122,16 +122,12 @@ class ChainedSeedProvider:
 
     # ------------------------------------------------------------ protocol
 
-    def seed(self, oriented: str) -> List[GlobalSeed]:
-        """Chain one oriented sequence into per-chain seeds."""
-        return self._chain_reads([oriented])[0]
-
     def seed_batch(self, oriented: Sequence[str]) -> SeedTable:
         """Chain every oriented sequence; anchors are looked up batch-wide.
 
         One whole-genome index: batch order has no table locality to
         exploit, and chaining stays per read, so a batch gives exactly
-        what per-read calls give.
+        what one-read batches give.
         """
         return SeedTable.from_lists(self._chain_reads(oriented))
 

@@ -7,6 +7,7 @@ from repro.genome.reference import make_reference
 from repro.pipeline.assembly_aligner import AssemblyAligner
 from repro.pipeline.bwamem import BwaMemConfig
 from repro.pipeline.genax import GenAxConfig
+from repro.pipeline.registry import backend_names, get_backend
 
 
 @pytest.fixture(scope="module")
@@ -79,5 +80,23 @@ class TestAssemblyAligner:
             ("a", assembly.contig("chr1").sequence[2000:2101]),
             ("b", assembly.contig("chr2").sequence[2000:2101]),
         ]
-        mappings = aligner.align_reads(reads)
+        mappings = aligner.align_batch(reads)
         assert [m.contig for m in mappings] == ["chr1", "chr2"]
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_batch_on_every_backend(self, assembly, backend):
+        """Any registered backend's config builds that backend, and one
+        batch maps each read into its own contig."""
+        aligner = AssemblyAligner(
+            assembly, get_backend(backend).default_config()
+        )
+        reads = [
+            ("a", assembly.contig("chr1").sequence[2000:2101]),
+            ("b", assembly.contig("chr2").sequence[1000:1101]),
+        ]
+        mappings = aligner.align_batch(reads)
+        assert [(m.contig, m.offset) for m in mappings] == [
+            ("chr1", 2000),
+            ("chr2", 1000),
+        ]
+        assert aligner.stats.reads_total == 2

@@ -26,21 +26,27 @@ def read_batch(small_reference, simulated_reads):
     return [(s.name, s.sequence) for s in simulated_reads[:10]]
 
 
+def one_read_batches(aligner, reads):
+    """Map every read in an ``align_batch`` call of its own."""
+    return [aligner.align_batch([read])[0] for read in reads]
+
+
 class TestAlignBatch:
     def test_identical_to_per_read_mode(self, small_reference, read_batch):
         per_read = GenAxAligner(small_reference, GenAxConfig(edit_bound=12, segment_count=4))
         batch = GenAxAligner(small_reference, GenAxConfig(edit_bound=12, segment_count=4))
-        a = per_read.align_reads(read_batch)
+        a = one_read_batches(per_read, read_batch)
         b = batch.align_batch(read_batch)
         for x, y in zip(a, b):
             assert (x.position, x.reverse, x.score) == (y.position, y.reverse, y.score)
             assert str(x.cigar) == str(y.cigar)
 
     def test_tables_streamed_once_per_batch(self, small_reference, read_batch):
-        """§VI: segment-major order streams each segment's tables once."""
+        """§VI: one batch streams each segment's tables once; one-read
+        batches stream them once per read."""
         per_read = GenAxAligner(small_reference, GenAxConfig(edit_bound=12, segment_count=4))
         batch = GenAxAligner(small_reference, GenAxConfig(edit_bound=12, segment_count=4))
-        per_read.align_reads(read_batch)
+        one_read_batches(per_read, read_batch)
         batch.align_batch(read_batch)
         assert (
             batch.seeding_stats.table_bytes_streamed
@@ -60,10 +66,10 @@ class TestAlignBatch:
     def test_alignment_stats_identical_to_per_read_mode(
         self, backend, small_reference, read_batch
     ):
-        """Per-read and batch modes map identically and count the same
-        events — including ``reads_exact``, which once diverged because
-        per-read mode counted a read twice when both strands matched
-        exactly."""
+        """One-read batches and one batch map identically and count the
+        same events — including ``reads_exact``, which once diverged
+        because per-read seeding counted a read twice when both strands
+        matched exactly."""
         spec = get_backend(backend)
         per_read = spec.build(
             small_reference, default_cascade_config(backend), None
@@ -71,7 +77,7 @@ class TestAlignBatch:
         batch = spec.build(
             small_reference, default_cascade_config(backend), None
         )
-        assert per_read.align_reads(read_batch) == batch.align_batch(
+        assert one_read_batches(per_read, read_batch) == batch.align_batch(
             read_batch
         )
         assert per_read.stats == batch.stats

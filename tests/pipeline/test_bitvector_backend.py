@@ -3,8 +3,8 @@
 Two contracts:
 
 * a cross-read ``align_batch`` dispatch gives the mappings *and* the
-  ``AlignmentStats`` of one-read dispatches (``align_reads``), dirty
-  reads included (the dedupe/lane bookkeeping lives in the engine-level
+  ``AlignmentStats`` of one-read dispatches (an ``align_batch`` call per
+  read), dirty reads included (the dedupe/lane bookkeeping lives in the engine-level
   ``BitvectorKernelStats``, never in the shared counter surface);
 * the window/lane dedupe counters prove their rates on a crafted
   duplicate-heavy batch.
@@ -59,7 +59,7 @@ class TestKernelIdentity:
             small_reference, BitvectorConfig(edit_bound=EDIT_BOUND)
         )
         batched_mapped = batched.align_batch(mixed)
-        per_read_mapped = per_read.align_reads(mixed)
+        per_read_mapped = [per_read.align_batch([read])[0] for read in mixed]
         assert batched_mapped == per_read_mapped
         assert stats_dict(batched.stats) == stats_dict(per_read.stats)
         assert batched.kernel_stats.batches == 1

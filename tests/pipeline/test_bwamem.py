@@ -39,7 +39,7 @@ class TestBwaMem:
         aligner.align_read("exact", small_reference.sequence[50:151])
         assert aligner.stats.reads_exact == 1
 
-    def test_align_batch_matches_align_reads(self, small_reference):
+    def test_one_batch_matches_one_read_batches(self, small_reference):
         reads = [
             ("a", small_reference.sequence[100:201]),
             ("b", small_reference.sequence[400:501]),
@@ -50,7 +50,8 @@ class TestBwaMem:
             (m.read_name, m.position, m.reverse, m.score, str(m.cigar))
             for m in mapped
         ]
-        assert rows(per_read.align_reads(reads)) == rows(batch.align_batch(reads))
+        singles = [per_read.align_batch([read])[0] for read in reads]
+        assert rows(singles) == rows(batch.align_batch(reads))
         assert per_read.stats == batch.stats
 
     def test_read_with_substitution(self, small_reference, aligner):
@@ -80,12 +81,12 @@ class TestBwaMem:
         # the genome contains it; just require a coherent answer.
         assert mapped.is_unmapped or mapped.score >= 30
 
-    def test_align_reads_batch(self, small_reference, aligner):
+    def test_align_batch(self, small_reference, aligner):
         reads = [
             ("a", small_reference.sequence[100:201]),
             ("b", small_reference.sequence[400:501]),
         ]
-        mapped = aligner.align_reads(reads)
+        mapped = aligner.align_batch(reads)
         assert [m.position for m in mapped] == [100, 400]
 
     def test_dp_cells_counted_for_inexact_reads(self, small_reference):

@@ -20,33 +20,37 @@ from repro.seeding.accelerator import GlobalSeed
 from repro.seeding.smem import SeedTable
 
 
-def seed(offset, length, positions):
+def global_seed(offset, length, positions):
     return GlobalSeed(read_offset=offset, length=length, positions=tuple(positions))
 
 
 class TestCandidates:
     def test_seed_predicts_window_start(self):
-        candidates = candidates_from_seeds([seed(10, 20, [110])], reverse=False)
+        candidates = candidates_from_seeds([global_seed(10, 20, [110])], reverse=False)
         assert candidates[0].window_start == 100
 
     def test_agreeing_seeds_merged(self):
         candidates = candidates_from_seeds(
-            [seed(0, 20, [100]), seed(30, 15, [130])], reverse=False
+            [global_seed(0, 20, [100]), global_seed(30, 15, [130])], reverse=False
         )
         assert len(candidates) == 1
         assert candidates[0].seed_length == 20  # longest supporter kept
 
     def test_negative_window_dropped(self):
-        candidates = candidates_from_seeds([seed(50, 10, [5])], reverse=False)
+        candidates = candidates_from_seeds([global_seed(50, 10, [5])], reverse=False)
         assert candidates == []
 
     def test_cap_prefers_long_seeds(self):
-        seeds = [seed(0, 10, [100]), seed(0, 40, [500]), seed(0, 25, [900])]
+        seeds = [
+            global_seed(0, 10, [100]),
+            global_seed(0, 40, [500]),
+            global_seed(0, 25, [900]),
+        ]
         candidates = candidates_from_seeds(seeds, reverse=False, max_candidates=2)
         assert [c.seed_length for c in candidates] == [40, 25]
 
     def test_reverse_flag_propagates(self):
-        candidates = candidates_from_seeds([seed(0, 10, [100])], reverse=True)
+        candidates = candidates_from_seeds([global_seed(0, 10, [100])], reverse=True)
         assert candidates[0].reverse
 
 
@@ -55,10 +59,22 @@ class TestCandidateTable:
 
     STRANDS = [
         # Negative starts, a start supported twice, equal-length ties.
-        [seed(50, 10, [5, 60, 300]), seed(0, 12, [10, 250]), seed(3, 12, [13, 90])],
-        [seed(0, 10, [100]), seed(0, 40, [500]), seed(0, 25, [900, 40])],
+        [
+            global_seed(50, 10, [5, 60, 300]),
+            global_seed(0, 12, [10, 250]),
+            global_seed(3, 12, [13, 90]),
+        ],
+        [
+            global_seed(0, 10, [100]),
+            global_seed(0, 40, [500]),
+            global_seed(0, 25, [900, 40]),
+        ],
         [],
-        [seed(7, 9, [7, 8, 9, 1_000]), seed(2, 9, [3, 999]), seed(0, 30, [4])],
+        [
+            global_seed(7, 9, [7, 8, 9, 1_000]),
+            global_seed(2, 9, [3, 999]),
+            global_seed(0, 30, [4]),
+        ],
     ]
 
     @pytest.mark.parametrize("cap", [0, 1, 2, None])

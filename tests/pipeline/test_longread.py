@@ -73,7 +73,7 @@ class TestLongReadAligner:
         ]
         per_read = LongReadAligner(reference)
         batch = LongReadAligner(reference)
-        singles = per_read.align_reads(reads)
+        singles = [per_read.align_batch([read])[0] for read in reads]
         batched = batch.align_batch(reads)
         for x, y in zip(singles, batched):
             assert (x.position, x.reverse, x.score) == (

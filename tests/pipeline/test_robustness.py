@@ -77,14 +77,44 @@ class TestLowerCase:
         assert (single.position, str(single.cigar)) == (3000, str(upper.cigar))
 
 
-class TestDegenerateReads:
-    def test_read_shorter_than_k(self, genax):
-        mapped = genax.align_read("tiny", "ACGT")
-        assert mapped.is_unmapped  # no seeds possible, score < min_score
+def default_aligner(backend, reference):
+    spec = get_backend(backend)
+    return spec.build(reference, spec.default_config(), None)
 
-    def test_empty_read(self, genax):
-        mapped = genax.align_read("empty", "")
+
+class TestDegenerateReads:
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_read_shorter_than_k(self, small_reference, backend):
+        mapped = default_aligner(backend, small_reference).align_read(
+            "tiny", "ACGT"
+        )
+        assert mapped.is_unmapped  # no seeds possible, score < min_score
+        assert mapped.position == -1
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_empty_read(self, small_reference, backend):
+        mapped = default_aligner(backend, small_reference).align_read(
+            "empty", ""
+        )
         assert mapped.is_unmapped
+        assert mapped.position == -1
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_degenerate_reads_inside_a_batch(
+        self, small_reference, simulated_reads, backend
+    ):
+        # An empty and a 5 bp read in the middle of a batch come back
+        # unmapped without aborting it, and every other read maps exactly
+        # as it does in a batch of its own.
+        normal = [(s.name, s.sequence) for s in simulated_reads[:6]]
+        batch = normal[:3] + [("empty", ""), ("short", "ACGTA")] + normal[3:]
+        mapped = default_aligner(backend, small_reference).align_batch(batch)
+        assert [m.read_name for m in mapped] == [name for name, __ in batch]
+        assert [m.position for m in mapped[3:5]] == [-1, -1]
+        alone = default_aligner(backend, small_reference)
+        assert mapped[:3] + mapped[5:] == [
+            alone.align_batch([read])[0] for read in normal
+        ]
 
     def test_read_longer_than_any_segment_window(self, small_reference):
         aligner = GenAxAligner(

@@ -1,9 +1,10 @@
-"""Batch-vs-scalar dispatch identity over the new scenario profiles.
+"""Batch-size identity over the scenario profiles.
 
 Every registered backend must produce bit-identical mappings (and
-counters) whether it runs the per-read loop or the segment-major batch
-path — for the long-read and paired-end read shapes, not just the
-classic 101 bp workload the original identity tests cover.  Backends
+counters) whether each read is mapped in an ``align_batch`` call of its
+own or all of them in one — for the long-read and paired-end read
+shapes, not just the classic 101 bp workload the original identity
+tests cover.  Backends
 run at the quick perf-matrix operating point (edit bound 12, small
 candidate cap); the paper's conservative K = 40 defaults are sized for
 low-error short reads and make 10%-error kilobase reads a tier-1
@@ -57,7 +58,7 @@ def test_batch_matches_per_read(
     reads = profile_reads[profile]
     per_read = build_aligner(backend, tiny_reference, quick_config(backend))
     batch = build_aligner(backend, tiny_reference, quick_config(backend))
-    singles = per_read.align_reads(reads)
+    singles = [per_read.align_batch([read])[0] for read in reads]
     batched = batch.align_batch(reads)
     assert len(singles) == len(batched) == len(reads)
     for x, y in zip(singles, batched):
@@ -77,10 +78,10 @@ def test_runs_are_deterministic(backend, tiny_reference, profile_reads):
     reads = profile_reads["paired_end"]
     first = build_aligner(
         backend, tiny_reference, quick_config(backend)
-    ).align_reads(reads)
+    ).align_batch(reads)
     second = build_aligner(
         backend, tiny_reference, quick_config(backend)
-    ).align_reads(reads)
+    ).align_batch(reads)
     assert [(m.position, m.reverse, m.score) for m in first] == [
         (m.position, m.reverse, m.score) for m in second
     ]

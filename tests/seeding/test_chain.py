@@ -21,11 +21,16 @@ def provider(reference):
     return ChainedSeedProvider(reference.sequence)
 
 
+def seed_one(provider, read):
+    """The seeds of *read* in a batch of its own."""
+    return provider.seed_batch([read])[0]
+
+
 class TestChaining:
     def test_exact_read_chains_to_true_diagonal(self, reference):
         provider = ChainedSeedProvider(reference.sequence)
         read = reference.sequence[1_000:1_400]
-        seeds = provider.seed(read)
+        seeds = seed_one(provider, read)
         assert seeds
         # Some chain reproduces the true diagonal: position - offset = 1000.
         diagonals = {s.positions[0] - s.read_offset for s in seeds}
@@ -35,13 +40,13 @@ class TestChaining:
         provider = ChainedSeedProvider(reference.sequence)
         read = reference.sequence[500:900]
         assert all(
-            not seed.exact_whole_read for seed in provider.seed(read)
+            not seed.exact_whole_read for seed in seed_one(provider, read)
         )
 
     def test_seed_span_covers_anchored_read_range(self, reference):
         provider = ChainedSeedProvider(reference.sequence)
         read = reference.sequence[2_000:2_500]
-        seeds = provider.seed(read)
+        seeds = seed_one(provider, read)
         best = max(seeds, key=lambda s: s.length)
         # A fully exact read chains end to end: the span reaches within
         # one stride + k of the read length.
@@ -57,21 +62,21 @@ class TestChaining:
         # An independent random read: a 13-mer collision against a 4 kbp
         # genome has probability ~6e-5 per anchor, so no chain forms.
         read = random_dna(200, random.Random(999))
-        assert provider.seed(read) == []
+        assert seed_one(provider, read) == []
 
     def test_min_chain_anchors_filters_singletons(self, reference):
         config = ChainConfig(min_chain_anchors=2)
         provider = ChainedSeedProvider(reference.sequence, config)
         # One k-mer only: a single anchor can never reach two anchors.
         read = reference.sequence[100 : 100 + config.k]
-        assert provider.seed(read) == []
+        assert seed_one(provider, read) == []
 
     def test_max_chains_caps_emission(self, reference):
         capped = ChainedSeedProvider(
             reference.sequence, ChainConfig(max_chains=1)
         )
         read = reference.sequence[1_000:1_400]
-        assert len(capped.seed(read)) <= 1
+        assert len(seed_one(capped, read)) <= 1
 
     def test_repeat_kmers_are_masked(self):
         # A pure repeat genome: every k-mer matches everywhere, which
@@ -80,7 +85,7 @@ class TestChaining:
         provider = ChainedSeedProvider(
             genome, ChainConfig(max_hits_per_kmer=4)
         )
-        provider.seed(genome[:200])
+        seed_one(provider, genome[:200])
         assert provider.stats.anchors_masked > 0
         assert provider.stats.anchor_hits == 0
 
@@ -92,7 +97,7 @@ class TestChaining:
         batch_provider = ChainedSeedProvider(reference.sequence)
         per_read_provider = ChainedSeedProvider(reference.sequence)
         batched = batch_provider.seed_batch(sequences)
-        singles = [per_read_provider.seed(s) for s in sequences]
+        singles = [seed_one(per_read_provider, s) for s in sequences]
         assert list(batched) == singles
 
     def test_batch_counts_like_per_read(self, reference):
@@ -109,7 +114,7 @@ class TestChaining:
         batch_provider = ChainedSeedProvider(reference.sequence, config)
         per_read_provider = ChainedSeedProvider(reference.sequence, config)
         batched = batch_provider.seed_batch(sequences)
-        singles = [per_read_provider.seed(s) for s in sequences]
+        singles = [seed_one(per_read_provider, s) for s in sequences]
         assert list(batched) == singles
         assert batch_provider.stats == per_read_provider.stats
         assert batch_provider.stats.anchors_sampled > 0
@@ -118,7 +123,7 @@ class TestChaining:
 class TestStats:
     def test_counters_track_one_read(self, reference):
         provider = ChainedSeedProvider(reference.sequence)
-        provider.seed(reference.sequence[3_000:3_400])
+        seed_one(provider, reference.sequence[3_000:3_400])
         stats = provider.stats
         assert stats.reads_seeded == 1
         assert stats.anchors_sampled > 0

@@ -131,7 +131,7 @@ class TestBatchMatchesOneReadCalls:
         single = WholeGenomeSeedProvider(SeedingLane(tables, config))
         batch_reads = _batch_reads(reference)
         assert list(batched.seed_batch(batch_reads)) == [
-            single.seed(read) for read in batch_reads
+            single.lane.seed_read(read) for read in batch_reads
         ]
         assert _counters(batched.lane.finder.stats) == _counters(
             single.lane.finder.stats

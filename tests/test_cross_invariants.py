@@ -146,7 +146,7 @@ class TestDeterminism:
             results.append(
                 [
                     (m.position, m.reverse, m.score, str(m.cigar))
-                    for m in aligner.align_reads(reads)
+                    for m in aligner.align_batch(reads)
                 ]
             )
         assert results[0] == results[1]
