@@ -32,7 +32,7 @@ from repro.align.extension_oracle import (
     clipped_best_score,
     extension_oracle,
 )
-from repro.align.myers import myers_bounded, myers_distance, myers_search
+from repro.align.myers import myers_search
 from repro.align.levenshtein_automaton import (
     LevenshteinAutomaton,
     LAWorkloadCost,
@@ -74,8 +74,6 @@ __all__ = [
     "ExtensionOracleResult",
     "clipped_best_score",
     "extension_oracle",
-    "myers_bounded",
-    "myers_distance",
     "myers_search",
     "LevenshteinAutomaton",
     "LAWorkloadCost",

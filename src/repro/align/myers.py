@@ -1,18 +1,20 @@
-"""Myers' bit-vector algorithm for edit distance [15].
+"""Myers' bit-vector algorithm for approximate matching [15], scalar.
 
-The fastest practical software formulation of unit-cost edit distance: the
-DP column is packed into machine words and updated with O(1) bitwise
-operations per text character.  Included as the strongest software
-comparator for the Silla *edit* machine (the scoring machine has no
-bit-parallel equivalent, which is part of the paper's motivation).
+The DP column is packed into one Python integer and updated with O(1)
+bitwise operations per text character.  Python integers are arbitrary
+precision, so a single "word" covers any pattern length; the
+per-character cost is O(N/w) with an effectively large w.
 
-Python integers are arbitrary precision, so a single "word" covers any
-pattern length; the per-character cost is O(N/w) with an effectively large w.
+Two semi-global forms (text-side gaps before and after the match are
+free): :func:`myers_semiglobal_min`, the scalar oracle of the batched
+kernel in :mod:`repro.align.bitvector` and the long-read gate, and
+:func:`myers_search`, the end positions within k edits that mate rescue
+enumerates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 def _pattern_masks(pattern: str) -> Dict[str, int]:
@@ -20,41 +22,6 @@ def _pattern_masks(pattern: str) -> Dict[str, int]:
     for index, char in enumerate(pattern):
         masks[char] = masks.get(char, 0) | (1 << index)
     return masks
-
-
-def myers_distance(pattern: str, text: str) -> int:
-    """Edit distance between *pattern* and *text* (global, unit costs)."""
-    if not pattern:
-        return len(text)
-    m = len(pattern)
-    masks = _pattern_masks(pattern)
-    all_ones = (1 << m) - 1
-    vp = all_ones  # vertical positive deltas
-    vn = 0  # vertical negative deltas
-    score = m
-    high_bit = 1 << (m - 1)
-    for char in text:
-        eq = masks.get(char, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        if hp & high_bit:
-            score += 1
-        elif hn & high_bit:
-            score -= 1
-        hp = (hp << 1) | 1
-        hn = hn << 1
-        vp = hn | ~(xv | hp)
-        vn = hp & xv
-        vp &= all_ones | (all_ones << 1)
-    return score
-
-
-def myers_bounded(pattern: str, text: str, k: int) -> Optional[int]:
-    """Edit distance if <= k else ``None`` (same contract as Silla)."""
-    distance = myers_distance(pattern, text)
-    return distance if distance <= k else None
 
 
 def myers_semiglobal_min(pattern: str, text: str) -> int:

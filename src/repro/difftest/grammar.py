@@ -14,17 +14,14 @@ inputs where approximate or windowed kernels silently drift from full DP:
 * ``rev_comp`` — query is the reverse complement of a mutated window
   (exercises strand normalization in seeding/mapping pairs).
 
-Scenario families added with the long-read/paired-end/SV workloads:
+Scenario families added with the long-read/paired-end workloads:
 
 * ``long_read_indel`` — long mutated windows under an indel-dominated
   (~10%, 3/4 indels) error process, the nanopore shape that drifts
   windowed kernels off their diagonal;
 * ``paired_end`` — the mate-rescue geometry: the query is one FR mate
   (forward head or reverse-complemented tail of a fragment window) with
-  light errors, searched inside an insert-sized reference;
-* ``sv_chimeric`` — the query is two segments from unrelated loci
-  (inversion / translocation / novel-insertion shapes) glued at a
-  breakpoint carried in ``params["breakpoint"]``.
+  light errors, searched inside an insert-sized reference.
 
 Determinism contract: every draw flows from one ``random.Random`` seeded
 with ``"{seed}:{pair}:{index}"``, so any single case can be regenerated
@@ -38,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.genome.sequence import random_dna, reverse_complement
 
@@ -265,27 +262,8 @@ def _gen_paired_end(rng: random.Random, spec: GenSpec) -> Tuple[str, str]:
     return reference, _mutate(rng, mate, rng.randint(0, 3))
 
 
-def _gen_sv_chimeric(
-    rng: random.Random, spec: GenSpec
-) -> Tuple[str, str, Dict[str, int]]:
-    reference = random_dna(_length(rng, spec.ref_len), rng)
-    half = (spec.query_len[0] // 2, max(1, spec.query_len[1] // 2))
-    left = _mutate(rng, _window(rng, reference, half), rng.randint(0, 2))
-    shape = rng.randrange(3)
-    if shape == 0:  # inversion: right segment is reverse-complemented
-        right = reverse_complement(_window(rng, reference, half))
-    elif shape == 1:  # translocation: right segment from another locus
-        right = _window(rng, reference, half)
-    else:  # novel insertion: right segment maps nowhere
-        right = random_dna(_length(rng, half), rng)
-    right = _mutate(rng, right, rng.randint(0, 2))
-    return reference, left + right, {"breakpoint": len(left)}
-
-
-#: A family returns (reference, query) or (reference, query, extra_params);
-#: extras are merged into the case's params after the standard draw.
-FamilyResult = Union[Tuple[str, str], Tuple[str, str, Dict[str, int]]]
-Family = Callable[[random.Random, GenSpec], FamilyResult]
+#: A family draws a (reference, query) pair.
+Family = Callable[[random.Random, GenSpec], Tuple[str, str]]
 
 #: The historic rotation pairs without ``GenSpec.families`` still use —
 #: frozen so registering new families never perturbs their case streams.
@@ -308,7 +286,6 @@ FAMILIES: Dict[str, Family] = {
     "rev_comp": _gen_rev_comp,
     "long_read_indel": _gen_long_read_indel,
     "paired_end": _gen_paired_end,
-    "sv_chimeric": _gen_sv_chimeric,
 }
 
 
@@ -333,15 +310,12 @@ class CaseGenerator:
             else self.spec.families
         )
         family_name = rotation[index % len(rotation)]
-        result = FAMILIES[family_name](rng, self.spec)
-        reference, query = result[0], result[1]
-        extra: Dict[str, int] = result[2] if len(result) == 3 else {}
+        reference, query = FAMILIES[family_name](rng, self.spec)
         params = {
             "k": rng.randint(max(self.spec.min_k, 0), 8),
             "band": rng.randint(1, 6),
             "smem_k": rng.randint(3, 6),
         }
-        params.update(extra)
         if family_name == "edit_burst" and query:
             # Exactly k or k+1 clustered edits: straddle the K boundary.
             edits = params["k"] + rng.randint(0, 1)

@@ -11,12 +11,7 @@ what "agree" means:
   internally valid (consistent ops that re-score to the reported score);
   the CIGARs themselves may differ, because co-optimal tracebacks are
   legitimately non-unique;
-* ``hit-set`` — the outputs are sorted hit lists that must be identical;
-* ``no-false-reject`` — one-sided: whenever the oracle's true distance is
-  within the fast side's budget, every filter verdict must admit.  The
-  converse direction is deliberately unconstrained — a pre-alignment
-  filter is allowed to be conservative (admit over-budget candidates),
-  never lossy (veto within-budget ones).
+* ``hit-set`` — the outputs are sorted hit lists that must be identical.
 
 Every hook is a module-level function (never a lambda or closure), so a
 future fuzz driver can shard pairs across processes via
@@ -52,11 +47,7 @@ from repro.align.hirschberg import (
     nw_global_align,
 )
 from repro.align.bitvector import BITS_PER_WORD, semiglobal_min_windows
-from repro.align.myers import (
-    myers_distance,
-    myers_search,
-    myers_semiglobal_min,
-)
+from repro.align.myers import myers_search, myers_semiglobal_min
 from repro.align.records import Alignment, AlignmentStats
 from repro.align.scoring import (
     BWA_MEM_SCHEME,
@@ -70,12 +61,7 @@ from repro.align.ula import UniversalLevenshteinAutomaton
 from repro.align.xdrop import xdrop_extension_score
 from repro.core.silla import Silla
 from repro.difftest.grammar import DiffCase, GenSpec
-from repro.filters import (
-    FilterCascade,
-    MyersCandidateFilter,
-    filter_names,
-    get_filter,
-)
+from repro.filters import FilterCascade, MyersCandidateFilter
 from repro.genome.reference import ReferenceGenome, SegmentView
 from repro.genome.sequence import encode_bases, reverse_complement
 from repro.pipeline.common import (
@@ -95,7 +81,6 @@ from repro.seeding.index import IndexTables, KmerIndex, build_segment_tables
 from repro.seeding.smem import ReadBatch, SeedingMode, SmemConfig, SmemFinder
 from repro.seeding.smem_oracle import (
     CamWalkFinder,
-    brute_force_exact_match,
     brute_force_smems,
     seed_reads_per_segment,
 )
@@ -125,7 +110,6 @@ class Contract(enum.Enum):
     EXACT_SCORE = "exact-score"
     SCORE_CIGAR = "score-cigar"
     HIT_SET = "hit-set"
-    NO_FALSE_REJECT = "no-false-reject"
 
 
 @dataclass(frozen=True)
@@ -164,30 +148,12 @@ def _score_cigar_mismatch(fast: Output, oracle: Output) -> Optional[str]:
     return None
 
 
-def _no_false_reject_mismatch(fast: Output, oracle: Output) -> Optional[str]:
-    if not isinstance(fast, dict) or not isinstance(oracle, dict):
-        return "no-false-reject outputs must be dicts"
-    if oracle["distance"] > fast["k"]:
-        return None  # over budget: a conservative filter may go either way
-    vetoed = sorted(
-        name for name, admitted in fast["verdicts"].items() if not admitted
-    )
-    if vetoed:
-        return (
-            f"false reject: true distance {oracle['distance']} is within "
-            f"budget k={fast['k']} but stage(s) {', '.join(vetoed)} vetoed"
-        )
-    return None
-
-
 def compare_outputs(
     contract: Contract, fast: Output, oracle: Output
 ) -> Optional[str]:
     """``None`` when the outputs satisfy *contract*, else a mismatch detail."""
     if contract is Contract.SCORE_CIGAR:
         return _score_cigar_mismatch(fast, oracle)
-    if contract is Contract.NO_FALSE_REJECT:
-        return _no_false_reject_mismatch(fast, oracle)
     if fast != oracle:
         return f"output mismatch: fast={fast!r} oracle={oracle!r}"
     return None
@@ -211,14 +177,6 @@ def evaluate_pair(pair: OraclePair, case: DiffCase) -> Optional[Disagreement]:
 
 
 # ------------------------------------------------------------ exact-score
-
-
-def _fast_myers(case: DiffCase) -> Output:
-    return myers_distance(case.query, case.reference)
-
-
-def _oracle_levenshtein(case: DiffCase) -> Output:
-    return levenshtein(case.reference, case.query)
 
 
 def _oracle_bounded_levenshtein(case: DiffCase) -> Output:
@@ -412,45 +370,6 @@ def _oracle_semiglobal_hits(case: DiffCase) -> Output:
         if column[m] <= k:
             hits.append(position)
     return hits
-
-
-def _seed_list(seeds: Output) -> Output:
-    return sorted(
-        [seed.read_offset, seed.length, sorted(seed.hits)] for seed in seeds
-    )
-
-
-def _fast_smems(case: DiffCase) -> Output:
-    k = case.param("smem_k")
-    if len(case.reference) < k or len(case.query) < k:
-        return []
-    index = KmerIndex.build(case.reference, k)
-    finder = SmemFinder(index, SmemConfig(k=k))
-    return _seed_list(finder.find_seeds(case.query))
-
-
-def _oracle_smems(case: DiffCase) -> Output:
-    k = case.param("smem_k")
-    if len(case.reference) < k or len(case.query) < k:
-        return []
-    return _seed_list(brute_force_smems(case.reference, case.query, k))
-
-
-def _fast_exact_match(case: DiffCase) -> Output:
-    k = case.param("smem_k")
-    if len(case.reference) < k or len(case.query) < k:
-        return []
-    index = KmerIndex.build(case.reference, k)
-    finder = SmemFinder(index, SmemConfig(k=k))
-    hits = finder.exact_match_hits(case.query)
-    return sorted(hits) if hits is not None else []
-
-
-def _oracle_exact_match(case: DiffCase) -> Output:
-    k = case.param("smem_k")
-    if len(case.reference) < k or len(case.query) < k:
-        return []
-    return sorted(brute_force_exact_match(case.reference, case.query))
 
 
 def _smem_batch_setup(
@@ -1236,62 +1155,6 @@ def _oracle_banded_per_lane(case: DiffCase) -> Output:
     ]
 
 
-# ------------------------------------------------- filter cascade
-
-
-def _fast_cascade_verdicts(case: DiffCase) -> Output:
-    """Every registered filter stage's ``admit_batch`` verdict on one window.
-
-    The whole reference is presented as the candidate window (slack padded
-    so the fetch covers it end to end), so each stage answers the same
-    question the oracle answers with full DP: could the query place
-    semi-globally in this text within ``k`` edits?
-    """
-    k = case.param("k")
-    reference = ReferenceGenome(case.reference, name="difftest")
-    slack = max(0, len(case.reference) - len(case.query))
-    candidate = Candidate(
-        window_start=0, reverse=False, seed_length=len(case.query)
-    )
-    verdicts: Dict[str, bool] = {}
-    for name in filter_names():
-        stage = get_filter(name).build(reference, k, slack)
-        jobs = CandidateTable.from_jobs([(case.query, candidate)])
-        verdicts[name] = bool(stage.admit_batch(jobs, AlignmentStats())[0])
-    return {"k": k, "verdicts": verdicts}
-
-
-def _oracle_semiglobal_distance(case: DiffCase) -> Output:
-    return {"distance": _semiglobal_min_dp(case.query, case.reference)}
-
-
-def _map_genax(case: DiffCase, filters: Optional[Tuple[str, ...]]) -> Output:
-    """Map the case query with genax; the full mapping record is pinned."""
-    config = get_backend("genax").default_config()
-    config.min_score = MAPPING_MIN_SCORE
-    config.edit_bound = MAPPING_BUDGET
-    config.segment_count = 2
-    config.filters = filters
-    reference = ReferenceGenome(case.reference, name="difftest")
-    aligner = build_aligner("genax", reference, config)
-    mapped = aligner.align_read("difftest", case.query)
-    return {
-        "mapped": not mapped.is_unmapped,
-        "position": mapped.position,
-        "reverse": bool(mapped.reverse),
-        "score": mapped.score if not mapped.is_unmapped else 0,
-        "cigar": str(mapped.cigar) if mapped.cigar is not None else "",
-    }
-
-
-def _fast_genax_cascade_mapping(case: DiffCase) -> Output:
-    return _map_genax(case, ("myers",))
-
-
-def _oracle_genax_nofilter_mapping(case: DiffCase) -> Output:
-    return _map_genax(case, None)
-
-
 # ------------------------------------------------- backend concordance
 
 
@@ -1329,10 +1192,10 @@ def _oracle_bwamem_mapping(case: DiffCase) -> Output:
 
 # ------------------------------------------------- scenario families
 #
-# The three workload-scenario pairs (ISSUE: long-read, paired-end, SV).
-# Each pins a scenario fast path against a full-DP oracle on the
-# generative family built for that scenario, so the families exercise
-# the exact error shapes the fast paths were tuned for.
+# The long-read and paired-end scenario pairs.  Each pins a scenario
+# fast path against a full-DP oracle on the generative family built for
+# that scenario, so the families exercise the exact error shapes the
+# fast paths were tuned for.
 
 #: The long-read verify path derives all parameters from read length;
 #: both sides of the pair use the *same* policy instance so any
@@ -1458,36 +1321,6 @@ def _oracle_pair_rescue(case: DiffCase) -> Output:
     return {"rescued": rescued, "score": score if rescued else 0}
 
 
-def _sv_segments(case: DiffCase) -> Tuple[str, str]:
-    """Split a chimeric query at the grammar-provided breakpoint."""
-    breakpoint = case.param("breakpoint")
-    return case.query[:breakpoint], case.query[breakpoint:]
-
-
-def _fast_sv_split(case: DiffCase) -> Output:
-    """Per-segment batched semi-global distances of a chimeric read.
-
-    Split mapping places each side of the breakpoint independently; the
-    pinned quantity is the per-segment minimum semi-global distance the
-    windowed bit-parallel kernel reports for the two segments as one
-    ragged batch (the shape the ``myers`` stage dispatches), at the
-    case's k: both sides clip the distances at k + 1.
-    """
-    left, right = _sv_segments(case)
-    return _windows_semiglobal_min(
-        [(left, case.reference), (right, case.reference)], case.param("k")
-    )
-
-
-def _oracle_sv_split(case: DiffCase) -> Output:
-    left, right = _sv_segments(case)
-    k = case.param("k")
-    return [
-        min(_semiglobal_min_dp(left, case.reference), k + 1),
-        min(_semiglobal_min_dp(right, case.reference), k + 1),
-    ]
-
-
 # -------------------------------------------------------------- registry
 
 _KERNEL_SPEC = GenSpec(ref_len=(0, 48), query_len=(0, 40))
@@ -1501,9 +1334,6 @@ _MAPPING_SPEC = GenSpec(
     query_len=(24, MAPPING_MAX_READ),
     related_query=True,
 )
-#: Filter stages see windows a little larger than the query; keep both
-#: sides small enough that the full-DP oracle stays fast at 500+ cases.
-_FILTER_SPEC = GenSpec(ref_len=(0, 96), query_len=(0, 64))
 #: Scenario specs pin their own family rotation (``families=``) instead
 #: of the classic six, so every generated case exercises the scenario's
 #: error shape.  Query sizes are scaled-down long reads: big enough to
@@ -1515,9 +1345,6 @@ _LONGREAD_SPEC = GenSpec(
 )
 _PAIREDEND_SPEC = GenSpec(
     ref_len=(64, 224), query_len=(16, 56), families=("paired_end",)
-)
-_SV_SPEC = GenSpec(
-    ref_len=(48, 192), query_len=(16, 96), families=("sv_chimeric",)
 )
 #: The object traceback machine costs ~(K+1)^2 PE updates per cycle in
 #: Python; these sizes keep six lanes per case at K = 40 affordable.
@@ -1553,16 +1380,6 @@ def get_pair(name: str) -> OraclePair:
         raise ValueError(f"unknown oracle pair {name!r} (known: {known})") from None
 
 
-_register(
-    OraclePair(
-        name="myers-vs-dp",
-        contract=Contract.EXACT_SCORE,
-        description="Myers bit-vector global distance vs full-DP Levenshtein",
-        fast=_fast_myers,
-        oracle=_oracle_levenshtein,
-        spec=_KERNEL_SPEC,
-    )
-)
 _register(
     OraclePair(
         name="silla-vs-dp",
@@ -1651,26 +1468,6 @@ _register(
         fast=_fast_myers_search,
         oracle=_oracle_semiglobal_hits,
         spec=_BOUNDED_SPEC,
-    )
-)
-_register(
-    OraclePair(
-        name="smem-vs-brute",
-        contract=Contract.HIT_SET,
-        description="Indexed SMEM finder (binary extension) vs brute-force scanner",
-        fast=_fast_smems,
-        oracle=_oracle_smems,
-        spec=_SEEDING_SPEC,
-    )
-)
-_register(
-    OraclePair(
-        name="exact-match-vs-brute",
-        contract=Contract.HIT_SET,
-        description="Spanning-k-mer exact-match fast path vs brute-force scanner",
-        fast=_fast_exact_match,
-        oracle=_oracle_exact_match,
-        spec=_SEEDING_SPEC,
     )
 )
 _register(
@@ -1795,32 +1592,6 @@ _register(
 )
 _register(
     OraclePair(
-        name="filters-vs-distance",
-        contract=Contract.NO_FALSE_REJECT,
-        description=(
-            "Every registered filter stage's verdict vs full-DP "
-            "semi-global distance: no stage may veto a within-budget window"
-        ),
-        fast=_fast_cascade_verdicts,
-        oracle=_oracle_semiglobal_distance,
-        spec=_FILTER_SPEC,
-    )
-)
-_register(
-    OraclePair(
-        name="cascade-vs-nofilter",
-        contract=Contract.EXACT_SCORE,
-        description=(
-            "genax with the myers filter cascade vs "
-            "genax with no filters: bit-identical mapping records"
-        ),
-        fast=_fast_genax_cascade_mapping,
-        oracle=_oracle_genax_nofilter_mapping,
-        spec=_MAPPING_SPEC,
-    )
-)
-_register(
-    OraclePair(
         name="genax-vs-bwamem",
         contract=Contract.EXACT_SCORE,
         description=(
@@ -1856,19 +1627,5 @@ _register(
         fast=_fast_pair_rescue,
         oracle=_oracle_pair_rescue,
         spec=_PAIREDEND_SPEC,
-    )
-)
-_register(
-    OraclePair(
-        name="sv-chimeric-vs-dp",
-        contract=Contract.EXACT_SCORE,
-        description=(
-            "Per-segment batched semi-global distances of a chimeric read "
-            "split at its breakpoint vs scalar full-DP per segment, both "
-            "clipped at k + 1"
-        ),
-        fast=_fast_sv_split,
-        oracle=_oracle_sv_split,
-        spec=_SV_SPEC,
     )
 )

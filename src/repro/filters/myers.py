@@ -21,13 +21,14 @@ alignment within budget can touch — one machine word per lane up to
 ``min(distance, max_edits + 1)``, which is all the verdict needs.  A
 candidate is admitted iff that distance is ``<= max_edits``.
 That is exactly ``bool(myers_search(...))``, the scalar
-:meth:`~MyersCandidateFilter.admit` verdict the tests and the
-``filters-vs-distance`` difftest pair hold it to, because both
-recurrences start the score at the pattern length and
+:meth:`~MyersCandidateFilter.admit` verdict the tests hold it to,
+because both recurrences start the score at the pattern length and
 :func:`~repro.align.myers.myers_search` reports a hit wherever the
-running score is within budget.  A read base outside upper-case ACGT
-costs an edit against every reference base, as in the scalar
-recurrence, instead of aborting the dispatch.
+running score is within budget.  The ``candidate-table-vs-per-read``
+difftest pair holds every verdict of a dispatch to the scalar
+:func:`~repro.align.myers.myers_semiglobal_min`.  A read base outside
+upper-case ACGT costs an edit against every reference base, as in the
+scalar recurrence, instead of aborting the dispatch.
 
 Counter discipline (see :mod:`repro.filters.base`): the stage charges its
 streamed window to ``stats.prefilter_cycles`` (the hardware analogue

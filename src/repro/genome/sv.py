@@ -6,9 +6,7 @@ a read that crosses a breakpoint aligns as two segments to *different*
 reference loci (possibly on different strands), so no single banded DP can
 score it well.  These reads are what split-read SV callers consume, and
 for the pipeline they are the adversarial workload: seeding must surface
-two distinct candidate windows and the per-segment scores must still match
-the full-DP oracle segment by segment (the ``sv_chimeric`` difftest
-family).
+two distinct candidate windows.
 
 Each simulated read records its ground truth: the breakpoint offset inside
 the read and the reference coordinates (and strand) of both segments.
@@ -43,8 +41,8 @@ def sv_error_profile() -> ErrorProfile:
 
     The point of the ``sv`` profile is the breakpoint, not the base-level
     noise — keeping the per-base error rate low keeps each segment
-    near-exact so a disagreement in the difftest family points at the
-    chimera handling, not at edit-budget exhaustion.
+    near-exact, so a read the pipeline misplaces points at the chimera
+    handling, not at edit-budget exhaustion.
     """
     return ErrorProfile(rate_start=0.005, rate_end=0.01, indel_fraction=0.2)
 

@@ -135,7 +135,7 @@ class CandidateTable:
 
     @classmethod
     def from_jobs(cls, jobs: Sequence[Job]) -> "CandidateTable":
-        """One row per job (tests, tools and oracles hold job lists)."""
+        """One row per job (tests hold job lists)."""
         count = len(jobs)
         return cls(
             reads=[oriented for oriented, __ in jobs],

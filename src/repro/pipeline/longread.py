@@ -20,8 +20,11 @@ short-read backends, and nothing else — the shared
   row of every lane per NumPy step, each lane at its own band — exact
   against the scalar DP in score, span, CIGAR and cell count.
 
-The ``long_read_indel`` difftest family pins this fast path against the
-full-DP oracle (``longread-adaptive-vs-dp``), ``banded-batch-vs-scalar``
+The ``longread-adaptive-vs-dp`` difftest pair pins the two kernels this
+path runs (the Myers gate at the policy's bound, then the batched banded
+DP) against full DP on the ``long_read_indel`` family; it rebuilds the
+path from the policy rather than calling the engine, so the engine's own
+gate is pinned by the ``longread`` goldens.  ``banded-batch-vs-scalar``
 pins the batched DP against the scalar one, and the ``nanopore-small``
 perf profile pins its work counts.
 """

@@ -58,7 +58,6 @@ from repro.seeding.index import (
     KmerIndex,
     base_words_at,
     gather_runs,
-    kmer_codes,
     kmer_codes_at,
     pack_bases,
 )
@@ -383,8 +382,8 @@ class SmemFinder:
     *index* is one index or a sequence of them; a single index is a stack
     of one.  :meth:`seed_table` seeds a batch against every index of
     the stack with one RMEM search pass (:meth:`seed_segments` gives the
-    same seeds as objects); :meth:`seed_batch`, :meth:`rmem` and
-    :meth:`exact_match_hits` answer against a stack of one.
+    same seeds as objects); :meth:`seed_batch` and :meth:`rmem` answer
+    against a stack of one.
     """
 
     def __init__(
@@ -529,14 +528,6 @@ class SmemFinder:
         segments, columns = numpy.nonzero(~failed)
         return list(zip(segments.tolist(), reads[columns].tolist()))
 
-    def exact_match_hits(self, read: str) -> Optional[Tuple[int, ...]]:
-        """Fast path: hits where the *entire read* matches exactly, or None.
-
-        Looks up spanning k-mers, then intersects in ascending hit-count
-        order so the candidate set shrinks as fast as possible (§V, item 4).
-        """
-        return self._exact_match_hits(self.index, kmer_codes(read, self.config.k))
-
     def rmem(self, read: str, pivot: int) -> Optional[Seed]:
         """Right-maximal exact match starting at *pivot* (length >= k)."""
         if pivot < 0:
@@ -560,6 +551,11 @@ class SmemFinder:
     def _exact_match_hits(
         self, index: KmerIndex, codes: Sequence[int]
     ) -> Optional[Tuple[int, ...]]:
+        """Fast path: hits where the *entire read* matches exactly, or None.
+
+        Looks up spanning k-mers, then intersects in ascending hit-count
+        order so the candidate set shrinks as fast as possible (§V, item 4).
+        """
         if not codes:
             return None  # read shorter than k
         last = len(codes) - 1  # offset of the read's final k-mer

@@ -1,50 +1,7 @@
-"""Tests for repro.align.myers (bit-vector edit distance)."""
-
-from hypothesis import given, settings, strategies as st
+"""Tests for repro.align.myers (scalar bit-vector search)."""
 
 from repro.align.edit_distance import levenshtein
-from repro.align.myers import myers_bounded, myers_distance, myers_search
-
-dna = st.text(alphabet="ACGT", max_size=24)
-
-
-class TestMyersDistance:
-    def test_identity(self):
-        assert myers_distance("GATTACA", "GATTACA") == 0
-
-    def test_classic(self):
-        assert myers_distance("kitten", "sitting") == 3
-
-    def test_empty_pattern(self):
-        assert myers_distance("", "ACGT") == 4
-
-    def test_empty_text(self):
-        assert myers_distance("ACGT", "") == 4
-
-    def test_long_pattern_multiword(self):
-        # Longer than 64 symbols: exercises big-int "words".
-        pattern = "ACGT" * 40
-        text = pattern[:70] + "T" + pattern[70:]
-        assert myers_distance(pattern, text) == 1
-
-    @given(dna, dna)
-    @settings(max_examples=120, deadline=None)
-    def test_matches_dp(self, a, b):
-        assert myers_distance(a, b) == levenshtein(a, b)
-
-
-class TestMyersBounded:
-    def test_within(self):
-        assert myers_bounded("ACGT", "ACCT", 2) == 1
-
-    def test_beyond(self):
-        assert myers_bounded("AAAA", "TTTT", 2) is None
-
-    @given(dna, dna, st.integers(0, 6))
-    @settings(max_examples=80, deadline=None)
-    def test_same_contract_as_silla(self, a, b, k):
-        truth = levenshtein(a, b)
-        assert myers_bounded(a, b, k) == (truth if truth <= k else None)
+from repro.align.myers import myers_search
 
 
 class TestMyersSearch:

@@ -34,13 +34,29 @@ class TestReadmeRuleTable:
 
 
 WHOLE_PROGRAM_HEADING = "## Whole-program properties: tests, not lint rules"
+DIFFTEST_HEADING = "## Differential testing (`repro/difftest`)"
+
+
+def design_section(heading):
+    design = read_doc("DESIGN.md")
+    start = design.index(heading)
+    end = design.index("\n## ", start + len(heading))
+    return design[start:end]
 
 
 def whole_program_section():
-    design = read_doc("DESIGN.md")
-    start = design.index(WHOLE_PROGRAM_HEADING)
-    end = design.index("\n## ", start + len(WHOLE_PROGRAM_HEADING))
-    return design[start:end]
+    return design_section(WHOLE_PROGRAM_HEADING)
+
+
+def table_rows(section, header):
+    """The body rows of the table in *section* whose header starts *header*."""
+    lines = section[section.index("\n" + header) + 1 :].splitlines()
+    rows = []
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
 
 
 class TestDesignDoc:
@@ -125,13 +141,9 @@ class TestDesignWorkloadsAndScenarios:
 
     def test_section_names_the_scenario_difftest_pairs(self):
         design = read_doc("DESIGN.md")
-        for pair in (
-            "longread-adaptive-vs-dp",
-            "pairedend-rescue-vs-dp",
-            "sv-chimeric-vs-dp",
-        ):
+        for pair in ("longread-adaptive-vs-dp", "pairedend-rescue-vs-dp"):
             assert f"`{pair}`" in design
-        for family in ("long_read_indel", "paired_end", "sv_chimeric"):
+        for family in ("long_read_indel", "paired_end"):
             assert f"`{family}`" in design
 
     def test_section_names_the_pair_telemetry_surface(self):
@@ -143,11 +155,29 @@ class TestDesignWorkloadsAndScenarios:
 
 class TestDesignOracleTable:
     def test_design_names_every_registered_pair(self):
-        from repro.difftest.oracles import all_pairs
+        # The "Oracle registry" table has exactly one row per pair.
+        from repro.difftest.oracles import pair_names
 
-        design = read_doc("DESIGN.md")
-        for pair in all_pairs():
-            assert f"`{pair.name}`" in design, pair.name
+        rows = table_rows(design_section(DIFFTEST_HEADING), "| pair |")
+        names = [re.fullmatch(r"`([\w-]+)`", row[0]).group(1) for row in rows]
+        assert sorted(names) == sorted(pair_names())
+
+    def test_plant_matrix_cites_registered_pairs_and_existing_tests(self):
+        # Each plant row names the kept pairs and tests that catch it; a
+        # deleted pair or test file must not stay cited, and every plant
+        # must still be caught by something.
+        from repro.difftest.oracles import pair_names
+
+        rows = table_rows(design_section(DIFFTEST_HEADING), "| Plant |")
+        assert rows
+        for plant, pairs, tests in rows:
+            cited_pairs = re.findall(r"`([a-z0-9-]+)`", pairs)
+            cited_tests = re.findall(r"`(tests/[\w/]+\.py)", tests)
+            assert cited_pairs or cited_tests, plant
+            for name in cited_pairs:
+                assert name in pair_names(), (plant, name)
+            for path in cited_tests:
+                assert os.path.isfile(os.path.join(REPO_ROOT, path)), path
 
 
 class TestPerfTrajectoryDocs:

@@ -54,16 +54,16 @@ class TestCommittedCorpus:
 
 class TestCorpusFormat:
     def test_roundtrip_json(self):
-        pair = get_pair("myers-vs-dp")
+        pair = get_pair("silla-vs-dp")
         case = DiffCase("uniform", "ACGT", "ACG", {"k": 1, "band": 1, "smem_k": 3})
-        entry = make_entry(pair, case, seed="0:myers-vs-dp:0", note="roundtrip")
+        entry = make_entry(pair, case, seed="0:silla-vs-dp:0", note="roundtrip")
         rebuilt = entry_from_json(entry.to_json())
         assert rebuilt.case == entry.case
         assert rebuilt.expected_fast == entry.expected_fast
         assert rebuilt.contract is entry.contract
 
     def test_filename_is_content_addressed(self):
-        pair = get_pair("myers-vs-dp")
+        pair = get_pair("silla-vs-dp")
         case = DiffCase("uniform", "ACGT", "ACG", {"k": 1, "band": 1, "smem_k": 3})
         first = make_entry(pair, case, seed="s")
         second = make_entry(pair, case, seed="s")
@@ -77,7 +77,7 @@ class TestCorpusFormat:
             entry_from_json(data)
 
     def test_write_is_idempotent(self, tmp_path):
-        pair = get_pair("myers-vs-dp")
+        pair = get_pair("silla-vs-dp")
         case = DiffCase("uniform", "ACGT", "ACG", {"k": 1, "band": 1, "smem_k": 3})
         entry = make_entry(pair, case, seed="s")
         first = write_entry(str(tmp_path), entry)
@@ -94,7 +94,7 @@ class TestCorpusFormat:
 
 class TestReplayDetectsDrift:
     def test_contract_break_detected(self):
-        pair = get_pair("myers-vs-dp")
+        pair = get_pair("silla-vs-dp")
         case = DiffCase("uniform", "ACGT", "ACGT", {"k": 1, "band": 1, "smem_k": 3})
         entry = make_entry(pair, case, seed="s")
         # Forge an entry whose recorded outputs disagree with reality.

@@ -77,20 +77,19 @@ class TestFamilies:
         assert families == set(CLASSIC_FAMILIES)
 
     def test_pinned_families_rotate_scenario_generators(self):
-        scenario = ("long_read_indel", "paired_end", "sv_chimeric")
+        scenario = ("long_read_indel", "paired_end")
         gen = CaseGenerator(
             0,
             "p",
             GenSpec(ref_len=(60, 90), query_len=(20, 40), families=scenario),
         )
-        families = {gen.generate(index).family for index in range(6)}
+        families = {gen.generate(index).family for index in range(4)}
         assert families == set(scenario)
 
     def test_registry_covers_classic_and_scenario_families(self):
         assert set(FAMILIES) == set(CLASSIC_FAMILIES) | {
             "long_read_indel",
             "paired_end",
-            "sv_chimeric",
         }
 
     def test_sequences_are_dna(self):

@@ -14,7 +14,7 @@ from repro.difftest.runner import (
     run_pairs,
 )
 
-CHEAP_PAIRS = ["myers-vs-dp", "smem-vs-brute", "hirschberg-vs-nw"]
+CHEAP_PAIRS = ["silla-vs-dp", "smem-batch-vs-brute", "hirschberg-vs-nw"]
 
 
 def _broken_fast(case: DiffCase) -> int:
@@ -125,7 +125,7 @@ class TestCli:
                         "--seed",
                         "7",
                         "--pair",
-                        "myers-vs-dp",
+                        "silla-vs-dp",
                         "--report",
                         str(path),
                     ]

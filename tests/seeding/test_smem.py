@@ -222,9 +222,11 @@ class TestExactMatchFastPath:
         segment = "".join(rng.choice("ACGT") for _ in range(400))
         read = segment[100:160]
         finder = make_finder(segment, 6, exact_match_fast_path=True)
-        hits = finder.exact_match_hits(read)
-        assert hits == brute_force_exact_match(segment, read)
-        assert 100 in hits
+        (seed,) = finder.find_seeds(read)
+        assert finder.stats.exact_match_reads == 1
+        assert (seed.read_offset, seed.length) == (0, len(read))
+        assert seed.hits == brute_force_exact_match(segment, read)
+        assert 100 in seed.hits
 
     def test_rejects_inexact_read(self):
         rng = random.Random(11)
@@ -232,7 +234,9 @@ class TestExactMatchFastPath:
         read = list(segment[100:160])
         read[30] = "A" if read[30] != "A" else "C"
         finder = make_finder(segment, 6, exact_match_fast_path=True)
-        assert finder.exact_match_hits("".join(read)) is None
+        seeds = finder.find_seeds("".join(read))
+        assert finder.stats.exact_match_reads == 0
+        assert all(seed.length < len(read) for seed in seeds)
 
     def test_fast_path_counted(self):
         segment = "GGGG" + "ACGTAACCGGTTACGT" + "CCCC"
@@ -242,7 +246,8 @@ class TestExactMatchFastPath:
 
     def test_read_shorter_than_k(self):
         finder = make_finder("ACGTACGT", 4, exact_match_fast_path=True)
-        assert finder.exact_match_hits("AC") is None
+        assert finder.find_seeds("AC") == []
+        assert finder.stats.exact_match_reads == 0
 
 
 def _repeat_segment(seed: int) -> str:

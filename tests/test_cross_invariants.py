@@ -5,7 +5,7 @@ point of the paper is that they differ in *cost*, never in *answers*).
 This suite runs them all over the same randomized workloads:
 
 * edit distance: DP, Silla (2-D/3-D/collapsed), the SillaX edit machine,
-  Myers bit-vector, the classic LA, the ULA, and the STE-compiled LA;
+  the classic LA, the ULA, and the STE-compiled LA;
 * bounded affine extension: the (i,j,e) oracle, the scoring machine, the
   dense machine, and the traceback machine;
 * unbounded extension: full Gotoh, wide-banded Gotoh, wide X-drop, and the
@@ -22,7 +22,6 @@ from repro.align.banded import banded_extension_score
 from repro.align.edit_distance import levenshtein
 from repro.align.extension_oracle import extension_oracle
 from repro.align.levenshtein_automaton import LevenshteinAutomaton
-from repro.align.myers import myers_bounded
 from repro.align.smith_waterman import extension_align, local_align
 from repro.align.striped_sw import striped_local_score
 from repro.align.systolic_sw import SystolicBandedSW
@@ -61,7 +60,6 @@ class TestEditDistanceConsensus:
             assert Silla(k).distance(a, b) == expected
             assert ThreeDSilla(k).distance(a, b) == expected
             assert EditMachine(k).distance(a, b) == expected
-            assert myers_bounded(a, b, k) == expected
             assert LevenshteinAutomaton(a, k).distance(b) == expected
             assert UniversalLevenshteinAutomaton(k).run(a, b) == expected
             assert compile_levenshtein_nfa(a, k).accepts(b) == (expected is not None)
