@@ -2,16 +2,23 @@
 
 Not a paper figure: this times one
 :meth:`repro.seeding.accelerator.SeedingAccelerator.seed_reads` call with
-no pipeline around it, on 101 bp reads at 1-3% error and their reverse
-complements (the oriented reads the genax driver hands the seeder),
-against a 200 kbp reference cut into 1, 4 and 8 segments, at 32, 128
-and 512 oriented reads per call.  The seeding config is genax's default
-(k = 12, probing and the exact-match fast path on).  ``short-genax``
-seeds 32 oriented reads against 4 segments per call.
+no pipeline around it, at 32, 128 and 512 oriented reads per call (reads
+and their reverse complements, as a driver hands them to the seeder), at
+two operating points:
+
+* ``genax``: 101 bp reads at 1-3% error against a 200 kbp reference cut
+  into 1, 4 and 8 segments, with genax's default config (k = 12, probing
+  and the exact-match fast path on).  ``short-genax`` seeds 32 oriented
+  reads against 4 segments per call.
+* ``bitvector``: the ``repeat-rich`` workload (200 diverged copies of a
+  600 bp unit, reads with 10 substitutions) in one segment, with
+  bitvector's config (k = 10, probing off, the fast path on).
+  ``repeat-bitvector`` seeds 128 oriented reads per call.
 
 For every shape the payload reports the best and median wall time of one
 call and, from the best, **us per read** (per oriented read).  At every
-segment count, one batch of oriented reads is also seeded by the
+operating point and segment count, one batch of oriented reads is also
+seeded by the
 segment-at-a-time CAM walk
 (:func:`~repro.seeding.smem_oracle.seed_reads_per_segment`); the seeds
 and every ``SeedingStats`` counter must be equal, and the exit status is
@@ -47,6 +54,7 @@ from repro.genome.reads import ErrorProfile, ReadSimulator
 from repro.genome.reference import ReferenceGenome, make_reference
 from repro.genome.sequence import reverse_complement
 from repro.perf.schema import BENCH_SCHEMA_VERSION, bench_envelope, write_bench
+from repro.perf.workloads import build_repeat_rich_workload
 from repro.seeding.accelerator import SeedingAccelerator
 from repro.seeding.index import IndexTables, build_segment_tables
 from repro.seeding.smem import SmemConfig
@@ -60,6 +68,8 @@ GENOME_BP = 200_000
 READ_LENGTH = 101
 SEGMENT_COUNTS = (1, 4, 8)
 BATCH_SIZES = (32, 128, 512)  # oriented reads per call
+REPEAT_COPIES = 200
+BITVECTOR_K = 10
 
 FULL = dict(repeats=15, checked_reads=32)
 QUICK = dict(repeats=2, checked_reads=8)
@@ -72,10 +82,10 @@ ENVELOPE_KEYS = (
 # Required payload structure: key -> required sub-keys (None = scalar).
 RESULT_SCHEMA: Dict[str, Optional[Sequence[str]]] = {
     "workload": ("seed", "k", "genome_bp", "read_length", "repeats",
-                 "checked_reads", "segment_counts", "batch_sizes"),
-    "shapes": ("name", "segments", "reads", "best_s", "median_s",
+                 "checked_reads", "segment_counts", "batch_sizes", "points"),
+    "shapes": ("name", "point", "segments", "reads", "best_s", "median_s",
                "us_per_read", "seeds", "hits"),
-    "checks": ("segments", "reads", "seeds_equal", "stats_equal"),
+    "checks": ("point", "segments", "reads", "seeds_equal", "stats_equal"),
     "acceptance": ("checked_batches", "mismatched_batches", "passed"),
 }
 
@@ -113,8 +123,23 @@ def validate_result(data: dict) -> List[str]:
     return problems
 
 
-def build_inputs() -> Tuple[ReferenceGenome, List[str]]:
-    """The reference and the largest batch's oriented reads."""
+@dataclasses.dataclass(frozen=True)
+class Point:
+    """One operating point: its inputs, seeding config and segment counts."""
+
+    name: str
+    reference: ReferenceGenome
+    reads: List[str]  # the largest batch's oriented reads
+    config: SmemConfig
+    segment_counts: Tuple[int, ...]
+
+
+def _oriented(reads: Sequence[str]) -> List[str]:
+    return [oriented for read in reads for oriented in (read, reverse_complement(read))]
+
+
+def build_points() -> List[Point]:
+    """The genax and bitvector operating points."""
     reference = make_reference(GENOME_BP, seed=SEED)
     simulator = ReadSimulator(
         reference,
@@ -123,23 +148,41 @@ def build_inputs() -> Tuple[ReferenceGenome, List[str]]:
         error_profile=ErrorProfile(rate_start=0.01, rate_end=0.03),
     )
     reads = [read.sequence for read in simulator.simulate(max(BATCH_SIZES) // 2)]
-    return reference, [
-        oriented for read in reads for oriented in (read, reverse_complement(read))
+    repeat_reference, named = build_repeat_rich_workload(
+        repeat_copies=REPEAT_COPIES, reads=max(BATCH_SIZES) // 2, seed=SEED
+    )
+    return [
+        Point(
+            "genax",
+            reference,
+            _oriented(reads),
+            SmemConfig(k=K, probe=True, exact_match_fast_path=True),
+            SEGMENT_COUNTS,
+        ),
+        Point(
+            "bitvector",
+            repeat_reference,
+            _oriented([sequence for __, sequence in named]),
+            SmemConfig(k=BITVECTOR_K, exact_match_fast_path=True),
+            (1,),
+        ),
     ]
 
 
-def _config() -> SmemConfig:
-    return SmemConfig(k=K, probe=True, exact_match_fast_path=True)
+def _shape_name(point: Point, segments: int, reads: int) -> str:
+    # genax keeps its earlier names, so older runs compare as baselines.
+    prefix = "" if point.name == "genax" else f"{point.name}-"
+    return f"{prefix}segments-{segments}-reads-{reads}"
 
 
 def measure_shape(
-    reference: ReferenceGenome,
+    point: Point,
     tables: List[IndexTables],
     reads: List[str],
     repeats: int,
 ) -> dict:
     accelerator = SeedingAccelerator(
-        reference, _config(), segment_count=len(tables), tables=tables
+        point.reference, point.config, segment_count=len(tables), tables=tables
     )
     seeds = accelerator.seed_reads(reads)  # warm-up: builds the lazy tables
     times: List[float] = []
@@ -149,7 +192,8 @@ def measure_shape(
         times.append(monotonic_s() - started)
     best = min(times)
     entry = {
-        "name": f"segments-{len(tables)}-reads-{len(reads)}",
+        "name": _shape_name(point, len(tables), len(reads)),
+        "point": point.name,
         "segments": len(tables),
         "reads": len(reads),
         "best_s": best,
@@ -164,7 +208,7 @@ def measure_shape(
 
 
 def check_batch(
-    reference: ReferenceGenome, tables: List[IndexTables], reads: List[str]
+    point: Point, tables: List[IndexTables], reads: List[str]
 ) -> Optional[dict]:
     """One batch seeded both ways; ``None`` when this tree has no oracle."""
     try:
@@ -172,11 +216,12 @@ def check_batch(
     except ImportError:
         return None
     accelerator = SeedingAccelerator(
-        reference, _config(), segment_count=len(tables), tables=tables
+        point.reference, point.config, segment_count=len(tables), tables=tables
     )
     seeds = accelerator.seed_reads(reads)
-    want_seeds, want_stats = seed_reads_per_segment(tables, _config(), reads)
+    want_seeds, want_stats = seed_reads_per_segment(tables, point.config, reads)
     entry = {
+        "point": point.name,
         "segments": len(tables),
         "reads": len(reads),
         "seeds_equal": list(seeds) == want_seeds,
@@ -185,7 +230,8 @@ def check_batch(
         ),
     }
     verdict = "exact" if entry["seeds_equal"] and entry["stats_equal"] else "DIFFERS"
-    print(f"oracle, {len(tables)} segments, {len(reads)} reads: {verdict}")
+    print(f"oracle, {point.name}, {len(tables)} segments, {len(reads)} reads: "
+          f"{verdict}")
     return entry
 
 
@@ -223,17 +269,22 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     mode = QUICK if args.quick else FULL
-    reference, reads = build_inputs()
+    points = build_points()
     shapes: List[dict] = []
     checks: List[dict] = []
-    for count in SEGMENT_COUNTS:
-        views = reference.segments(count, overlap=SeedingAccelerator.SEGMENT_OVERLAP)
-        tables = build_segment_tables(views, K)
-        for size in BATCH_SIZES:
-            shapes.append(measure_shape(reference, tables, reads[:size], mode["repeats"]))
-        check = check_batch(reference, tables, reads[: mode["checked_reads"]])
-        if check is not None:
-            checks.append(check)
+    for point in points:
+        for count in point.segment_counts:
+            views = point.reference.segments(
+                count, overlap=SeedingAccelerator.SEGMENT_OVERLAP
+            )
+            tables = build_segment_tables(views, point.config.k)
+            for size in BATCH_SIZES:
+                shapes.append(
+                    measure_shape(point, tables, point.reads[:size], mode["repeats"])
+                )
+            check = check_batch(point, tables, point.reads[: mode["checked_reads"]])
+            if check is not None:
+                checks.append(check)
     mismatched = sum(
         not (check["seeds_equal"] and check["stats_equal"]) for check in checks
     )
@@ -264,6 +315,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             "checked_reads": mode["checked_reads"],
             "segment_counts": list(SEGMENT_COUNTS),
             "batch_sizes": list(BATCH_SIZES),
+            "points": {
+                point.name: {
+                    "k": point.config.k,
+                    "probe": point.config.probe,
+                    "exact_match_fast_path": point.config.exact_match_fast_path,
+                    "reference_bp": len(point.reference.sequence),
+                    "segment_counts": list(point.segment_counts),
+                }
+                for point in points
+            },
         },
         payload=payload,
     )

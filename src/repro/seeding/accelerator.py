@@ -15,8 +15,9 @@ once per segment: a batch's reads are encoded once
 (:class:`~repro.seeding.smem.ReadBatch`), and one RMEM search pass
 (:meth:`~repro.seeding.smem.SmemFinder.seed_table`) answers every
 pivot of the batch against every segment, its rows stacked segment-major.
-Every index access is by integer k-mer code, as in the hardware's
-direct-mapped fetch.  Seeds leave as a
+One hashed lookup per batch finds every k-mer's row in every segment's
+index (the hardware makes one direct-mapped fetch per k-mer and segment,
+and the counters charge those).  Seeds leave as a
 :class:`~repro.seeding.smem.SeedTable`: the cross-segment merge is one
 sort of every hit, with no Python object per seed or hit.  The segment-at-a-time loop is the oracle
 (:func:`~repro.seeding.smem_oracle.seed_reads_per_segment`).

@@ -79,6 +79,9 @@ class IntersectionEngine:
         Takes two ints, or two equal-length int arrays for one intersection
         per entry; returns whether each took the binary-search path.  An
         intersection with an empty list is counted and costs nothing else.
+        Every counter is a sum over intersections, so one call on the
+        concatenated arrays charges what a call per part would: the RMEM
+        search charges a whole replay at once.
         """
         smaller = candidates + (incoming - candidates) * (incoming < candidates)
         larger = candidates + incoming - smaller

@@ -159,9 +159,9 @@ class ChainedSeedProvider:
         """Per read, the sampled (read offset, global position) anchor matches.
 
         Every read's k-mers at offsets ``0, stride, 2 * stride, ...`` are
-        counted in one :meth:`~repro.seeding.index.KmerIndex.hit_counts`
+        looked up in one :meth:`~repro.seeding.index.KmerIndex.lookup`
         call; a k-mer with more than ``max_hits_per_kmer`` hits is masked,
-        and the hits of the rest come from one ``gather_hits`` call.
+        and the hits of the rest come from one ``gather`` by row.
         Anchors are in read order, then offset, then position.
         """
         config = self.config
@@ -174,10 +174,11 @@ class ChainedSeedProvider:
         codes = kmer_codes_at(
             encode_bases("".join(oriented)), read_starts[owner] + offsets, config.k
         )
-        counts = self.index.hit_counts(codes)
+        rows = self.index.lookup(codes)
+        counts = self.index.row_sizes[rows]
         masked = counts > config.max_hits_per_kmer
         used = (counts > 0) & ~masked
-        hits = self.index.gather_hits(codes[used], counts[used])
+        hits = self.index.gather(rows[used], counts[used])
         anchor_owner = numpy.repeat(owner[used], counts[used])
         anchor_offset = numpy.repeat(offsets[used], counts[used])
         self.stats.anchors_sampled += len(codes)

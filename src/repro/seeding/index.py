@@ -142,15 +142,6 @@ def kmer_codes_at(
     return codes
 
 
-#: Slots per key of a :class:`KeyTable`, before rounding up to a power of
-#: two: the load factor stays at or below a half, so linear-probe chains
-#: stay short.
-SLOTS_PER_KEY = 2
-
-#: Slots a :meth:`KeyTable.lookup` round probes past a code's home slot.
-PROBE_WINDOW = 8
-_PROBE_STEPS = numpy.arange(PROBE_WINDOW)
-
 # Fibonacci hashing's 32-bit multiplier, round(2**32 / golden ratio).
 _HASH_MULTIPLIER = 0x9E3779B1
 
@@ -168,71 +159,71 @@ def hash_slots(codes: NDArray[numpy.int64], bits: int) -> NDArray[numpy.int64]:
 
 @dataclass(frozen=True)
 class KeyTable:
-    """Open-addressing hash table from k-mer code to hit-list length.
+    """Hash-bucketed table from k-mer code to CSR row, for a stack of indexes.
 
-    Each slot holds an int64 key (``-1`` when empty) and an int32 count;
-    collisions probe linearly.  Build and lookup run as NumPy rounds over
-    every key still unplaced or code still unanswered, so a lookup costs a
-    few gathers per code whatever order the codes come in.
+    The distinct codes of every stacked index's :attr:`KmerIndex.keys`
+    sit in :attr:`keys` sorted by home slot (:func:`hash_slots`, one slot
+    per key or more, a power of two), home slot ``h`` holding
+    ``keys[starts[h]:starts[h + 1]]``.  Column ``j`` of :attr:`rows` is
+    the row of ``keys[j]`` in each index, ``-1`` where that index lacks
+    it; a last column of ``-1`` answers codes no index holds.  A stack of
+    one is an index's own :attr:`KmerIndex.key_table`.
     """
 
     keys: NDArray[numpy.int64]
-    counts: NDArray[numpy.int32]
+    starts: NDArray[numpy.int32]
+    rows: NDArray[numpy.int32]
     bits: int
 
     @classmethod
-    def build(
-        cls, keys: NDArray[numpy.int64], counts: NDArray[numpy.signedinteger]
-    ) -> "KeyTable":
-        """Table of distinct non-negative *keys* with their *counts*.
+    def build(cls, stack: Sequence[NDArray[numpy.int64]]) -> "KeyTable":
+        """Table over a *stack* of sorted, distinct, non-negative key arrays.
 
-        ``2**bits >= SLOTS_PER_KEY * len(keys)`` slots.  Each round, every
-        unplaced key tries its current slot; of the keys trying one free
-        slot the first takes it, and the rest step to the next slot.
+        One stable sort of every index's (code, index, row) triples by
+        code groups each code's triples, index order kept (one index's
+        keys are already sorted); one ``argsort`` of the distinct codes by
+        home slot and one ``bincount`` of the home slots give the buckets.
         """
-        bits = max(1, (SLOTS_PER_KEY * len(keys) - 1).bit_length())
-        mask = (1 << bits) - 1
-        table_keys = numpy.full(mask + 1, -1, dtype=numpy.int64)
-        table_counts = numpy.zeros(mask + 1, dtype=numpy.int32)
-        slots = hash_slots(keys, bits)
-        pending = numpy.arange(len(keys))
-        while pending.size:
-            tried = slots[pending]
-            free = numpy.flatnonzero(table_keys[tried] == -1)
-            taken, first = numpy.unique(tried[free], return_index=True)
-            winners = pending[free[first]]
-            table_keys[taken] = keys[winners]
-            table_counts[taken] = counts[winners]
-            placed = numpy.zeros(len(pending), dtype=bool)
-            placed[free[first]] = True
-            pending = pending[~placed]
-            slots[pending] = (slots[pending] + 1) & mask
-        return cls(table_keys, table_counts, bits)
+        codes = numpy.concatenate(stack)
+        member = numpy.repeat(numpy.arange(len(stack)), [len(keys) for keys in stack])
+        local = numpy.concatenate([numpy.arange(len(keys)) for keys in stack])
+        if len(stack) > 1:
+            order = numpy.argsort(codes, kind="stable")
+            codes, member, local = codes[order], member[order], local[order]
+        fresh = numpy.ones(len(codes), dtype=bool)
+        fresh[1:] = codes[1:] != codes[:-1]
+        distinct = codes[fresh]
+        bits = max(1, (len(distinct) - 1).bit_length())
+        homes = hash_slots(distinct, bits)
+        by_home = numpy.argsort(homes, kind="stable")
+        column = numpy.empty(len(distinct), dtype=numpy.int64)
+        column[by_home] = numpy.arange(len(distinct))
+        rows = numpy.full((len(stack), len(distinct) + 1), -1, dtype=numpy.int32)
+        rows[member, column[numpy.cumsum(fresh) - 1]] = local
+        starts = numpy.zeros((1 << bits) + 1, dtype=numpy.int32)
+        numpy.cumsum(numpy.bincount(homes, minlength=1 << bits), out=starts[1:])
+        return cls(distinct[by_home], starts, rows, bits)
 
-    def lookup(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int64]:
-        """Count of every code in *codes*, 0 where it has no entry.
+    def lookup(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int32]:
+        """Row of every code of *codes* in each stacked index, ``-1`` where absent.
 
-        A code's probe stops at its key or at an empty slot, whose count
-        is 0; ``-1`` codes stop at the first empty slot.  Most codes stop
-        at their home slot; the rest probe ``PROBE_WINDOW`` slots a round.
+        Shape ``(indexes, len(codes))``.  Step ``j`` compares the ``j``-th
+        key of every code's home slot, for the codes not yet found whose
+        home holds more than ``j`` keys; ``-1`` codes never match.
         """
-        mask = len(self.keys) - 1
-        slots = hash_slots(codes, self.bits)
-        held = self.keys[slots]
-        stop = (held == codes) | (held == -1)
-        counts = numpy.where(stop, self.counts[slots], 0).astype(numpy.int64)
-        todo = numpy.flatnonzero(~stop)
-        step = 1
+        homes = hash_slots(codes, self.bits)
+        begin = self.starts[homes]
+        depth = self.starts[homes + 1] - begin
+        column = numpy.full(len(codes), len(self.keys))
+        todo = numpy.flatnonzero(depth)
+        step = 0
         while todo.size:
-            window = (slots[todo, None] + (step + _PROBE_STEPS)) & mask
-            held = self.keys[window]
-            stops = (held == codes[todo, None]) | (held == -1)
-            found = numpy.flatnonzero(stops.any(axis=1))
-            first = stops[found].argmax(axis=1)
-            counts[todo[found]] = self.counts[window[found, first]]
-            todo = numpy.delete(todo, found)
-            step += PROBE_WINDOW
-        return counts
+            slot = begin[todo] + step
+            found = self.keys[slot] == codes[todo]
+            column[todo[found]] = slot[found]
+            step += 1
+            todo = todo[~found & (depth[todo] > step)]
+        return self.rows[:, column]
 
 
 @dataclass(eq=False)
@@ -247,14 +238,16 @@ class KmerIndex:
     makes the arrays in NumPy passes; the on-disk cache
     (:mod:`repro.seeding.cache`) stores and reloads exactly these arrays.
 
-    The seeding hot path works on integer codes: :meth:`hits_code` for
-    one, and for the RMEM search's batches :meth:`hit_counts`,
-    :meth:`gather_hits` and :attr:`base_words`.  A scalar lookup finds a
-    key's row with one ``searchsorted`` where the hardware does a
-    direct-mapped index fetch; the seeding stats count lookups, not
-    instructions, so the two account identically.  The string-keyed
-    adapters over :meth:`hits_code` serve tests, tools and analyses that
-    hold k-mer strings.
+    The seeding hot path works on rows: a batch's codes become rows in one
+    hashed :class:`KeyTable` lookup (:meth:`lookup`, or a finder's table
+    over a stack of indexes), :attr:`row_sizes` gives their hit counts
+    and :meth:`gather` their hit lists; the RMEM search compares
+    :attr:`base_words`.  Where the hardware does one direct-mapped index
+    fetch per k-mer, the software may find rows any way it likes: the
+    seeding stats count lookups, not instructions.  :meth:`hits_code` is
+    the scalar path, one ``searchsorted`` for one code, for ``NAIVE``
+    mode, the CAM-walk oracle and the string-keyed adapters that serve
+    tests, tools and analyses holding k-mer strings.
     """
 
     k: int
@@ -308,33 +301,40 @@ class KmerIndex:
             return ()
         return self.positions[self.offsets[row] : self.offsets[row + 1]].tolist()
 
-    def hit_counts(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int64]:
-        """Hit-list length of every code in *codes*, 0 where it has no entry.
+    def lookup(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int32]:
+        """Row of every code of *codes*, ``-1`` where it has no entry.
 
-        One :class:`KeyTable` lookup answers a whole read batch at once;
-        ``-1`` (ambiguous) codes never match.
+        One :class:`KeyTable` lookup answers a whole batch at once; ``-1``
+        (ambiguous) codes never match.  ``row_sizes[row]`` is a row's hit
+        count, 0 for ``-1``.
         """
-        return self.key_table.lookup(codes)
+        return self.key_table.lookup(codes)[0]
 
-    def gather_hits(
-        self, codes: NDArray[numpy.int64], counts: NDArray[numpy.int64]
+    def gather(
+        self, rows: NDArray[numpy.integer], counts: NDArray[numpy.int64]
     ) -> NDArray[numpy.int64]:
-        """The hit lists of *codes* (all present; *counts* long), concatenated.
+        """The hit lists of *rows* (all present; *counts* long), concatenated.
 
-        One ``searchsorted`` for the rows, then one :func:`gather_runs`
-        over the position table.
+        One :func:`gather_runs` over the position table.
         """
-        starts = self.offsets[numpy.searchsorted(self.keys, codes)]
-        return gather_runs(self.positions, starts, counts)
+        return gather_runs(self.positions, self.offsets[rows], counts)
 
     @cached_property
     def key_table(self) -> KeyTable:
-        """The hashed key -> count table :meth:`hit_counts` probes.
+        """The hashed code -> row table :meth:`lookup` reads, a stack of one.
 
         Built on first use, so a run that never seeds against this index
-        never pays for it.
+        alone never pays for it.
         """
-        return KeyTable.build(self.keys, numpy.diff(self.offsets))
+        return KeyTable.build([self.keys])
+
+    @cached_property
+    def row_sizes(self) -> NDArray[numpy.int64]:
+        """Hit count of every row, then a 0 that row ``-1`` reads.
+
+        Built on first use, like :attr:`key_table`.
+        """
+        return numpy.append(numpy.diff(self.offsets), 0)
 
     @cached_property
     def base_words(self) -> NDArray[numpy.uint64]:

@@ -55,6 +55,7 @@ from repro.genome.sequence import BASES_PER_WORD, DIRTY_BASE, encode_bases
 from repro.seeding.cam import IntersectionEngine
 from repro.seeding.index import (
     MAX_K,
+    KeyTable,
     KmerIndex,
     base_words_at,
     gather_runs,
@@ -71,13 +72,6 @@ _PAIR_BYTES = 96
 
 #: An int64 array: codes, pivots, positions, lengths and counts.
 Ints = NDArray[numpy.int64]
-
-# Index of the first non-zero 2-bit base in each byte value.
-_FIRST_BASE = numpy.array(
-    [0] + [((value & -value).bit_length() - 1) // 2 for value in range(1, 256)],
-    dtype=numpy.int64,
-)
-
 
 class SeedingMode(enum.Enum):
     """Seeding strategies compared in Fig. 16a."""
@@ -325,12 +319,13 @@ class FinderStats:
 class ReadBatch:
     """A batch of reads encoded once for every segment it is seeded against.
 
-    ``codes[i]`` is read ``i``'s :func:`~repro.seeding.index.kmer_codes`;
-    ``flat_codes`` is their concatenation, read ``i``'s codes filling
-    ``flat_codes[bounds[i]:bounds[i + 1]]``, so an entry's flat index
-    names a (read, pivot) pair.  The whole batch is encoded in one NumPy
-    pass over the reads' concatenation, whose 2-bit bases the RMEM search
-    also compares (:attr:`words`, :attr:`clean`).
+    ``flat_codes`` holds every read's
+    :func:`~repro.seeding.index.kmer_codes` end to end, read ``i``'s
+    filling ``flat_codes[bounds[i]:bounds[i + 1]]``, so an entry's flat
+    index names a (read, pivot) pair; :attr:`codes` splits them per read.
+    The whole batch is encoded in one NumPy pass over the reads'
+    concatenation, whose 2-bit bases the RMEM search also compares
+    (:attr:`words`, :attr:`clean`).
     """
 
     def __init__(self, reads: Sequence[str], k: int) -> None:
@@ -351,8 +346,14 @@ class ReadBatch:
             numpy.arange(int(bounds[-1])) - bounds[self.read_of]
         )
         self.flat_codes = kmer_codes_at(self._bases, self.starts, k)
+
+    @cached_property
+    def codes(self) -> List[List[int]]:
+        """Per read, its k-mer codes as ``int``s (``NAIVE`` mode and the
+        oracles walk these; the RMEM search reads :attr:`flat_codes`)."""
         flat = self.flat_codes.tolist()
-        self.codes = [flat[begin:end] for begin, end in zip(bounds[:-1], bounds[1:])]
+        bounds = self.bounds.tolist()
+        return [flat[begin:end] for begin, end in zip(bounds, bounds[1:])]
 
     @cached_property
     def words(self) -> NDArray[numpy.uint64]:
@@ -456,9 +457,10 @@ class SmemFinder:
         """Seeds of every read of *batch* against every index of the stack.
 
         Row ``segment * R + read`` of the table (``R`` reads in the batch)
-        holds the read's seeds in that index, hits local to it.  Every
-        index counts the batch's k-mers once; rows of the stacked counts
-        are ``segment * P + pivot`` (``P`` pivots in the batch),
+        holds the read's seeds in that index, hits local to it.  One
+        :attr:`key_table` lookup gives the row of every k-mer of the batch
+        in every index (:meth:`_lookup`); rows of the stacked counts are
+        ``segment * P + pivot`` (``P`` pivots in the batch),
         segment-major.  The exact-match fast path walks only the
         (segment, read) pairs the counts leave open
         (:meth:`_exact_candidates`), and ``NAIVE`` mode answers one pair
@@ -467,15 +469,12 @@ class SmemFinder:
         """
         reads = len(batch.reads)
         rows = len(self.indexes) * reads
-        counts = numpy.concatenate(
-            [index.hit_counts(batch.flat_codes) for index in self.indexes]
-        )
+        index_rows, counts = self._lookup(batch)
         pending = numpy.ones((len(self.indexes), reads), dtype=bool)
         entries: List[Tuple[int, int, int, Sequence[int], bool]] = []
         if self.config.exact_match_fast_path:
             for segment, read_id in self._exact_candidates(batch, counts):
-                index = self.indexes[segment]
-                exact = self._exact_match_hits(index, batch.codes[read_id])
+                exact = self._exact_match_hits(batch, index_rows, segment, read_id)
                 if exact is not None:
                     self.stats.exact_match_reads += 1
                     length = len(batch.reads[read_id])
@@ -492,11 +491,37 @@ class SmemFinder:
             ]
             parts.append(SeedTable.from_entries(rows, naive))
         elif pending.any():
-            parts.append(self._smem_seeds(batch, pending, counts))
+            parts.append(self._smem_seeds(batch, pending, index_rows, counts))
         table = SeedTable.concat(rows, parts)
         self.stats.seeds_reported += len(table.row)
         self.stats.hits_reported += len(table.positions)
         return table
+
+    @cached_property
+    def key_table(self) -> KeyTable:
+        """The hashed code -> row table over every index of the stack.
+
+        A stack of one shares its index's own
+        :attr:`~repro.seeding.index.KmerIndex.key_table`.  Built on the
+        first seed, never when the finder is made, and kept for every
+        later batch.
+        """
+        if len(self.indexes) == 1:
+            return self.indexes[0].key_table
+        return KeyTable.build([index.keys for index in self.indexes])
+
+    def _lookup(self, batch: ReadBatch) -> Tuple[NDArray[numpy.int32], Ints]:
+        """Every k-mer of *batch* looked up in every index at once.
+
+        Returns the ``(indexes, P)`` row matrix, ``-1`` where an index
+        lacks the k-mer, and the stacked hit counts, ``segment * P +
+        pivot``.
+        """
+        index_rows = self.key_table.lookup(batch.flat_codes)
+        counts = numpy.concatenate(
+            [index.row_sizes[row] for index, row in zip(self.indexes, index_rows)]
+        )
+        return index_rows, counts
 
     def _exact_candidates(
         self, batch: ReadBatch, counts: Ints
@@ -537,11 +562,11 @@ class SmemFinder:
             return None
         self.stats.rmems_computed += 1
         self.stats.index_lookups += 1
-        counts = self.index.hit_counts(batch.flat_codes)
+        index_rows, counts = self._lookup(batch)
         if not counts[pivot]:
             return None
         lengths, __, positions, match = self._search(
-            batch, numpy.array([pivot]), counts
+            batch, numpy.array([pivot]), index_rows, counts
         )
         hits = positions[match >= lengths[0]].tolist()
         return Seed(read_offset=pivot, length=int(lengths[0]), hits=tuple(hits))
@@ -549,31 +574,51 @@ class SmemFinder:
     # ------------------------------------------------------------ internals
 
     def _exact_match_hits(
-        self, index: KmerIndex, codes: Sequence[int]
+        self,
+        batch: ReadBatch,
+        index_rows: NDArray[numpy.int32],
+        segment: int,
+        read_id: int,
     ) -> Optional[Tuple[int, ...]]:
         """Fast path: hits where the *entire read* matches exactly, or None.
 
-        Looks up spanning k-mers, then intersects in ascending hit-count
-        order so the candidate set shrinks as fast as possible (§V, item 4).
+        Looks up the read's spanning k-mers (offsets ``0, k, 2k, ...`` and
+        the last) in the batch's *index_rows*, then intersects in
+        ascending hit-count order so the candidate set shrinks as fast as
+        possible (§V, item 4).
         """
-        if not codes:
+        first = int(batch.bounds[read_id])
+        last = int(batch.bounds[read_id + 1]) - first - 1  # the final k-mer
+        if last < 0:
             return None  # read shorter than k
-        last = len(codes) - 1  # offset of the read's final k-mer
         offsets = list(range(0, last + 1, self.config.k))
         if offsets[-1] != last:
             offsets.append(last)
-        lists = []
-        for offset in offsets:
-            hits = index.hits_code(codes[offset])
-            self.stats.index_lookups += 1
-            if not hits:
-                return None
-            lists.append((len(hits), offset, hits))
-        lists.sort(key=lambda item: item[0])
-        __, first_offset, first_hits = lists[0]
-        candidates = [hit - first_offset for hit in first_hits if hit >= first_offset]
-        for __, offset, hits in lists[1:]:
-            candidates = self.engine.intersect(candidates, hits, incoming_offset=offset)
+        index = self.indexes[segment]
+        rows = index_rows[segment, first + numpy.array(offsets)]
+        sizes = index.row_sizes[rows]
+        misses = numpy.flatnonzero(sizes == 0)
+        if misses.size:
+            self.stats.index_lookups += int(misses[0]) + 1
+            return None
+        self.stats.index_lookups += len(offsets)
+        begins = index.offsets[rows]
+        spans = list(zip(begins.tolist(), (begins + sizes).tolist()))
+        order = numpy.argsort(sizes, kind="stable").tolist()
+        begin, end = spans[order[0]]
+        first_offset = offsets[order[0]]
+        candidates = [
+            hit - first_offset
+            for hit in index.positions[begin:end].tolist()
+            if hit >= first_offset
+        ]
+        for place in order[1:]:
+            begin, end = spans[place]
+            candidates = self.engine.intersect(
+                candidates,
+                index.positions[begin:end].tolist(),
+                incoming_offset=offsets[place],
+            )
             if not candidates:
                 return None
         return tuple(candidates)
@@ -582,15 +627,16 @@ class SmemFinder:
         self,
         batch: ReadBatch,
         searched: NDArray[numpy.bool_],
+        index_rows: NDArray[numpy.int32],
         counts: Ints,
     ) -> SeedTable:
         """RMEM of every searched pivot, filtered to super-maximal matches.
 
         *searched* marks the (segment, read) pairs to search; their pivots
-        are the rows of the stacked *counts* (:meth:`seed_table`), so
-        each segment's rows are one block.  Every row is charged its RMEM
-        and its first lookup; the rows whose first k-mer has no hit end
-        there.  The live ones are searched in chunks of at most
+        are the rows of the stacked *counts* and of the flattened
+        *index_rows* (:meth:`_lookup`), so each segment's rows are one
+        block.  Every row is charged its RMEM and its first lookup; the
+        rows whose first k-mer has no hit end there.  The live ones are searched in chunks of at most
         ``PAIR_BUDGET`` bytes of pair arrays, in row order, so each
         (segment, read)'s running maximum seed end carries from chunk to
         chunk.  A kept seed's hits stay a slice of its chunk's positions.
@@ -608,7 +654,9 @@ class SmemFinder:
         max_end = numpy.zeros(searched.size, dtype=numpy.int64)
         parts: List[SeedTable] = []
         for chunk in numpy.split(live, numpy.flatnonzero(numpy.diff(chunk_of)) + 1):
-            lengths, pair_row, positions, match = self._search(batch, chunk, counts)
+            lengths, pair_row, positions, match = self._search(
+                batch, chunk, index_rows, counts
+            )
             segments, pivots = numpy.divmod(chunk, len(batch.flat_codes))
             reads = batch.read_of[pivots]
             offsets = pivots - batch.bounds[reads]
@@ -637,7 +685,11 @@ class SmemFinder:
         return SeedTable.concat(searched.size, parts)
 
     def _search(
-        self, batch: ReadBatch, rows: Ints, counts: Ints
+        self,
+        batch: ReadBatch,
+        rows: Ints,
+        index_rows: NDArray[numpy.int32],
+        counts: Ints,
     ) -> Tuple[Ints, Ints, Ints, Ints]:
         """RMEM lengths of live stacked *rows* (ascending; see :meth:`_smem_seeds`).
 
@@ -650,10 +702,11 @@ class SmemFinder:
         """
         first = counts[rows]
         segments, pivots = numpy.divmod(rows, len(batch.flat_codes))
+        first_rows = index_rows.ravel()[rows]
         cuts = numpy.searchsorted(segments, numpy.arange(len(self.indexes) + 1))
         positions = numpy.concatenate(
             [
-                index.gather_hits(batch.flat_codes[pivots[begin:end]], first[begin:end])
+                index.gather(first_rows[begin:end], first[begin:end])
                 for index, begin, end in zip(self.indexes, cuts, cuts[1:])
                 if end > begin
             ]
@@ -735,7 +788,10 @@ class SmemFinder:
         grow / halve / stop rule as the walk.  A step's k-mer exists iff
         its offset is below the row's *left*, so ``counts[row + offset]``
         stays in the row's own segment block.  Candidate counts come from
-        the pairs' match lengths sorted per row.
+        the pairs' match lengths sorted per row.  Every round's
+        ``(candidates, incoming)`` counts, the probe's included, go to one
+        :meth:`~repro.seeding.cam.IntersectionEngine.charge` at the end:
+        each counter it charges is a sum over intersections.
         """
         k = self.config.k
         count = len(rows)
@@ -746,6 +802,8 @@ class SmemFinder:
         pair_end = numpy.cumsum(first)
         longest = ordered[pair_end - 1] - places * span
         length = numpy.full(count, k, dtype=numpy.int64)
+        matchings: List[Ints] = []
+        incomings: List[Ints] = []
         if self.config.probe:
             best = numpy.zeros(count, dtype=numpy.int64)
             best_stride = numpy.zeros(count, dtype=numpy.int64)
@@ -759,7 +817,8 @@ class SmemFinder:
                 best[better] = incoming[better]
                 best_stride[better] = stride
             probed = numpy.flatnonzero(best)
-            self.engine.charge(first[probed], best[probed])
+            matchings.append(first[probed])
+            incomings.append(best[probed])
             grown = probed[longest[probed] >= k + best_stride[probed]]
             length[grown] += best_stride[grown]
 
@@ -773,10 +832,11 @@ class SmemFinder:
             self.stats.index_lookups += len(tested)
             step = stride[tested]
             # The candidates are the first hits matching the whole length.
-            matching = pair_end[tested] - numpy.searchsorted(
-                ordered, tested * span + length[tested]
+            matchings.append(
+                pair_end[tested]
+                - numpy.searchsorted(ordered, tested * span + length[tested])
             )
-            self.engine.charge(matching, counts[rows[tested] + offset[reach]])
+            incomings.append(counts[rows[tested] + offset[reach]])
             grows = longest[tested] >= length[tested] + step
             length[tested[grows]] += step[grows]
             failed = tested[~grows]
@@ -786,6 +846,7 @@ class SmemFinder:
                 stride[failed] //= 2
             stride[active[~reach]] //= 2
             active = active[stride[active] > 0]
+        self.engine.charge(numpy.concatenate(matchings), numpy.concatenate(incomings))
         return length
 
     def _naive_seeds(self, index: KmerIndex, codes: Sequence[int]) -> List[Seed]:
@@ -799,8 +860,12 @@ class SmemFinder:
                 seeds.append(Seed(read_offset=pivot, length=k, hits=tuple(hits)))
         return seeds
 
+
 def _first_base(words: NDArray[numpy.uint64]) -> Ints:
-    """Index of the first non-zero 2-bit base of each non-zero word."""
-    octets = words.astype("<u8", copy=False).view(numpy.uint8).reshape(-1, 8)
-    byte = numpy.argmax(octets != 0, axis=1)
-    return 4 * byte + _FIRST_BASE[octets[numpy.arange(len(octets)), byte]]
+    """Index of the first non-zero 2-bit base of each non-zero word.
+
+    ``w ^ (w & (w - 1))`` keeps a word's lowest set bit; one less is a mask
+    of the bits below it, whose popcount is that bit's index.
+    """
+    lowest = words ^ (words & (words - numpy.uint64(1)))
+    return (numpy.bitwise_count(lowest - numpy.uint64(1)) >> 1).astype(numpy.int64)

@@ -214,7 +214,8 @@ class CamWalkFinder(SmemFinder):
     Each pivot's stride schedule intersects real hit lists on a
     :class:`CamWalkEngine`, exactly as a seeding lane's control FSM does,
     and the exact-match fast path looks up every (segment, read) pair's
-    k-mers itself; ``NAIVE`` mode is the finder's own.
+    k-mers itself, one ``hits_code`` each; ``NAIVE`` mode is the finder's
+    own.
     """
 
     def __init__(self, index: KmerIndex, config: Optional[SmemConfig] = None) -> None:
@@ -243,15 +244,53 @@ class CamWalkFinder(SmemFinder):
             for read_id in range(len(batch.reads))
         ]
 
+    def _exact_match_hits(
+        self,
+        batch: ReadBatch,
+        index_rows: NDArray[numpy.int32],
+        segment: int,
+        read_id: int,
+    ) -> Optional[Tuple[int, ...]]:
+        """The fast path with its own lookups; *index_rows* go unused.
+
+        Looks up spanning k-mers until the first without hits, then
+        intersects in ascending hit-count order.
+        """
+        codes = batch.codes[read_id]
+        if not codes:
+            return None  # read shorter than k
+        index = self.indexes[segment]
+        last = len(codes) - 1  # offset of the read's final k-mer
+        offsets = list(range(0, last + 1, self.config.k))
+        if offsets[-1] != last:
+            offsets.append(last)
+        lists = []
+        for offset in offsets:
+            hits = index.hits_code(codes[offset])
+            self.stats.index_lookups += 1
+            if not hits:
+                return None
+            lists.append((len(hits), offset, hits))
+        lists.sort(key=lambda item: item[0])
+        __, first_offset, first_hits = lists[0]
+        candidates = [hit - first_offset for hit in first_hits if hit >= first_offset]
+        for __, offset, hits in lists[1:]:
+            candidates = self.engine.intersect(candidates, hits, incoming_offset=offset)
+            if not candidates:
+                return None
+        return tuple(candidates)
+
     def _smem_seeds(
         self,
         batch: ReadBatch,
         searched: NDArray[numpy.bool_],
+        index_rows: NDArray[numpy.int32],
         counts: NDArray[numpy.int64],
     ) -> SeedTable:
         """RMEM per pivot, filtered to super-maximal matches.
 
-        Walks hit lists itself; the batch's stacked *counts* go unused.
+        Walks hit lists itself; the batch's *index_rows* and stacked
+        *counts* go unused.
         """
         reads = len(batch.reads)
         entries: List[Tuple[int, int, int, Sequence[int], bool]] = []

@@ -6,7 +6,6 @@ import pytest
 from repro.genome.reference import make_reference
 from repro.seeding.cache import _deserialize, _serialize
 from repro.seeding.index import (
-    SLOTS_PER_KEY,
     IndexTables,
     KeyTable,
     KmerIndex,
@@ -189,13 +188,15 @@ class TestSearchTables:
             [kmer_code("ACGTA"), kmer_code("TTTTT"), -1, kmer_code("GATTA")] * 2
         )
         want = [len(index.hits_code(int(code))) for code in codes]
-        assert index.hit_counts(codes).tolist() == want
+        assert index.row_sizes[index.lookup(codes)].tolist() == want
 
     def test_gather_hits_concatenates_hit_lists(self, index):
-        codes = numpy.array([kmer_code("ACGTA"), kmer_code("CAGTC")])
-        counts = index.hit_counts(codes)
+        codes = numpy.array([kmer_code(kmer) for kmer in ("ACGTA", "TTTTT", "CAGTC")])
+        rows = index.lookup(codes)
+        counts = index.row_sizes[rows]
         want = [hit for code in codes for hit in index.hits_code(int(code))]
-        assert index.gather_hits(codes[counts > 0], counts[counts > 0]).tolist() == want
+        used = counts > 0
+        assert index.gather(rows[used], counts[used]).tolist() == want
 
     def test_base_words_pack_the_sequence(self, index):
         sequence = make_reference(1_500, seed=4).sequence
@@ -214,13 +215,11 @@ class TestSearchTables:
 
 
 class TestKeyTable:
-    """The hashed key -> count table behind ``hit_counts``."""
+    """The hash-bucketed code -> row table behind ``lookup``."""
 
     @staticmethod
-    def _table(keys, counts):
-        return KeyTable.build(
-            numpy.array(keys, dtype=numpy.int64), numpy.array(counts, dtype=numpy.int64)
-        )
+    def _table(*stack):
+        return KeyTable.build([numpy.array(keys, dtype=numpy.int64) for keys in stack])
 
     @pytest.mark.parametrize("kind", ["dict", "packed"])
     def test_empty_index_counts_nothing(self, kind):
@@ -228,53 +227,83 @@ class TestKeyTable:
         if kind == "packed":
             index = reloaded(index)
         codes = numpy.array([0, 7, -1, kmer_code("ACGTA")])
-        assert index.hit_counts(codes).tolist() == [0, 0, 0, 0]
+        rows = index.lookup(codes)
+        assert rows.tolist() == [-1, -1, -1, -1]
+        assert index.row_sizes[rows].tolist() == [0, 0, 0, 0]
 
     def test_minus_one_and_absent_codes_count_zero(self):
-        table = self._table([0, 5, 1 << 40], [3, 1, 2])
+        keys = [0, 5, 1 << 40]
+        table = self._table(keys)
         codes = numpy.array([-1, 5, 4, 0, (1 << 40) + 1, 1 << 40, -1])
-        assert table.lookup(codes).tolist() == [0, 1, 0, 3, 0, 2, 0]
+        assert table.lookup(codes).tolist() == [[-1, 1, -1, 0, -1, 2, -1]]
+        sizes = numpy.array([3, 1, 2, 0])  # with the trailing 0 row -1 reads
+        assert sizes[table.lookup(codes)[0]].tolist() == [0, 1, 0, 3, 0, 2, 0]
 
     def test_size_follows_key_count(self):
         for count in (0, 1, 2, 3, 100, 1_000):
-            table = self._table(range(count), [1] * count)
-            slots = len(table.keys)
-            assert slots == 1 << table.bits
-            assert slots >= SLOTS_PER_KEY * count
-            assert slots < 2 * SLOTS_PER_KEY * max(count, 1)
+            table = self._table(range(count))
+            slots = 1 << table.bits
+            assert len(table.starts) == slots + 1
+            assert count <= slots < 2 * max(count, 2)
+            assert table.starts[-1] == len(table.keys) == count
+            assert table.rows.shape == (1, count + 1)
 
-    def test_keys_in_one_probe_chain(self):
-        # More keys than a lookup round probes, all with one home slot,
-        # placed around the end of the table and wrapped to its start.
-        bits = (SLOTS_PER_KEY * 24 - 1).bit_length()
+    def test_keys_sharing_one_home_slot(self):
+        # More keys in one home slot than a lookup usually steps through,
+        # in the table's last slot and in a middle one, beside keys with
+        # homes of their own.
+        bits = 5
         candidates = numpy.arange(1 << 16, dtype=numpy.int64)
         homes = hash_slots(candidates, bits)
         last = (1 << bits) - 1
-        chained = candidates[homes == last][:20].tolist()
-        others = candidates[homes == 3][:4].tolist()
-        assert len(chained) == 20 and len(others) == 4
-        keys = chained + others
-        table = self._table(keys, range(1, len(keys) + 1))
-        assert len(table.keys) == 1 << bits
-        absent = candidates[homes == last][20:23].tolist()
+        crowded = candidates[homes == last][:12].tolist()
+        middle = candidates[homes == 3][:5].tolist()
+        single = [int(candidates[homes == slot][0]) for slot in (0, 7, 20)]
+        keys = sorted(crowded + middle + single)
+        assert len(keys) == 20
+        table = self._table(keys)
+        assert table.bits == bits
+        assert table.starts[last + 1] - table.starts[last] == 12
+        absent = candidates[homes == last][12:15].tolist()
+        absent += candidates[homes == 3][5:7].tolist()
         codes = numpy.array(keys[::-1] + absent + [-1])
-        want = list(range(len(keys), 0, -1)) + [0, 0, 0, 0]
-        assert table.lookup(codes).tolist() == want
+        want = list(range(len(keys) - 1, -1, -1)) + [-1] * 6
+        assert table.lookup(codes)[0].tolist() == want
 
     def test_matches_dict_on_random_keys(self):
         rng = numpy.random.default_rng(7)
         keys = numpy.unique(rng.integers(0, 1 << 24, 3_000))
-        counts = rng.integers(1, 9, len(keys))
-        table = KeyTable.build(keys, counts)
-        codes = numpy.concatenate([keys, rng.integers(-1, 1 << 24, 3_000)])
-        want = dict(zip(keys.tolist(), counts.tolist()))
-        assert table.lookup(codes).tolist() == [
-            want.get(code, 0) for code in codes.tolist()
+        table = KeyTable.build([keys])
+        codes = numpy.concatenate([keys, rng.integers(-1, 1 << 24, 3_000), [-1]])
+        want = {code: row for row, code in enumerate(keys.tolist())}
+        assert table.lookup(codes)[0].tolist() == [
+            want.get(code, -1) for code in codes.tolist()
         ]
+
+    def test_stacked_rows_match_searchsorted(self):
+        # Overlapping key sets, one empty: each index's rows are its own.
+        reference = make_reference(6_000, seed=11).sequence
+        indexes = [
+            KmerIndex.build(reference[begin : begin + size], k=6)
+            for begin, size in ((0, 2_500), (2_000, 2_500), (0, 3), (4_000, 2_000))
+        ]
+        table = KeyTable.build([index.keys for index in indexes])
+        union = numpy.unique(numpy.concatenate([index.keys for index in indexes]))
+        assert sorted(table.keys.tolist()) == union.tolist()
+        rng = numpy.random.default_rng(3)
+        codes = numpy.concatenate([union, rng.integers(-1, 4**6, 2_000)])
+        rows = table.lookup(codes)
+        assert rows.shape == (len(indexes), len(codes))
+        for index, got in zip(indexes, rows):
+            place = numpy.searchsorted(index.keys, codes)
+            present = place < len(index.keys)
+            present[present] = index.keys[place[present]] == codes[present]
+            assert got.tolist() == numpy.where(present, place, -1).tolist()
+            assert (index.row_sizes[got] > 0).tolist() == present.tolist()
 
 
 class TestDerivedSeedingState:
-    """The search's derived tables are built on first use, once per index."""
+    """The search's derived tables are built on first use, once."""
 
     @staticmethod
     def _state(tables):
@@ -283,8 +312,8 @@ class TestDerivedSeedingState:
             for entry in tables
         ]
 
-    @pytest.mark.parametrize("backend", ["bitvector", "genax"])
-    def test_built_on_first_seed_and_shared(self, backend):
+    @staticmethod
+    def _set_up(backend):
         from repro.perf.matrix import _backend_config
         from repro.pipeline.registry import get_backend
 
@@ -293,13 +322,25 @@ class TestDerivedSeedingState:
         config = _backend_config(backend, "illumina-small", jobs=1)
         shared = spec.prepare(reference, config)
         tables = shared if isinstance(shared, list) else [shared]
+        # One substitution, so the read misses the exact-match fast path.
+        window = reference.sequence[1_000:1_101]
+        read = window[:50] + "ACGT"[("ACGT".index(window[50]) + 1) % 4] + window[51:]
+        return spec, reference, config, shared, tables, read
+
+    @staticmethod
+    def _finder(aligner):
+        """The aligner's seed finder: genax's accelerator, bitvector's lane."""
+        if hasattr(aligner, "seeder"):
+            return aligner.seeder._finder
+        return aligner._lane.finder
+
+    @pytest.mark.parametrize("backend", ["bitvector", "genax"])
+    def test_built_on_first_seed_and_shared(self, backend):
+        spec, reference, config, shared, tables, read = self._set_up(backend)
         first = spec.build(reference, config, shared)
         assert all(
             value is None for state in self._state(tables) for value in state.values()
         )
-        # One substitution, so the read misses the exact-match fast path.
-        window = reference.sequence[1_000:1_101]
-        read = window[:50] + "ACGT"[("ACGT".index(window[50]) + 1) % 4] + window[51:]
         first.align_batch([("r", read)])
         built = self._state(tables)
         assert all(
@@ -312,5 +353,25 @@ class TestDerivedSeedingState:
             for name in _DERIVED:
                 assert after[name] is before[name]
 
+    @pytest.mark.parametrize("backend", ["bitvector", "genax"])
+    def test_key_table_built_on_first_seed_and_kept(self, backend):
+        spec, reference, config, shared, tables, read = self._set_up(backend)
+        aligner = spec.build(reference, config, shared)
+        finder = self._finder(aligner)
+        assert "key_table" not in vars(finder)
+        assert all("key_table" not in vars(entry.index) for entry in tables)
+        aligner.align_batch([("r", read)])
+        table = vars(finder)["key_table"]
+        assert table.rows.shape[0] == len(tables)
+        own = [vars(entry.index).get("key_table") for entry in tables]
+        if len(tables) == 1:
+            # A stack of one is the index's own table, shared by builds.
+            assert own[0] is table
+        else:
+            # The stacked table replaces the per-segment ones.
+            assert own == [None] * len(tables)
+        aligner.align_batch([("r", read), ("s", read[::-1])])
+        assert vars(finder)["key_table"] is table
 
-_DERIVED = ("key_table", "base_words")
+
+_DERIVED = ("row_sizes", "base_words")

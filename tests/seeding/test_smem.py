@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -331,3 +332,24 @@ class TestBatchedSearchMatchesCamWalk:
         assert _run(SmemFinder(packed, config), reads) == _run(
             CamWalkFinder(index, config), reads
         )
+
+
+class TestFirstBase:
+    """``_first_base``: the index of a word's first non-zero 2-bit base."""
+
+    @staticmethod
+    def _scan(word: int) -> int:
+        return next(j for j in range(32) if (word >> (2 * j)) & 3)
+
+    def test_every_position_and_base(self):
+        rng = random.Random(5)
+        words = []
+        for position in range(32):
+            # Every bit past the base: none, random ones, all of them.
+            above = ((1 << 64) - 1) & ~((1 << (2 * position + 2)) - 1)
+            for base in (1, 2, 3):
+                low = base << (2 * position)
+                words += [low, low | (rng.getrandbits(64) & above), low | above]
+        got = smem._first_base(numpy.array(words, dtype=numpy.uint64))
+        assert got.dtype == numpy.int64
+        assert got.tolist() == [self._scan(word) for word in words]
