@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 import numpy
 from numpy.typing import NDArray
@@ -179,30 +179,36 @@ class KeyTable:
     def build(cls, stack: Sequence[NDArray[numpy.int64]]) -> "KeyTable":
         """Table over a *stack* of sorted, distinct, non-negative key arrays.
 
-        One stable sort of every index's (code, index, row) triples by
-        code groups each code's triples, index order kept (one index's
-        keys are already sorted); one ``argsort`` of the distinct codes by
-        home slot and one ``bincount`` of the home slots give the buckets.
+        One stable sort of the stack's concatenated keys groups each
+        code's entries, index order kept; an entry's place in the
+        concatenation names its index and row there.  One ``argsort`` of
+        the distinct codes by home slot and one ``bincount`` of the home
+        slots give the buckets.  Arrays are freed as soon as they are
+        used: a build's temporaries are several times the table's size.
         """
         codes = numpy.concatenate(stack)
-        member = numpy.repeat(numpy.arange(len(stack)), [len(keys) for keys in stack])
-        local = numpy.concatenate([numpy.arange(len(keys)) for keys in stack])
-        if len(stack) > 1:
-            order = numpy.argsort(codes, kind="stable")
-            codes, member, local = codes[order], member[order], local[order]
+        order = numpy.argsort(codes, kind="stable")
+        codes = codes[order]
         fresh = numpy.ones(len(codes), dtype=bool)
         fresh[1:] = codes[1:] != codes[:-1]
         distinct = codes[fresh]
+        del codes
         bits = max(1, (len(distinct) - 1).bit_length())
         homes = hash_slots(distinct, bits)
-        by_home = numpy.argsort(homes, kind="stable")
-        column = numpy.empty(len(distinct), dtype=numpy.int64)
-        column[by_home] = numpy.arange(len(distinct))
-        rows = numpy.full((len(stack), len(distinct) + 1), -1, dtype=numpy.int32)
-        rows[member, column[numpy.cumsum(fresh) - 1]] = local
         starts = numpy.zeros((1 << bits) + 1, dtype=numpy.int32)
         numpy.cumsum(numpy.bincount(homes, minlength=1 << bits), out=starts[1:])
-        return cls(distinct[by_home], starts, rows, bits)
+        by_home = numpy.argsort(homes, kind="stable")
+        del homes
+        keys = distinct[by_home]
+        del distinct
+        column = numpy.empty(len(keys), dtype=numpy.int32)
+        column[by_home] = numpy.arange(len(keys), dtype=numpy.int32)
+        del by_home
+        bounds = numpy.cumsum([0] + [len(each) for each in stack])
+        member = numpy.searchsorted(bounds, order, side="right") - 1
+        rows = numpy.full((len(stack), len(keys) + 1), -1, dtype=numpy.int32)
+        rows[member, column[numpy.cumsum(fresh) - 1]] = order - bounds[member]
+        return cls(keys, starts, rows, bits)
 
     def lookup(self, codes: NDArray[numpy.int64]) -> NDArray[numpy.int32]:
         """Row of every code of *codes* in each stacked index, ``-1`` where absent.
@@ -239,10 +245,10 @@ class KmerIndex:
     (:mod:`repro.seeding.cache`) stores and reloads exactly these arrays.
 
     The seeding hot path works on rows: a batch's codes become rows in one
-    hashed :class:`KeyTable` lookup (:meth:`lookup`, or a finder's table
-    over a stack of indexes), :attr:`row_sizes` gives their hit counts
-    and :meth:`gather` their hit lists; the RMEM search compares
-    :attr:`base_words`.  Where the hardware does one direct-mapped index
+    hashed :class:`KeyTable` lookup (:meth:`lookup`, or a finder's
+    :meth:`stack_table` over several indexes), :attr:`row_sizes` gives
+    their hit counts and :meth:`gather` their hit lists; the RMEM search
+    compares :attr:`base_words`.  Where the hardware does one direct-mapped index
     fetch per k-mer, the software may find rows any way it likes: the
     seeding stats count lookups, not instructions.  :meth:`hits_code` is
     the scalar path, one ``searchsorted`` for one code, for ``NAIVE``
@@ -255,6 +261,10 @@ class KmerIndex:
     keys: NDArray[numpy.int64] = field(repr=False)
     offsets: NDArray[numpy.int64] = field(repr=False)
     positions: NDArray[numpy.int64] = field(repr=False)
+    # Key tables over this index and the indexes after it in a stack.
+    _stacks: Dict[Tuple["KmerIndex", ...], KeyTable] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @classmethod
     def build(cls, sequence: str, k: int) -> "KmerIndex":
@@ -327,6 +337,21 @@ class KmerIndex:
         alone never pays for it.
         """
         return KeyTable.build([self.keys])
+
+    def stack_table(self, rest: Tuple["KmerIndex", ...]) -> KeyTable:
+        """The :class:`KeyTable` over this index, then the indexes of *rest*.
+
+        Built on first use and kept here, so every finder over the same
+        stack (every aligner built from one set of segment tables)
+        shares it; with no *rest* it is :attr:`key_table`.
+        """
+        if not rest:
+            return self.key_table
+        table = self._stacks.get(rest)
+        if table is None:
+            table = KeyTable.build([self.keys] + [index.keys for index in rest])
+            self._stacks[rest] = table
+        return table
 
     @cached_property
     def row_sizes(self) -> NDArray[numpy.int64]:

@@ -501,14 +501,14 @@ class SmemFinder:
     def key_table(self) -> KeyTable:
         """The hashed code -> row table over every index of the stack.
 
-        A stack of one shares its index's own
-        :attr:`~repro.seeding.index.KmerIndex.key_table`.  Built on the
-        first seed, never when the finder is made, and kept for every
-        later batch.
+        :meth:`~repro.seeding.index.KmerIndex.stack_table` of the first
+        index: built on the first seed, never when the finder is made,
+        and shared by every finder over the same indexes; a stack of one
+        reads its index's own
+        :attr:`~repro.seeding.index.KmerIndex.key_table`.
         """
-        if len(self.indexes) == 1:
-            return self.indexes[0].key_table
-        return KeyTable.build([index.keys for index in self.indexes])
+        first, *rest = self.indexes
+        return first.stack_table(tuple(rest))
 
     def _lookup(self, batch: ReadBatch) -> Tuple[NDArray[numpy.int32], Ints]:
         """Every k-mer of *batch* looked up in every index at once.

@@ -372,6 +372,10 @@ class TestDerivedSeedingState:
             assert own == [None] * len(tables)
         aligner.align_batch([("r", read), ("s", read[::-1])])
         assert vars(finder)["key_table"] is table
+        # A second aligner over the same tables finds the stack built.
+        second = spec.build(reference, config, shared)
+        second.align_batch([("r", read)])
+        assert vars(self._finder(second))["key_table"] is table
 
 
 _DERIVED = ("row_sizes", "base_words")
